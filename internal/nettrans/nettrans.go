@@ -10,11 +10,18 @@
 // the protocol state machines were written against on the sim plane, so
 // they need no locks here either.
 //
-// Wire format: each frame is a 4-byte big-endian length followed by an
-// independently gob-encoded frame value (a fresh encoder per frame, so
-// frames are self-describing and a connection can be dropped between any
-// two of them). Concrete payload types are registered with encoding/gob by
-// the protocol packages' gobwire.go files.
+// Wire format: each frame is a 4-byte big-endian length followed by that
+// many bytes of one gob stream per connection direction. A connection has
+// one encoder (owned by its single writer goroutine) and one decoder (owned
+// by its reader goroutine) for its whole life, so a type's descriptors cross
+// the wire once, with the first frame that carries it, and a frame is only
+// meaningful after every earlier frame of the same connection. The length
+// is checked against maxFrame before anything is read, a frame must decode
+// to exactly its length, and any encode, decode or socket error closes the
+// connection: stream state that diverged cannot be resynchronised, and the
+// next send redials with a fresh encoder/decoder pair. Concrete payload
+// types are registered with encoding/gob by the protocol packages'
+// gobwire.go files.
 //
 // Loss semantics mirror simnet: one-way messages to unknown, down, or
 // unplugged destinations vanish silently; requests that provably cannot
@@ -24,6 +31,7 @@
 package nettrans
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -32,6 +40,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mams/internal/obs"
@@ -113,10 +122,15 @@ type Transport struct {
 	ln net.Listener
 	t0 time.Time
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []func()
-	closed bool
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []func()
+	// closed is written under mu (so post and Do decide atomically with the
+	// append) and read without it by the loop between two callbacks.
+	closed atomic.Bool
+	// loopDone is closed when run returns: from then on nothing touches the
+	// loop-owned state, which is what lets Close walk it.
+	loopDone chan struct{}
 
 	// nodes maps hosted ids to their endpoints. Registration may happen
 	// from any goroutine (including from inside the loop, mid-Do, when a
@@ -126,15 +140,17 @@ type Transport struct {
 	nodes map[transport.NodeID]*Node
 
 	// Loop-owned state (touch only from run()).
-	conns    map[string]*outConn // outbound, keyed by address
+	conns    map[string]*conn // dialed, keyed by address
 	nextCall uint64
 	reg      *obs.Registry
 	tracer   *obs.Tracer
 
-	// Inbound connections, owned by their reader goroutines; tracked under
-	// inMu only so Close can unblock readers whose peers outlive us.
-	inMu    sync.Mutex
-	inConns map[net.Conn]struct{}
+	// Every connection with a socket, dialed or accepted, registered by its
+	// reader so Close can unblock readers whose peers outlive us. liveShut
+	// makes a reader that starts during Close close its socket instead.
+	liveMu   sync.Mutex
+	live     map[*conn]struct{}
+	liveShut bool
 
 	// Stats mirror simnet.Network's counters (loop-owned).
 	Sent      uint64
@@ -162,9 +178,10 @@ func New(cfg Config) (*Transport, error) {
 		dialTimeout: cfg.DialTimeout,
 		ln:          ln,
 		t0:          time.Now(),
+		loopDone:    make(chan struct{}),
 		nodes:       make(map[transport.NodeID]*Node),
-		conns:       make(map[string]*outConn),
-		inConns:     make(map[net.Conn]struct{}),
+		conns:       make(map[string]*conn),
+		live:        make(map[*conn]struct{}),
 	}
 	t.cond = sync.NewCond(&t.mu)
 	t.wg.Add(2)
@@ -188,79 +205,97 @@ func (t *Transport) Obs() *obs.Registry { return t.reg }
 // Tracer returns the attached span tracer (possibly nil).
 func (t *Transport) Tracer() *obs.Tracer { return t.tracer }
 
-// post enqueues fn for the event loop. Safe from any goroutine; a no-op
-// after Close.
-func (t *Transport) post(fn func()) {
+// post enqueues fn for the event loop, reporting whether it was taken.
+// Safe from any goroutine; a no-op after Close.
+func (t *Transport) post(fn func()) bool {
 	t.mu.Lock()
-	if !t.closed {
-		t.queue = append(t.queue, fn)
-		t.cond.Signal()
+	defer t.mu.Unlock()
+	if t.closed.Load() {
+		return false
 	}
-	t.mu.Unlock()
+	t.queue = append(t.queue, fn)
+	t.cond.Signal()
+	return true
 }
 
 // Do runs fn on the event loop and waits for it to finish — the bridge for
 // code outside the loop (tests, benchmark drivers, mamsd signal handlers).
-// Returns false if the transport is closed.
+// Returns false if the transport was closed before fn could run.
 func (t *Transport) Do(fn func()) bool {
 	done := make(chan struct{})
-	posted := false
-	t.mu.Lock()
-	if !t.closed {
-		t.queue = append(t.queue, func() { fn(); close(done) })
-		t.cond.Signal()
-		posted = true
+	if !t.post(func() { fn(); close(done) }) {
+		return false
 	}
-	t.mu.Unlock()
-	if posted {
-		<-done
+	select {
+	case <-done:
+		return true
+	case <-t.loopDone:
+		// Closed while fn was queued: it ran before the loop exited or it
+		// never will.
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
 	}
-	return posted
 }
 
-// run is the event loop: one callback at a time, in arrival order.
+// run is the event loop: one callback at a time, in arrival order. It takes
+// the whole queue per wake-up, so a burst costs one lock round trip, and
+// still runs no callback once Close has been called.
 func (t *Transport) run() {
 	defer t.wg.Done()
+	defer close(t.loopDone)
+	var batch []func()
 	for {
 		t.mu.Lock()
-		for len(t.queue) == 0 && !t.closed {
+		for len(t.queue) == 0 && !t.closed.Load() {
 			t.cond.Wait()
 		}
-		if t.closed {
-			t.mu.Unlock()
+		batch, t.queue = t.queue, batch[:0]
+		t.mu.Unlock()
+		for i, fn := range batch {
+			if t.closed.Load() {
+				return
+			}
+			fn()
+			batch[i] = nil
+		}
+		if t.closed.Load() {
 			return
 		}
-		fn := t.queue[0]
-		t.queue = t.queue[1:]
-		t.mu.Unlock()
-		fn()
 	}
 }
 
 // Close stops the listener, all connections, timers, and the loop, then
-// waits for every goroutine the transport started. Idempotent.
+// waits for every goroutine the transport started. Idempotent. Not callable
+// from the loop itself.
+//
+// The order is a contract: the loop must have exited before anything it
+// owns is touched (the timer sets here), and liveShut must be set in the
+// same critical section as the walk of live, or a connection that a last
+// callback dialed, or the listener accepted, after the walk would have a
+// reader nothing ever unblocks. A connection still dialing has no reader
+// yet; its reader finds liveShut when it starts.
 func (t *Transport) Close() {
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		t.wg.Wait()
 		return
 	}
-	t.closed = true
+	t.closed.Store(true)
 	t.cond.Broadcast()
 	t.mu.Unlock()
 	t.ln.Close()
-	// Connection teardown: outConns are created on the loop, but the loop
-	// has exited; the map is safe to walk now that closed is set (post and
-	// Do are no-ops, so no new conns can appear).
-	for _, c := range t.conns {
-		c.close()
+	<-t.loopDone
+	t.liveMu.Lock()
+	t.liveShut = true
+	for c := range t.live {
+		c.shut()
 	}
-	t.inMu.Lock()
-	for c := range t.inConns {
-		c.Close()
-	}
-	t.inMu.Unlock()
+	t.liveMu.Unlock()
 	t.nmu.RLock()
 	for _, nd := range t.nodes {
 		for tm := range nd.timers {
@@ -300,102 +335,74 @@ func (t *Transport) node(id transport.NodeID) *Node {
 	return nd
 }
 
-// ---- outbound connections ----
+// ---- connections ----
 
-// outConn is a reusable outbound connection to one address. The writer
-// goroutine dials lazily, then drains the queue; any error fails the
-// requests still queued (and the ones already written are failed by the
-// peer's reap or by the caller's timeout).
-type outConn struct {
+// conn is one TCP connection, dialed or accepted. Its writer goroutine is
+// the only one that encodes onto the socket and its reader goroutine the
+// only one that decodes from it, so each direction carries one gob stream.
+// Everything sent over the connection — requests and one-way messages on a
+// dialed one, responses and reaps on either kind — goes through enqueue.
+//
+// Any error on either side shuts the connection: the frames still queued
+// are reported undeliverable (the ones already written are failed by the
+// peer's reap or by the caller's timeout), and a dialed connection leaves
+// the reuse map so the next send redials.
+type conn struct {
 	tr   *Transport
-	addr string
+	addr string // dial target; empty for an accepted connection
 
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []frame
 	closed bool
-
-	netConn net.Conn // set by the writer once dialed (guarded by mu)
+	sock   net.Conn // nil until dialed (guarded by mu)
 }
 
-func (c *outConn) close() {
-	c.mu.Lock()
-	c.closed = true
-	if c.netConn != nil {
-		c.netConn.Close()
-	}
-	c.cond.Broadcast()
-	c.mu.Unlock()
+func (t *Transport) newConn(addr string, sock net.Conn) *conn {
+	c := &conn{tr: t, addr: addr, sock: sock}
+	c.cond = sync.NewCond(&c.mu)
+	return c
 }
 
 // enqueue hands a frame to the writer.
-func (c *outConn) enqueue(f frame) {
+func (c *conn) enqueue(f frame) {
 	c.mu.Lock()
-	if !c.closed {
-		c.queue = append(c.queue, f)
-		c.cond.Signal()
-	} else {
+	if c.closed {
 		c.mu.Unlock()
 		c.tr.post(func() { c.tr.frameUndeliverable(f) })
 		return
 	}
+	c.queue = append(c.queue, f)
+	c.cond.Signal()
 	c.mu.Unlock()
 }
 
-// write runs in its own goroutine: dial once, then encode frames in order.
-func (c *outConn) write() {
-	defer c.tr.wg.Done()
-	conn, err := net.DialTimeout("tcp", c.addr, c.tr.dialTimeout)
-	if err != nil {
-		c.fail()
-		return
-	}
+// shut marks the connection dead, closes its socket (which trips the reader
+// out of Read and the writer out of its wait), reports the queued frames
+// undeliverable and removes a dialed connection from the reuse map.
+// Idempotent; safe from any goroutine.
+func (c *conn) shut() {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		conn.Close()
 		return
 	}
-	c.netConn = conn
-	c.mu.Unlock()
-	// Responses and reaps come back on this same connection; read them like
-	// any inbound stream. The reader also closes the conn when the peer
-	// goes away, which trips the writer out of its queue wait.
-	c.tr.wg.Add(1)
-	go c.tr.read(conn)
-	for {
-		c.mu.Lock()
-		for len(c.queue) == 0 && !c.closed {
-			c.cond.Wait()
-		}
-		if c.closed {
-			c.mu.Unlock()
-			conn.Close()
-			return
-		}
-		f := c.queue[0]
-		c.queue = c.queue[1:]
-		c.mu.Unlock()
-		if err := writeFrame(conn, f); err != nil {
-			conn.Close()
-			c.tr.post(func() { c.tr.frameUndeliverable(f) })
-			c.fail()
-			return
-		}
-	}
-}
-
-// fail marks the connection dead, reaps queued frames, and removes it from
-// the transport's reuse map so the next send re-dials.
-func (c *outConn) fail() {
-	c.mu.Lock()
 	c.closed = true
 	stranded := c.queue
 	c.queue = nil
+	if c.sock != nil {
+		c.sock.Close()
+	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
+	c.abandon(stranded)
+}
+
+// abandon applies loss semantics, on the loop, to frames of a dead
+// connection, and forgets the connection there.
+func (c *conn) abandon(stranded []frame) {
 	c.tr.post(func() {
-		if c.tr.conns[c.addr] == c {
+		if c.addr != "" && c.tr.conns[c.addr] == c {
 			delete(c.tr.conns, c.addr)
 		}
 		for _, f := range stranded {
@@ -404,9 +411,85 @@ func (c *outConn) fail() {
 	})
 }
 
+// write runs in its own goroutine: dial if the connection has no socket
+// yet, then drain the queue. Each wake-up takes the whole queue, encodes it
+// into one buffer and issues one Write.
+func (c *conn) write() {
+	defer c.tr.wg.Done()
+	defer c.shut()
+	if c.addr != "" {
+		sock, err := net.DialTimeout("tcp", c.addr, c.tr.dialTimeout)
+		if err != nil {
+			return
+		}
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			sock.Close()
+			return
+		}
+		c.sock = sock
+		c.mu.Unlock()
+		// Responses and reaps come back on this same connection; read them
+		// like any inbound stream.
+		c.tr.wg.Add(1)
+		go c.read()
+	}
+	enc := newFrameEncoder()
+	var batch []frame
+	for {
+		c.mu.Lock()
+		for len(c.queue) == 0 && !c.closed {
+			c.cond.Wait()
+		}
+		if c.closed {
+			c.mu.Unlock()
+			return
+		}
+		batch, c.queue = c.queue, batch[:0]
+		c.mu.Unlock()
+		if err := enc.writeTo(c.sock, batch); err != nil {
+			// The encoder may have marked descriptors as sent that never
+			// reached the wire, and the socket may have taken any prefix of
+			// the batch: nothing more can go out on this stream.
+			c.abandon(batch)
+			return
+		}
+		clear(batch) // drop the payload references until the next swap
+	}
+}
+
+// read runs in its own goroutine: decode frames off the socket and post
+// them to the loop, with the connection as the way back for answers.
+func (c *conn) read() {
+	defer c.tr.wg.Done()
+	defer c.shut()
+	t := c.tr
+	t.liveMu.Lock()
+	if t.liveShut {
+		t.liveMu.Unlock()
+		return
+	}
+	t.live[c] = struct{}{}
+	t.liveMu.Unlock()
+	defer func() {
+		t.liveMu.Lock()
+		delete(t.live, c)
+		t.liveMu.Unlock()
+	}()
+	dec := newFrameDecoder(c.sock)
+	for {
+		f, err := dec.next()
+		if err != nil {
+			return // peer closed, tore down mid-frame, or sent a bad frame
+		}
+		t.post(func() { t.dispatch(f, c) })
+	}
+}
+
 // connTo returns (dialing if needed) the reusable connection to addr.
 // Loop-only.
-func (t *Transport) connTo(addr string) *outConn {
+func (t *Transport) connTo(addr string) *conn {
 	if c := t.conns[addr]; c != nil {
 		c.mu.Lock()
 		dead := c.closed
@@ -416,8 +499,7 @@ func (t *Transport) connTo(addr string) *outConn {
 		}
 		delete(t.conns, addr)
 	}
-	c := &outConn{tr: t, addr: addr}
-	c.cond = sync.NewCond(&c.mu)
+	c := t.newConn(addr, nil)
 	t.conns[addr] = c
 	t.wg.Add(1)
 	go c.write()
@@ -464,58 +546,22 @@ func (t *Transport) sendFrame(f frame) {
 func (t *Transport) accept() {
 	defer t.wg.Done()
 	for {
-		conn, err := t.ln.Accept()
+		sock, err := t.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		t.wg.Add(1)
-		go t.read(conn)
+		c := t.newConn("", sock)
+		t.wg.Add(2)
+		go c.write()
+		go c.read()
 	}
-}
-
-// read decodes frames off one inbound connection and posts them to the
-// loop. The connection doubles as the response path for requests that
-// arrived on it.
-func (t *Transport) read(conn net.Conn) {
-	defer t.wg.Done()
-	defer conn.Close()
-	t.inMu.Lock()
-	t.inConns[conn] = struct{}{}
-	t.inMu.Unlock()
-	defer func() {
-		t.inMu.Lock()
-		delete(t.inConns, conn)
-		t.inMu.Unlock()
-	}()
-	w := &inWriter{conn: conn}
-	for {
-		f, err := readFrame(conn)
-		if err != nil {
-			return // peer closed, or tore down mid-frame
-		}
-		t.post(func() { t.dispatch(f, w) })
-	}
-}
-
-// inWriter serializes response writes back onto an inbound connection.
-// reply closures may fire long after the handler returned, from the loop;
-// the mutex orders them against each other.
-type inWriter struct {
-	mu   sync.Mutex
-	conn net.Conn
-}
-
-func (w *inWriter) writeFrame(f frame) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return writeFrame(w.conn, f)
 }
 
 // dispatch delivers an arrived frame to the destination node. Loop-only.
-// via is the inbound connection for remote frames (responses to requests
+// via is the connection a remote frame arrived on (responses to requests
 // that arrived on it go back the same way); nil for local fast-path frames,
 // which answer through sendFrame instead.
-func (t *Transport) dispatch(f frame, via *inWriter) {
+func (t *Transport) dispatch(f frame, via *conn) {
 	dst := t.node(f.To)
 	if dst == nil || !dst.up || dst.unplugged {
 		t.Dropped++
@@ -576,64 +622,127 @@ func (t *Transport) dispatch(f frame, via *inWriter) {
 
 // reapBack tells the caller its request will never complete (the wire form
 // of simnet's reapDropped). Loop-only.
-func (t *Transport) reapBack(f frame, via *inWriter) {
+func (t *Transport) reapBack(f frame, via *conn) {
 	t.answer(frame{Kind: frameReap, ID: f.ID, From: f.To, To: f.From}, via)
 }
 
-// answer routes a response or reap frame back to the caller: over the
-// inbound connection it arrived on when there is one, through normal
-// routing for local fast-path traffic. Loop-only.
-func (t *Transport) answer(f frame, via *inWriter) {
+// answer routes a response or reap frame back to the caller: through the
+// writer of the connection it arrived on when there is one — so answers
+// leave in the order the handler gave them — and through normal routing for
+// local fast-path traffic. If that connection has died the caller's pending
+// call times out (or, for zero-timeout calls, fails when the caller's own
+// writer notices the broken connection). Loop-only.
+func (t *Transport) answer(f frame, via *conn) {
 	if via == nil {
 		t.sendFrame(f)
 		return
 	}
 	t.Sent++
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		// A write error means the caller's connection died; its pending
-		// call times out (or, for zero-timeout calls, fails when the
-		// caller's own outbound writer notices the broken connection).
-		_ = via.writeFrame(f)
-	}()
+	via.enqueue(f)
 }
 
 // ---- framing ----
 
-const maxFrame = 64 << 20 // 64 MiB; journals ship in bounded batches
+const (
+	maxFrame = 64 << 20 // 64 MiB; journals ship in bounded batches
+	// keepBuf is how much encode buffer a connection keeps between batches;
+	// one outsized journal frame must not pin its size for the connection's
+	// life.
+	keepBuf = 1 << 20
+)
 
-// writeFrame encodes f with a fresh gob encoder and writes it with a
-// 4-byte big-endian length prefix.
-func writeFrame(w io.Writer, f frame) error {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
+// frameEncoder is the write half of a connection's gob stream: one encoder
+// whose output is cut into length-prefixed frames.
+type frameEncoder struct {
+	buf bytes.Buffer
+	enc *gob.Encoder
+}
+
+func newFrameEncoder() *frameEncoder {
+	e := &frameEncoder{}
+	e.enc = gob.NewEncoder(&e.buf)
+	return e
+}
+
+// encode appends f to the buffer as one frame: the 4-byte big-endian length
+// of whatever the encoder emitted for it (descriptors of types it has not
+// sent yet, then the value).
+func (e *frameEncoder) encode(f *frame) error {
+	start := e.buf.Len()
+	e.buf.Write([]byte{0, 0, 0, 0}) // length placeholder
+	if err := e.enc.Encode(f); err != nil {
 		return fmt.Errorf("nettrans: encode frame to %s: %w", f.To, err)
 	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
-	_, err := w.Write(b)
+	n := e.buf.Len() - start - 4
+	if n > maxFrame {
+		return fmt.Errorf("nettrans: frame to %s is %d bytes, over the %d limit", f.To, n, maxFrame)
+	}
+	binary.BigEndian.PutUint32(e.buf.Bytes()[start:], uint32(n))
+	return nil
+}
+
+// writeTo encodes the batch and writes it to w in one call. After an error
+// the encoder must not be used again.
+func (e *frameEncoder) writeTo(w io.Writer, batch []frame) error {
+	for i := range batch {
+		if err := e.encode(&batch[i]); err != nil {
+			return err
+		}
+	}
+	_, err := w.Write(e.buf.Bytes())
+	if e.buf.Cap() > keepBuf {
+		e.buf = bytes.Buffer{}
+	} else {
+		e.buf.Reset()
+	}
 	return err
 }
 
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) (frame, error) {
+// frameDecoder is the read half of a connection's gob stream. The decoder
+// reads through body, a view of the socket that ends where the current
+// frame does, so a frame can neither run into the next one nor make the
+// decoder wait for bytes its length did not announce.
+type frameDecoder struct {
+	br   *bufio.Reader
+	body frameBody
+	dec  *gob.Decoder
+}
+
+func newFrameDecoder(r io.Reader) *frameDecoder {
+	d := &frameDecoder{br: bufio.NewReader(r)}
+	d.body.R = d.br
+	d.dec = gob.NewDecoder(&d.body)
+	return d
+}
+
+// next reads one frame. After an error the decoder must not be used again.
+func (d *frameDecoder) next() (frame, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(d.br, hdr[:]); err != nil {
 		return frame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
 		return frame{}, fmt.Errorf("nettrans: oversized frame (%d bytes)", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return frame{}, err
-	}
+	d.body.N = int64(n)
 	var f frame
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&f); err != nil {
+	if err := d.dec.Decode(&f); err != nil {
 		return frame{}, fmt.Errorf("nettrans: decode frame: %w", err)
 	}
+	if d.body.N != 0 {
+		return frame{}, fmt.Errorf("nettrans: %d trailing bytes in a %d-byte frame", d.body.N, n)
+	}
 	return f, nil
+}
+
+// frameBody is io.LimitedReader plus ReadByte, without which gob.NewDecoder
+// would put its own read-ahead buffer in front and swallow the next frame's
+// prefix.
+type frameBody struct{ io.LimitedReader }
+
+func (b *frameBody) ReadByte() (byte, error) {
+	var p [1]byte
+	_, err := io.ReadFull(b, p[:])
+	return p[0], err
 }

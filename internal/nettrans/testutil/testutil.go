@@ -144,6 +144,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.CoordSrvs = append(c.CoordSrvs, srv)
 	}
 
+	// Phase 2b: wait for the ensemble to elect. A metadata server that
+	// starts first is told NotLeader by every member, burns through
+	// coord.Client's attempts in milliseconds and then sleeps a full second
+	// before it tries again.
+	if !c.awaitCoordLeader(5 * time.Second) {
+		c.Close()
+		return nil, fmt.Errorf("testutil: no coord leader among %d servers after 5s", cfg.CoordServers)
+	}
+
 	// Phase 3: metadata servers (member 0 boots active, the rest standby).
 	c.Part = partition.NewSharded(1, partition.DefaultSlotsPerGroup, 0)
 	seedRNG := rng.New(cfg.Seed)
@@ -187,6 +196,25 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		})
 	})
 	return c, nil
+}
+
+// awaitCoordLeader polls the coordination servers, each on its own loop,
+// until one of them leads or the wall-clock budget is spent.
+func (c *Cluster) awaitCoordLeader(d time.Duration) bool {
+	deadline := time.Now().Add(d)
+	for {
+		for i, p := range c.Coord {
+			leading := false
+			p.Tr.Do(func() { leading = c.CoordSrvs[i].Leading() })
+			if leading {
+				return true
+			}
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // Close tears down every process. Idempotent per transport (Close is).

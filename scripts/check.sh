@@ -18,6 +18,13 @@ go test -race -timeout 40m ./internal/experiments/... ./internal/sim/...
 # race. The transporttest lint also asserts no protocol package (mams,
 # coord, ssp, fsclient) imports internal/simnet.
 go test -race ./internal/nettrans/... ./internal/simnet/... ./internal/transport/...
+# Teardown and boot are races by nature (Close against a loop still running
+# callbacks; metadata servers against the coord election), so their stress
+# tests get three more rounds.
+go test -race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt' ./internal/nettrans/...
+# Keeps the layer benchmark compiling and prints its allocs/op (budget 40,
+# pinned by TestCallAllocBudget) in every verify run.
+go test -run '^$' -bench CallRoundTrip -benchtime 200x ./internal/nettrans
 go test -race -timeout 40m ./internal/mams/...
 go test -race ./internal/obs/...
 # The health detector rides inside every parallel detect cell (one World
