@@ -184,6 +184,8 @@ func startMDS(tr *nettrans.Transport, cfg nodeConfig) error {
 	}
 	part := partition.NewSharded(len(cfg.Groups), partition.DefaultSlotsPerGroup, 0)
 	rnd := rng.New(seed).Split(cfg.MDS).Float64
+	params := mams.DefaultParams()      // shipped protocol timing; the cost model is zeroed on the next line:
+	params.CostModel = mams.CostModel{} // on real hardware work costs what it costs
 	tr.Do(func() {
 		s := mams.NewServer(tr, mams.Config{
 			ID:                  id,
@@ -197,8 +199,8 @@ func startMDS(tr *nettrans.Transport, cfg nodeConfig) error {
 			CoordHeartbeat:      heartbeat,
 			PoolNodes:           allGroups[groupIdx],
 			Partitioner:         part,
-			Params:              mams.DefaultParams(),
-			SSPParams:           ssp.DefaultParams(),
+			Params:              params,
+			SSPParams:           ssp.Params{}, // no pretend disk either
 		}, nil, rnd)
 		s.Start()
 	})

@@ -8,6 +8,7 @@ import (
 	"mams/internal/sim"
 	"mams/internal/ssp"
 	"mams/internal/trace"
+	"mams/internal/transport"
 )
 
 // onLockGone fires when the group's distributed lock (or the active's
@@ -177,7 +178,7 @@ func (s *Server) commitCachedAndFlip() {
 	me := string(s.cfg.ID)
 	// Step 2: apply cached (prepared but uncommitted) journals.
 	s.stageSpan = s.spans.Begin("stage-commit-cached", me, s.failoverSpan)
-	s.node.After(s.cfg.Params.SwitchCommitCost, "mams-switch-commit", func() {
+	transport.Charge(s.node, s.cfg.Params.SwitchCommitCost, "mams-switch-commit", func() {
 		s.commitAllQueued()
 		s.emit(trace.KindFailover, "cached-committed", "sn", fmt.Sprint(s.log.LastSN()))
 		s.spans.End(s.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
@@ -208,7 +209,7 @@ func (s *Server) commitCachedAndFlip() {
 			// Step 4: re-flush the last cached journals to the replica
 			// group; receivers deduplicate by sn.
 			s.stageSpan = s.spans.Begin("stage-reflush", me, s.failoverSpan)
-			s.node.After(s.cfg.Params.SwitchStateCost, "mams-switch-state", func() {
+			transport.Charge(s.node, s.cfg.Params.SwitchStateCost, "mams-switch-state", func() {
 				s.reflushTail(epoch)
 				s.spans.End(s.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
 				// Step 5: collect registrations (Register handler runs

@@ -2,10 +2,14 @@ package mams
 
 import "mams/internal/sim"
 
-// Params models metadata-server costs and protocol timing. The defaults are
-// calibrated against the paper's testbed (4-core Xeon X3320, GbE, §IV) so
-// that the reproduced tables and figures land in the same regime.
-type Params struct {
+// CostModel is the modelled hardware: what each piece of work costs on the
+// machine being imitated. The plane supplies it. The simulator runs the
+// calibration below (DefaultParams: the paper's testbed, 4-core Xeon X3320,
+// GbE, §IV), so the reproduced tables and figures land in the same regime.
+// The wire plane runs the zero CostModel: on real hardware work costs what
+// it costs, and a zero charge runs inline without arming a timer
+// (transport.Charge).
+type CostModel struct {
 	// Per-operation CPU service time on the active (single dispatch
 	// thread model; saturation throughput per server ≈ 1/ServiceTime).
 	ReadSvc   sim.Time
@@ -13,11 +17,6 @@ type Params struct {
 	MkdirSvc  sim.Time
 	DeleteSvc sim.Time
 	RenameSvc sim.Time
-
-	// Journal batching: modifications are aggregated and written back
-	// asynchronously (§IV).
-	BatchEvery      sim.Time
-	BatchMaxRecords int
 
 	// Replication cost charged to the active per batch per standby, plus
 	// a per-record component. These produce the paper's few-percent
@@ -37,6 +36,38 @@ type Params struct {
 	// participant (2PC bookkeeping), making mkdir/delete/rename the
 	// slower "distributed transactions in the CFS" of Fig. 5.
 	TxnOverhead sim.Time
+
+	// DispatchFrac is the share of a mutating op's service time spent on
+	// in-memory dispatch under GroupCommit; the remaining journal-sync
+	// share moves to the journal lane and amortizes across the batch
+	// (out of range values fall back to the default 0.10).
+	DispatchFrac float64
+
+	// JournalFlushPerBatch / JournalPerRecord are the journal lane's
+	// per-seal (sequential write + sync) and per-record encode costs.
+	JournalFlushPerBatch sim.Time
+	JournalPerRecord     sim.Time
+
+	// CommitAckCost is the dispatch-thread cost per op to process a commit
+	// completion and send the reply in GroupCommit sync-ack mode (AsyncAck
+	// replies at seal and skips it).
+	CommitAckCost sim.Time
+
+	SwitchCommitCost sim.Time // committing cached journals on the elected standby
+	SwitchStateCost  sim.Time // bookkeeping to flip into serving mode
+	RenewBatchApply  sim.Time // junior CPU per journal batch applied
+}
+
+// Params is the protocol's own timing and policy — time-outs, batch sizes,
+// windows, jitter: what a deployment tunes on any hardware — plus the
+// CostModel of the plane it runs on, embedded so p.CreateSvc still reads.
+type Params struct {
+	CostModel
+
+	// Journal batching: modifications are aggregated and written back
+	// asynchronously (§IV).
+	BatchEvery      sim.Time
+	BatchMaxRecords int
 
 	// AckTimeout bounds how long the active waits for a standby's batch
 	// ack before degrading it to junior.
@@ -62,35 +93,16 @@ type Params struct {
 	// a later watermark from the same epoch covers their sn.
 	AsyncAck bool
 
-	// DispatchFrac is the share of a mutating op's service time spent on
-	// in-memory dispatch under GroupCommit; the remaining journal-sync
-	// share moves to the journal lane and amortizes across the batch
-	// (out of range values fall back to the default 0.10).
-	DispatchFrac float64
-
-	// JournalFlushPerBatch / JournalPerRecord are the journal lane's
-	// per-seal (sequential write + sync) and per-record encode costs.
-	JournalFlushPerBatch sim.Time
-	JournalPerRecord     sim.Time
-
-	// CommitAckCost is the dispatch-thread cost per op to process a commit
-	// completion and send the reply in GroupCommit sync-ack mode (AsyncAck
-	// replies at seal and skips it).
-	CommitAckCost sim.Time
-
 	// SSPReplicas is the shared-file replication factor in the pool.
 	SSPReplicas int
 
 	// Failover protocol timing.
 	ElectionJitterMin sim.Time // Algorithm 1's random-number contention,
 	ElectionJitterMax sim.Time // realized as a random delay before the lock grab
-	SwitchCommitCost  sim.Time // committing cached journals on the elected standby
-	SwitchStateCost   sim.Time // bookkeeping to flip into serving mode
 	RegistrationWait  sim.Time // wait for peers to re-register (Fig. 4 step 5)
 
 	// Renewing protocol.
 	RenewScanEvery    sim.Time // active's periodic view scan for juniors
-	RenewBatchApply   sim.Time // junior CPU per journal batch applied
 	RenewSmallGap     uint64   // sn gap below which final sync starts
 	RenewJournalChunk int      // batches per catch-up round trip
 
@@ -121,41 +133,46 @@ type Params struct {
 	SyncSSP bool
 }
 
-// DefaultParams returns the calibration used throughout the experiments.
+// DefaultParams returns the calibration used throughout the experiments:
+// the protocol defaults with the paper-testbed CostModel.
 func DefaultParams() Params {
 	return Params{
-		ReadSvc:   45 * sim.Microsecond,
-		CreateSvc: 75 * sim.Microsecond,
-		MkdirSvc:  95 * sim.Microsecond,
-		DeleteSvc: 90 * sim.Microsecond,
-		RenameSvc: 120 * sim.Microsecond,
+		CostModel: CostModel{
+			ReadSvc:   45 * sim.Microsecond,
+			CreateSvc: 75 * sim.Microsecond,
+			MkdirSvc:  95 * sim.Microsecond,
+			DeleteSvc: 90 * sim.Microsecond,
+			RenameSvc: 120 * sim.Microsecond,
+
+			ReplPerBatchPerStandby:  20 * sim.Microsecond,
+			ReplPerRecordPerStandby: 5 * sim.Microsecond,
+			StandbyApplyPerRecord:   8 * sim.Microsecond,
+			SSPPerRecordCPU:         6 * sim.Microsecond,
+			TxnOverhead:             80 * sim.Microsecond,
+
+			DispatchFrac:         0.10,
+			JournalFlushPerBatch: 30 * sim.Microsecond,
+			JournalPerRecord:     4 * sim.Microsecond,
+			CommitAckCost:        6 * sim.Microsecond,
+
+			SwitchCommitCost: 90 * sim.Millisecond,
+			SwitchStateCost:  60 * sim.Millisecond,
+			RenewBatchApply:  200 * sim.Microsecond,
+		},
 
 		BatchEvery:      2 * sim.Millisecond,
 		BatchMaxRecords: 512,
 
-		ReplPerBatchPerStandby:  20 * sim.Microsecond,
-		ReplPerRecordPerStandby: 5 * sim.Microsecond,
-		StandbyApplyPerRecord:   8 * sim.Microsecond,
-		SSPPerRecordCPU:         6 * sim.Microsecond,
-		TxnOverhead:             80 * sim.Microsecond,
-
 		AckTimeout:  500 * sim.Millisecond,
 		SSPReplicas: 2,
 
-		MaxInflightBatches:   4,
-		DispatchFrac:         0.10,
-		JournalFlushPerBatch: 30 * sim.Microsecond,
-		JournalPerRecord:     4 * sim.Microsecond,
-		CommitAckCost:        6 * sim.Microsecond,
+		MaxInflightBatches: 4,
 
 		ElectionJitterMin: 10 * sim.Millisecond,
 		ElectionJitterMax: 60 * sim.Millisecond,
-		SwitchCommitCost:  90 * sim.Millisecond,
-		SwitchStateCost:   60 * sim.Millisecond,
 		RegistrationWait:  120 * sim.Millisecond,
 
 		RenewScanEvery:    2 * sim.Second,
-		RenewBatchApply:   200 * sim.Microsecond,
 		RenewSmallGap:     8,
 		RenewJournalChunk: 64,
 

@@ -279,7 +279,7 @@ func (s *Server) pullRenewJournal() {
 		}
 		// Apply the chunk with modeled CPU cost, then continue.
 		cost := sim.Time(len(r.Batches)) * s.cfg.Params.RenewBatchApply
-		s.node.After(cost, "mams-renew-apply", func() {
+		transport.Charge(s.node, cost, "mams-renew-apply", func() {
 			if !s.renewing || s.role != RoleJunior {
 				return
 			}

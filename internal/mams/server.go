@@ -1084,7 +1084,7 @@ func (s *Server) handleClientOp(from transport.NodeID, op ClientOp, reply func(a
 		start = now
 	}
 	s.busyUntil = start + svc
-	s.node.After(s.busyUntil-now, "mds-op", func() {
+	transport.Charge(s.node, s.busyUntil-now, "mds-op", func() {
 		s.executeOp(op, reply)
 	})
 }
@@ -1474,11 +1474,7 @@ func (s *Server) sealBatch() {
 			s.onAckTimeout(sn)
 		})
 	}
-	if launchDelay > 0 {
-		s.node.After(launchDelay, "mds-journal-flush", launch)
-	} else {
-		launch()
-	}
+	transport.Charge(s.node, launchDelay, "mds-journal-flush", launch)
 }
 
 func (s *Server) makeAckHandler(sn uint64, target transport.NodeID) func(any, error) {

@@ -384,7 +384,7 @@ func (s *Server) onTxnPrepare(from transport.NodeID, m TxnPrepare, reply func(an
 		s.busyUntil = now
 	}
 	s.busyUntil += svc
-	s.node.After(s.busyUntil-now, "mams-txn-prepare", func() {
+	transport.Charge(s.node, s.busyUntil-now, "mams-txn-prepare", func() {
 		if s.role != RoleActive || s.builder == nil {
 			reply(TxnVote{TxnID: m.TxnID, From: s.cfg.ID, OK: false, Err: "mams: not active"})
 			return

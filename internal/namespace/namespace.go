@@ -52,6 +52,11 @@ type inode struct {
 	size     int64
 	blocks   []uint64
 	children map[string]*inode
+
+	// pathState (directories only) is the FNV-1a state after hashing this
+	// directory's canonical path plus a trailing "/". A child's digest term
+	// continues from it over the child's name, so no path string is built.
+	pathState uint64
 }
 
 // Tree is a mutable namespace. The zero value is not usable; call New.
@@ -61,6 +66,10 @@ type Tree struct {
 	dirs      int // excluding root
 	nameBytes int64
 	blocks    int64
+
+	// digest is the wrapping sum of every entry's digest term (see Digest),
+	// kept current by the mutators.
+	digest uint64
 
 	// Last-resolved-parent cache: metadata workloads overwhelmingly create
 	// many entries in one directory, so the previous op's parent usually
@@ -73,7 +82,7 @@ type Tree struct {
 
 // New returns a tree containing only the root directory.
 func New() *Tree {
-	return &Tree{root: &inode{name: "", dir: true, children: map[string]*inode{}}}
+	return &Tree{root: &inode{name: "", dir: true, children: map[string]*inode{}, pathState: rootPathState}}
 }
 
 // Files returns the number of regular files.
@@ -269,7 +278,9 @@ func (t *Tree) Create(path string, size int64, perm uint16, mtime, txid int64) e
 		return ErrExists
 	}
 	blocks := blocksFor(uint64(txid), size)
-	dir.children[name] = &inode{name: name, perm: perm, mtime: mtime, size: size, blocks: blocks}
+	node := &inode{name: name, perm: perm, mtime: mtime, size: size, blocks: blocks}
+	dir.children[name] = node
+	t.digest += subtreeSum(dir.pathState, node)
 	dir.mtime = mtime
 	t.files++
 	t.nameBytes += int64(len(name))
@@ -289,7 +300,9 @@ func (t *Tree) Mkdir(path string, perm uint16, mtime int64) error {
 	if _, exists := dir.children[name]; exists {
 		return ErrExists
 	}
-	dir.children[name] = &inode{name: name, dir: true, perm: perm, mtime: mtime, children: map[string]*inode{}}
+	node := &inode{name: name, dir: true, perm: perm, mtime: mtime, children: map[string]*inode{}}
+	dir.children[name] = node
+	t.digest += subtreeSum(dir.pathState, node)
 	dir.mtime = mtime
 	t.dirs++
 	t.nameBytes += int64(len(name))
@@ -330,6 +343,7 @@ func (t *Tree) Delete(path string) error {
 		return ErrNotEmpty
 	}
 	delete(dir.children, name)
+	t.digest -= subtreeSum(dir.pathState, node)
 	t.uncount(node)
 	t.invalidateParentCache()
 	return nil
@@ -346,6 +360,7 @@ func (t *Tree) DeleteRecursive(path string) error {
 		return ErrNotFound
 	}
 	delete(dir.children, name)
+	t.digest -= subtreeSum(dir.pathState, node)
 	t.invalidateParentCache()
 	var drop func(n *inode)
 	drop = func(n *inode) {
@@ -410,10 +425,12 @@ func (t *Tree) Rename(src, dst string) error {
 		return ErrExists
 	}
 	delete(sdir.children, sname)
+	t.digest -= subtreeSum(sdir.pathState, node)
 	t.invalidateParentCache()
 	t.nameBytes += int64(len(dname) - len(sname))
 	node.name = dname
 	ddir.children[dname] = node
+	t.digest += subtreeSum(ddir.pathState, node) // re-derives path states below
 	return nil
 }
 
@@ -649,8 +666,10 @@ func LoadImage(buf []byte) (*Tree, error) {
 		return nil, fmt.Errorf("namespace: unsupported image version %d", v)
 	}
 	t := &Tree{}
-	var dec func(depth int) (*inode, error)
-	dec = func(depth int) (*inode, error) {
+	// parent is the enclosing directory's pathState: digest terms are added
+	// as entries attach, so loading needs no second walk.
+	var dec func(depth int, parent uint64) (*inode, error)
+	dec = func(depth int, parent uint64) (*inode, error) {
 		if depth > 4096 {
 			return nil, errors.New("namespace: image nesting too deep")
 		}
@@ -662,14 +681,19 @@ func LoadImage(buf []byte) (*Tree, error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
+		h := fnvString(parent, n.name)
 		if n.dir {
 			n.children = map[string]*inode{}
+			n.pathState = fnvMix(h, '/')
+			if depth > 0 {
+				t.digest += dirTerm(h)
+			}
 			cnt := r.Uvarint()
 			if cnt > uint64(len(buf)) {
 				return nil, fmt.Errorf("namespace: implausible child count %d", cnt)
 			}
 			for i := uint64(0); i < cnt; i++ {
-				c, err := dec(depth + 1)
+				c, err := dec(depth+1, n.pathState)
 				if err != nil {
 					return nil, err
 				}
@@ -692,10 +716,11 @@ func LoadImage(buf []byte) (*Tree, error) {
 			for i := range n.blocks {
 				n.blocks[i] = r.Uvarint()
 			}
+			t.digest += fileTerm(h, n)
 		}
 		return n, r.Err()
 	}
-	root, err := dec(0)
+	root, err := dec(0, fnvOffset)
 	if err != nil {
 		return nil, err
 	}
@@ -709,55 +734,76 @@ func LoadImage(buf []byte) (*Tree, error) {
 	return t, nil
 }
 
-// Digest returns an order-independent structural hash of the namespace.
-// Two replicas with equal digests hold identical metadata. (FNV-1a over a
-// canonical preorder traversal.)
-func (t *Tree) Digest() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime
-		}
-		h ^= 0xFF
-		h *= prime
+// Digest returns an order-independent structural hash of the namespace in
+// O(1): the wrapping sum, kept by the mutators, of one term per entry. A
+// directory's term hashes its canonical path; a file's also hashes size,
+// mtime, perm and blocks. Two replicas with equal digests hold identical
+// metadata; the value is only meaningful compared against another tree's.
+func (t *Tree) Digest() uint64 { return t.digest }
+
+// FNV-1a, 64 bit.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// rootPathState is the root's pathState: its canonical path is "".
+var rootPathState = fnvMix(fnvOffset, '/')
+
+// fnvMix is one FNV-1a round. Path bytes go in one per round; a file's
+// numeric fields go in a whole word per round, because the terms are
+// avalanched before they are summed and byte-wise rounds would buy nothing.
+func fnvMix(h, v uint64) uint64 { return (h ^ v) * fnvPrime }
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = fnvMix(h, uint64(s[i]))
 	}
-	mixU := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= prime
-			v >>= 8
-		}
-	}
-	var walk func(prefix string, n *inode)
-	walk = func(prefix string, n *inode) {
-		mix(prefix)
-		if n.dir {
-			mixU(1)
-			names := make([]string, 0, len(n.children))
-			for c := range n.children {
-				names = append(names, c)
-			}
-			sort.Strings(names)
-			for _, c := range names {
-				walk(prefix+"/"+c, n.children[c])
-			}
-		} else {
-			mixU(2)
-			mixU(uint64(n.size))
-			mixU(uint64(n.mtime))
-			mixU(uint64(n.perm))
-			for _, b := range n.blocks {
-				mixU(b)
-			}
-		}
-	}
-	walk("", t.root)
 	return h
+}
+
+// avalanche (the splitmix64 finalizer) spreads every input bit over the
+// term. A raw FNV state is nearly linear in its last input, and a plain sum
+// of them can miss two files that swapped a field (see the digest tests).
+func avalanche(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
+}
+
+// dirTerm and fileTerm are an entry's digest term given h, the FNV state
+// of its canonical path.
+func dirTerm(h uint64) uint64 { return avalanche(fnvMix(fnvMix(h, 0xFF), 1)) }
+
+func fileTerm(h uint64, n *inode) uint64 {
+	h = fnvMix(fnvMix(h, 0xFF), 2)
+	h = fnvMix(h, uint64(n.size))
+	h = fnvMix(h, uint64(n.mtime))
+	h = fnvMix(h, uint64(n.perm))
+	for _, b := range n.blocks {
+		h = fnvMix(h, b)
+	}
+	return avalanche(h)
+}
+
+// subtreeSum returns the digest terms of n and everything below it, for n
+// attached under a directory whose pathState is parent. It (re)derives the
+// pathState of every directory it visits, which is what moves a renamed
+// subtree to its new path.
+func subtreeSum(parent uint64, n *inode) uint64 {
+	h := fnvString(parent, n.name)
+	if !n.dir {
+		return fileTerm(h, n)
+	}
+	n.pathState = fnvMix(h, '/')
+	sum := dirTerm(h)
+	for _, c := range n.children {
+		sum += subtreeSum(n.pathState, c)
+	}
+	return sum
 }
 
 // AllBlocks returns every block id in the namespace (sorted), used by the

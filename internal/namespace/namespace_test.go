@@ -352,6 +352,102 @@ func TestDigestSensitivity(t *testing.T) {
 	}
 }
 
+// recomputeDigest rebuilds the digest from nothing but the entries: every
+// path is spelled out as a string and hashed from the FNV offset, so a stale
+// pathState or a missed add/subtract in a mutator shows as a mismatch with
+// the running sum.
+func recomputeDigest(t *Tree) uint64 {
+	var sum uint64
+	var walk func(path string, n *inode)
+	walk = func(path string, n *inode) {
+		for name, c := range n.children {
+			p := path + "/" + name
+			h := fnvString(fnvOffset, p)
+			if c.dir {
+				sum += dirTerm(h)
+				walk(p, c)
+			} else {
+				sum += fileTerm(h, c)
+			}
+		}
+	}
+	walk("", t.root)
+	return sum
+}
+
+func TestDigestTracksEveryMutation(t *testing.T) {
+	tr := New()
+	empty := tr.Digest()
+	if empty != New().Digest() || recomputeDigest(tr) != empty {
+		t.Fatalf("empty digest %#x, recomputed %#x", empty, recomputeDigest(tr))
+	}
+	seen := map[uint64]string{empty: "empty"}
+	step := func(name string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := tr.Digest(), recomputeDigest(tr); got != want {
+			t.Fatalf("after %s: running digest %#x, recomputed %#x", name, got, want)
+		}
+		if prev, dup := seen[tr.Digest()]; dup {
+			t.Fatalf("%s left the digest of %q", name, prev)
+		}
+		seen[tr.Digest()] = name
+	}
+	step("mkdirall", tr.MkdirAll("/a/b/c", 0o755, 1))
+	step("create", tr.Create("/a/b/c/f0", 0, 0o644, 2, 1))
+	step("create+blocks", tr.Create("/a/b/f1", 3*BlockSize, 0o644, 3, 2))
+	step("rename file", tr.Rename("/a/b/f1", "/a/f1"))
+	step("rename dir", tr.Rename("/a/b", "/bb"))
+	step("create under moved dir", tr.Create("/bb/c/f2", 7, 0o600, 4, 3))
+	step("mkdir", tr.Mkdir("/bb/c/d", 0o755, 5))
+
+	loaded, err := LoadImage(tr.SaveImage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Digest() != tr.Digest() || recomputeDigest(loaded) != tr.Digest() {
+		t.Fatalf("image round trip: %#x / %#x, want %#x", loaded.Digest(), recomputeDigest(loaded), tr.Digest())
+	}
+	// The loaded tree must carry usable path states, not just the sum.
+	if err := loaded.Create("/bb/c/d/g", 1, 0o644, 6, 4); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Digest() != recomputeDigest(loaded) {
+		t.Fatal("create under a loaded directory used a stale path state")
+	}
+
+	step("delete file", tr.Delete("/bb/c/f0"))
+	step("delete empty dir", tr.Delete("/bb/c/d"))
+	step("delete recursive", tr.DeleteRecursive("/bb"))
+	if err := tr.Delete("/a/f1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Delete("/a"); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Digest() != empty {
+		t.Fatalf("emptied tree digests %#x, New() digests %#x", tr.Digest(), empty)
+	}
+}
+
+func TestDigestTellsSwappedFieldsApart(t *testing.T) {
+	// perm is the last word a file's term mixes, so an unmixed term is
+	// (state ^ perm) * prime. 'h' and 'x' differ in bit 4 only, which keeps
+	// the low bits of the two path states equal through every FNV round, and
+	// then swapping perms 1 and 2 leaves a plain sum of terms unchanged. The
+	// avalanche over each term is what tells the pairs apart.
+	a, b := New(), New()
+	_ = a.Create("/h", 0, 1, 0, 0)
+	_ = a.Create("/x", 0, 2, 0, 0)
+	_ = b.Create("/h", 0, 2, 0, 0)
+	_ = b.Create("/x", 0, 1, 0, 0)
+	if a.Digest() == b.Digest() {
+		t.Fatal("two files that swapped perms digest alike")
+	}
+}
+
 func TestImageRoundTrip(t *testing.T) {
 	tr := New()
 	_ = tr.MkdirAll("/a/b/c", 0o711, 7)
@@ -451,17 +547,27 @@ func TestPropertyImageRoundTrip(t *testing.T) {
 				base = ""
 			}
 			child := fmt.Sprintf("%s/n%d", base, i)
-			if next(2) == 0 {
+			switch next(8) {
+			case 0, 1, 2:
 				if tr.Mkdir(child, 0o755, int64(i)) == nil {
 					paths = append(paths, child)
 				}
-			} else {
-				_ = tr.Create(child, int64(next(1000)), 0o644, int64(i), tx)
+			case 3: // move some directory (and its subtree) here; stale paths just miss later
+				_ = tr.Rename(paths[next(len(paths))], child)
+				paths = append(paths, child)
+			case 4:
+				_ = tr.DeleteRecursive(paths[next(len(paths))])
+			default:
+				_ = tr.Create(child, int64(next(3))*BlockSize+int64(next(1000)), 0o644, int64(i), tx)
 				tx++
+			}
+			if recomputeDigest(tr) != tr.Digest() {
+				return false
 			}
 		}
 		got, err := LoadImage(tr.SaveImage())
-		return err == nil && got.Digest() == tr.Digest()
+		return err == nil && got.Digest() == tr.Digest() &&
+			recomputeDigest(tr) == tr.Digest() && recomputeDigest(got) == got.Digest()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

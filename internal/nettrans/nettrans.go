@@ -28,6 +28,16 @@
 // complete (dial failure, write failure, dead or handler-less destination)
 // fail the pending call with transport.ErrTimeout — immediately even for
 // timeout == 0 calls, the same pending-leak guarantee the sim plane makes.
+//
+// Timers: After(d) never fires before d, timers fire in deadline order, and
+// After(0) runs after the callback that armed it returns (all pinned for
+// both planes by transporttest). There is no useful upper bound below a
+// millisecond: an idle process sleeps in epoll_wait, whose time-out is in
+// whole milliseconds (runtime/netpoll_epoll.go rounds any delay < 1e6 ns up
+// to waitms = 1), so a 45 µs After on an idle loop fires up to ≈ 1 ms late.
+// That cannot be made honest without spinning. The wire plane therefore arms
+// no timer on the op path: it runs the zero mams.CostModel and ssp.Params,
+// and a zero charge runs inline (transport.Charge).
 package nettrans
 
 import (

@@ -155,6 +155,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	// Phase 3: metadata servers (member 0 boots active, the rest standby).
 	c.Part = partition.NewSharded(1, partition.DefaultSlotsPerGroup, 0)
+	params := mams.DefaultParams()      // shipped protocol timing; the cost model is zeroed on the next line:
+	params.CostModel = mams.CostModel{} // on real hardware work costs what it costs
 	seedRNG := rng.New(cfg.Seed)
 	for m, p := range c.MDS {
 		m, p := m, p
@@ -177,8 +179,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				CoordHeartbeat:      cfg.CoordHeartbeat,
 				PoolNodes:           mdsIDs,
 				Partitioner:         c.Part,
-				Params:              mams.DefaultParams(),
-				SSPParams:           ssp.DefaultParams(),
+				Params:              params,
+				SSPParams:           ssp.Params{}, // no pretend disk either
 			}, nil, rnd)
 			srv.Start()
 		})

@@ -70,6 +70,11 @@ func (b Brownout) stretch(cost sim.Time) sim.Time {
 }
 
 // Params models pool node hardware (a GbE testbed node of the paper's era).
+// It is the pool's share of the plane's cost model: the simulator runs
+// DefaultParams, the wire plane the zero value, which models no device at
+// all — every cost is 0 (a zero bandwidth means "not modelled", not
+// "infinitely slow") and stores and fetches are served inline
+// (transport.Charge; their reply crosses the transport, so that is safe).
 type Params struct {
 	DiskWriteBW float64 // bytes per second
 	DiskReadBW  float64 // bytes per second
@@ -88,15 +93,24 @@ func DefaultParams() Params {
 }
 
 func (p Params) writeCost(size int64) sim.Time {
-	return p.OpOverhead + sim.Time(float64(size)/p.DiskWriteBW*float64(sim.Second))
+	return p.OpOverhead + streamCost(size, p.DiskWriteBW)
 }
 
 func (p Params) readCost(size int64) sim.Time {
-	return p.OpOverhead + sim.Time(float64(size)/p.DiskReadBW*float64(sim.Second))
+	return p.OpOverhead + streamCost(size, p.DiskReadBW)
 }
 
 func (p Params) transferCost(size int64) sim.Time {
-	return sim.Time(float64(size) / p.NetBW * float64(sim.Second))
+	return streamCost(size, p.NetBW)
+}
+
+// streamCost is the time size bytes take at bw bytes per second; an
+// unmodelled device (bw <= 0) is free.
+func streamCost(size int64, bw float64) sim.Time {
+	if bw <= 0 {
+		return 0
+	}
+	return sim.Time(float64(size) / bw * float64(sim.Second))
 }
 
 type object struct {
@@ -247,13 +261,13 @@ func (p *PoolNode) MaybeHandleRequest(from transport.NodeID, req any, reply func
 		if p.brownFail() {
 			// The write grinds for its (degraded) service time and then
 			// errors — the slow-failure shape that defeats fast failover.
-			p.host.After(cost, "ssp-store-brownout", func() {
+			transport.Charge(p.host, cost, "ssp-store-brownout", func() {
 				p.serveDone(start, true)
 				reply(storeResp{Err: ErrBrownout.Error()})
 			})
 			return true
 		}
-		p.host.After(cost, "ssp-store", func() {
+		transport.Charge(p.host, cost, "ssp-store", func() {
 			p.serveDone(start, false)
 			p.objects[m.Key] = object{data: append([]byte(nil), m.Data...), size: m.Size}
 			reply(storeResp{})
@@ -272,13 +286,13 @@ func (p *PoolNode) MaybeHandleRequest(from transport.NodeID, req any, reply func
 		}
 		cost = p.brown.stretch(cost)
 		if p.brownFail() {
-			p.host.After(cost, "ssp-fetch-brownout", func() {
+			transport.Charge(p.host, cost, "ssp-fetch-brownout", func() {
 				p.serveDone(start, true)
 				reply(fetchResp{Err: ErrBrownout.Error()})
 			})
 			return true
 		}
-		p.host.After(cost, "ssp-fetch", func() {
+		transport.Charge(p.host, cost, "ssp-fetch", func() {
 			p.serveDone(start, false)
 			reply(fetchResp{Data: append([]byte(nil), obj.data...), Size: obj.size})
 		})
@@ -315,7 +329,8 @@ func (p *PoolNode) MaybeHandleRequest(from transport.NodeID, req any, reply func
 }
 
 // LocalGet reads an object from this pool node without any network. The
-// callback fires after the modeled disk-read time.
+// callback fires after the modeled disk-read time — always from a timer,
+// even at zero cost: callers rely on it running after LocalGet returns.
 func (p *PoolNode) LocalGet(key Key, cb func(data []byte, size int64, err error)) {
 	obj, ok := p.objects[key]
 	if !ok {

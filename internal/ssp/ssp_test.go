@@ -368,3 +368,59 @@ func TestPutAvoidsSuspectMembers(t *testing.T) {
 		t.Fatal("local copy missing in lone-survivor mode")
 	}
 }
+
+func TestZeroParamsAreFree(t *testing.T) {
+	var zero Params
+	for _, size := range []int64{0, 4 << 10, 1 << 30} {
+		if w, r, x := zero.writeCost(size), zero.readCost(size), zero.transferCost(size); w != 0 || r != 0 || x != 0 {
+			t.Fatalf("zero Params charge %v / %v / %v for %d bytes, want 0", w, r, x, size)
+		}
+	}
+	if got := (Brownout{SlowFactor: 8}).stretch(0); got != 0 {
+		t.Fatalf("stretch(0) = %v", got)
+	}
+	// The calibration is untouched: 300 µs + 4 KiB at 90 MB/s.
+	want := 300*sim.Microsecond + 45511*sim.Nanosecond
+	if got := DefaultParams().writeCost(4 << 10); got != want {
+		t.Fatalf("calibrated 4 KiB write = %v, want %v", got, want)
+	}
+	if got := DefaultParams().transferCost(117e6); got != sim.Second {
+		t.Fatalf("calibrated 117 MB transfer = %v, want 1s", got)
+	}
+}
+
+// A pool built from the zero Params serves stores and fetches inside the
+// request handler — no timer between request and reply — while LocalGet
+// still defers its callback until after it has returned.
+func TestZeroParamsPoolServesInline(t *testing.T) {
+	sp := transporttest.NewSim(1, 1_000_000, 200*sim.Microsecond, 0, nil)
+	h := &poolHost{}
+	h.node = sp.Net.Listen("pool0", h)
+	h.pool = NewPoolNode(h.node, Params{})
+	key := Key{Group: "g", Kind: KindJournal, Seq: 1}
+
+	replies := 0
+	h.pool.MaybeHandleRequest("peer", storeReq{Key: key, Data: []byte("batch"), Size: 5}, func(any) { replies++ })
+	h.pool.MaybeHandleRequest("peer", fetchReq{Key: key}, func(resp any) {
+		if fr := resp.(fetchResp); string(fr.Data) != "batch" || fr.Err != "" {
+			t.Errorf("fetch = %+v", fr)
+		}
+		replies++
+	})
+	if replies != 2 {
+		t.Fatalf("%d of 2 replies ran before the handler returned", replies)
+	}
+
+	returned, ran := false, false
+	h.pool.LocalGet(key, func(data []byte, _ int64, err error) {
+		if !returned || err != nil || string(data) != "batch" {
+			t.Errorf("LocalGet callback: returned=%v data=%q err=%v", returned, data, err)
+		}
+		ran = true
+	})
+	returned = true
+	sp.World.Run()
+	if !ran {
+		t.Fatal("LocalGet callback never ran")
+	}
+}

@@ -70,6 +70,22 @@ type Timer interface {
 	Pending() bool
 }
 
+// Charge runs fn on n's executor once the modelled cost d has been paid: a
+// timer when d > 0, inline when d is zero. The plane decides which it is — the
+// simulator charges the calibrated cost model, the wire plane the zero one
+// (mams.CostModel, ssp.Params) — and the zero case must arm no timer, because
+// an idle Go process fires a sub-millisecond timer up to a millisecond late
+// (see package nettrans) and that would sit on every op. Use it only where
+// running fn before Charge returns is safe: fn answers through the transport,
+// or Charge is the last thing its caller does.
+func Charge(n Node, d sim.Time, name string, fn func()) {
+	if d <= 0 {
+		fn()
+		return
+	}
+	n.After(d, name, fn)
+}
+
 // Node is one endpoint's handle onto its transport. All methods are meant
 // to be used from within the transport's serialized executor (handler and
 // timer callbacks); Call callbacks likewise run serialized.

@@ -218,6 +218,49 @@ func RunConformance(t *testing.T, mk func(t *testing.T) Plane) {
 		})
 	})
 
+	// The rest of the timer contract (deadline order is TimerOrdering's):
+	// After(d) never fires before d, also below the millisecond the real
+	// plane's runtime cannot resolve, and After(0) is still a timer — it
+	// runs after the callback that armed it has returned. There is no upper
+	// bound to pin: an idle Go process fires a sub-millisecond timer up to
+	// ≈ 1 ms late (see package nettrans), a loaded host later still.
+	t.Run("TimerNeverEarlyAndZeroIsDeferred", func(t *testing.T) {
+		p := mk(t)
+		defer p.Close()
+		a := p.Listen("a", nil)
+		delays := []sim.Time{0, 100 * sim.Microsecond, 700 * sim.Microsecond, 3 * sim.Millisecond, 20 * sim.Millisecond}
+		took := make([]sim.Time, len(delays))
+		fired := 0
+		armingReturned, zeroRanInline := false, false
+		p.Do(a, func() {
+			armed := a.Now()
+			for i, d := range delays {
+				i, d := i, d
+				a.After(d, "contract", func() {
+					took[i] = a.Now() - armed
+					if d == 0 && !armingReturned {
+						zeroRanInline = true
+					}
+					fired++
+				})
+			}
+			armingReturned = true
+		})
+		if !waitUntil(p, a, 5*sim.Second, func() bool { return fired == len(delays) }) {
+			t.Fatal("timers never all fired")
+		}
+		p.Do(a, func() {
+			if zeroRanInline {
+				t.Error("After(0) ran before the arming callback returned")
+			}
+			for i, d := range delays {
+				if took[i] < d {
+					t.Errorf("After(%v) fired after %v", d, took[i])
+				}
+			}
+		})
+	})
+
 	t.Run("TimerStopAndPending", func(t *testing.T) {
 		p := mk(t)
 		defer p.Close()

@@ -15,8 +15,13 @@ go test -race -timeout 40m ./internal/experiments/... ./internal/sim/...
 # The real transport is all goroutines (event loop, connection readers and
 # writers, wall-clock timers): its conformance run, the wire-plane cluster
 # failover test, and the sim-plane side of the shared suite always run under
-# race. The transporttest lint also asserts no protocol package (mams,
-# coord, ssp, fsclient) imports internal/simnet.
+# race. So do the two tests that hold the wire plane's zero cost model in
+# place (internal/nettrans/testutil): TestPlanesAgree, one seeded op script
+# answered identically by the simulator (calibrated costs) and by loopback
+# TCP (none), and TestWireStatIsNotTimerBound, an unloaded stat far below the
+# millisecond a timer on the read path would cost. The transporttest lint
+# also asserts no protocol package (mams, coord, ssp, fsclient) imports
+# internal/simnet.
 go test -race ./internal/nettrans/... ./internal/simnet/... ./internal/transport/...
 # Teardown and boot are races by nature (Close against a loop still running
 # callbacks; metadata servers against the coord election), so their stress
