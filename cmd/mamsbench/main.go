@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"mams/internal/experiments"
 	"mams/internal/obs"
@@ -27,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment: figure5|figure6|table1|figure7|table2|figure8|figure9|ablations|tvl|gray|shard|detect|wire|all")
+		exp         = flag.String("exp", "all", "experiment: figure5|figure6|table1|figure7|table2|figure8|figure9|ablations|tvl|gray|shard|detect|all")
 		seed        = flag.Uint64("seed", 1, "root RNG seed (runs are deterministic per seed)")
 		ops         = flag.Int("ops", 0, "operations per throughput run (0 = default 20000)")
 		trials      = flag.Int("trials", 0, "trials per MTTR cell (0 = default 3; paper uses 10)")
@@ -39,8 +38,6 @@ func main() {
 		metricsOut  = flag.String("metrics-out", "", "write figure7's merged system metrics (Prometheus text) to this file")
 		spansOut    = flag.String("spans-out", "", "write figure7's first-trial protocol spans (Chrome trace JSON) to this file")
 		benchOut    = flag.String("bench-out", "", "write tvl's cells as JSON (commit-path perf trajectory) to this file")
-		wireBudget  = flag.Duration("wire-budget", 30*time.Second, "wall-clock cap for the wire smoke's measurement loops (wire exp only)")
-		wireWindow  = flag.Int("wire-window", 16, "concurrent in-flight ops in the wire smoke (wire exp only)")
 	)
 	flag.Parse()
 
@@ -176,14 +173,6 @@ func main() {
 			if dt.Failed() {
 				fmt.Fprintf(os.Stderr, "detect: recall %.2f below 0.9 gate or %d control false positive(s)\n",
 					dt.Recall, dt.ControlFPs)
-				os.Exit(1)
-			}
-		case "wire":
-			// The only experiment that leaves the simulator: real TCP on
-			// loopback, wall-clock ops/sec. Excluded from "all" (its numbers
-			// depend on the host, not the model).
-			if err := runWire(*seed, *ops, *wireWindow, *wireBudget); err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
 				os.Exit(1)
 			}
 		case "gray":

@@ -41,10 +41,8 @@ import (
 	"mams/internal/coord"
 	"mams/internal/mams"
 	"mams/internal/nettrans"
-	"mams/internal/partition"
 	"mams/internal/rng"
 	"mams/internal/sim"
-	"mams/internal/ssp"
 	"mams/internal/transport"
 )
 
@@ -113,11 +111,7 @@ func main() {
 	}
 	fmt.Printf("mamsd: listening on %s\n", tr.Addr())
 
-	ensemble := make([]transport.NodeID, len(cfg.CoordEnsemble))
-	for i, id := range cfg.CoordEnsemble {
-		ensemble[i] = transport.NodeID(id)
-	}
-
+	ensemble := nodeIDs(cfg.CoordEnsemble)
 	if cfg.Coord != "" {
 		tr.Do(func() {
 			s := coord.NewServer(tr, coord.ServerConfig{
@@ -144,68 +138,52 @@ func main() {
 	tr.Close()
 }
 
-func startMDS(tr *nettrans.Transport, cfg nodeConfig) error {
+// mdsConfig places this process's metadata server in the deployment: the
+// real-hardware layout (mams.NewLayout) with the configured failure-detector
+// timing. Every process of a deployment derives the same layout.
+func mdsConfig(cfg nodeConfig) (mc mams.Config, err error) {
 	id := transport.NodeID(cfg.MDS)
-	groupIdx, memberIdx := -1, -1
-	allGroups := make([][]transport.NodeID, len(cfg.Groups))
+	groups := make([][]transport.NodeID, len(cfg.Groups))
 	for g, members := range cfg.Groups {
-		allGroups[g] = make([]transport.NodeID, len(members))
-		for m, mid := range members {
-			allGroups[g][m] = transport.NodeID(mid)
-			if mid == cfg.MDS {
-				groupIdx, memberIdx = g, m
-			}
-		}
+		groups[g] = nodeIDs(members)
 	}
-	if groupIdx < 0 {
-		return fmt.Errorf("mds %q is not in any group", cfg.MDS)
+	if g, _ := (mams.Layout{Groups: groups}).Locate(id); g < 0 {
+		return mc, fmt.Errorf("mds %q is not in any group", cfg.MDS)
 	}
-	role := mams.RoleStandby
-	if memberIdx == 0 {
-		role = mams.RoleActive
-	}
-	if cfg.Rejoin {
-		role = mams.RoleJunior
-	}
-	heartbeat, session := 2*sim.Second, 5*sim.Second
+	layout := mams.NewLayout(nodeIDs(cfg.CoordEnsemble), groups)
 	if cfg.CoordHeartbeatMS > 0 {
-		heartbeat = sim.Time(cfg.CoordHeartbeatMS) * sim.Millisecond
+		layout.CoordHeartbeat = sim.Time(cfg.CoordHeartbeatMS) * sim.Millisecond
 	}
 	if cfg.CoordSessionTimeoutMS > 0 {
-		session = sim.Time(cfg.CoordSessionTimeoutMS) * sim.Millisecond
+		layout.CoordSessionTimeout = sim.Time(cfg.CoordSessionTimeoutMS) * sim.Millisecond
+	}
+	return mams.Config{ID: id, Junior: cfg.Rejoin, Layout: layout}, nil
+}
+
+func startMDS(tr *nettrans.Transport, cfg nodeConfig) error {
+	mcfg, err := mdsConfig(cfg)
+	if err != nil {
+		return err
 	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	ensemble := make([]transport.NodeID, len(cfg.CoordEnsemble))
-	for i, cid := range cfg.CoordEnsemble {
-		ensemble[i] = transport.NodeID(cid)
-	}
-	part := partition.NewSharded(len(cfg.Groups), partition.DefaultSlotsPerGroup, 0)
 	rnd := rng.New(seed).Split(cfg.MDS).Float64
-	params := mams.DefaultParams()      // shipped protocol timing; the cost model is zeroed on the next line:
-	params.CostModel = mams.CostModel{} // on real hardware work costs what it costs
 	tr.Do(func() {
-		s := mams.NewServer(tr, mams.Config{
-			ID:                  id,
-			Group:               fmt.Sprintf("g%d", groupIdx),
-			GroupIndex:          groupIdx,
-			Members:             allGroups[groupIdx],
-			AllGroups:           allGroups,
-			InitialRole:         role,
-			CoordServers:        ensemble,
-			CoordSessionTimeout: session,
-			CoordHeartbeat:      heartbeat,
-			PoolNodes:           allGroups[groupIdx],
-			Partitioner:         part,
-			Params:              params,
-			SSPParams:           ssp.Params{}, // no pretend disk either
-		}, nil, rnd)
-		s.Start()
+		mams.NewServer(tr, mcfg, nil, rnd).Start()
 	})
-	fmt.Printf("mamsd: metadata server %s up (group g%d, boot role %s)\n", cfg.MDS, groupIdx, role)
+	g, m := mcfg.Locate(mcfg.ID)
+	fmt.Printf("mamsd: metadata server %s up (group g%d, member %d, rejoin %v)\n", cfg.MDS, g, m, cfg.Rejoin)
 	return nil
+}
+
+func nodeIDs(names []string) []transport.NodeID {
+	ids := make([]transport.NodeID, len(names))
+	for i, n := range names {
+		ids[i] = transport.NodeID(n)
+	}
+	return ids
 }
 
 func fatal(err error) {

@@ -46,17 +46,6 @@ func newNSCore(node *simnet.Node, params mams.Params) *nsCore {
 	}
 }
 
-// reset clears all state (cold restart).
-func (c *nsCore) reset() {
-	c.tree = namespace.New()
-	c.builder = journal.NewBuilder(1, 0, 0)
-	c.log = journal.NewLog()
-	c.lastTx = 0
-	c.busyUntil = 0
-	c.retry = map[uint64]mams.OpReply{}
-	c.waiters = map[uint64][]func(error){}
-}
-
 // queue charges svc CPU time and runs fn when the (single-threaded)
 // dispatcher reaches this request.
 func (c *nsCore) queue(svc sim.Time, name string, fn func()) {
@@ -164,24 +153,6 @@ func (c *nsCore) seal() (journal.Batch, bool) {
 	return b, true
 }
 
-// svcFor mirrors the active-server service times.
-func (c *nsCore) svcFor(op mams.ClientOp) sim.Time {
-	switch op.Kind {
-	case mams.OpStat, mams.OpList:
-		return c.params.ReadSvc
-	case mams.OpCreate:
-		return c.params.CreateSvc
-	case mams.OpMkdir:
-		return c.params.MkdirSvc
-	case mams.OpDelete:
-		return c.params.DeleteSvc
-	case mams.OpRename:
-		return c.params.RenameSvc
-	default:
-		return c.params.ReadSvc
-	}
-}
-
 // handleOp is the common request path: retry-cache check, CPU queueing,
 // read vs mutation dispatch. durable is invoked with the sealed... no —
 // mutations wait on the system-specific commit path; reads answer
@@ -191,7 +162,7 @@ func (c *nsCore) handleOp(op mams.ClientOp, reply func(any), mutate func(op mams
 		reply(cached)
 		return
 	}
-	c.queue(c.svcFor(op), "bl-op", func() {
+	c.queue(c.params.SvcFor(op.Kind), "bl-op", func() {
 		now := int64(c.node.World().Now())
 		if !op.Kind.Mutating() {
 			rep := c.executeRead(op)

@@ -80,10 +80,6 @@ func NewDataServer(net *simnet.Network, id simnet.NodeID, params Params, targets
 // Node exposes the underlying process for fault injection.
 func (ds *DataServer) Node() *simnet.Node { return ds.node }
 
-// SetTargets replaces the metadata servers that receive reports (used when
-// group membership changes).
-func (ds *DataServer) SetTargets(targets []simnet.NodeID) { ds.targets = targets }
-
 // SetVirtualBlocks sets the modeled (non-materialized) block count.
 func (ds *DataServer) SetVirtualBlocks(n int64) { ds.virtual = n }
 

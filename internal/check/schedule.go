@@ -49,12 +49,6 @@ var letterKind = map[string]FaultKind{
 	"s": Slow, "f": Flap, "k": Skew, "b": Brownout,
 }
 
-// GrayKinds are the degradation faults added by the gray-failure alphabet.
-var GrayKinds = []FaultKind{Slow, Flap, Skew, Brownout}
-
-// AllKinds is the full alphabet in canonical order.
-var AllKinds = []FaultKind{Crash, Unplug, Drop, Slow, Flap, Skew, Brownout}
-
 func (k FaultKind) String() string {
 	switch k {
 	case Crash:

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"mams/internal/cluster"
@@ -10,6 +11,7 @@ import (
 	"mams/internal/mams"
 	"mams/internal/obs"
 	"mams/internal/sim"
+	"mams/internal/ssp"
 	"mams/internal/transport/transporttest"
 	"mams/internal/workload"
 )
@@ -87,15 +89,37 @@ func TestMAMSSystemLabel(t *testing.T) {
 	}
 }
 
+// The pool "is built on existing active or backup servers" (§III.A): a
+// group's journal lands on its own members' pool nodes and on no other
+// group's.
 func TestPoolNodesAreMDSNodes(t *testing.T) {
 	env := cluster.NewEnv(81)
 	c := cluster.BuildMAMS(env, cluster.MAMSSpec{Groups: 2, BackupsPerGroup: 2})
-	want := 0
-	for _, ids := range c.GroupIDs {
-		want += len(ids)
+	if !c.AwaitStable(30 * sim.Second) {
+		t.Fatal("not stable")
 	}
-	if len(c.PoolNodes) != want {
-		t.Fatalf("pool nodes = %d, want %d (SSP built on existing servers)", len(c.PoolNodes), want)
+	cli := c.NewClient(nil)
+	env.World.Defer("load", func() {
+		for i := 0; i < 32; i++ {
+			cli.Create(fmt.Sprintf("/f%d", i), 1, func(error) {})
+		}
+	})
+	env.RunFor(5 * sim.Second)
+	for g, members := range c.Groups {
+		own := ssp.Key{Group: fmt.Sprintf("g%d", g), Kind: ssp.KindJournal, Seq: 1}
+		other := ssp.Key{Group: fmt.Sprintf("g%d", 1-g), Kind: ssp.KindJournal, Seq: 1}
+		holders := 0
+		for _, s := range members {
+			if s.Pool().Has(other) {
+				t.Fatalf("%s holds group %d's journal", s.Node().ID(), 1-g)
+			}
+			if s.Pool().Has(own) {
+				holders++
+			}
+		}
+		if holders == 0 {
+			t.Fatalf("group %d's first journal batch is on none of its members", g)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"mams/internal/blockmap"
 	"mams/internal/coord"
 	"mams/internal/fsclient"
@@ -92,8 +90,11 @@ type MAMSCluster struct {
 	Part        *partition.Partitioner
 	Groups      [][]*mams.Server // [group][member]; member 0 boots active
 	GroupIDs    [][]simnet.NodeID
-	PoolNodes   []simnet.NodeID
 	DataServers []*blockmap.DataServer
+
+	// layout is what every server is built from. Its Groups is GroupIDs,
+	// so a backup added at runtime enters every server's routing table.
+	layout mams.Layout
 
 	// Migrator is the live-migration coordinator (nil until StartMigrator).
 	Migrator *mams.Migrator
@@ -118,48 +119,29 @@ func BuildMAMS(env *Env, spec MAMSSpec) *MAMSCluster {
 	c.Coord = coord.StartEnsemble(env.Net, spec.CoordServers, env.Trace)
 	c.Part = partition.NewSharded(spec.Groups, spec.SlotsPerGroup, spec.Partition)
 
-	// Every MDS node doubles as an SSP pool node (§III.A: the pool "is
-	// built on existing active or backup servers").
 	var groupIDs [][]simnet.NodeID
 	for g := 0; g < spec.Groups; g++ {
 		var ids []simnet.NodeID
 		for m := 0; m <= spec.BackupsPerGroup; m++ {
-			id := NodeID("g"+fmt.Sprint(g), "mds"+fmt.Sprint(m))
-			ids = append(ids, id)
-			c.PoolNodes = append(c.PoolNodes, id)
+			ids = append(ids, mams.MemberID(g, m))
 		}
 		groupIDs = append(groupIDs, ids)
 	}
 	c.GroupIDs = groupIDs
+	c.layout = mams.Layout{
+		Coord:               c.Coord.IDs,
+		Groups:              groupIDs,
+		CoordHeartbeat:      spec.CoordHeartbeat,
+		CoordSessionTimeout: spec.CoordSessionTimeout,
+		Partitioner:         c.Part,
+		Params:              spec.Params,
+		SSPParams:           spec.SSPParams,
+	}
 
-	for g := 0; g < spec.Groups; g++ {
+	for _, ids := range groupIDs {
 		var members []*mams.Server
-		for m, id := range groupIDs[g] {
-			role := mams.RoleStandby
-			if m == 0 {
-				role = mams.RoleActive
-			}
-			rnd := env.RNG.Split(string(id))
-			srv := mams.NewServer(env.Net, mams.Config{
-				ID:                  id,
-				Group:               "g" + fmt.Sprint(g),
-				GroupIndex:          g,
-				Members:             groupIDs[g],
-				AllGroups:           groupIDs,
-				InitialRole:         role,
-				CoordServers:        c.Coord.IDs,
-				CoordSessionTimeout: spec.CoordSessionTimeout,
-				CoordHeartbeat:      spec.CoordHeartbeat,
-				PoolNodes:           groupIDs[g],
-				Partitioner:         c.Part,
-				Params:              spec.Params,
-				SSPParams:           spec.SSPParams,
-			}, env.Trace, rnd.Float64)
-			if spec.VirtualImageBytes > 0 {
-				srv.SetVirtualOverheadBytes(spec.VirtualImageBytes)
-			}
-			srv.Start()
-			members = append(members, srv)
+		for _, id := range ids {
+			members = append(members, c.startServer(mams.Config{ID: id, Layout: c.layout}))
 		}
 		c.Groups = append(c.Groups, members)
 	}
@@ -176,6 +158,16 @@ func BuildMAMS(env *Env, spec MAMSSpec) *MAMSCluster {
 		c.DataServers = append(c.DataServers, ds)
 	}
 	return c
+}
+
+// startServer builds and starts one metadata server on the simulator.
+func (c *MAMSCluster) startServer(cfg mams.Config) *mams.Server {
+	srv := mams.NewServer(c.Env.Net, cfg, c.Env.Trace, c.Env.RNG.Split(string(cfg.ID)).Float64)
+	if c.Spec.VirtualImageBytes > 0 {
+		srv.SetVirtualOverheadBytes(c.Spec.VirtualImageBytes)
+	}
+	srv.Start()
+	return srv
 }
 
 // AwaitStable runs the world until every group has exactly one active and
@@ -252,29 +244,9 @@ func (c *MAMSCluster) RolesOf(g int) []string {
 // as a junior and reaches standby through the renewing protocol ("more new
 // backup nodes can also be added in the replica group at runtime").
 func (c *MAMSCluster) AddBackup(g int) *mams.Server {
-	idx := len(c.GroupIDs[g])
-	id := NodeID("g"+fmt.Sprint(g), "mds"+fmt.Sprint(idx))
+	id := mams.MemberID(g, len(c.GroupIDs[g]))
 	c.GroupIDs[g] = append(c.GroupIDs[g], id)
-	c.PoolNodes = append(c.PoolNodes, id)
-	srv := mams.NewServer(c.Env.Net, mams.Config{
-		ID:                  id,
-		Group:               "g" + fmt.Sprint(g),
-		GroupIndex:          g,
-		Members:             c.GroupIDs[g],
-		AllGroups:           c.GroupIDs,
-		InitialRole:         mams.RoleJunior,
-		CoordServers:        c.Coord.IDs,
-		CoordSessionTimeout: c.Spec.CoordSessionTimeout,
-		CoordHeartbeat:      c.Spec.CoordHeartbeat,
-		PoolNodes:           c.GroupIDs[g],
-		Partitioner:         c.Part,
-		Params:              c.Spec.Params,
-		SSPParams:           c.Spec.SSPParams,
-	}, c.Env.Trace, c.Env.RNG.Split(string(id)).Float64)
-	if c.Spec.VirtualImageBytes > 0 {
-		srv.SetVirtualOverheadBytes(c.Spec.VirtualImageBytes)
-	}
-	srv.Start()
+	srv := c.startServer(mams.Config{ID: id, Junior: true, Layout: c.layout})
 	c.Groups[g] = append(c.Groups[g], srv)
 	return srv
 }
@@ -303,12 +275,7 @@ func (c *MAMSCluster) StartMigrator() *mams.Migrator {
 	if c.Migrator != nil {
 		return c.Migrator
 	}
-	mg := mams.NewMigrator(c.Env.Net, mams.MigratorConfig{
-		ID:           NodeID("migrate", "coordinator"),
-		CoordServers: c.Coord.IDs,
-		AllGroups:    c.GroupIDs,
-		Partitioner:  c.Part,
-	}, c.Env.Trace)
+	mg := mams.NewMigrator(c.Env.Net, NodeID("migrate", "coordinator"), c.layout, c.Env.Trace)
 	started := false
 	c.Env.World.Defer("migrator-start", func() {
 		mg.Start(func(err error) { started = err == nil })

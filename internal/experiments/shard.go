@@ -42,16 +42,6 @@ type ShardResult struct {
 	HotCells   []ShardHotCell   `json:"hot"`
 }
 
-// ScaleTput returns (create, stat) ops/s at a group count (0,0 if absent).
-func (r ShardResult) ScaleTput(groups int) (create, stat float64) {
-	for _, c := range r.ScaleCells {
-		if c.Groups == groups {
-			return c.CreateTput, c.StatTput
-		}
-	}
-	return 0, 0
-}
-
 // HotCell returns the hotspot cell for a policy (zero cell if absent).
 func (r ShardResult) HotCell(policy string) ShardHotCell {
 	for _, c := range r.HotCells {

@@ -1,9 +1,6 @@
 package mams
 
-import (
-	"mams/internal/transport"
-	"mams/internal/ssp"
-)
+import "mams/internal/ssp"
 
 // ReflushTailForTest replays the failover step-4 re-flush from this server
 // exactly as commitCachedAndFlip would, letting tests exercise duplicate
@@ -22,11 +19,12 @@ func (s *Server) BreakSSPForTest() {
 
 // RestoreSSPForTest reinstalls the real pool client after BreakSSPForTest.
 func (s *Server) RestoreSSPForTest() {
-	s.sspc = ssp.NewClient(s.node, s.cfg.PoolNodes, s.pool, s.cfg.Params.SSPReplicas)
-	s.sspc.SetAvoid(func(id transport.NodeID) bool {
-		r, ok := s.view.States[string(id)]
-		return ok && r == RoleDown
-	})
+	s.sspc = s.newPoolClient()
+}
+
+// RetryCacheLenForTest reports how many replies the retry cache holds.
+func (s *Server) RetryCacheLenForTest() int {
+	return len(s.retryCache)
 }
 
 // PendingReplForTest reports how many sealed batches are awaiting commit.

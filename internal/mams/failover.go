@@ -97,17 +97,17 @@ func (s *Server) tryAcquireLock() {
 	if s.role == RoleJunior && len(s.view.Standbys()) > 0 {
 		s.electing = 0
 		s.endElectionSpans("yielded")
-		s.coordCli.Exists(lockPath(s.cfg.Group), true, func(bool, error) {})
+		s.coordCli.Exists(lockPath(s.group), true, func(bool, error) {})
 		return
 	}
-	s.coordCli.CreateEphemeral(lockPath(s.cfg.Group), []byte(s.cfg.ID), func(_ string, err error) {
+	s.coordCli.CreateEphemeral(lockPath(s.group), []byte(s.cfg.ID), func(_ string, err error) {
 		if err == coord.ErrNodeExists {
 			// Lost the race: events will notify others to stop competing.
 			s.electing = 0
 			s.emit(trace.KindElection, "election-lost")
 			s.obsElectLost.Inc()
 			s.endElectionSpans("lost")
-			s.coordCli.Exists(lockPath(s.cfg.Group), true, func(bool, error) {})
+			s.coordCli.Exists(lockPath(s.group), true, func(bool, error) {})
 			return
 		}
 		if err != nil {
@@ -167,8 +167,8 @@ func (s *Server) abortUpgrade() {
 	}
 	s.upgradeQueue = nil
 	s.obsBuffered.Set(0)
-	s.coordCli.Delete(lockPath(s.cfg.Group), -1, func(error) {
-		s.coordCli.Exists(lockPath(s.cfg.Group), true, func(bool, error) {})
+	s.coordCli.Delete(lockPath(s.group), -1, func(error) {
+		s.coordCli.Exists(lockPath(s.group), true, func(bool, error) {})
 	})
 }
 
@@ -246,7 +246,7 @@ func (s *Server) reflushTail(epoch uint64) {
 		from = last - 2
 	}
 	batches := s.log.Since(from)
-	for _, m := range s.cfg.Members {
+	for _, m := range s.members {
 		if m == s.cfg.ID {
 			continue
 		}
@@ -274,7 +274,7 @@ func (s *Server) juniorCatchupFromSSP(done func()) {
 // until the hole fills or the retry budget (40 × 300ms, comfortably past
 // the put deadline) is spent.
 func (s *Server) catchupAttempt(gapTries int, done func()) {
-	s.sspc.List(s.cfg.Group, func(keys []ssp.Key, sizes map[ssp.Key]int64, err error) {
+	s.sspc.List(s.group, func(keys []ssp.Key, sizes map[ssp.Key]int64, err error) {
 		if err != nil {
 			// Serving without the pool's tail would mint new batches that
 			// reuse still-live serial numbers and silently fork the journal

@@ -23,7 +23,7 @@ func TestFenceParamsDerivedFromSession(t *testing.T) {
 		{sim.Second, 10 * sim.Second, 3 * sim.Second, 250 * sim.Millisecond},
 	}
 	for _, c := range cases {
-		s := &Server{cfg: Config{CoordHeartbeat: c.hb, CoordSessionTimeout: c.st}}
+		s := &Server{cfg: Config{Layout: Layout{CoordHeartbeat: c.hb, CoordSessionTimeout: c.st}}}
 		budget, every := s.fenceParams()
 		if budget != c.budget || every != c.every {
 			t.Errorf("fenceParams(hb=%v st=%v) = (%v, %v), want (%v, %v)",

@@ -63,7 +63,7 @@ type ClientOp struct {
 // OpReply answers a ClientOp.
 type OpReply struct {
 	Err       string
-	NotActive bool          // receiver is not the active for this group
+	NotActive bool             // receiver is not the active for this group
 	Hint      transport.NodeID // best guess at the real active (may be empty)
 	Info      *namespace.Info
 	Infos     []namespace.Info
@@ -194,5 +194,4 @@ type TxnVote struct {
 // TxnAbort rolls back a prepared transaction on a participant.
 type TxnAbort struct {
 	TxnID uint64
-	Undo  []journal.Record
 }

@@ -45,8 +45,8 @@ import (
 	"mams/internal/obs"
 	"mams/internal/partition"
 	"mams/internal/sim"
-	"mams/internal/transport"
 	"mams/internal/trace"
+	"mams/internal/transport"
 )
 
 // ShardMapPath is the global shard-map znode. Absent znode means "every
@@ -242,7 +242,7 @@ func (s *Server) installShardState(m *partition.Map, rec *MigrationRec) {
 	s.migRec = rec
 	if rec == nil {
 		s.freezeBarrierOK = false
-	} else if (prevRec == nil || prevRec.ID != rec.ID) && rec.From == s.cfg.GroupIndex {
+	} else if (prevRec == nil || prevRec.ID != rec.ID) && rec.From == s.groupIdx {
 		s.freezeBarrierOK = false
 		s.noteFreezeIfActive()
 	}
@@ -260,7 +260,7 @@ func (s *Server) installShardState(m *partition.Map, rec *MigrationRec) {
 // becomeActiveNow, where committedSN == LastSN makes the barrier trivially
 // drained.
 func (s *Server) noteFreezeIfActive() {
-	if s.role != RoleActive || s.migRec == nil || s.migRec.From != s.cfg.GroupIndex {
+	if s.role != RoleActive || s.migRec == nil || s.migRec.From != s.groupIdx {
 		return
 	}
 	if s.freezeBarrierOK {
@@ -277,7 +277,7 @@ func (s *Server) noteFreezeIfActive() {
 
 // frozenSlot returns the slot this group must not mutate (-1 when none).
 func (s *Server) frozenSlot() int {
-	if s.migRec != nil && s.migRec.From == s.cfg.GroupIndex {
+	if s.migRec != nil && s.migRec.From == s.groupIdx {
 		return s.migRec.Slot
 	}
 	return -1
@@ -351,7 +351,7 @@ func (s *Server) routeLead(op ClientOp) int {
 		_, gs := p.RenamePlan(op.Path, op.Dest)
 		return gs[0]
 	default:
-		return s.cfg.GroupIndex
+		return s.groupIdx
 	}
 }
 
@@ -360,7 +360,7 @@ func (s *Server) routeLead(op ClientOp) int {
 // cache and re-route (shard maps are immutable, so sharing the pointer
 // through the simulated network is safe).
 func (s *Server) checkRouting(op ClientOp) (OpReply, bool) {
-	if s.cfg.Partitioner == nil || len(s.cfg.AllGroups) <= 1 || op.Kind == OpList {
+	if s.cfg.Partitioner == nil || len(s.cfg.Groups) <= 1 || op.Kind == OpList {
 		return OpReply{}, false
 	}
 	if op.MapEpoch > s.cfg.Partitioner.Epoch() {
@@ -368,7 +368,7 @@ func (s *Server) checkRouting(op ClientOp) (OpReply, bool) {
 		// current map still decides this op — worst case the client retries).
 		s.refreshShardMap(nil)
 	}
-	if s.routeLead(op) == s.cfg.GroupIndex {
+	if s.routeLead(op) == s.groupIdx {
 		return OpReply{}, false
 	}
 	s.obsStaleMap.Inc()
@@ -406,7 +406,7 @@ func (s *Server) purgeForeignFiles() {
 	p := s.cfg.Partitioner
 	var doomed []string
 	s.tree.WalkFiles(func(info namespace.Info) bool {
-		if p.HomeGroup(info.Path) != s.cfg.GroupIndex {
+		if p.HomeGroup(info.Path) != s.groupIdx {
 			doomed = append(doomed, info.Path)
 		}
 		return true
@@ -493,7 +493,7 @@ func (s *Server) onMigratePurge(m MigratePurge, reply func(any)) {
 		reply(MigrateAck{Err: "mams: not active"})
 		return
 	}
-	if s.migRec == nil || s.migRec.ID != m.ID || s.migRec.To != s.cfg.GroupIndex {
+	if s.migRec == nil || s.migRec.ID != m.ID || s.migRec.To != s.groupIdx {
 		s.refreshShardMap(nil)
 		reply(MigrateAck{Err: "mams: migration unknown"})
 		return
@@ -538,7 +538,7 @@ func (s *Server) onMigrateIngest(m MigrateIngest, reply func(any)) {
 		reply(MigrateAck{Err: "mams: not active"})
 		return
 	}
-	if s.migRec == nil || s.migRec.ID != m.ID || s.migRec.To != s.cfg.GroupIndex {
+	if s.migRec == nil || s.migRec.ID != m.ID || s.migRec.To != s.groupIdx {
 		s.refreshShardMap(nil)
 		reply(MigrateAck{Err: "mams: migration unknown"})
 		return
@@ -577,7 +577,7 @@ func (s *Server) onLoadReport(m LoadReport, reply func(any)) {
 		reply(LoadStats{})
 		return
 	}
-	st := LoadStats{OK: true, Group: s.cfg.GroupIndex, Slots: append([]uint64(nil), s.slotOps...)}
+	st := LoadStats{OK: true, Group: s.groupIdx, Slots: append([]uint64(nil), s.slotOps...)}
 	for _, n := range st.Slots {
 		st.Total += n
 	}
@@ -596,15 +596,6 @@ func (s *Server) ShardEpoch() uint64 { return s.cfg.Partitioner.Epoch() }
 func (s *Server) ShardPartitioner() *partition.Partitioner { return s.cfg.Partitioner }
 
 // ---- the Migrator ----
-
-// MigratorConfig assembles the migration coordinator.
-type MigratorConfig struct {
-	ID           transport.NodeID
-	CoordServers []transport.NodeID
-	AllGroups    [][]transport.NodeID
-	// Partitioner seeds the coordinator's view of the map shape (cloned).
-	Partitioner *partition.Partitioner
-}
 
 // MoveStats reports one completed migration.
 type MoveStats struct {
@@ -655,8 +646,11 @@ func (c *BalancerConfig) defaults() {
 type Migrator struct {
 	node transport.Node
 	cli  *coord.Client
-	cfg  MigratorConfig
-	tr   *trace.Log
+	id   transport.NodeID
+	// layout's Partitioner is the coordinator's own clone, seeding its view
+	// of the map shape.
+	layout Layout
+	tr     *trace.Log
 
 	busy     bool
 	balOn    bool
@@ -670,15 +664,17 @@ type Migrator struct {
 	obsPause      *obs.Histogram
 }
 
-// NewMigrator registers the coordinator process on the network.
-func NewMigrator(net transport.Transport, cfg MigratorConfig, tr *trace.Log) *Migrator {
-	if cfg.Partitioner != nil {
-		cfg.Partitioner = cfg.Partitioner.Clone()
+// NewMigrator registers the coordinator process id on the network. It
+// reads the layout's ensemble, groups and shard map, and keeps the
+// coordination client's default session timing.
+func NewMigrator(net transport.Transport, id transport.NodeID, layout Layout, tr *trace.Log) *Migrator {
+	if layout.Partitioner != nil {
+		layout.Partitioner = layout.Partitioner.Clone()
 	}
-	mg := &Migrator{cfg: cfg, tr: tr, lastMove: map[int]int{}}
-	mg.node = net.Listen(cfg.ID, mg)
-	mg.cli = coord.NewClient(mg.node, coord.ClientConfig{Servers: cfg.CoordServers}, nil)
-	reg, me := net.Obs(), string(cfg.ID)
+	mg := &Migrator{id: id, layout: layout, tr: tr, lastMove: map[int]int{}}
+	mg.node = net.Listen(id, mg)
+	mg.cli = coord.NewClient(mg.node, coord.ClientConfig{Servers: layout.Coord}, nil)
+	reg, me := net.Obs(), string(id)
 	mg.obsMigrations = reg.Counter("mams_shard_migrations_total",
 		"Completed live slot migrations.", "node", me)
 	mg.obsMoved = reg.Counter("mams_shard_moved_entries_total",
@@ -710,7 +706,7 @@ func (mg *Migrator) Start(cb func(err error)) {
 
 func (mg *Migrator) emit(what string, args ...string) {
 	if mg.tr != nil {
-		mg.tr.Emit(trace.KindState, string(mg.cfg.ID), what, args...)
+		mg.tr.Emit(trace.KindState, string(mg.id), what, args...)
 	}
 }
 
@@ -718,11 +714,11 @@ func (mg *Migrator) emit(what string, args ...string) {
 func (mg *Migrator) readState(cb func(m *partition.Map, rec *MigrationRec, ver int64, err error)) {
 	mg.cli.GetData(ShardMapPath, false, func(data []byte, ver int64, err error) {
 		if err == coord.ErrNoNode {
-			if mg.cfg.Partitioner == nil {
+			if mg.layout.Partitioner == nil {
 				cb(nil, nil, 0, fmt.Errorf("mams: no shardmap and no seed partitioner"))
 				return
 			}
-			seed := encodeShardState(mg.cfg.Partitioner.Map(), nil)
+			seed := encodeShardState(mg.layout.Partitioner.Map(), nil)
 			mg.cli.Create(ShardMapPath, seed, func(_ string, cerr error) {
 				if cerr != nil && cerr != coord.ErrNodeExists {
 					cb(nil, nil, 0, cerr)
@@ -741,31 +737,10 @@ func (mg *Migrator) readState(cb func(m *partition.Map, rec *MigrationRec, ver i
 			cb(nil, nil, 0, derr)
 			return
 		}
-		if mg.cfg.Partitioner != nil {
-			mg.cfg.Partitioner.Install(m)
+		if mg.layout.Partitioner != nil {
+			mg.layout.Partitioner.Install(m)
 		}
 		cb(m, rec, ver, derr)
-	})
-}
-
-// resolveGroupActive finds a group's active via WhoIsActive round-robin.
-func (mg *Migrator) resolveGroupActive(group, attempt int, cb func(transport.NodeID)) {
-	if group < 0 || group >= len(mg.cfg.AllGroups) || len(mg.cfg.AllGroups[group]) == 0 {
-		cb("")
-		return
-	}
-	members := mg.cfg.AllGroups[group]
-	target := members[attempt%len(members)]
-	mg.node.Call(target, WhoIsActive{}, 300*sim.Millisecond, func(resp any, err error) {
-		if err != nil {
-			cb("")
-			return
-		}
-		if ai, ok := resp.(ActiveIs); ok && ai.Active != "" {
-			cb(ai.Active)
-			return
-		}
-		cb("")
 	})
 }
 
@@ -785,7 +760,7 @@ func (mg *Migrator) callActive(group int, req any, attempt int, pred func(resp a
 			mg.callActive(group, req, attempt+1, pred, cb)
 		})
 	}
-	mg.resolveGroupActive(group, attempt, func(active transport.NodeID) {
+	resolveGroupActive(mg.node, mg.layout.Groups, group, attempt, func(active transport.NodeID) {
 		if active == "" {
 			again()
 			return
@@ -1011,8 +986,8 @@ func (mg *Migrator) flipPhase(rec *MigrationRec, st MoveStats, freezeStart sim.T
 				done(st, serr)
 				return
 			}
-			if mg.cfg.Partitioner != nil {
-				mg.cfg.Partitioner.Install(flipped)
+			if mg.layout.Partitioner != nil {
+				mg.layout.Partitioner.Install(flipped)
 			}
 			mg.emit("migrate-flip", "slot", fmt.Sprint(rec.Slot), "epoch", fmt.Sprint(flipped.Epoch()))
 			mg.finishMove(st, freezeStart, done)
@@ -1066,7 +1041,7 @@ func (mg *Migrator) balanceOnce(cfg BalancerConfig, next func()) {
 		next()
 		return
 	}
-	groups := len(mg.cfg.AllGroups)
+	groups := len(mg.layout.Groups)
 	stats := make([]LoadStats, groups)
 	remaining := groups
 	finish := func() {
@@ -1090,7 +1065,7 @@ func (mg *Migrator) balanceOnce(cfg BalancerConfig, next func()) {
 	}
 	for g := 0; g < groups; g++ {
 		g := g
-		mg.resolveGroupActive(g, 0, func(active transport.NodeID) {
+		resolveGroupActive(mg.node, mg.layout.Groups, g, 0, func(active transport.NodeID) {
 			if active == "" {
 				finish()
 				return
@@ -1109,7 +1084,7 @@ func (mg *Migrator) balanceOnce(cfg BalancerConfig, next func()) {
 
 // pickMove applies the balancing policy to one round of load stats.
 func (mg *Migrator) pickMove(cfg BalancerConfig, stats []LoadStats) (slot, to int, ok bool) {
-	if mg.cfg.Partitioner == nil {
+	if mg.layout.Partitioner == nil {
 		return 0, 0, false
 	}
 	hot, cold := -1, -1
@@ -1131,7 +1106,7 @@ func (mg *Migrator) pickMove(cfg BalancerConfig, stats []LoadStats) (slot, to in
 		float64(stats[hot].Total) < cfg.Ratio*float64(stats[cold].Total+1) {
 		return 0, 0, false
 	}
-	owned := mg.cfg.Partitioner.Map().SlotsOf(hot)
+	owned := mg.layout.Partitioner.Map().SlotsOf(hot)
 	if len(owned) == 0 {
 		return 0, 0, false
 	}

@@ -106,10 +106,6 @@ type Params struct {
 	RenewSmallGap     uint64   // sn gap below which final sync starts
 	RenewJournalChunk int      // batches per catch-up round trip
 
-	// CheckpointEverySN saves an image to the SSP every N serial numbers
-	// (0 disables periodic checkpoints).
-	CheckpointEverySN uint64
-
 	// TraceAppends emits a KindJournal "append"/"append-dup" trace event at
 	// every journal append site (active seal, standby commit, renew apply,
 	// SSP replay). The invariant monitor in internal/check consumes these to
@@ -175,8 +171,6 @@ func DefaultParams() Params {
 		RenewScanEvery:    2 * sim.Second,
 		RenewSmallGap:     8,
 		RenewJournalChunk: 64,
-
-		CheckpointEverySN: 0,
 	}
 }
 
@@ -203,20 +197,20 @@ func (p Params) dispatchSvc(svc sim.Time) sim.Time {
 	return sim.Time(float64(svc) * frac)
 }
 
-// svcFor returns the active's service time for an operation kind.
-func (p Params) svcFor(kind OpKind) sim.Time {
+// SvcFor returns the active's service time for an operation kind.
+func (c CostModel) SvcFor(kind OpKind) sim.Time {
 	switch kind {
 	case OpStat, OpList:
-		return p.ReadSvc
+		return c.ReadSvc
 	case OpCreate:
-		return p.CreateSvc
+		return c.CreateSvc
 	case OpMkdir:
-		return p.MkdirSvc
+		return c.MkdirSvc
 	case OpDelete:
-		return p.DeleteSvc
+		return c.DeleteSvc
 	case OpRename:
-		return p.RenameSvc
+		return c.RenameSvc
 	default:
-		return p.ReadSvc
+		return c.ReadSvc
 	}
 }

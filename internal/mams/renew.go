@@ -5,9 +5,9 @@ import (
 
 	"mams/internal/namespace"
 	"mams/internal/sim"
-	"mams/internal/transport"
 	"mams/internal/ssp"
 	"mams/internal/trace"
+	"mams/internal/transport"
 )
 
 func defaultLoadImage(data []byte) (*namespace.Tree, error) {
@@ -201,7 +201,7 @@ func (s *Server) onRenewStart(m RenewStart) {
 
 // fetchRenewImage loads a checkpoint from the pool (locally when present).
 func (s *Server) fetchRenewImage(imageSN uint64) {
-	key := ssp.Key{Group: s.cfg.Group, Kind: ssp.KindImage, Seq: imageSN}
+	key := ssp.Key{Group: s.group, Kind: ssp.KindImage, Seq: imageSN}
 	s.emit(trace.KindRenew, "image-fetch", "sn", fmt.Sprint(imageSN))
 	s.renewFetchSpan = s.spans.Begin("renew-image-fetch", string(s.cfg.ID), s.renewSpan,
 		"sn", fmt.Sprint(imageSN))

@@ -10,11 +10,10 @@ import (
 	"mams/internal/journal"
 	"mams/internal/namespace"
 	"mams/internal/obs"
-	"mams/internal/partition"
 	"mams/internal/sim"
-	"mams/internal/transport"
 	"mams/internal/ssp"
 	"mams/internal/trace"
+	"mams/internal/transport"
 )
 
 // WhoIsActive asks any group member for the current active (used by
@@ -28,28 +27,13 @@ type ActiveIs struct {
 	Epoch  uint64
 }
 
-// Config assembles one metadata server.
+// Config assembles one metadata server: its place in the shared Layout.
 type Config struct {
-	ID         transport.NodeID
-	Group      string // replica group name, e.g. "g0"
-	GroupIndex int
-	Members    []transport.NodeID // this group's members, including ID
-	// AllGroups lists every group's members by group index, for
-	// cross-group transaction routing.
-	AllGroups [][]transport.NodeID
-	// InitialRole is RoleActive or RoleStandby at bootstrap, RoleJunior
-	// for servers joining (or rejoining) a running group.
-	InitialRole Role
-
-	CoordServers        []transport.NodeID
-	CoordSessionTimeout sim.Time
-	CoordHeartbeat      sim.Time
-
-	PoolNodes []transport.NodeID
-
-	Partitioner *partition.Partitioner
-	Params      Params
-	SSPParams   ssp.Params
+	ID transport.NodeID
+	// Junior boots the server as a junior joining (or rejoining) a running
+	// group instead of in its bootstrap role.
+	Junior bool
+	Layout
 }
 
 // znode paths for a group.
@@ -102,6 +86,14 @@ type Server struct {
 	cfg  Config
 	node transport.Node
 
+	// This server's place in cfg.Layout, worked out once from its ID: the
+	// group's name and index, its members (also its pool nodes), and the
+	// role it boots in (junior once restarted).
+	group    string
+	groupIdx int
+	members  []transport.NodeID
+	bootRole Role
+
 	coordCli *coord.Client
 	pool     *ssp.PoolNode
 	sspc     *ssp.Client
@@ -129,7 +121,7 @@ type Server struct {
 	poolDurableSN uint64
 	poolPutOK     map[uint64]bool
 	heldFences    []heldFence
-	waiters     map[uint64][]func(err error)
+	waiters       map[uint64][]func(err error)
 	// sealWaiters fire when their batch seals (AsyncAck replies); waiters
 	// fire when it commits.
 	sealWaiters map[uint64][]func(err error)
@@ -158,7 +150,7 @@ type Server struct {
 	renewTarget   transport.NodeID // junior currently receiving live batches
 	renewSession  transport.NodeID // junior currently in a renewing session
 	renewActive   transport.NodeID // (junior side) the active renewing us
-	renewing      bool          // this server (as junior) is renewing
+	renewing      bool             // this server (as junior) is renewing
 	renewLastSeen map[transport.NodeID]uint64
 	renewScanOn   bool
 
@@ -186,7 +178,7 @@ type Server struct {
 	registerAcked bool
 	sanityOn      bool
 
-	retryCache map[uint64]OpReply
+	retryCache map[uint64]OpReply // mutation replies by ReqID (finishOp)
 	tr         *trace.Log
 	rnd        func() float64 // uniform [0,1) for election jitter
 	stopped    bool
@@ -221,8 +213,16 @@ type Server struct {
 
 // NewServer builds a server and registers its process on the network.
 func NewServer(net transport.Transport, cfg Config, tr *trace.Log, rnd func() float64) *Server {
-	if cfg.Params.BatchEvery == 0 {
-		cfg.Params = DefaultParams()
+	g, m := cfg.Locate(cfg.ID)
+	if g < 0 {
+		panic(fmt.Sprintf("mams: %s is not in any group of the layout", cfg.ID))
+	}
+	boot := RoleStandby
+	switch {
+	case cfg.Junior:
+		boot = RoleJunior
+	case m == 0:
+		boot = RoleActive
 	}
 	// Each server owns its routing view: shard-map installs must not leak
 	// into the shared seed partitioner or into other servers mid-event.
@@ -231,6 +231,10 @@ func NewServer(net transport.Transport, cfg Config, tr *trace.Log, rnd func() fl
 	}
 	s := &Server{
 		cfg:           cfg,
+		group:         fmt.Sprintf("g%d", g),
+		groupIdx:      g,
+		members:       cfg.Groups[g],
+		bootRole:      boot,
 		tree:          namespace.New(),
 		log:           journal.NewLog(),
 		view:          NewView(),
@@ -276,25 +280,30 @@ func NewServer(net transport.Transport, cfg Config, tr *trace.Log, rnd func() fl
 		"Elections this node lost to a faster peer.", "node", me)
 	s.registerShardObs(reg, me)
 	s.pool = ssp.NewPoolNode(s.node, cfg.SSPParams)
-	s.sspc = ssp.NewClient(s.node, cfg.PoolNodes, s.pool, cfg.Params.SSPReplicas)
-	// Pool placement consults the group view: a takeover records the
-	// deposed active as RoleDown, and without this hint a lone survivor
-	// wedges its sole-owner commit backstop on the dead peer's put timeout
-	// — there is no second pool member to fail over to in a two-node
-	// group. Only an explicit RoleDown avoids a member; juniors are live
-	// pool members, and absent entries (bootstrap window) keep the default
-	// full-rotation placement.
-	s.sspc.SetAvoid(func(id transport.NodeID) bool {
-		r, ok := s.view.States[string(id)]
-		return ok && r == RoleDown
-	})
+	s.sspc = s.newPoolClient()
 	s.blocks = blockmap.NewManager()
 	s.coordCli = coord.NewClient(s.node, coord.ClientConfig{
-		Servers:        cfg.CoordServers,
+		Servers:        cfg.Coord,
 		SessionTimeout: cfg.CoordSessionTimeout,
 		HeartbeatEvery: cfg.CoordHeartbeat,
 	}, s.onCoordEvent)
 	return s
+}
+
+// newPoolClient builds the client for this group's shared storage pool.
+// Placement consults the group view: a takeover records the deposed active
+// as RoleDown, and without this hint a lone survivor wedges its sole-owner
+// commit backstop on the dead peer's put timeout — there is no second pool
+// member to fail over to in a two-node group. Only an explicit RoleDown
+// avoids a member; juniors are live pool members, and absent entries
+// (bootstrap window) keep the default full-rotation placement.
+func (s *Server) newPoolClient() *ssp.Client {
+	c := ssp.NewClient(s.node, s.members, s.pool, s.cfg.Params.SSPReplicas)
+	c.SetAvoid(func(id transport.NodeID) bool {
+		r, ok := s.view.States[string(id)]
+		return ok && r == RoleDown
+	})
+	return c
 }
 
 // Node exposes the simulated process (fault injection).
@@ -377,7 +386,7 @@ func (s *Server) Restart() {
 	s.lastTx = 0
 	s.builder = nil
 	s.role = RoleJunior
-	s.cfg.InitialRole = RoleJunior
+	s.bootRole = RoleJunior
 	s.upgrading = false
 	s.view = NewView()
 	s.viewVer = -1
@@ -426,9 +435,9 @@ func (s *Server) bootstrapZnodes() {
 		})
 	}
 	mk("/mams", func() {
-		mk("/mams/"+s.cfg.Group, func() {
-			mk(aliveDir(s.cfg.Group), func() {
-				s.coordCli.CreateEphemeral(alivePath(s.cfg.Group, string(s.cfg.ID)), nil,
+		mk("/mams/"+s.group, func() {
+			mk(aliveDir(s.group), func() {
+				s.coordCli.CreateEphemeral(alivePath(s.group, string(s.cfg.ID)), nil,
 					func(_ string, err error) {
 						if err != nil && err != coord.ErrNodeExists {
 							s.node.After(sim.Second, "mams-alive-retry", s.bootstrapZnodes)
@@ -471,7 +480,7 @@ func (s *Server) armSanityLoop() {
 }
 
 func (s *Server) enterRole() {
-	switch s.cfg.InitialRole {
+	switch s.bootRole {
 	case RoleActive:
 		s.bootstrapAsActive()
 	case RoleStandby:
@@ -484,10 +493,10 @@ func (s *Server) enterRole() {
 // bootstrapAsActive is the cold-start path for the group's first active:
 // grab the lock, publish the initial view, start serving.
 func (s *Server) bootstrapAsActive() {
-	s.coordCli.CreateEphemeral(lockPath(s.cfg.Group), []byte(s.cfg.ID), func(_ string, err error) {
+	s.coordCli.CreateEphemeral(lockPath(s.group), []byte(s.cfg.ID), func(_ string, err error) {
 		if err == coord.ErrNodeExists {
 			// Someone beat us to it; fall back to standby.
-			s.cfg.InitialRole = RoleStandby
+			s.bootRole = RoleStandby
 			s.joinAsStandby()
 			return
 		}
@@ -498,14 +507,14 @@ func (s *Server) bootstrapAsActive() {
 		v := NewView()
 		v.Epoch = 1
 		v.Active = string(s.cfg.ID)
-		for _, m := range s.cfg.Members {
+		for _, m := range s.members {
 			if m == s.cfg.ID {
 				v.States[string(m)] = RoleActive
 			} else {
 				v.States[string(m)] = RoleStandby
 			}
 		}
-		s.coordCli.Create(viewPath(s.cfg.Group), v.Encode(), func(_ string, err error) {
+		s.coordCli.Create(viewPath(s.group), v.Encode(), func(_ string, err error) {
 			if err != nil && err != coord.ErrNodeExists {
 				s.node.After(sim.Second, "mams-view-retry", s.bootstrapAsActive)
 				return
@@ -555,7 +564,7 @@ func (s *Server) becomeActiveNow(epoch uint64) {
 
 // joinAsStandby waits for the group view to show this node as a standby.
 func (s *Server) joinAsStandby() {
-	s.coordCli.GetData(viewPath(s.cfg.Group), true, func(data []byte, ver int64, err error) {
+	s.coordCli.GetData(viewPath(s.group), true, func(data []byte, ver int64, err error) {
 		if err == coord.ErrNoNode {
 			s.emit(trace.KindState, "standby-wait-view")
 			return // watch fires on creation
@@ -595,7 +604,7 @@ func (s *Server) joinAsJunior() {
 
 // refreshView re-reads the group view (no watch) and invokes done.
 func (s *Server) refreshView(done func()) {
-	s.coordCli.GetData(viewPath(s.cfg.Group), false, func(data []byte, ver int64, err error) {
+	s.coordCli.GetData(viewPath(s.group), false, func(data []byte, ver int64, err error) {
 		if err == nil {
 			if v, derr := DecodeView(data); derr == nil {
 				s.adoptView(v, ver)
@@ -610,7 +619,7 @@ func (s *Server) refreshView(done func()) {
 // casView applies mutate to the freshest view under compare-and-set,
 // retrying on conflicts. mutate returns false to abandon the update.
 func (s *Server) casView(mutate func(v *View) bool, done func(err error)) {
-	s.coordCli.GetData(viewPath(s.cfg.Group), false, func(data []byte, ver int64, err error) {
+	s.coordCli.GetData(viewPath(s.group), false, func(data []byte, ver int64, err error) {
 		if err != nil {
 			done(err)
 			return
@@ -626,7 +635,7 @@ func (s *Server) casView(mutate func(v *View) bool, done func(err error)) {
 			done(nil)
 			return
 		}
-		s.coordCli.SetData(viewPath(s.cfg.Group), work.Encode(), ver, func(newVer int64, serr error) {
+		s.coordCli.SetData(viewPath(s.group), work.Encode(), ver, func(newVer int64, serr error) {
 			if serr == coord.ErrBadVersion {
 				s.casView(mutate, done) // lost a race; retry on fresh state
 				return
@@ -700,13 +709,13 @@ func (s *Server) reconcileRoleWithView() {
 // armLockAliveWatches (re-)installs the lock watcher and the watcher on
 // the active's liveness node.
 func (s *Server) armLockAliveWatches() {
-	s.coordCli.Exists(lockPath(s.cfg.Group), true, func(exists bool, err error) {
+	s.coordCli.Exists(lockPath(s.group), true, func(exists bool, err error) {
 		if err == nil && !exists && s.role != RoleActive && !s.upgrading {
 			s.onLockGone()
 		}
 	})
 	if s.view.Active != "" && s.view.Active != string(s.cfg.ID) {
-		s.coordCli.Exists(alivePath(s.cfg.Group, s.view.Active), true, func(bool, error) {})
+		s.coordCli.Exists(alivePath(s.group, s.view.Active), true, func(bool, error) {})
 	}
 }
 
@@ -872,17 +881,17 @@ func (s *Server) onCoordEvent(ev coord.WatchEvent) {
 	case coord.EventSessionExpired:
 		s.onSessionExpired()
 	case coord.EventDeleted:
-		if ev.Path == lockPath(s.cfg.Group) {
+		if ev.Path == lockPath(s.group) {
 			s.onLockGone()
 			return
 		}
-		if ev.Path == alivePath(s.cfg.Group, s.view.Active) {
+		if ev.Path == alivePath(s.group, s.view.Active) {
 			s.onLockGone()
 			return
 		}
 		s.rearmWatchFor(ev.Path)
 	case coord.EventDataChanged, coord.EventCreated:
-		if ev.Path == viewPath(s.cfg.Group) {
+		if ev.Path == viewPath(s.group) {
 			s.onViewChanged()
 			return
 		}
@@ -922,7 +931,7 @@ func (s *Server) onSessionExpired() {
 			s.node.After(sim.Second, "mams-session-retry", s.onSessionExpired)
 			return
 		}
-		s.coordCli.CreateEphemeral(alivePath(s.cfg.Group, string(s.cfg.ID)), nil, func(string, error) {
+		s.coordCli.CreateEphemeral(alivePath(s.group, string(s.cfg.ID)), nil, func(string, error) {
 			s.joinAsJunior()
 		})
 	})
@@ -931,7 +940,7 @@ func (s *Server) onSessionExpired() {
 // armWatches installs the three watchers of §III.C: the view (self state),
 // the lock, and the active's liveness node.
 func (s *Server) armWatches() {
-	s.coordCli.GetData(viewPath(s.cfg.Group), true, func(data []byte, ver int64, err error) {
+	s.coordCli.GetData(viewPath(s.group), true, func(data []byte, ver int64, err error) {
 		if err == nil {
 			if v, derr := DecodeView(data); derr == nil {
 				s.adoptView(v, ver)
@@ -944,16 +953,16 @@ func (s *Server) armWatches() {
 // rearmWatchFor re-installs a one-shot watch after an uninteresting event.
 func (s *Server) rearmWatchFor(path string) {
 	switch path {
-	case lockPath(s.cfg.Group):
+	case lockPath(s.group):
 		s.coordCli.Exists(path, true, func(bool, error) {})
-	case viewPath(s.cfg.Group):
+	case viewPath(s.group):
 		s.onViewChanged()
 	}
 }
 
 // onViewChanged re-reads the view and re-arms its watch.
 func (s *Server) onViewChanged() {
-	s.coordCli.GetData(viewPath(s.cfg.Group), true, func(data []byte, ver int64, err error) {
+	s.coordCli.GetData(viewPath(s.group), true, func(data []byte, ver int64, err error) {
 		if err != nil {
 			return
 		}
@@ -1074,7 +1083,7 @@ func (s *Server) handleClientOp(from transport.NodeID, op ClientOp, reply func(a
 	// in-memory dispatch share of a mutating op runs here; the journal-sync
 	// share that dominates the legacy service time amortizes across the
 	// batch on the journal lane.
-	svc := s.cfg.Params.svcFor(op.Kind)
+	svc := s.cfg.Params.SvcFor(op.Kind)
 	if s.cfg.Params.GroupCommit && op.Kind.Mutating() {
 		svc = s.cfg.Params.dispatchSvc(svc)
 	}
@@ -1089,8 +1098,15 @@ func (s *Server) handleClientOp(from transport.NodeID, op ClientOp, reply func(a
 	})
 }
 
+// finishOp replies and, for a mutation, remembers the reply so that a
+// retried request is answered without applying it twice. Reads are
+// idempotent: a retried read is simply served again, and caching every
+// read's reply would hold one OpReply per read ever served for the life of
+// the process.
 func (s *Server) finishOp(op ClientOp, rep OpReply, reply func(any)) {
-	s.retryCache[op.ReqID] = rep
+	if op.Kind.Mutating() {
+		s.retryCache[op.ReqID] = rep
+	}
 	reply(rep)
 }
 
@@ -1432,7 +1448,7 @@ func (s *Server) sealBatch() {
 				// retry landing late would overwrite its batch in the pool.
 				return
 			}
-			s.sspc.Put(ssp.Key{Group: s.cfg.Group, Kind: ssp.KindJournal, Seq: sn}, enc, int64(len(enc)), func(err error) {
+			s.sspc.Put(ssp.Key{Group: s.group, Kind: ssp.KindJournal, Seq: sn}, enc, int64(len(enc)), func(err error) {
 				if err != nil {
 					// A failed pool write is not durability: this write is
 					// the backstop for batches no standby holds (the whole
@@ -1555,7 +1571,6 @@ func (s *Server) tryAdvanceCommit() {
 			w(nil)
 		}
 		delete(s.waiters, next)
-		s.maybeCheckpoint(next)
 	}
 	if advanced {
 		s.obsInflight.Set(float64(len(s.pendingRepl)))
@@ -1691,22 +1706,13 @@ func (s *Server) demoteMember(id transport.NodeID, done func()) {
 	})
 }
 
-// maybeCheckpoint saves a periodic image to the SSP.
-func (s *Server) maybeCheckpoint(sn uint64) {
-	every := s.cfg.Params.CheckpointEverySN
-	if every == 0 || sn == 0 || sn%every != 0 || sn <= s.lastImageSN {
-		return
-	}
-	s.Checkpoint(nil)
-}
-
 // Checkpoint saves the namespace image to the pool now.
 func (s *Server) Checkpoint(cb func(err error)) {
 	img := s.tree.SaveImage()
 	sn := s.committedSN
 	size := s.imageBytes()
 	s.lastImageSN, s.lastImageSize = sn, size
-	s.sspc.Put(ssp.Key{Group: s.cfg.Group, Kind: ssp.KindImage, Seq: sn}, img, size, func(err error) {
+	s.sspc.Put(ssp.Key{Group: s.group, Kind: ssp.KindImage, Seq: sn}, img, size, func(err error) {
 		if cb != nil {
 			cb(err)
 		}

@@ -6,8 +6,8 @@ import (
 	"mams/internal/journal"
 	"mams/internal/partition"
 	"mams/internal/sim"
-	"mams/internal/transport"
 	"mams/internal/trace"
+	"mams/internal/transport"
 )
 
 // txnState tracks one coordinated distributed transaction.
@@ -114,7 +114,7 @@ func (s *Server) executeStructuralOp(op ClientOp, reply func(any)) {
 		return
 	}
 
-	myGroup := s.cfg.GroupIndex
+	myGroup := s.groupIdx
 	localRecs, involvesMe := recsByGrp[myGroup]
 	if class == partition.ClassLocal || (len(groups) == 1 && groups[0] == myGroup) {
 		if !involvesMe {
@@ -146,7 +146,7 @@ func (s *Server) executeStructuralOp(op ClientOp, reply func(any)) {
 	}
 	s.txnSeq++
 	txn := &txnState{
-		id:        s.txnSeq<<16 | uint64(s.cfg.GroupIndex),
+		id:        s.txnSeq<<16 | uint64(s.groupIdx),
 		op:        op,
 		reply:     reply,
 		needVotes: map[int]bool{},
@@ -218,7 +218,7 @@ func (s *Server) sendPrepare(txn *txnState, group int, recs []journal.Record, at
 		}
 		return
 	}
-	s.resolveGroupActive(group, attempt, func(active transport.NodeID) {
+	resolveGroupActive(s.node, s.cfg.Groups, group, attempt, func(active transport.NodeID) {
 		if active == "" {
 			s.node.After(300*sim.Millisecond, "mams-txn-retry", func() {
 				s.sendPrepare(txn, group, recs, attempt+1)
@@ -251,19 +251,16 @@ func (s *Server) sendPrepare(txn *txnState, group int, recs []journal.Record, at
 	})
 }
 
-// resolveGroupActive finds another group's active via WhoIsActive.
-func (s *Server) resolveGroupActive(group int, attempt int, cb func(transport.NodeID)) {
-	if group < 0 || group >= len(s.cfg.AllGroups) {
+// resolveGroupActive finds a group's active by asking one of its members
+// WhoIsActive, round-robin by attempt; cb gets "" when there is no answer.
+func resolveGroupActive(node transport.Node, groups [][]transport.NodeID, group, attempt int, cb func(transport.NodeID)) {
+	if group < 0 || group >= len(groups) || len(groups[group]) == 0 {
 		cb("")
 		return
 	}
-	members := s.cfg.AllGroups[group]
-	if len(members) == 0 {
-		cb("")
-		return
-	}
+	members := groups[group]
 	target := members[attempt%len(members)]
-	s.node.Call(target, WhoIsActive{}, 300*sim.Millisecond, func(resp any, err error) {
+	node.Call(target, WhoIsActive{}, 300*sim.Millisecond, func(resp any, err error) {
 		if err != nil {
 			cb("")
 			return
@@ -292,7 +289,7 @@ func (s *Server) maybeFinishTxn(txn *txnState) {
 		s.compensateLocal(txn)
 		for g := range txn.prepared {
 			g := g
-			s.resolveGroupActive(g, 0, func(active transport.NodeID) {
+			resolveGroupActive(s.node, s.cfg.Groups, g, 0, func(active transport.NodeID) {
 				if active != "" {
 					s.node.Send(active, TxnAbort{TxnID: txn.id})
 				}

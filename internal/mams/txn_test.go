@@ -173,3 +173,42 @@ func TestRetryCacheSuppressesDuplicateEffects(t *testing.T) {
 		t.Fatalf("files = %d, want exactly 20 (duplicates applied?)", got)
 	}
 }
+
+// TestRetryCacheHoldsOnlyMutations: reads are idempotent, so serving them
+// leaves nothing behind — the cache grows with mutations, not with traffic.
+func TestRetryCacheHoldsOnlyMutations(t *testing.T) {
+	env, c := build(t, 17, cluster.MAMSSpec{Groups: 1, BackupsPerGroup: 1})
+	cli := c.NewClient(nil)
+	if err := doOp(t, env, func(done func(error)) { cli.Mkdir("/rc", done) }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		p := fmt.Sprintf("/rc/f%d", i)
+		if err := doOp(t, env, func(done func(error)) { cli.Create(p, 1, done) }); err != nil {
+			t.Fatalf("create %s: %v", p, err)
+		}
+	}
+	a := c.ActiveOf(0)
+	if a == nil {
+		t.Fatal("no active")
+	}
+	before := a.RetryCacheLenForTest()
+	if before != 6 {
+		t.Fatalf("retry cache after 6 mutations holds %d replies", before)
+	}
+	for i := 0; i < 200; i++ {
+		p := fmt.Sprintf("/rc/f%d", i%6) // f5 does not exist: errors too
+		if i%2 == 0 {
+			doOp(t, env, func(done func(error)) {
+				cli.Stat(p, func(_ *anyInfo, err error) { done(err) })
+			})
+		} else {
+			doOp(t, env, func(done func(error)) {
+				cli.List("/rc", func(_ []anyInfo, err error) { done(err) })
+			})
+		}
+	}
+	if got := a.RetryCacheLenForTest(); got != before {
+		t.Fatalf("retry cache grew from %d to %d over 200 reads", before, got)
+	}
+}

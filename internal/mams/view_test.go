@@ -135,12 +135,12 @@ func TestOpKindProperties(t *testing.T) {
 func TestParamsSvcForCoversEveryKind(t *testing.T) {
 	p := DefaultParams()
 	for _, k := range []OpKind{OpCreate, OpMkdir, OpDelete, OpRename, OpStat, OpList} {
-		if p.svcFor(k) <= 0 {
-			t.Fatalf("svcFor(%v) = %v", k, p.svcFor(k))
+		if p.SvcFor(k) <= 0 {
+			t.Fatalf("SvcFor(%v) = %v", k, p.SvcFor(k))
 		}
 	}
-	if p.svcFor(OpStat) != p.ReadSvc || p.svcFor(OpRename) != p.RenameSvc {
-		t.Fatal("svcFor mapping broken")
+	if p.SvcFor(OpStat) != p.ReadSvc || p.SvcFor(OpRename) != p.RenameSvc {
+		t.Fatal("SvcFor mapping broken")
 	}
 }
 

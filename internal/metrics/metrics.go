@@ -8,88 +8,18 @@ import (
 	"math"
 
 	"mams/internal/fsclient"
-	"mams/internal/obs"
 	"mams/internal/sim"
 )
 
-// Collector accumulates operation results from any number of clients.
-//
-// By default every result is retained (MTTR and the windowed queries need
-// the raw records). Long steady-state runs that only need aggregates can
-// set Stream to bound memory to O(1): results then fold into the Summary
-// and nothing is retained, so the windowed queries and MTTR see no data.
+// Collector accumulates operation results from any number of clients. It
+// retains every result: MTTR and the windowed queries need the raw records.
 type Collector struct {
 	Results []fsclient.Result
-	Stream  *Summary
 }
 
 // Observe is the fsclient.Config.OnResult hook.
 func (c *Collector) Observe(r fsclient.Result) {
-	if c.Stream != nil {
-		c.Stream.Observe(r)
-		return
-	}
 	c.Results = append(c.Results, r)
-}
-
-// Len returns the number of recorded operations.
-func (c *Collector) Len() int {
-	if c.Stream != nil {
-		return c.Stream.Count
-	}
-	return len(c.Results)
-}
-
-// Reset clears the collector.
-func (c *Collector) Reset() {
-	c.Results = c.Results[:0]
-	if c.Stream != nil {
-		*c.Stream = Summary{Hist: c.Stream.Hist}
-	}
-}
-
-// Summary aggregates operation results in O(1) memory: success/error
-// counts, latency sum/min/max, and optionally a latency histogram.
-type Summary struct {
-	Count  int // all results, including errors
-	Errors int
-	// Latency aggregates cover successful operations only.
-	LatencySum sim.Time
-	LatencyMin sim.Time
-	LatencyMax sim.Time
-	// Hist, when non-nil, additionally buckets success latencies (in
-	// seconds). A nil histogram is a no-op (obs instruments are nil-safe).
-	Hist *obs.Histogram
-}
-
-// Observe folds one result into the summary.
-func (s *Summary) Observe(r fsclient.Result) {
-	s.Count++
-	if r.Err != nil {
-		s.Errors++
-		return
-	}
-	lat := r.End - r.Start
-	s.LatencySum += lat
-	if s.Count-s.Errors == 1 || lat < s.LatencyMin {
-		s.LatencyMin = lat
-	}
-	if lat > s.LatencyMax {
-		s.LatencyMax = lat
-	}
-	s.Hist.Observe(lat.Seconds())
-}
-
-// Successes returns the number of successful operations observed.
-func (s *Summary) Successes() int { return s.Count - s.Errors }
-
-// MeanLatency returns the mean success latency.
-func (s *Summary) MeanLatency() sim.Time {
-	n := s.Successes()
-	if n == 0 {
-		return 0
-	}
-	return s.LatencySum / sim.Time(n)
 }
 
 // Successes counts successful operations in [from, to).
@@ -97,17 +27,6 @@ func (c *Collector) Successes(from, to sim.Time) int {
 	n := 0
 	for _, r := range c.Results {
 		if r.Err == nil && r.End >= from && r.End < to {
-			n++
-		}
-	}
-	return n
-}
-
-// Failures counts failed operations in [from, to).
-func (c *Collector) Failures(from, to sim.Time) int {
-	n := 0
-	for _, r := range c.Results {
-		if r.Err != nil && r.End >= from && r.End < to {
 			n++
 		}
 	}
@@ -225,52 +144,12 @@ func (s *Series) Add(t sim.Time) {
 	s.Counts[idx]++
 }
 
-// Merge folds another series into this one: bucket counts add elementwise
-// and Overflow accumulates. Both series must share the same bucket width
-// and start time — merging misaligned series would silently shift every
-// sample, so that is an error. Counts beyond this series' cap are folded
-// into Overflow rather than grown into place.
-func (s *Series) Merge(o *Series) error {
-	if o == nil {
-		return nil
-	}
-	if o.Bucket != s.Bucket || o.Start != s.Start {
-		return fmt.Errorf("metrics: cannot merge series with bucket=%v start=%v into bucket=%v start=%v",
-			o.Bucket, o.Start, s.Bucket, s.Start)
-	}
-	max := s.MaxBuckets
-	if max <= 0 {
-		max = DefaultMaxBuckets
-	}
-	for i, n := range o.Counts {
-		if i >= max {
-			s.Overflow += n
-			continue
-		}
-		for len(s.Counts) <= i {
-			s.Counts = append(s.Counts, 0)
-		}
-		s.Counts[i] += n
-	}
-	s.Overflow += o.Overflow
-	return nil
-}
-
 // Rate returns bucket i's throughput in ops/s.
 func (s *Series) Rate(i int) float64 {
 	if i < 0 || i >= len(s.Counts) {
 		return 0
 	}
 	return float64(s.Counts[i]) / s.Bucket.Seconds()
-}
-
-// Rates returns every bucket's throughput.
-func (s *Series) Rates() []float64 {
-	out := make([]float64, len(s.Counts))
-	for i := range s.Counts {
-		out[i] = s.Rate(i)
-	}
-	return out
 }
 
 // MinRateIn returns the lowest bucket rate in [from, to) relative to the

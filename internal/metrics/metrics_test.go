@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"mams/internal/fsclient"
-	"mams/internal/obs"
 	"mams/internal/sim"
 )
 
@@ -23,19 +22,15 @@ func TestCollectorCounts(t *testing.T) {
 	c.Observe(ok(1 * sim.Second))
 	c.Observe(ok(2 * sim.Second))
 	c.Observe(bad(3 * sim.Second))
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.Results) != 3 {
+		t.Fatalf("len = %d", len(c.Results))
 	}
-	if c.Successes(0, 10*sim.Second) != 2 || c.Failures(0, 10*sim.Second) != 1 {
-		t.Fatal("success/failure counting broken")
+	if c.Successes(0, 10*sim.Second) != 2 {
+		t.Fatal("success counting broken")
 	}
 	// Window bounds are [from, to).
 	if c.Successes(2*sim.Second, 3*sim.Second) != 1 {
 		t.Fatal("window not half-open")
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatal("Reset failed")
 	}
 }
 
@@ -189,7 +184,7 @@ func TestSeriesBinning(t *testing.T) {
 	s.Add(900 * sim.Millisecond)
 	s.Add(1100 * sim.Millisecond)
 	if s.Rate(0) != 2 || s.Rate(1) != 1 || s.Rate(2) != 0 {
-		t.Fatalf("rates = %v", s.Rates())
+		t.Fatalf("counts = %v", s.Counts)
 	}
 	s.Add(-sim.Second) // before start: ignored
 	if s.Rate(0) != 2 {
@@ -214,7 +209,7 @@ func TestSeriesCapsGrowth(t *testing.T) {
 		t.Fatalf("Overflow = %d, want 2", s.Overflow)
 	}
 	if s.Rate(3) != 1 || s.Rate(7) != 1 {
-		t.Fatalf("in-range rates lost: %v", s.Rates())
+		t.Fatalf("in-range counts lost: %v", s.Counts)
 	}
 }
 
@@ -242,7 +237,7 @@ func TestSeriesRateEmptyBuckets(t *testing.T) {
 	s.Add(2500 * sim.Millisecond)
 	// Buckets 0 and 1 exist (allocated up to index 2) but hold no samples.
 	if s.Rate(0) != 0 || s.Rate(1) != 0 {
-		t.Fatalf("empty allocated buckets nonzero: %v", s.Rates())
+		t.Fatalf("empty allocated buckets nonzero: %v", s.Counts)
 	}
 	if s.Rate(2) != 1 {
 		t.Fatalf("Rate(2) = %v", s.Rate(2))
@@ -314,106 +309,11 @@ func TestPropertySeriesTotalMatchesAdds(t *testing.T) {
 	}
 }
 
-func TestSeriesMerge(t *testing.T) {
-	a := NewSeries(0, sim.Second)
-	b := NewSeries(0, sim.Second)
-	a.Add(500 * sim.Millisecond)
-	a.Add(2500 * sim.Millisecond)
-	b.Add(700 * sim.Millisecond)
-	b.Add(1500 * sim.Millisecond)
-	b.Add(4500 * sim.Millisecond) // b is longer than a
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	want := []int{2, 1, 1, 0, 1}
-	if len(a.Counts) != len(want) {
-		t.Fatalf("counts = %v, want %v", a.Counts, want)
-	}
-	for i, w := range want {
-		if a.Counts[i] != w {
-			t.Fatalf("counts = %v, want %v", a.Counts, want)
-		}
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatalf("nil merge: %v", err)
-	}
-}
-
-func TestSeriesMergeRejectsMisaligned(t *testing.T) {
-	a := NewSeries(0, sim.Second)
-	if err := a.Merge(NewSeries(0, 2*sim.Second)); err == nil {
-		t.Fatal("bucket-width mismatch must error")
-	}
-	if err := a.Merge(NewSeries(sim.Second, sim.Second)); err == nil {
-		t.Fatal("start mismatch must error")
-	}
-}
-
-func TestSeriesMergeOverflow(t *testing.T) {
-	a := NewSeries(0, sim.Second)
-	a.MaxBuckets = 4
-	a.Overflow = 1
-	b := NewSeries(0, sim.Second)
-	b.Add(2 * sim.Second)
-	b.Add(6 * sim.Second) // index 6: beyond a's cap
-	b.Add(7 * sim.Second)
-	b.Overflow = 3
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if len(a.Counts) > 4 {
-		t.Fatalf("merge grew past cap: %d buckets", len(a.Counts))
-	}
-	// 1 pre-existing + 2 capped from b's counts + 3 from b's own overflow.
-	if a.Overflow != 6 {
-		t.Fatalf("Overflow = %d, want 6", a.Overflow)
-	}
-	if a.Counts[2] != 1 {
-		t.Fatalf("in-range count lost: %v", a.Counts)
-	}
-}
-
-func TestCollectorStreaming(t *testing.T) {
-	sum := &Summary{Hist: obs.NewRegistry().Histogram(
-		"mams_client_op_seconds", "op latency", []float64{0.01, 0.1})}
-	c := &Collector{Stream: sum}
-	c.Observe(fsclient.Result{Start: 0, End: 2 * sim.Millisecond})
-	c.Observe(fsclient.Result{Start: 0, End: 4 * sim.Millisecond})
-	c.Observe(bad(3 * sim.Second))
-	if len(c.Results) != 0 {
-		t.Fatalf("streaming mode retained %d results", len(c.Results))
-	}
-	if c.Len() != 3 || sum.Count != 3 || sum.Errors != 1 || sum.Successes() != 2 {
-		t.Fatalf("summary = %+v", sum)
-	}
-	if sum.LatencyMin != 2*sim.Millisecond || sum.LatencyMax != 4*sim.Millisecond {
-		t.Fatalf("min/max = %v/%v", sum.LatencyMin, sum.LatencyMax)
-	}
-	if sum.MeanLatency() != 3*sim.Millisecond {
-		t.Fatalf("mean = %v", sum.MeanLatency())
-	}
-	if sum.Hist.Count() != 2 {
-		t.Fatalf("hist count = %d", sum.Hist.Count())
-	}
-	c.Reset()
-	if sum.Count != 0 || c.Len() != 0 {
-		t.Fatalf("reset left count %d", sum.Count)
-	}
-	if sum.Hist == nil {
-		t.Fatal("reset dropped the histogram")
-	}
-}
-
 func TestCollectorRetainedStaysDefault(t *testing.T) {
 	c := &Collector{}
 	c.Observe(ok(1 * sim.Second))
-	if len(c.Results) != 1 {
-		t.Fatal("retained mode must stay the default")
-	}
-	// A summary without a histogram must also work (nil-safe Observe).
-	s := &Summary{}
-	s.Observe(ok(1 * sim.Second))
-	if s.Successes() != 1 {
-		t.Fatalf("summary = %+v", s)
+	c.Observe(bad(2 * sim.Second))
+	if len(c.Results) != 2 {
+		t.Fatalf("collector retained %d of 2 results", len(c.Results))
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"mams/internal/partition"
 	"mams/internal/rng"
 	"mams/internal/sim"
-	"mams/internal/ssp"
 	"mams/internal/transport"
 )
 
@@ -105,10 +104,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	// Phase 1: every process gets its listener and publishes its address.
-	coordIDs := make([]transport.NodeID, cfg.CoordServers)
-	for i := range coordIDs {
-		coordIDs[i] = transport.NodeID(fmt.Sprintf("coord%d", i))
-		p, err := spawn(coordIDs[i])
+	coordIDs := coord.EnsembleIDs(cfg.CoordServers)
+	for _, id := range coordIDs {
+		p, err := spawn(id)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +114,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	var mdsIDs []transport.NodeID
 	for m := 0; m < cfg.Members; m++ {
-		id := transport.NodeID(fmt.Sprintf("g0-mds%d", m))
+		id := mams.MemberID(0, m)
 		mdsIDs = append(mdsIDs, id)
 		p, err := spawn(id)
 		if err != nil {
@@ -154,34 +152,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	// Phase 3: metadata servers (member 0 boots active, the rest standby).
-	c.Part = partition.NewSharded(1, partition.DefaultSlotsPerGroup, 0)
-	params := mams.DefaultParams()      // shipped protocol timing; the cost model is zeroed on the next line:
-	params.CostModel = mams.CostModel{} // on real hardware work costs what it costs
+	layout := mams.NewLayout(coordIDs, c.GroupIDs)
+	layout.CoordHeartbeat, layout.CoordSessionTimeout = cfg.CoordHeartbeat, cfg.CoordSessionTimeout
+	c.Part = layout.Partitioner
 	seedRNG := rng.New(cfg.Seed)
-	for m, p := range c.MDS {
-		m, p := m, p
-		role := mams.RoleStandby
-		if m == 0 {
-			role = mams.RoleActive
-		}
+	for _, p := range c.MDS {
 		rnd := seedRNG.Split(string(p.ID)).Float64
 		var srv *mams.Server
 		p.Tr.Do(func() {
-			srv = mams.NewServer(p.Tr, mams.Config{
-				ID:                  p.ID,
-				Group:               "g0",
-				GroupIndex:          0,
-				Members:             mdsIDs,
-				AllGroups:           c.GroupIDs,
-				InitialRole:         role,
-				CoordServers:        coordIDs,
-				CoordSessionTimeout: cfg.CoordSessionTimeout,
-				CoordHeartbeat:      cfg.CoordHeartbeat,
-				PoolNodes:           mdsIDs,
-				Partitioner:         c.Part,
-				Params:              params,
-				SSPParams:           ssp.Params{}, // no pretend disk either
-			}, nil, rnd)
+			srv = mams.NewServer(p.Tr, mams.Config{ID: p.ID, Layout: layout}, nil, rnd)
 			srv.Start()
 		})
 		c.Servers = append(c.Servers, srv)

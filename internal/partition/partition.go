@@ -72,12 +72,6 @@ func topLevel(path string) string {
 	return path
 }
 
-// Groups returns the number of groups.
-func (p *Partitioner) Groups() int { return p.m.groups }
-
-// Strategy returns the placement strategy.
-func (p *Partitioner) Strategy() Strategy { return p.strategy }
-
 // Map returns the currently installed shard map (immutable; safe to share).
 func (p *Partitioner) Map() *Map { return p.m }
 

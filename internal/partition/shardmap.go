@@ -3,7 +3,6 @@ package partition
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // DefaultSlotsPerGroup sets the migration granularity: each group initially
@@ -14,10 +13,10 @@ import (
 const DefaultSlotsPerGroup = 8
 
 // Map is an epoch-versioned assignment of hash slots to replica groups.
-// Maps are immutable once built: every mutation (Move, SplitGroup,
-// MergeGroup) returns a fresh Map with the epoch bumped, so a pointer can
-// be shared freely between simulated nodes — exactly what OpReply does when
-// a server hands its map snapshot to a stale client.
+// Maps are immutable once built: Move returns a fresh Map with the epoch
+// bumped, so a pointer can be shared freely between simulated nodes —
+// exactly what OpReply does when a server hands its map snapshot to a stale
+// client.
 //
 // The initial assignment is slot i → group i%groups with groups*slotsPerGroup
 // slots. Because the slot count is a multiple of the group count, the
@@ -92,42 +91,6 @@ func (m *Map) Move(slot, to int) (*Map, error) {
 	return n, nil
 }
 
-// SplitGroup moves the upper half of g's slots to group to, returning a new
-// map at epoch+1. It is the coarse "shed half my load" operation.
-func (m *Map) SplitGroup(g, to int) (*Map, error) {
-	if to < 0 || to >= m.groups {
-		return nil, fmt.Errorf("partition: group %d out of range [0,%d)", to, m.groups)
-	}
-	slots := m.SlotsOf(g)
-	if len(slots) < 2 {
-		return nil, fmt.Errorf("partition: group %d owns %d slots, cannot split", g, len(slots))
-	}
-	n := m.clone()
-	for _, s := range slots[len(slots)/2:] {
-		n.assign[s] = int32(to)
-	}
-	return n, nil
-}
-
-// MergeGroup moves every slot owned by from onto to, returning a new map at
-// epoch+1. from keeps existing as a group (it can receive slots again); it
-// just serves no file entries until one is moved back.
-func (m *Map) MergeGroup(from, to int) (*Map, error) {
-	if from == to {
-		return nil, fmt.Errorf("partition: merge %d onto itself", from)
-	}
-	if to < 0 || to >= m.groups || from < 0 || from >= m.groups {
-		return nil, fmt.Errorf("partition: merge %d→%d out of range [0,%d)", from, to, m.groups)
-	}
-	n := m.clone()
-	for s, g := range n.assign {
-		if int(g) == from {
-			n.assign[s] = int32(to)
-		}
-	}
-	return n, nil
-}
-
 // clone copies the map with the epoch bumped.
 func (m *Map) clone() *Map {
 	assign := make([]int32, len(m.assign))
@@ -166,21 +129,4 @@ func DecodeMap(data []byte) (*Map, error) {
 		}
 	}
 	return &Map{epoch: w.Epoch, groups: w.Groups, assign: w.Assign}, nil
-}
-
-// Diff lists the slots whose owner differs between m and other (same-shape
-// maps only), ascending. Servers use it to find slots to purge or adopt
-// when installing a newer map.
-func (m *Map) Diff(other *Map) []int {
-	if other == nil || len(other.assign) != len(m.assign) {
-		return nil
-	}
-	var out []int
-	for s := range m.assign {
-		if m.assign[s] != other.assign[s] {
-			out = append(out, s)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -16,18 +16,17 @@ type Kind string
 
 // Event kinds emitted by the reproduced systems.
 const (
-	KindState     Kind = "state"     // a server changed role (active/standby/junior/down)
-	KindElection  Kind = "election"  // election started/won
-	KindFailover  Kind = "failover"  // a failover protocol stage boundary
-	KindFault     Kind = "fault"     // injected fault (crash, unplug, lock loss, restart)
-	KindClient    Kind = "client"    // client-visible milestone (first failure, reconnect)
-	KindJournal   Kind = "journal"   // journal sync milestones
-	KindRenew     Kind = "renew"     // junior renewing milestones
-	KindCoord     Kind = "coord"     // coordination-service events (session expiry, watch)
-	KindMapReduce Kind = "mapreduce" // task lifecycle events
-	KindCheck     Kind = "check"     // invariant-checker verdicts (internal/check)
-	KindSpan      Kind = "span"      // causal span begin/end edges (internal/obs)
-	KindHealth    Kind = "health"    // gray-failure detector verdicts (internal/health)
+	KindState    Kind = "state"    // a server changed role (active/standby/junior/down)
+	KindElection Kind = "election" // election started/won
+	KindFailover Kind = "failover" // a failover protocol stage boundary
+	KindFault    Kind = "fault"    // injected fault (crash, unplug, lock loss, restart)
+	KindClient   Kind = "client"   // client-visible milestone (first failure, reconnect)
+	KindJournal  Kind = "journal"  // journal sync milestones
+	KindRenew    Kind = "renew"    // junior renewing milestones
+	KindCoord    Kind = "coord"    // coordination-service events (session expiry, watch)
+	KindCheck    Kind = "check"    // invariant-checker verdicts (internal/check)
+	KindSpan     Kind = "span"     // causal span begin/end edges (internal/obs)
+	KindHealth   Kind = "health"   // gray-failure detector verdicts (internal/health)
 )
 
 // Event is one timestamped record.

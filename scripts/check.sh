@@ -18,7 +18,7 @@ go test -race -timeout 40m ./internal/experiments/... ./internal/sim/...
 # race. So do the two tests that hold the wire plane's zero cost model in
 # place (internal/nettrans/testutil): TestPlanesAgree, one seeded op script
 # answered identically by the simulator (calibrated costs) and by loopback
-# TCP (none), and TestWireStatIsNotTimerBound, an unloaded stat far below the
+# TCP (mams.NewLayout: none), and TestWireStatIsNotTimerBound, an unloaded stat far below the
 # millisecond a timer on the read path would cost. The transporttest lint
 # also asserts no protocol package (mams, coord, ssp, fsclient) imports
 # internal/simnet.
@@ -91,9 +91,9 @@ grep -q '"policy": "migrate"' BENCH_shard.json
 # EXPERIMENTS.md's detection scorecard.
 go run ./cmd/mamsbench -exp detect -bench-out BENCH_detect.json >/dev/null
 grep -q '"Fault": "brownout"' BENCH_detect.json
-# Wire smoke: boot the full deployment over loopback TCP (real listeners,
-# real connections, wall-clock timers) and push a bounded burst of
-# create/stat through fsclient. Proves the unmodified state machines serve
-# genuine network traffic; the budget keeps it CI-sized.
-go run ./cmd/mamsbench -exp wire -ops 200 -wire-budget 2s
+# No separate wire smoke: bench/bench_test.go's TestSmoke, part of the
+# `go test ./...` above, boots every wire workload of the repo benchmark in
+# smoke shape — loopback TCP, real listeners, wall-clock timers,
+# create/stat/failover through fsclient — and holds what they print against
+# BENCHMARK.json.
 echo "check: OK"
