@@ -3,6 +3,7 @@ package baselines_test
 import (
 	"testing"
 
+	"mams/internal/baselines"
 	"mams/internal/cluster"
 	"mams/internal/mams"
 	"mams/internal/metrics"
@@ -88,11 +89,11 @@ func TestBackupNodeReplicatesAndFailsOver(t *testing.T) {
 	if mttr > 5*sim.Second {
 		t.Fatalf("BackupNode MTTR = %v, want < 5s for a tiny namespace", mttr)
 	}
-	if !sys.Backup.IsPrimary() {
+	if !sys.Servers[1].IsActive() {
 		t.Fatal("backup did not take over")
 	}
 	// The backup replayed the stream: the acknowledged files must exist.
-	if sys.Backup.LastSN() == 0 {
+	if sys.Servers[1].LastSN() == 0 {
 		t.Fatal("backup never ingested the journal stream")
 	}
 }
@@ -125,7 +126,7 @@ func TestAvatarFailoverFlat(t *testing.T) {
 	if mttr < 24*sim.Second || mttr > 38*sim.Second {
 		t.Fatalf("Avatar MTTR = %v, want ~30s", mttr)
 	}
-	if !sys.Standby.IsActive() {
+	if !sys.Servers[1].IsActive() {
 		t.Fatal("standby avatar did not take over")
 	}
 }
@@ -139,16 +140,17 @@ func TestAvatarStandbyIsHot(t *testing.T) {
 	drv := workload.NewDriver(env, sys, 2, nil)
 	drv.Setup(2)
 	drv.Preload(500, 8)
-	env.RunFor(5 * sim.Second) // allow the standby tail to catch up
-	active, standby := sys.Active, sys.Standby
+	active, standby := sys.Servers[0], sys.Servers[1]
 	if !active.IsActive() {
 		t.Fatal("unexpected roles")
 	}
-	_ = standby
-	// The standby tails the filer; it must be within one tail period of
-	// the active's journal.
-	if sys.Standby.Node() == nil {
-		t.Fatal("no standby")
+	// The load has stopped and every acked batch is on the filer. The
+	// standby tails the filer, so one tail period (plus the read's round
+	// trip) later it holds the active's whole journal.
+	env.RunFor(baselines.DefaultAvatarParams().TailEvery + 10*sim.Millisecond)
+	if active.LastSN() == 0 || standby.LastSN() != active.LastSN() || standby.Files() != active.Files() {
+		t.Fatalf("standby at sn %d with %d files, active at sn %d with %d files",
+			standby.LastSN(), standby.Files(), active.LastSN(), active.Files())
 	}
 }
 
@@ -160,7 +162,7 @@ func TestHadoopHAFailover(t *testing.T) {
 	if mttr < 12*sim.Second || mttr > 24*sim.Second {
 		t.Fatalf("Hadoop HA MTTR = %v, want ~17s", mttr)
 	}
-	if !sys.NN1.IsActive() {
+	if !sys.Servers[1].IsActive() {
 		t.Fatal("standby NameNode did not take over")
 	}
 }
@@ -172,7 +174,7 @@ func TestHadoopHAQuorumDurability(t *testing.T) {
 		t.Fatal("not ready")
 	}
 	// Kill one journal node: writes must still commit (quorum 3/4).
-	sys.JNs[0].Node().Crash()
+	sys.Stores[0].Node().Crash()
 	drv := workload.NewDriver(env, sys, 2, nil)
 	drv.Setup(2)
 	elapsed := drv.RunOps(mams.OpCreate, 500, 8)
@@ -182,14 +184,15 @@ func TestHadoopHAQuorumDurability(t *testing.T) {
 	_ = elapsed
 	// Kill a second: 2/4 is below quorum; no further batch may become
 	// durable.
-	sys.JNs[1].Node().Crash()
+	sys.Stores[1].Node().Crash()
 	env.RunFor(sim.Second)
-	before := sys.NN0.CommittedSN()
+	nn0 := sys.Servers[0].(*baselines.SharedLogNode)
+	before := nn0.CommittedSN()
 	cli := sys.NewClient(nil)
 	env.World.Defer("stall-probe", func() { cli.Create("/bench/stall-probe", 1, func(error) {}) })
 	env.RunFor(20 * sim.Second)
-	if sys.NN0.CommittedSN() != before {
-		t.Fatalf("batch committed without a JN quorum: %d -> %d", before, sys.NN0.CommittedSN())
+	if nn0.CommittedSN() != before {
+		t.Fatalf("batch committed without a JN quorum: %d -> %d", before, nn0.CommittedSN())
 	}
 }
 
@@ -202,11 +205,11 @@ func TestBoomFSCommitsThroughPaxos(t *testing.T) {
 	}
 	env.RunFor(5 * sim.Second)
 	// All replicas applied the same log prefix.
-	leader := sys.Leader()
+	leader := sys.Active()
 	if leader == nil {
 		t.Fatal("no leader")
 	}
-	for _, r := range sys.Replicas {
+	for _, r := range sys.Servers {
 		if r == leader {
 			continue
 		}
@@ -222,13 +225,13 @@ func TestBoomFSCommitsThroughPaxos(t *testing.T) {
 func TestBoomFSFailover(t *testing.T) {
 	env := cluster.NewEnv(31)
 	sys := cluster.BuildBoomFS(env, cluster.BaselineSpec{})
-	old := sys.Leader()
+	old := sys.Active()
 	mttr := measureMTTR(t, env, sys, 60*sim.Second)
 	// Detection (~5-6 s) + election + centralized repair (7 s) + client.
 	if mttr < 9*sim.Second || mttr > 25*sim.Second {
 		t.Fatalf("Boom-FS MTTR = %v, want ~13-16s", mttr)
 	}
-	newLeader := sys.Leader()
+	newLeader := sys.Active()
 	if newLeader == nil || newLeader == old {
 		t.Fatal("no new leader")
 	}

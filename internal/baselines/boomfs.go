@@ -1,8 +1,6 @@
 package baselines
 
 import (
-	"errors"
-
 	"mams/internal/journal"
 	"mams/internal/mams"
 	"mams/internal/paxos"
@@ -50,42 +48,30 @@ type boomPong struct {
 	Leader bool
 }
 
-type boomRole uint8
-
-const (
-	boomLeader boomRole = iota + 1
-	boomFollower
-	boomRecovering
-	boomDead
-)
-
-// BoomFS is one Boom-FS metadata replica.
+// BoomFS is one Boom-FS metadata replica. Its nsCore leader field is the
+// best guess of the leader, which a follower pings and redirects clients to.
 type BoomFS struct {
-	node     *simnet.Node
-	core     *nsCore
+	nsCore
 	params   BoomFSParams
 	peers    []simnet.NodeID
 	rank     int // position in peers (takeover stagger)
 	replica  *paxos.Replica
-	role     boomRole
-	leader   simnet.NodeID // best guess
 	misses   int
 	attempts int // failed election attempts (backoff)
-	tr       *trace.Log
 }
 
 // NewBoomFS registers one replica; peers lists every replica including id.
 // The first peer bootstraps leadership.
 func NewBoomFS(net *simnet.Network, id simnet.NodeID, peers []simnet.NodeID,
 	params BoomFSParams, tr *trace.Log) *BoomFS {
-	b := &BoomFS{params: params, peers: peers, tr: tr, role: boomFollower}
+	b := &BoomFS{params: params, peers: peers}
 	for i, p := range peers {
 		if p == id {
 			b.rank = i
 		}
 	}
-	b.node = net.AddNode(id, b)
-	b.core = newNSCore(b.node, params.MDS)
+	b.register(net, id, b, params.MDS, tr, roleStandby)
+	b.lostLead = b.preempted
 	strPeers := make([]string, len(peers))
 	for i, p := range peers {
 		strPeers[i] = string(p)
@@ -98,7 +84,7 @@ func NewBoomFS(net *simnet.Network, id simnet.NodeID, peers []simnet.NodeID,
 // Start boots ticking and (for the first peer) leadership.
 func (b *BoomFS) Start() {
 	if b.rank == 0 {
-		b.role = boomRecovering
+		b.role = roleRecovering
 		b.node.After(0, "boom-lead", func() { b.replica.TryLead() })
 		b.awaitLeadership()
 	} else {
@@ -106,24 +92,6 @@ func (b *BoomFS) Start() {
 		b.armPing()
 	}
 	b.armTick()
-}
-
-// Node exposes the simulated process.
-func (b *BoomFS) Node() *simnet.Node { return b.node }
-
-// IsLeader reports whether this replica serves clients.
-func (b *BoomFS) IsLeader() bool { return b.role == boomLeader }
-
-// LastSN exposes the journal position.
-func (b *BoomFS) LastSN() uint64 { return b.core.log.LastSN() }
-
-// Tree exposes the namespace for verification.
-func (b *BoomFS) Files() int { return b.core.tree.Files() }
-
-func (b *BoomFS) emit(what string, args ...string) {
-	if b.tr != nil {
-		b.tr.Emit(trace.KindFailover, string(b.node.ID()), what, args...)
-	}
 }
 
 func (b *BoomFS) armTick() {
@@ -135,11 +103,11 @@ func (b *BoomFS) armTick() {
 
 func (b *BoomFS) armPing() {
 	b.node.After(b.params.PingEvery, "boom-ping", func() {
-		if b.role != boomFollower {
+		if b.role != roleStandby {
 			return
 		}
 		b.node.Call(b.leader, boomPing{}, b.params.PingEvery, func(resp any, err error) {
-			if b.role != boomFollower {
+			if b.role != roleStandby {
 				return
 			}
 			if err != nil {
@@ -181,7 +149,7 @@ func (b *BoomFS) rotateLeaderGuess() {
 // startTakeover runs the Boom-FS failover: win the Paxos log, drain
 // recovery, run the centralized repair decision, then serve.
 func (b *BoomFS) startTakeover() {
-	b.role = boomRecovering
+	b.role = roleRecovering
 	b.emit("boom-takeover-start", "sn", "")
 	b.replica.TryLead()
 	b.awaitLeadership()
@@ -198,7 +166,7 @@ func (b *BoomFS) awaitLeadership() {
 		delay = 2 * sim.Second
 	}
 	b.node.After(delay, "boom-await-lead", func() {
-		if b.role != boomRecovering {
+		if b.role != roleRecovering {
 			return
 		}
 		if b.replica.Leading() {
@@ -209,15 +177,15 @@ func (b *BoomFS) awaitLeadership() {
 			}
 			// Centralized repair decision phase.
 			b.node.After(b.params.RepairFixed, "boom-repair", func() {
-				if b.role != boomRecovering {
+				if b.role != roleRecovering {
 					return
 				}
 				if !b.replica.Leading() {
 					b.awaitLeadership() // preempted mid-repair
 					return
 				}
-				b.role = boomLeader
-				b.core.builder = journal.NewBuilder(1, b.core.log.LastSN(), b.core.lastTx)
+				b.role = roleActive
+				b.builder = journal.NewBuilder(1, b.log.LastSN(), b.lastTx)
 				b.emit("boom-leader")
 				b.armBatch()
 			})
@@ -229,7 +197,7 @@ func (b *BoomFS) awaitLeadership() {
 		leaderFound := false
 		finish := func() {
 			pendingChecks--
-			if pendingChecks > 0 || b.role != boomRecovering {
+			if pendingChecks > 0 || b.role != roleRecovering {
 				return
 			}
 			if leaderFound {
@@ -248,10 +216,10 @@ func (b *BoomFS) awaitLeadership() {
 			pendingChecks++
 			peer := p
 			b.node.Call(peer, boomPing{}, 200*sim.Millisecond, func(resp any, err error) {
-				if err == nil && b.role == boomRecovering {
+				if err == nil && b.role == roleRecovering {
 					if pong, ok := resp.(boomPong); ok && pong.Leader {
 						leaderFound = true
-						b.role = boomFollower
+						b.role = roleStandby
 						b.leader = peer
 						b.misses = 0
 						b.armPing()
@@ -267,31 +235,27 @@ func (b *BoomFS) awaitLeadership() {
 	})
 }
 
+// armBatch proposes each sealed batch to the Paxos log. Replication costs
+// the leader CPU per standby, per batch and per record, like any
+// state-replication design.
 func (b *BoomFS) armBatch() {
-	b.node.After(b.params.MDS.BatchEvery, "boom-batch", func() {
-		if b.role != boomLeader {
-			return
-		}
-		if !b.replica.Leading() {
-			// Preempted by a higher ballot: stop serving and re-contend.
-			b.core.failAll(errors.New("boomfs: leadership preempted"))
-			b.role = boomRecovering
-			b.awaitLeadership()
-			return
-		}
-		if batch, ok := b.core.seal(); ok {
-			// Replication CPU cost, like any state-replication design.
-			cost := sim.Time(len(b.peers)-1) * (b.params.MDS.ReplPerBatchPerStandby +
-				sim.Time(len(batch.Records))*b.params.MDS.ReplPerRecordPerStandby)
-			now := b.node.World().Now()
-			if b.core.busyUntil < now {
-				b.core.busyUntil = now
-			}
-			b.core.busyUntil += cost
-			b.replica.Propose(&boomBatch{B: batch})
-		}
-		b.armBatch()
+	standbys := sim.Time(len(b.peers) - 1)
+	b.armSeal(standbys*b.params.MDS.ReplPerRecordPerStandby, func(batch journal.Batch) {
+		b.cpu.Add(b.node.Now(), standbys*b.params.MDS.ReplPerBatchPerStandby)
+		b.replica.Propose(&boomBatch{B: batch})
 	})
+}
+
+// preempted steps a leader down once a higher ballot has taken the log,
+// and sends it back to contend.
+func (b *BoomFS) preempted() bool {
+	if b.replica.Leading() {
+		return false
+	}
+	b.failAll()
+	b.role = roleRecovering
+	b.awaitLeadership()
+	return true
 }
 
 // onPaxosApply delivers a chosen batch in total order.
@@ -301,24 +265,18 @@ func (b *BoomFS) onPaxosApply(slot uint64, v any) {
 		return // paxos.Noop
 	}
 	batch := bb.B
-	if batch.SN <= b.core.log.LastSN() {
+	if batch.SN <= b.log.LastSN() {
 		// Our own sealed batch (the leader applied it at execute time) or
 		// a duplicate from recovery: release the waiting clients.
-		if b.role == boomLeader {
-			b.core.commit(batch.SN)
+		if b.role == roleActive {
+			b.commit(batch.SN)
 		}
 		return
 	}
-	if batch.SN != b.core.log.LastSN()+1 {
-		return // gap from a lost leader's log; unreachable with 3 replicas
-	}
-	if err := b.core.tree.ApplyBatch(batch); err != nil {
+	// A gap (a lost leader's log) is skipped; unreachable with 3 replicas.
+	if err := b.applyNext(batch); err != nil {
 		b.emit("boom-replay-divergence", "err", err.Error())
-		return
 	}
-	_ = b.core.log.Append(batch)
-	b.core.lastTx = batch.LastTx()
-	b.core.builder = journal.NewBuilder(1, b.core.log.LastSN(), b.core.lastTx)
 }
 
 // HandleMessage implements simnet.Handler.
@@ -330,32 +288,12 @@ func (b *BoomFS) HandleMessage(from simnet.NodeID, msg any) {
 
 // HandleRequest implements simnet.RequestHandler.
 func (b *BoomFS) HandleRequest(from simnet.NodeID, req any, reply func(any)) {
-	switch m := req.(type) {
-	case boomPing:
+	if _, ok := req.(boomPing); ok {
 		// A leader-elect mid-repair also claims leadership so contenders
 		// stand down while the centralized repair runs.
-		claimed := b.role == boomLeader || (b.role == boomRecovering && b.replica.Leading())
+		claimed := b.role == roleActive || (b.role == roleRecovering && b.replica.Leading())
 		reply(boomPong{Leader: claimed})
-	case mams.ClientOp:
-		if b.role != boomLeader {
-			reply(mams.OpReply{NotActive: true, Hint: b.leader})
-			return
-		}
-		b.core.handleOp(m, reply, nil)
-	case mams.WhoIsActive:
-		if b.role == boomLeader {
-			reply(mams.ActiveIs{Active: b.node.ID(), Epoch: 1})
-			return
-		}
-		reply(mams.ActiveIs{})
-	default:
-		reply(nil)
+		return
 	}
-}
-
-// Crash fails the replica.
-func (b *BoomFS) Crash() {
-	b.core.failAll(errors.New("boomfs: crashed"))
-	b.node.Crash()
-	b.role = boomDead
+	b.nsCore.HandleRequest(from, req, reply)
 }

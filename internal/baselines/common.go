@@ -1,7 +1,8 @@
 // Package baselines implements the four reliable-metadata designs the paper
 // compares MAMS against — HDFS BackupNode, Facebook AvatarNode, Hadoop HA
 // (quorum journal manager) and Boom-FS — plus vanilla single-server HDFS as
-// the unreplicated performance reference.
+// the unreplicated performance reference. AvatarNode and Hadoop HA are one
+// design, the shared-edit-log pair (sharedlog.go), with two parameterisations.
 //
 // All five serve the same client protocol as the MAMS servers
 // (mams.ClientOp / mams.OpReply / mams.WhoIsActive), so the same
@@ -17,45 +18,112 @@ import (
 	"mams/internal/namespace"
 	"mams/internal/sim"
 	"mams/internal/simnet"
+	"mams/internal/trace"
+	"mams/internal/transport"
 )
 
-// nsCore is the single-namespace metadata engine embedded in every
-// baseline server: inode tree, journal builder, CPU queue and retry cache.
+// role is a baseline server's place in its design's failover.
+type role uint8
+
+const (
+	roleActive     role = iota + 1 // serves clients (primary, leader)
+	roleStandby                    // backup, follower
+	roleRecovering                 // taking over
+	roleDead
+)
+
+// nsCore is the single-namespace metadata engine every baseline server
+// embeds: inode tree, journal, dispatch CPU, retry cache and commit
+// waiters, plus the client protocol and crash handling they all share.
 type nsCore struct {
-	node      *simnet.Node
-	params    mams.Params
-	tree      *namespace.Tree
-	builder   *journal.Builder
-	log       *journal.Log
-	lastTx    uint64
-	busyUntil sim.Time
-	committed uint64 // highest durable sn
+	node    *simnet.Node
+	params  mams.Params
+	tr      *trace.Log
+	role    role
+	leader  simnet.NodeID // redirect hint for clients of a non-active server
+	tree    *namespace.Tree
+	builder *journal.Builder
+	log     *journal.Log
+	lastTx  uint64
+	cpu     transport.Lane // the single-threaded dispatcher
+	// committed is the highest durable sn.
+	committed uint64
 	retry     map[uint64]mams.OpReply
-	waiters   map[uint64][]func(error)
+	waiters   map[uint64][]func(committed bool)
+	// lostLead, when set, is asked at each seal tick whether the active has
+	// lost the right to serve since the last one; it steps the server down
+	// and returns true, which stops the seal loop.
+	lostLead func() bool
 }
 
-func newNSCore(node *simnet.Node, params mams.Params) *nsCore {
-	return &nsCore{
-		node:    node,
-		params:  params,
-		tree:    namespace.New(),
-		builder: journal.NewBuilder(1, 0, 0),
-		log:     journal.NewLog(),
-		retry:   map[uint64]mams.OpReply{},
-		waiters: map[uint64][]func(error){},
+// register builds the core for server h, which embeds it, and adds h to the
+// network under id.
+func (c *nsCore) register(net *simnet.Network, id simnet.NodeID, h simnet.Handler,
+	params mams.Params, tr *trace.Log, r role) {
+	c.node = net.AddNode(id, h)
+	c.params = params
+	c.tr = tr
+	c.role = r
+	c.tree = namespace.New()
+	c.builder = journal.NewBuilder(1, 0, 0)
+	c.log = journal.NewLog()
+	c.retry = map[uint64]mams.OpReply{}
+	c.waiters = map[uint64][]func(bool){}
+}
+
+// Node exposes the simulated process.
+func (c *nsCore) Node() *simnet.Node { return c.node }
+
+// IsActive reports whether this server serves clients.
+func (c *nsCore) IsActive() bool { return c.role == roleActive }
+
+// LastSN exposes the journal position.
+func (c *nsCore) LastSN() uint64 { return c.log.LastSN() }
+
+// Files exposes the namespace size for verification.
+func (c *nsCore) Files() int { return c.tree.Files() }
+
+// CommittedSN returns the highest durable journal batch.
+func (c *nsCore) CommittedSN() uint64 { return c.committed }
+
+func (c *nsCore) emit(what string, args ...string) {
+	if c.tr != nil {
+		c.tr.Emit(trace.KindFailover, string(c.node.ID()), what, args...)
 	}
 }
 
-// queue charges svc CPU time and runs fn when the (single-threaded)
-// dispatcher reaches this request.
-func (c *nsCore) queue(svc sim.Time, name string, fn func()) {
-	now := c.node.World().Now()
-	start := c.busyUntil
-	if start < now {
-		start = now
+// Crash fails the server: clients waiting on a commit are told to look for
+// the new active.
+func (c *nsCore) Crash() {
+	c.failAll()
+	c.node.Crash()
+	c.role = roleDead
+}
+
+// HandleMessage implements simnet.Handler; designs that exchange one-way
+// messages override it.
+func (c *nsCore) HandleMessage(from simnet.NodeID, msg any) {}
+
+// HandleRequest implements simnet.RequestHandler: the client protocol.
+// Designs with requests of their own answer those first and pass the rest
+// here.
+func (c *nsCore) HandleRequest(from simnet.NodeID, req any, reply func(any)) {
+	switch m := req.(type) {
+	case mams.ClientOp:
+		if c.role != roleActive {
+			reply(mams.OpReply{NotActive: true, Hint: c.leader})
+			return
+		}
+		c.handleOp(m, reply)
+	case mams.WhoIsActive:
+		if c.role == roleActive {
+			reply(mams.ActiveIs{Active: c.node.ID(), Epoch: 1})
+			return
+		}
+		reply(mams.ActiveIs{})
+	default:
+		reply(nil)
 	}
-	c.busyUntil = start + svc
-	c.node.After(c.busyUntil-now, name, fn)
 }
 
 // recordFor converts a client mutation into a journal record.
@@ -112,11 +180,6 @@ func (c *nsCore) applyMutation(op mams.ClientOp, now int64) (uint64, *mams.OpRep
 	return c.log.LastSN() + 1, nil
 }
 
-// wait registers a reply to fire when sn commits.
-func (c *nsCore) wait(sn uint64, fn func(error)) {
-	c.waiters[sn] = append(c.waiters[sn], fn)
-}
-
 // commit releases every waiter at or below sn.
 func (c *nsCore) commit(sn uint64) {
 	if sn > c.committed {
@@ -125,7 +188,7 @@ func (c *nsCore) commit(sn uint64) {
 	for s := range c.waiters {
 		if s <= sn {
 			for _, w := range c.waiters[s] {
-				w(nil)
+				w(true)
 			}
 			delete(c.waiters, s)
 		}
@@ -133,37 +196,62 @@ func (c *nsCore) commit(sn uint64) {
 }
 
 // failAll rejects every outstanding waiter (server stepping down/crashing).
-func (c *nsCore) failAll(err error) {
+func (c *nsCore) failAll() {
 	for s, ws := range c.waiters {
 		for _, w := range ws {
-			w(err)
+			w(false)
 		}
 		delete(c.waiters, s)
 	}
 }
 
-// seal closes the pending records into a batch and appends it locally.
-func (c *nsCore) seal() (journal.Batch, bool) {
-	if c.builder.Pending() == 0 {
-		return journal.Batch{}, false
+// armSeal runs the seal loop while the server is active: every BatchEvery
+// it seals the pending records into a batch, appends it to the local
+// journal, charges perRecord dispatcher CPU for each record and hands the
+// batch to ship, the design's durability path.
+func (c *nsCore) armSeal(perRecord sim.Time, ship func(journal.Batch)) {
+	c.node.After(c.params.BatchEvery, "bl-seal", func() {
+		if c.role != roleActive || (c.lostLead != nil && c.lostLead()) {
+			return
+		}
+		if c.builder.Pending() > 0 {
+			b := c.builder.Seal()
+			c.lastTx = b.LastTx()
+			_ = c.log.Append(b) // the builder numbers batches contiguously
+			c.cpu.Add(c.node.Now(), sim.Time(len(b.Records))*perRecord)
+			ship(b)
+		}
+		c.armSeal(perRecord, ship)
+	})
+}
+
+// applyNext applies a batch received from the active when it is the next
+// one the local journal expects; any other batch is skipped. It returns the
+// namespace's error if the tree rejects the batch.
+func (c *nsCore) applyNext(b journal.Batch) error {
+	if b.SN != c.log.LastSN()+1 {
+		return nil
 	}
-	b := c.builder.Seal()
+	if err := c.tree.ApplyBatch(b); err != nil {
+		return err
+	}
+	_ = c.log.Append(b) // contiguous by the check above
 	c.lastTx = b.LastTx()
-	_ = c.log.Append(b)
-	return b, true
+	c.builder = journal.NewBuilder(1, c.log.LastSN(), c.lastTx)
+	return nil
 }
 
 // handleOp is the common request path: retry-cache check, CPU queueing,
-// read vs mutation dispatch. durable is invoked with the sealed... no —
-// mutations wait on the system-specific commit path; reads answer
-// immediately after the queue delay.
-func (c *nsCore) handleOp(op mams.ClientOp, reply func(any), mutate func(op mams.ClientOp, sn uint64)) {
+// then a read answers at once and a mutation waits for the commit of the
+// batch that carries it.
+func (c *nsCore) handleOp(op mams.ClientOp, reply func(any)) {
 	if cached, dup := c.retry[op.ReqID]; dup {
 		reply(cached)
 		return
 	}
-	c.queue(c.params.SvcFor(op.Kind), "bl-op", func() {
-		now := int64(c.node.World().Now())
+	// After, not Charge: a zero wait still yields to the event queue.
+	c.node.After(c.cpu.Add(c.node.Now(), c.params.SvcFor(op.Kind)), "bl-op", func() {
+		now := int64(c.node.Now())
 		if !op.Kind.Mutating() {
 			rep := c.executeRead(op)
 			c.retry[op.ReqID] = rep
@@ -176,18 +264,13 @@ func (c *nsCore) handleOp(op mams.ClientOp, reply func(any), mutate func(op mams
 			reply(*errRep)
 			return
 		}
-		c.wait(sn, func(err error) {
-			var rep mams.OpReply
-			if err != nil {
-				rep = mams.OpReply{Err: err.Error(), NotActive: true}
-			} else {
-				rep = mams.OpReply{}
-				c.retry[op.ReqID] = rep
+		c.waiters[sn] = append(c.waiters[sn], func(committed bool) {
+			if !committed {
+				reply(mams.OpReply{NotActive: true})
+				return
 			}
-			reply(rep)
+			c.retry[op.ReqID] = mams.OpReply{}
+			reply(mams.OpReply{})
 		})
-		if mutate != nil {
-			mutate(op, sn)
-		}
 	})
 }

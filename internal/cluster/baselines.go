@@ -35,272 +35,160 @@ func (s BaselineSpec) virtualBlocksPerDN() int64 {
 	return s.VirtualImageBytes / 150 / int64(s.DataServers)
 }
 
-func buildDataServers(env *Env, name string, spec BaselineSpec, targets []simnet.NodeID) []*blockmap.DataServer {
-	var out []*blockmap.DataServer
+// buildDataServers deploys the data servers, reporting blocks to targets.
+func buildDataServers(env *Env, name string, spec BaselineSpec, targets []simnet.NodeID) {
 	for d := 0; d < spec.DataServers; d++ {
 		ds := blockmap.NewDataServer(env.Net, NodeID("dn", name, d), blockmap.DefaultParams(), targets)
 		ds.SetVirtualBlocks(spec.virtualBlocksPerDN())
 		ds.Start()
-		out = append(out, ds)
 	}
-	return out
 }
 
-// ---- vanilla HDFS ----
+// BaselineServer is a baseline metadata server as the harness drives it.
+type BaselineServer interface {
+	Start()
+	Node() *simnet.Node
+	IsActive() bool
+	Crash()
+	LastSN() uint64
+	Files() int
+}
 
-// HDFSSystem is the unreplicated single-NameNode deployment.
-type HDFSSystem struct {
+// BaselineSystem is one deployed baseline design. The designs differ in
+// their servers and in two harness behaviours, which are kept as data.
+type BaselineSystem struct {
+	// Servers are the metadata servers in boot order; Servers[0] boots
+	// active.
+	Servers []BaselineServer
+	// Stores are the shared edit stores of AvatarNode and Hadoop HA.
+	Stores []*baselines.EditStore
+
 	env       *Env
-	NN        *baselines.HDFS
+	name      string
 	part      *partition.Partitioner
 	ids       [][]simnet.NodeID
 	clientSeq int
+	// settle is how long AwaitReady runs a design that serves from boot
+	// (HDFS, BackupNode); the others poll for an active.
+	settle sim.Time
+	// crashNodeOnly makes CrashPrimary kill the process without failing
+	// its waiting clients over (HDFS: there is nowhere to send them).
+	crashNodeOnly bool
 }
 
-// BuildHDFS deploys a vanilla NameNode.
-func BuildHDFS(env *Env, spec BaselineSpec) *HDFSSystem {
-	s := &HDFSSystem{env: env, part: partition.New(1)}
-	id := NodeID("hdfs", "nn")
-	s.NN = baselines.NewHDFS(env.Net, id, baselines.DefaultHDFSParams())
-	s.ids = [][]simnet.NodeID{{id}}
-	buildDataServers(env, "hdfs", spec, []simnet.NodeID{id})
+// newBaselineSystem starts the servers, in order.
+func newBaselineSystem(env *Env, name string, servers ...BaselineServer) *BaselineSystem {
+	s := &BaselineSystem{Servers: servers, env: env, name: name, part: partition.New(1)}
+	ids := make([]simnet.NodeID, len(servers))
+	for i, v := range servers {
+		v.Start()
+		ids[i] = v.Node().ID()
+	}
+	s.ids = [][]simnet.NodeID{ids}
 	return s
 }
 
-func (s *HDFSSystem) Name() string                        { return "HDFS" }
-func (s *HDFSSystem) GroupIDs() [][]simnet.NodeID         { return s.ids }
-func (s *HDFSSystem) Partitioner() *partition.Partitioner { return s.part }
-func (s *HDFSSystem) AwaitReady(d sim.Time) bool          { s.env.RunFor(100 * sim.Millisecond); return true }
-func (s *HDFSSystem) CrashPrimary()                       { s.NN.Node().Crash() }
-func (s *HDFSSystem) PrimaryUp() bool                     { return s.NN.Node().Up() }
-func (s *HDFSSystem) NewClient(onResult func(fsclient.Result)) *fsclient.Client {
-	return newSystemClient(s.env, &s.clientSeq, s, onResult)
+// BuildHDFS deploys a vanilla NameNode.
+func BuildHDFS(env *Env, spec BaselineSpec) *BaselineSystem {
+	nn := baselines.NewHDFS(env.Net, NodeID("hdfs", "nn"), baselines.DefaultHDFSParams())
+	s := newBaselineSystem(env, "HDFS", nn)
+	s.settle, s.crashNodeOnly = 100*sim.Millisecond, true
+	buildDataServers(env, "hdfs", spec, s.ids[0])
+	return s
 }
 
-// ---- HDFS BackupNode ----
-
-// BackupNodeSystem is the primary/backup pair.
-type BackupNodeSystem struct {
-	env       *Env
-	Primary   *baselines.BackupNode
-	Backup    *baselines.BackupNode
-	part      *partition.Partitioner
-	ids       [][]simnet.NodeID
-	clientSeq int
-}
-
-// BuildBackupNode deploys the pair plus data servers.
-func BuildBackupNode(env *Env, spec BaselineSpec) *BackupNodeSystem {
-	s := &BackupNodeSystem{env: env, part: partition.New(1)}
+// BuildBackupNode deploys the primary/backup pair plus data servers.
+func BuildBackupNode(env *Env, spec BaselineSpec) *BaselineSystem {
 	pID, bID := NodeID("bn", "primary"), NodeID("bn", "backup")
 	var dnIDs []simnet.NodeID
 	for d := 0; d < spec.DataServers; d++ {
 		dnIDs = append(dnIDs, NodeID("dn", "bn", d))
 	}
 	params := baselines.DefaultBackupNodeParams()
-	s.Primary = baselines.NewBackupNode(env.Net, pID, bID, true, dnIDs, params, env.Trace)
-	s.Backup = baselines.NewBackupNode(env.Net, bID, pID, false, dnIDs, params, env.Trace)
-	s.ids = [][]simnet.NodeID{{pID, bID}}
+	s := newBaselineSystem(env, "BackupNode",
+		baselines.NewBackupNode(env.Net, pID, bID, true, dnIDs, params, env.Trace),
+		baselines.NewBackupNode(env.Net, bID, pID, false, dnIDs, params, env.Trace))
+	s.settle = 100 * sim.Millisecond
 	// Data servers report only to the primary: the backup must re-collect
 	// on takeover (the design's defining weakness).
 	buildDataServers(env, "bn", spec, []simnet.NodeID{pID})
 	return s
 }
 
-func (s *BackupNodeSystem) Name() string                        { return "BackupNode" }
-func (s *BackupNodeSystem) GroupIDs() [][]simnet.NodeID         { return s.ids }
-func (s *BackupNodeSystem) Partitioner() *partition.Partitioner { return s.part }
-func (s *BackupNodeSystem) AwaitReady(d sim.Time) bool {
-	s.env.RunFor(100 * sim.Millisecond)
-	return true
-}
-func (s *BackupNodeSystem) CrashPrimary() {
-	if s.Primary.IsPrimary() {
-		s.Primary.Crash()
-		return
-	}
-	s.Backup.Crash()
-}
-func (s *BackupNodeSystem) PrimaryUp() bool {
-	return (s.Primary.Node().Up() && s.Primary.IsPrimary()) ||
-		(s.Backup.Node().Up() && s.Backup.IsPrimary())
-}
-func (s *BackupNodeSystem) NewClient(onResult func(fsclient.Result)) *fsclient.Client {
-	return newSystemClient(s.env, &s.clientSeq, s, onResult)
+// BuildAvatar deploys Facebook's AvatarNode: the shared-edit-log pair over
+// one NFS filer.
+func BuildAvatar(env *Env, spec BaselineSpec) *BaselineSystem {
+	return buildSharedLog(env, spec, "Hadoop Avatar", baselines.AvatarNode,
+		baselines.DefaultAvatarParams(), []simnet.NodeID{NodeID("avatar", "filer")})
 }
 
-// ---- AvatarNode ----
-
-// AvatarSystem is the Facebook AvatarNode deployment.
-type AvatarSystem struct {
-	env       *Env
-	Active    *baselines.Avatar
-	Standby   *baselines.Avatar
-	Filer     *baselines.AvatarFiler
-	Coord     *coord.Ensemble
-	part      *partition.Partitioner
-	ids       [][]simnet.NodeID
-	clientSeq int
-}
-
-// BuildAvatar deploys two avatars, the NFS filer, and a coordination
-// ensemble for failure detection.
-func BuildAvatar(env *Env, spec BaselineSpec) *AvatarSystem {
-	if spec.CoordServers == 0 {
-		spec.CoordServers = 3
-	}
-	s := &AvatarSystem{env: env, part: partition.New(1)}
-	s.Coord = coord.StartEnsemble(env.Net, spec.CoordServers, env.Trace)
-	params := baselines.DefaultAvatarParams()
-	s.Filer = baselines.NewAvatarFiler(env.Net, NodeID("avatar", "filer"), params.FilerAppendCost)
-	aID, sID := NodeID("avatar", "nn0"), NodeID("avatar", "nn1")
-	s.Active = baselines.NewAvatar(env.Net, aID, s.Filer.Node().ID(), true, s.Coord.IDs, params, env.Trace)
-	s.Standby = baselines.NewAvatar(env.Net, sID, s.Filer.Node().ID(), false, s.Coord.IDs, params, env.Trace)
-	s.Active.Start()
-	s.Standby.Start()
-	s.ids = [][]simnet.NodeID{{aID, sID}}
-	// AvatarNode datanodes "talk to both the active and standby metadata
-	// servers", so the standby is hot with respect to block locations.
-	buildDataServers(env, "avatar", spec, []simnet.NodeID{aID, sID})
-	return s
-}
-
-func (s *AvatarSystem) Name() string                        { return "Hadoop Avatar" }
-func (s *AvatarSystem) GroupIDs() [][]simnet.NodeID         { return s.ids }
-func (s *AvatarSystem) Partitioner() *partition.Partitioner { return s.part }
-func (s *AvatarSystem) AwaitReady(d sim.Time) bool {
-	end := s.env.Now() + d
-	for s.env.Now() < end {
-		if s.PrimaryUp() {
-			return true
-		}
-		s.env.RunFor(200 * sim.Millisecond)
-	}
-	return s.PrimaryUp()
-}
-func (s *AvatarSystem) CrashPrimary() {
-	if s.Active.IsActive() {
-		s.Active.Crash()
-		return
-	}
-	s.Standby.Crash()
-}
-func (s *AvatarSystem) PrimaryUp() bool {
-	return (s.Active.Node().Up() && s.Active.IsActive()) ||
-		(s.Standby.Node().Up() && s.Standby.IsActive())
-}
-func (s *AvatarSystem) NewClient(onResult func(fsclient.Result)) *fsclient.Client {
-	return newSystemClient(s.env, &s.clientSeq, s, onResult)
-}
-
-// ---- Hadoop HA (QJM) ----
-
-// HadoopHASystem is the QJM + ZKFC deployment.
-type HadoopHASystem struct {
-	env       *Env
-	NN0       *baselines.HANameNode
-	NN1       *baselines.HANameNode
-	JNs       []*baselines.JournalNode
-	Coord     *coord.Ensemble
-	part      *partition.Partitioner
-	ids       [][]simnet.NodeID
-	clientSeq int
-}
-
-// BuildHadoopHA deploys two NameNodes, the journal nodes (paper: 4) and a
-// coordination ensemble for the ZKFCs.
-func BuildHadoopHA(env *Env, spec BaselineSpec) *HadoopHASystem {
-	if spec.CoordServers == 0 {
-		spec.CoordServers = 3
-	}
+// BuildHadoopHA deploys Hadoop HA: the shared-edit-log pair over the
+// journal nodes (spec.Replicas; the paper sets 4) with ZKFC failover.
+func BuildHadoopHA(env *Env, spec BaselineSpec) *BaselineSystem {
 	jns := spec.Replicas
 	if jns == 0 {
 		jns = 4 // "the number of JournalNodes was set to 4"
 	}
-	s := &HadoopHASystem{env: env, part: partition.New(1)}
-	s.Coord = coord.StartEnsemble(env.Net, spec.CoordServers, env.Trace)
-	params := baselines.DefaultHadoopHAParams()
-	var jnIDs []simnet.NodeID
+	var ids []simnet.NodeID
 	for i := 0; i < jns; i++ {
-		jn := baselines.NewJournalNode(env.Net, NodeID("ha", "jn", i), params.JNWriteCost)
-		s.JNs = append(s.JNs, jn)
-		jnIDs = append(jnIDs, jn.Node().ID())
+		ids = append(ids, NodeID("ha", "jn", i))
 	}
-	n0, n1 := NodeID("ha", "nn0"), NodeID("ha", "nn1")
-	s.NN0 = baselines.NewHANameNode(env.Net, n0, jnIDs, true, s.Coord.IDs, params, env.Trace)
-	s.NN1 = baselines.NewHANameNode(env.Net, n1, jnIDs, false, s.Coord.IDs, params, env.Trace)
-	s.NN0.Start()
-	s.NN1.Start()
-	s.ids = [][]simnet.NodeID{{n0, n1}}
-	buildDataServers(env, "ha", spec, []simnet.NodeID{n0, n1})
+	return buildSharedLog(env, spec, "Hadoop HA", baselines.HadoopHA, baselines.DefaultHadoopHAParams(), ids)
+}
+
+// buildSharedLog deploys a coordination ensemble for failure detection,
+// the edit stores, and the two servers of the pair.
+func buildSharedLog(env *Env, spec BaselineSpec, name string, d baselines.Design,
+	params baselines.SharedLogParams, storeIDs []simnet.NodeID) *BaselineSystem {
+	if spec.CoordServers == 0 {
+		spec.CoordServers = 3
+	}
+	ensemble := coord.StartEnsemble(env.Net, spec.CoordServers, env.Trace)
+	var stores []*baselines.EditStore
+	for _, id := range storeIDs {
+		stores = append(stores, baselines.NewEditStore(env.Net, id, params.StoreWriteCost))
+	}
+	pair := make([]BaselineServer, 2)
+	for i := range pair {
+		pair[i] = baselines.NewSharedLogNode(env.Net, NodeID(d, fmt.Sprint("nn", i)), d,
+			storeIDs, i == 0, ensemble.IDs, params, env.Trace)
+	}
+	s := newBaselineSystem(env, name, pair...)
+	s.Stores = stores
+	// The datanodes "talk to both the active and standby metadata
+	// servers", so the standby is hot with respect to block locations.
+	buildDataServers(env, string(d), spec, s.ids[0])
 	return s
 }
 
-func (s *HadoopHASystem) Name() string                        { return "Hadoop HA" }
-func (s *HadoopHASystem) GroupIDs() [][]simnet.NodeID         { return s.ids }
-func (s *HadoopHASystem) Partitioner() *partition.Partitioner { return s.part }
-func (s *HadoopHASystem) AwaitReady(d sim.Time) bool {
-	end := s.env.Now() + d
-	for s.env.Now() < end {
-		if s.PrimaryUp() {
-			return true
-		}
-		s.env.RunFor(200 * sim.Millisecond)
-	}
-	return s.PrimaryUp()
-}
-func (s *HadoopHASystem) CrashPrimary() {
-	if s.NN0.IsActive() {
-		s.NN0.Crash()
-		return
-	}
-	s.NN1.Crash()
-}
-func (s *HadoopHASystem) PrimaryUp() bool {
-	return (s.NN0.Node().Up() && s.NN0.IsActive()) || (s.NN1.Node().Up() && s.NN1.IsActive())
-}
-func (s *HadoopHASystem) NewClient(onResult func(fsclient.Result)) *fsclient.Client {
-	return newSystemClient(s.env, &s.clientSeq, s, onResult)
-}
-
-// ---- Boom-FS ----
-
-// BoomFSSystem is the Paxos-replicated metadata deployment.
-type BoomFSSystem struct {
-	env       *Env
-	Replicas  []*baselines.BoomFS
-	part      *partition.Partitioner
-	ids       [][]simnet.NodeID
-	clientSeq int
-}
-
-// BuildBoomFS deploys n (default 3) replicas.
-func BuildBoomFS(env *Env, spec BaselineSpec) *BoomFSSystem {
+// BuildBoomFS deploys n (default 3) Paxos-replicated replicas.
+func BuildBoomFS(env *Env, spec BaselineSpec) *BaselineSystem {
 	n := spec.Replicas
 	if n == 0 {
 		n = 3
 	}
-	s := &BoomFSSystem{env: env, part: partition.New(1)}
 	var ids []simnet.NodeID
 	for i := 0; i < n; i++ {
 		ids = append(ids, NodeID("boom", fmt.Sprint(i)))
 	}
-	for _, id := range ids {
-		r := baselines.NewBoomFS(env.Net, id, ids, baselines.DefaultBoomFSParams(), env.Trace)
-		s.Replicas = append(s.Replicas, r)
+	replicas := make([]BaselineServer, n)
+	for i, id := range ids {
+		replicas[i] = baselines.NewBoomFS(env.Net, id, ids, baselines.DefaultBoomFSParams(), env.Trace)
 	}
-	for _, r := range s.Replicas {
-		r.Start()
-	}
-	s.ids = [][]simnet.NodeID{ids}
+	s := newBaselineSystem(env, "Boom-FS", replicas...)
 	buildDataServers(env, "boom", spec, ids)
 	return s
 }
 
-func (s *BoomFSSystem) Name() string                        { return "Boom-FS" }
-func (s *BoomFSSystem) GroupIDs() [][]simnet.NodeID         { return s.ids }
-func (s *BoomFSSystem) Partitioner() *partition.Partitioner { return s.part }
-func (s *BoomFSSystem) AwaitReady(d sim.Time) bool {
+func (s *BaselineSystem) Name() string                        { return s.name }
+func (s *BaselineSystem) GroupIDs() [][]simnet.NodeID         { return s.ids }
+func (s *BaselineSystem) Partitioner() *partition.Partitioner { return s.part }
+
+func (s *BaselineSystem) AwaitReady(d sim.Time) bool {
+	if s.settle > 0 {
+		s.env.RunFor(s.settle)
+		return true
+	}
 	end := s.env.Now() + d
 	for s.env.Now() < end {
 		if s.PrimaryUp() {
@@ -310,21 +198,30 @@ func (s *BoomFSSystem) AwaitReady(d sim.Time) bool {
 	}
 	return s.PrimaryUp()
 }
-func (s *BoomFSSystem) Leader() *baselines.BoomFS {
-	for _, r := range s.Replicas {
-		if r.Node().Up() && r.IsLeader() {
-			return r
+
+// Active returns the running server that serves clients, or nil.
+func (s *BaselineSystem) Active() BaselineServer {
+	for _, v := range s.Servers {
+		if v.Node().Up() && v.IsActive() {
+			return v
 		}
 	}
 	return nil
 }
-func (s *BoomFSSystem) CrashPrimary() {
-	if l := s.Leader(); l != nil {
-		l.Crash()
+
+func (s *BaselineSystem) CrashPrimary() {
+	switch a := s.Active(); {
+	case a == nil:
+	case s.crashNodeOnly:
+		a.Node().Crash()
+	default:
+		a.Crash()
 	}
 }
-func (s *BoomFSSystem) PrimaryUp() bool { return s.Leader() != nil }
-func (s *BoomFSSystem) NewClient(onResult func(fsclient.Result)) *fsclient.Client {
+
+func (s *BaselineSystem) PrimaryUp() bool { return s.Active() != nil }
+
+func (s *BaselineSystem) NewClient(onResult func(fsclient.Result)) *fsclient.Client {
 	return newSystemClient(s.env, &s.clientSeq, s, onResult)
 }
 

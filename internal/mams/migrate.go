@@ -417,7 +417,7 @@ func (s *Server) purgeForeignFiles() {
 	now := int64(s.node.Now())
 	for _, path := range doomed {
 		rec := journal.Record{Op: journal.OpDelete, Path: path, MTime: now}
-		if err := validateRecord(s.tree, rec); err != nil {
+		if err := s.tree.Validate(rec); err != nil {
 			continue
 		}
 		rec.TxID = s.builder.Add(rec)
@@ -510,7 +510,7 @@ func (s *Server) onMigratePurge(m MigratePurge, reply func(any)) {
 	applied := 0
 	for _, path := range doomed {
 		rec := journal.Record{Op: journal.OpDelete, Path: path, MTime: now}
-		if err := validateRecord(s.tree, rec); err != nil {
+		if err := s.tree.Validate(rec); err != nil {
 			continue
 		}
 		rec.TxID = s.builder.Add(rec)
@@ -546,7 +546,7 @@ func (s *Server) onMigrateIngest(m MigrateIngest, reply func(any)) {
 	applied := 0
 	for _, e := range m.Entries {
 		rec := journal.Record{Op: journal.OpCreate, Path: e.Path, Size: e.Size, Perm: e.Perm, MTime: e.MTime}
-		if err := validateRecord(s.tree, rec); err != nil {
+		if err := s.tree.Validate(rec); err != nil {
 			// ErrExists can only mean a duplicate of this very entry (the
 			// slot was purged at the top of the attempt); skip it.
 			continue

@@ -39,8 +39,7 @@ type CostModel struct {
 
 	// DispatchFrac is the share of a mutating op's service time spent on
 	// in-memory dispatch under GroupCommit; the remaining journal-sync
-	// share moves to the journal lane and amortizes across the batch
-	// (out of range values fall back to the default 0.10).
+	// share moves to the journal lane and amortizes across the batch.
 	DispatchFrac float64
 
 	// JournalFlushPerBatch / JournalPerRecord are the journal lane's
@@ -84,7 +83,7 @@ type Params struct {
 
 	// MaxInflightBatches bounds the pipelined replication window under
 	// GroupCommit: that many sealed batches may be replicating concurrently
-	// while commit advancement stays strictly in sn order (0 = default 4).
+	// while commit advancement stays strictly in sn order.
 	MaxInflightBatches int
 
 	// AsyncAck (requires GroupCommit) acknowledges mutations at seal time
@@ -181,20 +180,13 @@ func (p Params) inflightWindow() int {
 	if !p.GroupCommit {
 		return 1 << 30
 	}
-	if p.MaxInflightBatches <= 0 {
-		return 4
-	}
 	return p.MaxInflightBatches
 }
 
 // dispatchSvc is the op-service-thread share of a mutating op's service
 // time under GroupCommit.
 func (p Params) dispatchSvc(svc sim.Time) sim.Time {
-	frac := p.DispatchFrac
-	if frac <= 0 || frac > 1 {
-		frac = 0.10
-	}
-	return sim.Time(float64(svc) * frac)
+	return sim.Time(float64(svc) * p.DispatchFrac)
 }
 
 // SvcFor returns the active's service time for an operation kind.

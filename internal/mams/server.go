@@ -128,9 +128,9 @@ type Server struct {
 	batchTimer  transport.Timer
 	batchArmed  bool
 	fenceLoopOn bool
-	// journalBusyUntil is the journal lane under GroupCommit: sequential
-	// batch writes run here instead of on the op-dispatch lane (busyUntil).
-	journalBusyUntil sim.Time
+	// journalLane is the journal writer under GroupCommit: sequential batch
+	// writes run here instead of on the op-dispatch lane (cpu).
+	journalLane transport.Lane
 	// replCache memoizes replTargets per adopted view (invalidated on view
 	// changes and renew-target transitions).
 	replCache   []transport.NodeID
@@ -170,7 +170,7 @@ type Server struct {
 	slotOps         []uint64
 
 	// Modeling.
-	busyUntil            sim.Time
+	cpu                  transport.Lane // the single op-dispatch thread
 	virtualOverheadBytes int64
 	lastImageSN          uint64
 	lastImageSize        int64
@@ -396,7 +396,7 @@ func (s *Server) Restart() {
 	s.pendingQueue = nil
 	s.batchArmed = false
 	s.fenceLoopOn = false
-	s.journalBusyUntil = 0
+	s.journalLane = transport.Lane{}
 	s.invalidateReplTargets()
 	s.electing = 0
 	s.upgradeQueue = nil
@@ -409,7 +409,7 @@ func (s *Server) Restart() {
 	s.txnPending = map[uint64]*txnState{}
 	s.preparedTxns = map[uint64]*preparedTxn{}
 	s.sanityOn = false
-	s.busyUntil = 0
+	s.cpu = transport.Lane{}
 	s.retryCache = map[uint64]OpReply{}
 	s.resetShardState()
 	s.blocks.Reset()
@@ -1087,13 +1087,7 @@ func (s *Server) handleClientOp(from transport.NodeID, op ClientOp, reply func(a
 	if s.cfg.Params.GroupCommit && op.Kind.Mutating() {
 		svc = s.cfg.Params.dispatchSvc(svc)
 	}
-	now := s.node.Now()
-	start := s.busyUntil
-	if start < now {
-		start = now
-	}
-	s.busyUntil = start + svc
-	transport.Charge(s.node, s.busyUntil-now, "mds-op", func() {
+	transport.Charge(s.node, s.cpu.Add(s.node.Now(), svc), "mds-op", func() {
 		s.executeOp(op, reply)
 	})
 }
@@ -1180,24 +1174,19 @@ func (s *Server) executeOp(op ClientOp, reply func(any)) {
 	}
 }
 
-// validateRecord defers to the namespace's dry-run validator so that only
-// records guaranteed to replay cleanly ever reach the journal.
-func validateRecord(t *namespace.Tree, rec journal.Record) error {
-	return t.Validate(rec)
-}
-
 // applyAndJournal validates and applies records locally, then replies once
-// the containing batch has been replicated to the standbys.
+// the containing batch has been replicated to the standbys. The dry-run
+// validation keeps every record that reaches the journal replayable.
 func (s *Server) applyAndJournal(op ClientOp, recs []journal.Record, reply func(any)) {
 	for i := range recs {
-		if err := validateRecord(s.tree, recs[i]); err != nil {
+		if err := s.tree.Validate(recs[i]); err != nil {
 			s.failOpAtBarrier(op, err.Error(), reply)
 			return
 		}
 		tx := s.builder.Add(recs[i])
 		recs[i].TxID = tx
 		if err := s.tree.Apply(recs[i]); err != nil {
-			// Unreachable given validateRecord; surface loudly if not.
+			// Unreachable given Validate; surface loudly if not.
 			s.emit(trace.KindJournal, "apply-after-validate-failed", "err", err.Error())
 			s.finishOp(op, OpReply{Err: err.Error()}, reply)
 			return
@@ -1396,21 +1385,14 @@ func (s *Server) sealBatch() {
 		cost := p.JournalFlushPerBatch +
 			sim.Time(len(batch.Records))*p.JournalPerRecord +
 			sim.Time(len(targets))*p.ReplPerBatchPerStandby
-		if s.journalBusyUntil < now {
-			s.journalBusyUntil = now
-		}
-		s.journalBusyUntil += cost
-		launchDelay = s.journalBusyUntil - now
+		launchDelay = s.journalLane.Add(now, cost)
 	} else {
 		// Legacy path: replication + SSP serialization CPU charged to the
 		// single dispatch thread.
 		cost := sim.Time(len(targets)) * (p.ReplPerBatchPerStandby +
 			sim.Time(len(batch.Records))*p.ReplPerRecordPerStandby)
 		cost += sim.Time(len(batch.Records)) * p.SSPPerRecordCPU
-		if s.busyUntil < now {
-			s.busyUntil = now
-		}
-		s.busyUntil += cost
+		s.cpu.Add(now, cost)
 	}
 
 	rs := &replState{batch: batch, needed: map[transport.NodeID]bool{}, sealedAt: now}
@@ -1484,27 +1466,19 @@ func (s *Server) sealBatch() {
 		}
 		msg := AppendBatch{From: s.cfg.ID, Epoch: batch.Epoch, Batch: batch, CommitThrough: s.committedSN}
 		for _, t := range targets {
-			s.node.Call(t, msg, p.AckTimeout, s.makeAckHandler(sn, t))
+			s.node.Call(t, msg, p.AckTimeout, func(resp any, err error) {
+				// A timeout is handled by the ack-timeout path, which demotes
+				// the laggard.
+				if ack, ok := resp.(AppendAck); ok && err == nil {
+					s.onAppendAck(ack)
+				}
+			})
 		}
 		rs.timer = s.node.After(p.AckTimeout+10*sim.Millisecond, "mds-ack-timeout", func() {
 			s.onAckTimeout(sn)
 		})
 	}
 	transport.Charge(s.node, launchDelay, "mds-journal-flush", launch)
-}
-
-func (s *Server) makeAckHandler(sn uint64, target transport.NodeID) func(any, error) {
-	return func(resp any, err error) {
-		if err != nil {
-			// Timeout: the ack-timeout path demotes the laggard.
-			return
-		}
-		if ack, ok := resp.(AppendAck); ok {
-			s.onAppendAck(ack)
-		}
-		_ = sn
-		_ = target
-	}
 }
 
 func (s *Server) onAppendAck(ack AppendAck) {
@@ -1562,10 +1536,7 @@ func (s *Server) tryAdvanceCommit() {
 		if n := len(s.waiters[next]); n > 0 && s.cfg.Params.GroupCommit {
 			// Sync-ack group commit: charge the dispatch thread for
 			// processing the commit completions and sending the replies.
-			if s.busyUntil < now {
-				s.busyUntil = now
-			}
-			s.busyUntil += sim.Time(n) * s.cfg.Params.CommitAckCost
+			s.cpu.Add(now, sim.Time(n)*s.cfg.Params.CommitAckCost)
 		}
 		for _, w := range s.waiters[next] {
 			w(nil)
@@ -1777,12 +1748,7 @@ func (s *Server) onAppendBatch(from transport.NodeID, m AppendBatch, reply func(
 		reply(AppendAck{From: s.cfg.ID, SN: sn, OK: true, LastSN: s.effectiveSN()})
 	case sn == expected:
 		// Charge standby CPU for the records it will apply.
-		cost := sim.Time(len(m.Batch.Records)) * s.cfg.Params.StandbyApplyPerRecord
-		now := s.node.Now()
-		if s.busyUntil < now {
-			s.busyUntil = now
-		}
-		s.busyUntil += cost
+		s.cpu.Add(s.node.Now(), sim.Time(len(m.Batch.Records))*s.cfg.Params.StandbyApplyPerRecord)
 		// Pipelined prepares: cache in sn order; only an explicit
 		// CommitThrough/CommitNotice (or failover step 2) commits them.
 		s.pendingQueue = append(s.pendingQueue, m.Batch)

@@ -127,7 +127,7 @@ func (s *Server) executeStructuralOp(op ClientOp, reply func(any)) {
 		// failOpAtBarrier): "exists" from an uncommitted create is a
 		// durability claim the client will rely on.
 		for _, r := range localRecs {
-			if err := validateRecord(s.tree, r); err != nil {
+			if err := s.tree.Validate(r); err != nil {
 				s.failOpAtBarrier(op, err.Error(), reply)
 				return
 			}
@@ -139,7 +139,7 @@ func (s *Server) executeStructuralOp(op ClientOp, reply func(any)) {
 	// Distributed transaction: we coordinate (the client routes to the
 	// plan's lead group).
 	for _, r := range localRecs {
-		if err := validateRecord(s.tree, r); err != nil {
+		if err := s.tree.Validate(r); err != nil {
 			s.failOpAtBarrier(op, err.Error(), reply)
 			return
 		}
@@ -156,11 +156,7 @@ func (s *Server) executeStructuralOp(op ClientOp, reply func(any)) {
 	}
 	s.txnPending[txn.id] = txn
 	// Coordinator-side 2PC bookkeeping cost.
-	now2 := s.node.Now()
-	if s.busyUntil < now2 {
-		s.busyUntil = now2
-	}
-	s.busyUntil += s.cfg.Params.TxnOverhead
+	s.cpu.Add(s.node.Now(), s.cfg.Params.TxnOverhead)
 	s.emit(trace.KindJournal, "txn-start", "op", op.Kind.String(), "groups", fmt.Sprint(len(groups)))
 
 	// Apply locally; the local commit counts as our own vote.
@@ -313,7 +309,7 @@ func (s *Server) compensateLocal(txn *txnState) {
 		if u.Op == journal.OpNoop {
 			continue
 		}
-		if err := validateRecord(s.tree, u); err != nil {
+		if err := s.tree.Validate(u); err != nil {
 			continue // already rolled back or racing client op
 		}
 		tx := s.builder.Add(u)
@@ -376,12 +372,7 @@ func (s *Server) onTxnPrepare(from transport.NodeID, m TxnPrepare, reply func(an
 			svc += s.cfg.Params.DeleteSvc
 		}
 	}
-	now := s.node.Now()
-	if s.busyUntil < now {
-		s.busyUntil = now
-	}
-	s.busyUntil += svc
-	transport.Charge(s.node, s.busyUntil-now, "mams-txn-prepare", func() {
+	transport.Charge(s.node, s.cpu.Add(s.node.Now(), svc), "mams-txn-prepare", func() {
 		if s.role != RoleActive || s.builder == nil {
 			reply(TxnVote{TxnID: m.TxnID, From: s.cfg.ID, OK: false, Err: "mams: not active"})
 			return
@@ -393,7 +384,7 @@ func (s *Server) onTxnPrepare(from transport.NodeID, m TxnPrepare, reply func(an
 				_ = tx
 				continue
 			}
-			if err := validateRecord(s.tree, r); err != nil {
+			if err := s.tree.Validate(r); err != nil {
 				s.preparedTxns[m.TxnID] = &preparedTxn{ok: false}
 				s.recordsPending() // earlier Noop records may already be in the builder
 				reply(TxnVote{TxnID: m.TxnID, From: s.cfg.ID, OK: false, Err: err.Error()})
@@ -456,7 +447,7 @@ func (s *Server) onTxnAbort(m TxnAbort) {
 	}
 	for i := len(pt.undo) - 1; i >= 0; i-- {
 		u := pt.undo[i]
-		if err := validateRecord(s.tree, u); err != nil {
+		if err := s.tree.Validate(u); err != nil {
 			continue
 		}
 		tx := s.builder.Add(u)

@@ -86,6 +86,22 @@ func Charge(n Node, d sim.Time, name string, fn func()) {
 	n.After(d, name, fn)
 }
 
+// Lane is a single-threaded resource in modelled time — a dispatch thread, a
+// journal writer, a disk: work queued at now starts when the lane is free or
+// at now, whichever is later, and keeps it busy for its cost. The zero Lane
+// is free. Callers schedule the work themselves (Charge, or After where a
+// zero wait must still yield to the event queue).
+type Lane struct{ free sim.Time }
+
+// Add queues cost at now and returns the wait from now until it is done.
+func (l *Lane) Add(now, cost sim.Time) sim.Time {
+	if l.free < now {
+		l.free = now
+	}
+	l.free += cost
+	return l.free - now
+}
+
 // Node is one endpoint's handle onto its transport. All methods are meant
 // to be used from within the transport's serialized executor (handler and
 // timer callbacks); Call callbacks likewise run serialized.

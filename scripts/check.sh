@@ -62,6 +62,17 @@ grep -q '"name":"failover"' "$obsdir/s.json"
 grep -Eq '^mams_health_state\{node="[^"]+"\} [0-9.]+ [0-9]+$' "$obsdir/series.prom"
 grep -q '^mams_build_info' "$obsdir/series.prom"
 grep -q '"ph":"C"' "$obsdir/s.json"
+# Baseline smoke: every baseline design through one primary crash. Each must
+# recover within the horizon, except vanilla HDFS, which has no failover.
+go build -o "$obsdir/mamssim" ./cmd/mamssim
+for sys in hdfs backupnode avatar hadoopha boomfs; do
+  out="$("$obsdir/mamssim" -system "$sys" -horizon 40)"
+  if [ "$sys" = hdfs ]; then
+    grep -q '^no recovery observed in the horizon$' <<<"$out"
+  else
+    grep -q '^client-observed MTTR: ' <<<"$out"
+  fi
+done
 # Bounded systematic invariant sweep: crash-only single faults over a small
 # scope (7 schedules) — a smoke test for the full `mamscheck run` matrix.
 go run ./cmd/mamscheck run -members 3 -steps 2 -maxfaults 1 -kinds c -q
