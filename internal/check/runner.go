@@ -119,7 +119,7 @@ func RunSchedule(cfg Config, sched Schedule) Result {
 	params := mams.DefaultParams()
 	params.TraceAppends = true
 	params.SyncSSP = cfg.SyncSSP
-	params.GroupCommit = cfg.GroupCommit || cfg.AsyncAck
+	params.GroupCommit = cfg.GroupCommit
 	params.AsyncAck = cfg.AsyncAck
 	if cfg.Bug == "dup-sn" {
 		params.SkipDupSuppression = true

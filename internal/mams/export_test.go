@@ -29,5 +29,8 @@ func (s *Server) RetryCacheLenForTest() int {
 
 // PendingReplForTest reports how many sealed batches are awaiting commit.
 func (s *Server) PendingReplForTest() int {
-	return len(s.pendingRepl)
+	if s.pipe == nil {
+		return 0
+	}
+	return len(s.pipe.pending)
 }

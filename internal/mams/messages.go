@@ -48,6 +48,21 @@ func (k OpKind) Mutating() bool {
 	return false
 }
 
+// record is the journal record kind a mutation writes (OpNoop for a read).
+func (k OpKind) record() journal.OpKind {
+	switch k {
+	case OpCreate:
+		return journal.OpCreate
+	case OpMkdir:
+		return journal.OpMkdir
+	case OpDelete:
+		return journal.OpDelete
+	case OpRename:
+		return journal.OpRename
+	}
+	return journal.OpNoop
+}
+
 // ClientOp is the client→active RPC request.
 type ClientOp struct {
 	ReqID uint64

@@ -248,7 +248,7 @@ func (s *Server) installShardState(m *partition.Map, rec *MigrationRec) {
 	}
 	if installed {
 		s.emit(trace.KindState, "shard-map-install", "epoch", fmt.Sprint(m.Epoch()))
-		if s.role == RoleActive && s.builder != nil {
+		if s.pipe != nil {
 			s.purgeForeignFiles()
 		}
 	}
@@ -260,76 +260,40 @@ func (s *Server) installShardState(m *partition.Map, rec *MigrationRec) {
 // becomeActiveNow, where committedSN == LastSN makes the barrier trivially
 // drained.
 func (s *Server) noteFreezeIfActive() {
-	if s.role != RoleActive || s.migRec == nil || s.migRec.From != s.groupIdx {
+	if s.pipe == nil || s.migRec == nil || s.migRec.From != s.groupIdx {
 		return
 	}
 	if s.freezeBarrierOK {
 		return
 	}
-	b := s.log.LastSN()
-	if s.builder != nil && s.builder.Pending() > 0 {
-		b++
-	}
+	b := s.pipe.barrier()
 	s.freezeBarrier = b
 	s.freezeBarrierOK = true
 	s.emit(trace.KindState, "shard-freeze", "slot", fmt.Sprint(s.migRec.Slot), "barrier", fmt.Sprint(b))
 }
 
-// frozenSlot returns the slot this group must not mutate (-1 when none).
-func (s *Server) frozenSlot() int {
-	if s.migRec != nil && s.migRec.From == s.groupIdx {
-		return s.migRec.Slot
-	}
-	return -1
-}
-
-// opTouchesFrozenSlot reports whether a mutating client op lands on the
-// frozen slot. Directory ops ride the replicated skeleton, not slot data.
-func (s *Server) opTouchesFrozenSlot(op ClientOp) bool {
-	fs := s.frozenSlot()
-	if fs < 0 {
+// touchesFrozenSlot reports whether a file mutation lands on the slot
+// frozen mid-migration. Client ops and transaction prepares both ask: a
+// cross-group rename or delete must not smuggle a mutation past the freeze.
+// Directory ops ride the replicated skeleton, not slot data.
+func (s *Server) touchesFrozenSlot(kind journal.OpKind, path, dest string) bool {
+	if s.migRec == nil || s.migRec.From != s.groupIdx {
 		return false
 	}
-	p := s.cfg.Partitioner
-	switch op.Kind {
-	case OpCreate:
-		return p.HomeSlot(op.Path) == fs
-	case OpDelete:
-		if info, err := s.tree.Stat(op.Path); err == nil && info.Dir {
-			return false
-		}
-		return p.HomeSlot(op.Path) == fs
-	case OpRename:
-		if info, err := s.tree.Stat(op.Path); err == nil && info.Dir {
-			return false
-		}
-		return p.HomeSlot(op.Path) == fs || p.HomeSlot(op.Dest) == fs
-	}
-	return false
-}
-
-// recTouchesFrozenSlot guards the transaction participant path: a prepare
-// vote must refuse file records on the frozen slot, or a cross-group rename
-// could smuggle a mutation past the freeze.
-func (s *Server) recTouchesFrozenSlot(rec journal.Record) bool {
-	fs := s.frozenSlot()
-	if fs < 0 {
-		return false
-	}
-	p := s.cfg.Partitioner
-	switch rec.Op {
+	fs, p := s.migRec.Slot, s.cfg.Partitioner
+	switch kind {
 	case journal.OpCreate:
-		return p.HomeSlot(rec.Path) == fs
+		return p.HomeSlot(path) == fs
 	case journal.OpDelete:
-		if info, err := s.tree.Stat(rec.Path); err == nil && info.Dir {
+		if info, err := s.tree.Stat(path); err == nil && info.Dir {
 			return false
 		}
-		return p.HomeSlot(rec.Path) == fs
+		return p.HomeSlot(path) == fs
 	case journal.OpRename:
-		if info, err := s.tree.Stat(rec.Path); err == nil && info.Dir {
+		if info, err := s.tree.Stat(path); err == nil && info.Dir {
 			return false
 		}
-		return p.HomeSlot(rec.Path) == fs || p.HomeSlot(rec.Dest) == fs
+		return p.HomeSlot(path) == fs || p.HomeSlot(dest) == fs
 	}
 	return false
 }
@@ -399,51 +363,74 @@ func (s *Server) noteSlotOp(op ClientOp) {
 // standbys converge without special casing. Epoch 0 never purges: the
 // uniform map routes exactly like static hashing, so nothing is foreign.
 func (s *Server) purgeForeignFiles() {
-	if s.role != RoleActive || s.builder == nil ||
-		s.cfg.Partitioner == nil || s.cfg.Partitioner.Epoch() == 0 {
+	if s.pipe == nil || s.cfg.Partitioner == nil || s.cfg.Partitioner.Epoch() == 0 {
 		return
 	}
 	p := s.cfg.Partitioner
-	var doomed []string
+	found, deleted, _ := s.deleteFiles(func(path string) bool { return p.HomeGroup(path) != s.groupIdx })
+	if found == 0 {
+		return
+	}
+	s.obsPurged.Add(float64(deleted))
+	s.emit(trace.KindState, "shard-purge", "entries", fmt.Sprint(found))
+	s.pipe.flush()
+}
+
+// deleteFiles journals a delete for every file entry doomed selects. It
+// returns how many entries it found and how many it deleted, the last
+// delete riding in batch sn.
+func (s *Server) deleteFiles(doomed func(path string) bool) (found, deleted int, sn uint64) {
+	var paths []string
 	s.tree.WalkFiles(func(info namespace.Info) bool {
-		if p.HomeGroup(info.Path) != s.groupIdx {
-			doomed = append(doomed, info.Path)
+		if doomed(info.Path) {
+			paths = append(paths, info.Path)
 		}
 		return true
 	})
-	if len(doomed) == 0 {
-		return
-	}
 	now := int64(s.node.Now())
-	for _, path := range doomed {
-		rec := journal.Record{Op: journal.OpDelete, Path: path, MTime: now}
-		if err := s.tree.Validate(rec); err != nil {
-			continue
+	for _, path := range paths {
+		if n, err := s.pipe.journal(journal.Record{Op: journal.OpDelete, Path: path, MTime: now}); err == nil {
+			sn = n
+			deleted++
 		}
-		rec.TxID = s.builder.Add(rec)
-		_ = s.tree.Apply(rec)
-		s.obsPurged.Inc()
 	}
-	s.emit(trace.KindState, "shard-purge", "entries", fmt.Sprint(len(doomed)))
-	s.recordsPending()
+	return len(paths), deleted, sn
 }
 
-// replyAtCommit defers reply until batch sn commits (the migration purge
-// and ingest acks are durability promises, so they never use the AsyncAck
-// seal path — same rule as transaction votes).
-func (s *Server) replyAtCommit(sn uint64, reply func(any), mk func(err error) any) {
-	if sn <= s.committedSN {
-		reply(mk(nil))
+// migrationDest reports whether this server is the active of migration
+// id's destination group, answering the Migrator when it is not.
+func (s *Server) migrationDest(id uint64, reply func(any)) bool {
+	if s.pipe == nil {
+		reply(MigrateAck{Err: "mams: not active"})
+		return false
+	}
+	if s.migRec == nil || s.migRec.ID != id || s.migRec.To != s.groupIdx {
+		s.refreshShardMap(nil)
+		reply(MigrateAck{Err: "mams: migration unknown"})
+		return false
+	}
+	return true
+}
+
+// ackAtCommit answers a migration purge or ingest that journaled applied
+// entries once their batch sn commits: the ack is a durability promise.
+func (s *Server) ackAtCommit(sn uint64, applied int, reply func(any)) {
+	if applied == 0 {
+		reply(MigrateAck{OK: true})
 		return
 	}
-	s.waiters[sn] = append(s.waiters[sn], func(err error) {
-		reply(mk(err))
+	s.pipe.await(sn, false, func(err error) {
+		if err != nil {
+			reply(MigrateAck{Err: err.Error()})
+			return
+		}
+		reply(MigrateAck{OK: true, Applied: applied})
 	})
 }
 
 // onMigrateFreeze handles the Migrator's freeze nudge on the From active.
 func (s *Server) onMigrateFreeze(m MigrateFreeze, reply func(any)) {
-	if s.role != RoleActive || s.builder == nil {
+	if s.pipe == nil {
 		reply(MigrateFreezeAck{Err: "mams: not active"})
 		return
 	}
@@ -464,11 +451,11 @@ func (s *Server) onMigrateFreeze(m MigrateFreeze, reply func(any)) {
 
 // onMigrateRead serves the copy once the freeze barrier has committed.
 func (s *Server) onMigrateRead(m MigrateRead, reply func(any)) {
-	if s.role != RoleActive || s.migRec == nil || s.migRec.ID != m.ID || !s.freezeBarrierOK {
+	if s.pipe == nil || s.migRec == nil || s.migRec.ID != m.ID || !s.freezeBarrierOK {
 		reply(MigrateEntries{Err: "mams: not the frozen source"})
 		return
 	}
-	if s.committedSN < s.freezeBarrier {
+	if s.pipe.committedSN < s.freezeBarrier {
 		reply(MigrateEntries{NotDrained: true})
 		return
 	}
@@ -489,86 +476,34 @@ func (s *Server) onMigrateRead(m MigrateRead, reply func(any)) {
 // times an attempt died after partial ingest, the next attempt starts from
 // a clean slot.
 func (s *Server) onMigratePurge(m MigratePurge, reply func(any)) {
-	if s.role != RoleActive || s.builder == nil {
-		reply(MigrateAck{Err: "mams: not active"})
-		return
-	}
-	if s.migRec == nil || s.migRec.ID != m.ID || s.migRec.To != s.groupIdx {
-		s.refreshShardMap(nil)
-		reply(MigrateAck{Err: "mams: migration unknown"})
+	if !s.migrationDest(m.ID, reply) {
 		return
 	}
 	p := s.cfg.Partitioner
-	var doomed []string
-	s.tree.WalkFiles(func(info namespace.Info) bool {
-		if p.HomeSlot(info.Path) == m.Slot {
-			doomed = append(doomed, info.Path)
-		}
-		return true
-	})
-	now := int64(s.node.Now())
-	applied := 0
-	for _, path := range doomed {
-		rec := journal.Record{Op: journal.OpDelete, Path: path, MTime: now}
-		if err := s.tree.Validate(rec); err != nil {
-			continue
-		}
-		rec.TxID = s.builder.Add(rec)
-		_ = s.tree.Apply(rec)
-		applied++
-	}
-	if applied == 0 {
-		reply(MigrateAck{OK: true})
-		return
-	}
-	sn := s.log.LastSN() + 1
-	s.recordsPending()
-	s.replyAtCommit(sn, reply, func(err error) any {
-		if err != nil {
-			return MigrateAck{Err: err.Error()}
-		}
-		return MigrateAck{OK: true, Applied: applied}
-	})
+	_, applied, sn := s.deleteFiles(func(path string) bool { return p.HomeSlot(path) == m.Slot })
+	s.ackAtCommit(sn, applied, reply)
 }
 
 // onMigrateIngest journals the copied entries on the To active and acks at
 // commit.
 func (s *Server) onMigrateIngest(m MigrateIngest, reply func(any)) {
-	if s.role != RoleActive || s.builder == nil {
-		reply(MigrateAck{Err: "mams: not active"})
+	if !s.migrationDest(m.ID, reply) {
 		return
 	}
-	if s.migRec == nil || s.migRec.ID != m.ID || s.migRec.To != s.groupIdx {
-		s.refreshShardMap(nil)
-		reply(MigrateAck{Err: "mams: migration unknown"})
-		return
-	}
+	var sn uint64
 	applied := 0
 	for _, e := range m.Entries {
 		rec := journal.Record{Op: journal.OpCreate, Path: e.Path, Size: e.Size, Perm: e.Perm, MTime: e.MTime}
-		if err := s.tree.Validate(rec); err != nil {
-			// ErrExists can only mean a duplicate of this very entry (the
-			// slot was purged at the top of the attempt); skip it.
-			continue
+		// ErrExists can only mean a duplicate of this very entry (the slot
+		// was purged at the top of the attempt); skip it.
+		if n, err := s.pipe.journal(rec); err == nil {
+			sn = n
+			applied++
+			s.obsMigIn.Inc()
 		}
-		rec.TxID = s.builder.Add(rec)
-		_ = s.tree.Apply(rec)
-		applied++
-		s.obsMigIn.Inc()
 	}
 	s.emit(trace.KindState, "shard-ingest", "slot", fmt.Sprint(m.Slot), "entries", fmt.Sprint(applied))
-	if applied == 0 {
-		reply(MigrateAck{OK: true})
-		return
-	}
-	sn := s.log.LastSN() + 1
-	s.recordsPending()
-	s.replyAtCommit(sn, reply, func(err error) any {
-		if err != nil {
-			return MigrateAck{Err: err.Error()}
-		}
-		return MigrateAck{OK: true, Applied: applied}
-	})
+	s.ackAtCommit(sn, applied, reply)
 }
 
 // onLoadReport serves the balancer's load poll.
@@ -748,16 +683,17 @@ func (mg *Migrator) readState(cb func(m *partition.Map, rec *MigrationRec, ver i
 // retry this rides out a full failover (~5-10 s) with margin.
 const migrateAttempts = 80
 
-// callActive retries an RPC against a group's current active until pred
-// accepts the response or attempts run out.
-func (mg *Migrator) callActive(group int, req any, attempt int, pred func(resp any) (done bool, retry bool, err string), cb func(err error)) {
+// callActive retries an RPC against a group's current active until ok
+// accepts the response or attempts run out. A refusal (not active, unknown
+// migration, not drained) heals with time, so every one is retried.
+func (mg *Migrator) callActive(group int, req any, attempt int, ok func(resp any) bool, cb func(err error)) {
 	if attempt >= migrateAttempts {
 		cb(fmt.Errorf("mams: migration phase exhausted retries"))
 		return
 	}
 	again := func() {
 		mg.node.After(250*sim.Millisecond, "migrate-retry", func() {
-			mg.callActive(group, req, attempt+1, pred, cb)
+			mg.callActive(group, req, attempt+1, ok, cb)
 		})
 	}
 	resolveGroupActive(mg.node, mg.layout.Groups, group, attempt, func(active transport.NodeID) {
@@ -766,20 +702,11 @@ func (mg *Migrator) callActive(group int, req any, attempt int, pred func(resp a
 			return
 		}
 		mg.node.Call(active, req, sim.Second, func(resp any, err error) {
-			if err != nil {
+			if err != nil || !ok(resp) {
 				again()
 				return
 			}
-			done, retry, errStr := pred(resp)
-			if done {
-				cb(nil)
-				return
-			}
-			if retry {
-				again()
-				return
-			}
-			cb(fmt.Errorf("mams: migration phase failed: %s", errStr))
+			cb(nil)
 		})
 	})
 }
@@ -865,15 +792,9 @@ func (mg *Migrator) runMigration(rec *MigrationRec, freezeStart sim.Time, done f
 	}
 
 	// Phase 1: freeze ack from the current From active.
-	mg.callActive(rec.From, MigrateFreeze{ID: rec.ID, Slot: rec.Slot}, 0, func(resp any) (bool, bool, string) {
+	mg.callActive(rec.From, MigrateFreeze{ID: rec.ID, Slot: rec.Slot}, 0, func(resp any) bool {
 		ack, ok := resp.(MigrateFreezeAck)
-		if !ok {
-			return false, true, "bad reply"
-		}
-		if ack.OK {
-			return true, false, ""
-		}
-		return false, true, ack.Err // unknown-migration and not-active heal with time
+		return ok && ack.OK
 	}, func(err error) {
 		if err != nil {
 			fail(err)
@@ -890,16 +811,10 @@ func (mg *Migrator) runMigration(rec *MigrationRec, freezeStart sim.Time, done f
 // from the znode during its upgrade).
 func (mg *Migrator) copyPhase(rec *MigrationRec, st MoveStats, freezeStart sim.Time, done func(MoveStats, error)) {
 	var entries []MigEntry
-	mg.callActive(rec.From, MigrateRead{ID: rec.ID, Slot: rec.Slot}, 0, func(resp any) (bool, bool, string) {
+	mg.callActive(rec.From, MigrateRead{ID: rec.ID, Slot: rec.Slot}, 0, func(resp any) bool {
 		me, ok := resp.(MigrateEntries)
-		if !ok {
-			return false, true, "bad reply"
-		}
-		if me.OK {
-			entries = me.Entries
-			return true, false, ""
-		}
-		return false, true, me.Err // NotDrained / failover churn: retry
+		entries = me.Entries // the last answer, which is the accepted one
+		return ok && me.OK
 	}, func(err error) {
 		if err != nil {
 			done(st, err)
@@ -922,31 +837,13 @@ func (mg *Migrator) ingestPhase(rec *MigrationRec, st MoveStats, entries []MigEn
 			mg.ingestPhase(rec, st, entries, attempt+1, freezeStart, done)
 		})
 	}
-	mg.callActive(rec.To, MigratePurge{ID: rec.ID, Slot: rec.Slot}, 0, func(resp any) (bool, bool, string) {
-		ack, ok := resp.(MigrateAck)
-		if !ok {
-			return false, true, "bad reply"
-		}
-		if ack.OK {
-			return true, false, ""
-		}
-		return false, true, ack.Err
-	}, func(err error) {
+	mg.callActive(rec.To, MigratePurge{ID: rec.ID, Slot: rec.Slot}, 0, migrateAcked, func(err error) {
 		if err != nil {
 			retry()
 			return
 		}
 		mg.emit("migrate-ingest", "slot", fmt.Sprint(rec.Slot), "entries", fmt.Sprint(len(entries)))
-		mg.callActive(rec.To, MigrateIngest{ID: rec.ID, Slot: rec.Slot, Entries: entries}, 0, func(resp any) (bool, bool, string) {
-			ack, ok := resp.(MigrateAck)
-			if !ok {
-				return false, true, "bad reply"
-			}
-			if ack.OK {
-				return true, false, ""
-			}
-			return false, true, ack.Err
-		}, func(err error) {
+		mg.callActive(rec.To, MigrateIngest{ID: rec.ID, Slot: rec.Slot, Entries: entries}, 0, migrateAcked, func(err error) {
 			if err != nil {
 				retry()
 				return
@@ -954,6 +851,12 @@ func (mg *Migrator) ingestPhase(rec *MigrationRec, st MoveStats, entries []MigEn
 			mg.flipPhase(rec, st, freezeStart, done)
 		})
 	})
+}
+
+// migrateAcked accepts an OK answer to MigratePurge or MigrateIngest.
+func migrateAcked(resp any) bool {
+	ack, ok := resp.(MigrateAck)
+	return ok && ack.OK
 }
 
 // flipPhase CASes the new owner into the map and clears the record.

@@ -72,13 +72,13 @@ type Params struct {
 	// ack before degrading it to junior.
 	AckTimeout sim.Time
 
-	// GroupCommit switches the active's commit path from the legacy
-	// timer-only sealing to adaptive group commit with a pipelined journal:
-	// a batch seals as soon as the pipeline has room (immediately when
-	// nothing is in flight, on each commit advance otherwise, or when the
-	// builder reaches BatchMaxRecords), and the journal write runs on its
-	// own lane so only the in-memory dispatch share of a mutating op stays
-	// on the op-service thread.
+	// GroupCommit switches the active's commit path from timer-only sealing
+	// to adaptive group commit with a pipelined journal: a batch seals as
+	// soon as the pipeline has room (immediately when nothing is in flight,
+	// on each commit advance otherwise, or when the builder reaches
+	// BatchMaxRecords), and the journal write runs on its own lane so only
+	// the in-memory dispatch share of a mutating op stays on the op-service
+	// thread (commitPipeline).
 	GroupCommit bool
 
 	// MaxInflightBatches bounds the pipelined replication window under
@@ -86,7 +86,7 @@ type Params struct {
 	// while commit advancement stays strictly in sn order.
 	MaxInflightBatches int
 
-	// AsyncAck (requires GroupCommit) acknowledges mutations at seal time
+	// AsyncAck (implies GroupCommit) acknowledges mutations at seal time
 	// instead of at commit: the reply carries the batch sn plus the group's
 	// durability watermark (committedSN), and clients learn durability when
 	// a later watermark from the same epoch covers their sn.
@@ -171,22 +171,6 @@ func DefaultParams() Params {
 		RenewSmallGap:     8,
 		RenewJournalChunk: 64,
 	}
-}
-
-// inflightWindow is the pipelined replication depth: unbounded without
-// GroupCommit (the legacy timer path never waits on the window), else
-// MaxInflightBatches.
-func (p Params) inflightWindow() int {
-	if !p.GroupCommit {
-		return 1 << 30
-	}
-	return p.MaxInflightBatches
-}
-
-// dispatchSvc is the op-service-thread share of a mutating op's service
-// time under GroupCommit.
-func (p Params) dispatchSvc(svc sim.Time) sim.Time {
-	return sim.Time(float64(svc) * p.DispatchFrac)
 }
 
 // SvcFor returns the active's service time for an operation kind.

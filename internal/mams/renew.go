@@ -10,10 +10,6 @@ import (
 	"mams/internal/transport"
 )
 
-func defaultLoadImage(data []byte) (*namespace.Tree, error) {
-	return namespace.LoadImage(data)
-}
-
 // ---- active side of the renewing protocol (§III.D) ----
 
 // armRenewScan starts the active's periodic global-view scan for juniors.
@@ -38,18 +34,19 @@ func (s *Server) armRenewScan() {
 // with the least namespace gap ("it selects one server with the least gap
 // in namespace state and creates a session for recovery at each time").
 func (s *Server) scanJuniors() {
-	if s.role != RoleActive {
+	if s.pipe == nil {
 		return
+	}
+	start := RenewStart{
+		From: s.cfg.ID, Epoch: s.view.Epoch, ActiveSN: s.pipe.committedSN,
+		ImageSN: s.lastImageSN, ImageSize: s.lastImageSize,
 	}
 	if s.renewSession != "" {
 		// Re-send the session opener: the junior may have missed it (it
 		// is idempotent on the junior side). A dead junior releases the
 		// session via the timeout below.
 		if s.view.States[string(s.renewSession)] == RoleJunior {
-			s.node.Send(s.renewSession, RenewStart{
-				From: s.cfg.ID, Epoch: s.view.Epoch, ActiveSN: s.committedSN,
-				ImageSN: s.lastImageSN, ImageSize: s.lastImageSize,
-			})
+			s.node.Send(s.renewSession, start)
 		} else if s.renewTarget != s.renewSession {
 			s.renewSession = ""
 		}
@@ -75,10 +72,7 @@ func (s *Server) scanJuniors() {
 	}
 	s.renewSession = transport.NodeID(best)
 	s.emit(trace.KindRenew, "renew-start", "junior", best, "sn", fmt.Sprint(bestSN))
-	s.node.Send(s.renewSession, RenewStart{
-		From: s.cfg.ID, Epoch: s.view.Epoch, ActiveSN: s.committedSN,
-		ImageSN: s.lastImageSN, ImageSize: s.lastImageSize,
-	})
+	s.node.Send(s.renewSession, start)
 	// Give up on unresponsive juniors so others can be renewed.
 	sess := s.renewSession
 	s.node.After(15*sim.Second, "mams-renew-timeout", func() {
@@ -90,19 +84,20 @@ func (s *Server) scanJuniors() {
 
 // onRenewJournalReq streams committed batches to a catching-up junior.
 func (s *Server) onRenewJournalReq(m RenewJournalReq, reply func(any)) {
-	if s.role != RoleActive {
+	if s.pipe == nil {
 		reply(RenewJournalResp{})
 		return
 	}
+	committed := s.pipe.committedSN
 	s.renewLastSeen[m.From] = m.FromSN
 	max := m.Max
 	if max <= 0 {
 		max = s.cfg.Params.RenewJournalChunk
 	}
 	batches := s.log.Since(m.FromSN)
-	resp := RenewJournalResp{ActiveSN: s.committedSN}
+	resp := RenewJournalResp{ActiveSN: committed}
 	if len(batches) == 0 || batches[0].SN != m.FromSN+1 {
-		if s.committedSN > m.FromSN {
+		if committed > m.FromSN {
 			// The tail below our retained log is unavailable (checkpointed
 			// away, or this active itself recovered from an image). Point
 			// the junior at a checkpoint — taking one now if none exists.
@@ -119,7 +114,7 @@ func (s *Server) onRenewJournalReq(m RenewJournalReq, reply func(any)) {
 		return
 	}
 	for _, b := range batches {
-		if b.SN > s.committedSN || len(resp.Batches) >= max {
+		if b.SN > committed || len(resp.Batches) >= max {
 			break
 		}
 		resp.Batches = append(resp.Batches, b)
@@ -131,15 +126,16 @@ func (s *Server) onRenewJournalReq(m RenewJournalReq, reply func(any)) {
 // runs the final synchronization stage: include the junior in live
 // replication, flush the missing tail, update the view, and promote.
 func (s *Server) onRenewProgress(m RenewProgress) {
-	if s.role != RoleActive {
+	if s.pipe == nil {
 		return
 	}
+	committed := s.pipe.committedSN
 	s.renewLastSeen[m.From] = m.SN
 	if s.view.States[string(m.From)] != RoleJunior {
 		return
 	}
-	gap := s.committedSN - m.SN
-	if m.SN > s.committedSN {
+	gap := committed - m.SN
+	if m.SN > committed {
 		gap = 0
 	}
 	if gap > s.cfg.Params.RenewSmallGap {
@@ -156,9 +152,9 @@ func (s *Server) onRenewProgress(m RenewProgress) {
 	s.invalidateReplTargets()
 	for _, b := range s.log.Since(m.SN) {
 		s.node.Send(m.From, AppendBatch{From: s.cfg.ID, Epoch: s.view.Epoch, Batch: b,
-			CommitThrough: s.committedSN, FlushOnly: true})
+			CommitThrough: committed, FlushOnly: true})
 	}
-	s.node.Send(m.From, CommitNotice{Epoch: s.view.Epoch, Through: s.committedSN})
+	s.node.Send(m.From, CommitNotice{Epoch: s.view.Epoch, Through: committed})
 	s.casView(func(v *View) bool {
 		if v.Active != string(s.cfg.ID) || v.States[string(m.From)] != RoleJunior {
 			return false
@@ -217,7 +213,7 @@ func (s *Server) fetchRenewImage(imageSN uint64) {
 			s.pullRenewJournal() // journal-only fallback
 			return
 		}
-		tree, lerr := loadImage(data)
+		tree, lerr := namespace.LoadImage(data)
 		if lerr != nil {
 			s.spans.End(s.renewFetchSpan, "outcome", "decode-error")
 			s.renewFetchSpan = 0
@@ -237,7 +233,7 @@ func (s *Server) fetchRenewImage(imageSN uint64) {
 // its checkpoint position after every chunk, so an interrupted recovery
 // resumes "from other replicas in the last position".
 func (s *Server) pullRenewJournal() {
-	if !s.renewing || s.role != RoleJunior || s.stopped {
+	if !s.renewing || s.role != RoleJunior {
 		return
 	}
 	if s.renewCatchupSpan == 0 && s.renewSpan != 0 {
@@ -287,7 +283,7 @@ func (s *Server) pullRenewJournal() {
 				if b.SN != s.log.LastSN()+1 {
 					break
 				}
-				if err := s.tree.ApplyBatch(b); err != nil {
+				if err := s.applyBatch(b); err != nil {
 					// Divergent state (e.g. inherited from a dirty past
 					// life): start over from the pool.
 					s.emit(trace.KindRenew, "renew-apply-error", "err", err.Error())
@@ -295,10 +291,6 @@ func (s *Server) pullRenewJournal() {
 					s.renewing = false
 					return
 				}
-				if s.log.Append(b) == nil {
-					s.emitAppend(b.SN)
-				}
-				s.lastTx = b.LastTx()
 			}
 			s.node.Send(s.renewActive, RenewProgress{From: s.cfg.ID, SN: s.log.LastSN()})
 			s.pullRenewJournal()

@@ -31,6 +31,10 @@ go test -race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt' ./in
 # pinned by TestCallAllocBudget) in every verify run.
 go test -run '^$' -bench CallRoundTrip -benchtime 200x ./internal/nettrans
 go test -race -timeout 40m ./internal/mams/...
+# The commit pipeline's layer benchmark (one create through dispatch, seal
+# and commit under each seal policy, instant acks): keeps it compiling and
+# prints its allocs/op in every verify run.
+go test -run '^$' -bench PipelineCreate -benchtime 200x ./internal/mams
 go test -race ./internal/obs/...
 # The health detector rides inside every parallel detect cell (one World
 # per worker goroutine); race-test the package directly too.
