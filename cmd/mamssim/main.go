@@ -15,7 +15,6 @@ import (
 	"os"
 
 	"mams/internal/cluster"
-	"mams/internal/health"
 	"mams/internal/metrics"
 	"mams/internal/obs"
 	"mams/internal/sim"
@@ -66,7 +65,7 @@ func main() {
 	}
 
 	if *seriesOut != "" {
-		env.StartTelemetry(obs.SamplerConfig{})
+		env.StartTelemetry()
 	}
 	if !sys.AwaitReady(60 * sim.Second) {
 		fmt.Fprintln(os.Stderr, "system never became ready")
@@ -78,7 +77,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-health requires -system mams")
 			os.Exit(2)
 		}
-		mc.StartHealth(health.Config{})
+		mc.StartHealth()
 	}
 
 	col := &metrics.Collector{}

@@ -5,50 +5,34 @@ import (
 
 	"mams/internal/blockmap"
 	"mams/internal/journal"
-	"mams/internal/mams"
 	"mams/internal/sim"
 	"mams/internal/simnet"
 	"mams/internal/trace"
 	"mams/internal/transport"
 )
 
-// BackupNodeParams models the HDFS BackupNode pair.
-type BackupNodeParams struct {
-	MDS       mams.Params
-	FsyncCost sim.Time
-	// PingEvery / PingMisses implement the backup's primary-liveness probe.
-	PingEvery  sim.Time
-	PingMisses int
-	// RestartFixed is the fixed part of the takeover (role switch, RPC
+// The BackupNode pair's calibration. Table I shows MTTR(image MB) ≈
+// 0.57 s + 0.139 s/MB. The backup detects the dead stream quickly
+// (sub-second) and the size term comes from digesting ~6,990 block entries
+// per image MB (the paper's "7 million files at about 1 GB") at ~20 µs each.
+const (
+	// bnPingEvery / bnPingMisses implement the backup's primary-liveness
+	// probe.
+	bnPingEvery  = 200 * sim.Millisecond
+	bnPingMisses = 2
+	// bnRestartFixed is the fixed part of the takeover (role switch, RPC
 	// server restart, safemode entry).
-	RestartFixed sim.Time
-	// JournalPerRecordCPU is the primary's CPU cost to push one edit into
+	bnRestartFixed = 200 * sim.Millisecond
+	// bnJournalPerRecordCPU is the primary's CPU cost to push one edit into
 	// the asynchronous backup stream (cheapest of all designs: "the
 	// BackupNode incurred less time but it does not guarantee metadata
 	// consistency").
-	JournalPerRecordCPU sim.Time
-	// PerBlockProcess is the backup's CPU cost to digest one block entry
-	// from the re-collected reports — the term that makes BackupNode's
-	// MTTR grow with namespace size (Table I).
-	PerBlockProcess sim.Time
-}
-
-// DefaultBackupNodeParams returns the calibration used by the experiments.
-func DefaultBackupNodeParams() BackupNodeParams {
-	// Calibration: Table I shows MTTR(image MB) ≈ 0.57 s + 0.139 s/MB.
-	// The backup detects the dead stream quickly (sub-second) and the
-	// size term comes from digesting ~6,990 block entries per image MB
-	// (the paper's "7 million files at about 1 GB") at ~20 µs each.
-	return BackupNodeParams{
-		MDS:                 mams.DefaultParams(),
-		FsyncCost:           800 * sim.Microsecond,
-		PingEvery:           200 * sim.Millisecond,
-		PingMisses:          2,
-		RestartFixed:        200 * sim.Millisecond,
-		JournalPerRecordCPU: 4 * sim.Microsecond,
-		PerBlockProcess:     20 * sim.Microsecond,
-	}
-}
+	bnJournalPerRecordCPU = 4 * sim.Microsecond
+	// bnPerBlockProcess is the backup's CPU cost to digest one block entry
+	// from the re-collected reports — the term that makes BackupNode's MTTR
+	// grow with namespace size (Table I).
+	bnPerBlockProcess = 20 * sim.Microsecond
+)
 
 // bnStream carries journal batches from primary to backup. It is
 // fire-and-forget: the primary never waits, which is why BackupNode has
@@ -64,9 +48,8 @@ type bnPong struct{}
 // BackupNode is one member of the primary/backup pair.
 type BackupNode struct {
 	nsCore
-	params BackupNodeParams
-	peer   simnet.NodeID
-	dns    []simnet.NodeID
+	peer simnet.NodeID
+	dns  []simnet.NodeID
 
 	disk      transport.Lane
 	misses    int
@@ -78,13 +61,13 @@ type BackupNode struct {
 // NewBackupNode registers one pair member. Exactly one should start as
 // primary.
 func NewBackupNode(net *simnet.Network, id, peer simnet.NodeID, primary bool,
-	dns []simnet.NodeID, params BackupNodeParams, tr *trace.Log) *BackupNode {
-	b := &BackupNode{params: params, peer: peer, dns: dns}
+	dns []simnet.NodeID, tr *trace.Log) *BackupNode {
+	b := &BackupNode{peer: peer, dns: dns}
 	r := roleStandby
 	if primary {
 		r = roleActive
 	}
-	b.register(net, id, b, params.MDS, tr, r)
+	b.register(net, id, b, tr, r)
 	return b
 }
 
@@ -99,8 +82,8 @@ func (b *BackupNode) Start() {
 }
 
 func (b *BackupNode) armBatch() {
-	b.armSeal(b.params.JournalPerRecordCPU, func(batch journal.Batch) {
-		b.node.After(b.disk.Add(b.node.Now(), b.params.FsyncCost), "bn-fsync", func() {
+	b.armSeal(bnJournalPerRecordCPU, func(batch journal.Batch) {
+		b.node.After(b.disk.Add(b.node.Now(), fsyncCost), "bn-fsync", func() {
 			b.commit(batch.SN)
 		})
 		// Asynchronous journal stream to the backup — no ack, no
@@ -110,17 +93,17 @@ func (b *BackupNode) armBatch() {
 }
 
 func (b *BackupNode) armPing() {
-	b.node.After(b.params.PingEvery, "bn-ping", func() {
+	b.node.After(bnPingEvery, "bn-ping", func() {
 		if b.role != roleStandby {
 			return
 		}
-		b.node.Call(b.peer, bnPing{}, b.params.PingEvery, func(resp any, err error) {
+		b.node.Call(b.peer, bnPing{}, bnPingEvery, func(resp any, err error) {
 			if b.role != roleStandby {
 				return
 			}
 			if err != nil {
 				b.misses++
-				if b.misses >= b.params.PingMisses {
+				if b.misses >= bnPingMisses {
 					b.startTakeover()
 					return
 				}
@@ -138,7 +121,7 @@ func (b *BackupNode) armPing() {
 func (b *BackupNode) startTakeover() {
 	b.role = roleRecovering
 	b.emit("bn-takeover-start", "sn", fmt.Sprint(b.log.LastSN()))
-	b.node.After(b.params.RestartFixed, "bn-restart", func() {
+	b.node.After(bnRestartFixed, "bn-restart", func() {
 		if len(b.dns) == 0 {
 			b.finishTakeover()
 			return
@@ -155,7 +138,7 @@ func (b *BackupNode) startTakeover() {
 					if err == nil {
 						rep := resp.(blockmap.FullReport)
 						blocks := int64(len(rep.Blocks)) + rep.VirtualBlocks
-						b.digest.Add(now, sim.Time(blocks)*b.params.PerBlockProcess)
+						b.digest.Add(now, sim.Time(blocks)*bnPerBlockProcess)
 					}
 					if b.reportsIn == b.reports {
 						// After, not Charge: a zero wait still yields to the

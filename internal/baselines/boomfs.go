@@ -2,41 +2,28 @@ package baselines
 
 import (
 	"mams/internal/journal"
-	"mams/internal/mams"
 	"mams/internal/paxos"
 	"mams/internal/sim"
 	"mams/internal/simnet"
 	"mams/internal/trace"
 )
 
-// BoomFSParams models Boom-FS: the metadata state machine replicated over
-// a globally-consistent Paxos-ordered log ("a total ordering over events
+// Boom-FS's calibration: the metadata state machine replicated over a
+// globally-consistent Paxos-ordered log ("a total ordering over events
 // affecting replicated state"), with centralized repair decisions on
 // failover.
-type BoomFSParams struct {
-	MDS mams.Params
-	// PaxosTick drives retransmission.
-	PaxosTick sim.Time
-	// PingEvery / PingMisses detect leader failure.
-	PingEvery  sim.Time
-	PingMisses int
-	// RepairFixed is the centralized repair-coordination cost the paper
+const (
+	// boomPaxosTick drives retransmission.
+	boomPaxosTick = 50 * sim.Millisecond
+	// boomPingEvery / boomPingMisses detect leader failure.
+	boomPingEvery  = sim.Second
+	boomPingMisses = 5
+	// boomRepairFixed is the centralized repair-coordination cost the paper
 	// charges Boom-FS for on failover ("the operation performance ... is
 	// affected for centralizing repair action decisions and state
 	// transition, which leads to additional failover time").
-	RepairFixed sim.Time
-}
-
-// DefaultBoomFSParams returns the calibration used by the experiments.
-func DefaultBoomFSParams() BoomFSParams {
-	return BoomFSParams{
-		MDS:         mams.DefaultParams(),
-		PaxosTick:   50 * sim.Millisecond,
-		PingEvery:   sim.Second,
-		PingMisses:  5,
-		RepairFixed: 7 * sim.Second,
-	}
-}
+	boomRepairFixed = 7 * sim.Second
+)
 
 // boomBatch is the Paxos-replicated unit (a journal batch).
 type boomBatch struct {
@@ -52,7 +39,6 @@ type boomPong struct {
 // best guess of the leader, which a follower pings and redirects clients to.
 type BoomFS struct {
 	nsCore
-	params   BoomFSParams
 	peers    []simnet.NodeID
 	rank     int // position in peers (takeover stagger)
 	replica  *paxos.Replica
@@ -62,15 +48,14 @@ type BoomFS struct {
 
 // NewBoomFS registers one replica; peers lists every replica including id.
 // The first peer bootstraps leadership.
-func NewBoomFS(net *simnet.Network, id simnet.NodeID, peers []simnet.NodeID,
-	params BoomFSParams, tr *trace.Log) *BoomFS {
-	b := &BoomFS{params: params, peers: peers}
+func NewBoomFS(net *simnet.Network, id simnet.NodeID, peers []simnet.NodeID, tr *trace.Log) *BoomFS {
+	b := &BoomFS{peers: peers}
 	for i, p := range peers {
 		if p == id {
 			b.rank = i
 		}
 	}
-	b.register(net, id, b, params.MDS, tr, roleStandby)
+	b.register(net, id, b, tr, roleStandby)
 	b.lostLead = b.preempted
 	strPeers := make([]string, len(peers))
 	for i, p := range peers {
@@ -95,24 +80,24 @@ func (b *BoomFS) Start() {
 }
 
 func (b *BoomFS) armTick() {
-	b.node.After(b.params.PaxosTick+sim.Time(b.rank)*7*sim.Millisecond, "boom-tick", func() {
+	b.node.After(boomPaxosTick+sim.Time(b.rank)*7*sim.Millisecond, "boom-tick", func() {
 		b.replica.Tick()
 		b.armTick()
 	})
 }
 
 func (b *BoomFS) armPing() {
-	b.node.After(b.params.PingEvery, "boom-ping", func() {
+	b.node.After(boomPingEvery, "boom-ping", func() {
 		if b.role != roleStandby {
 			return
 		}
-		b.node.Call(b.leader, boomPing{}, b.params.PingEvery, func(resp any, err error) {
+		b.node.Call(b.leader, boomPing{}, boomPingEvery, func(resp any, err error) {
 			if b.role != roleStandby {
 				return
 			}
 			if err != nil {
 				b.misses++
-				if b.misses >= b.params.PingMisses+b.rank {
+				if b.misses >= boomPingMisses+b.rank {
 					// Staggered takeover: the lowest-rank survivor moves
 					// first; higher ranks only if it also fails.
 					b.startTakeover()
@@ -176,7 +161,7 @@ func (b *BoomFS) awaitLeadership() {
 				return
 			}
 			// Centralized repair decision phase.
-			b.node.After(b.params.RepairFixed, "boom-repair", func() {
+			b.node.After(boomRepairFixed, "boom-repair", func() {
 				if b.role != roleRecovering {
 					return
 				}
@@ -240,8 +225,8 @@ func (b *BoomFS) awaitLeadership() {
 // state-replication design.
 func (b *BoomFS) armBatch() {
 	standbys := sim.Time(len(b.peers) - 1)
-	b.armSeal(standbys*b.params.MDS.ReplPerRecordPerStandby, func(batch journal.Batch) {
-		b.cpu.Add(b.node.Now(), standbys*b.params.MDS.ReplPerBatchPerStandby)
+	b.armSeal(standbys*b.params.ReplPerRecordPerStandby, func(batch journal.Batch) {
+		b.cpu.Add(b.node.Now(), standbys*b.params.ReplPerBatchPerStandby)
 		b.replica.Propose(&boomBatch{B: batch})
 	})
 }

@@ -57,11 +57,11 @@ type nsCore struct {
 }
 
 // register builds the core for server h, which embeds it, and adds h to the
-// network under id.
+// network under id. Every design runs the MAMS servers' calibration.
 func (c *nsCore) register(net *simnet.Network, id simnet.NodeID, h simnet.Handler,
-	params mams.Params, tr *trace.Log, r role) {
+	tr *trace.Log, r role) {
 	c.node = net.AddNode(id, h)
-	c.params = params
+	c.params = mams.DefaultParams()
 	c.tr = tr
 	c.role = r
 	c.tree = namespace.New()

@@ -5,7 +5,6 @@ import (
 
 	"mams/internal/coord"
 	"mams/internal/journal"
-	"mams/internal/mams"
 	"mams/internal/sim"
 	"mams/internal/simnet"
 	"mams/internal/trace"
@@ -39,7 +38,6 @@ func (d Design) lockPath() string {
 
 // SharedLogParams calibrates the pair.
 type SharedLogParams struct {
-	MDS mams.Params
 	// StoreWriteCost is one store's disk cost per batch: AvatarNode's NFS
 	// round trip plus filer disk (slower than a local fsync, its Figure 6
 	// overhead), or one journal node's write.
@@ -61,23 +59,17 @@ type SharedLogParams struct {
 	// standby's tail reads.
 	AppendTimeout sim.Time
 	ReadTimeout   sim.Time
-	// Coordination failure detector (the paper: heartbeat 2 s, session 5 s).
-	CoordHeartbeat      sim.Time
-	CoordSessionTimeout sim.Time
 }
 
 // DefaultAvatarParams returns AvatarNode's calibration.
 func DefaultAvatarParams() SharedLogParams {
 	return SharedLogParams{
-		MDS:                 mams.DefaultParams(),
 		StoreWriteCost:      1800 * sim.Microsecond,
 		JournalPerRecordCPU: 30 * sim.Microsecond,
 		TailEvery:           500 * sim.Millisecond,
 		SwitchCost:          23 * sim.Second,
 		AppendTimeout:       30 * sim.Second,
 		ReadTimeout:         10 * sim.Second,
-		CoordHeartbeat:      2 * sim.Second,
-		CoordSessionTimeout: 5 * sim.Second,
 	}
 }
 
@@ -85,7 +77,6 @@ func DefaultAvatarParams() SharedLogParams {
 // re-reads finalized segments every couple of seconds (the HDFS default).
 func DefaultHadoopHAParams() SharedLogParams {
 	return SharedLogParams{
-		MDS:                 mams.DefaultParams(),
 		StoreWriteCost:      700 * sim.Microsecond,
 		JournalPerRecordCPU: 35 * sim.Microsecond,
 		TailEvery:           2 * sim.Second,
@@ -93,8 +84,6 @@ func DefaultHadoopHAParams() SharedLogParams {
 		SwitchCost:          7500 * sim.Millisecond,
 		AppendTimeout:       10 * sim.Second,
 		ReadTimeout:         5 * sim.Second,
-		CoordHeartbeat:      2 * sim.Second,
-		CoordSessionTimeout: 5 * sim.Second,
 	}
 }
 
@@ -180,12 +169,10 @@ func NewSharedLogNode(net *simnet.Network, id simnet.NodeID, design Design, stor
 	if active {
 		r = roleActive
 	}
-	n.register(net, id, n, params.MDS, tr, r)
-	n.coordCli = coord.NewClient(n.node, coord.ClientConfig{
-		Servers:        coordServers,
-		SessionTimeout: params.CoordSessionTimeout,
-		HeartbeatEvery: params.CoordHeartbeat,
-	}, n.onCoordEvent)
+	n.register(net, id, n, tr, r)
+	// The coordination client's default failure detector is the paper's:
+	// heartbeat 2 s, session 5 s.
+	n.coordCli = coord.NewClient(n.node, coord.ClientConfig{Servers: coordServers}, n.onCoordEvent)
 	return n
 }
 

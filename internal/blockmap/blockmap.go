@@ -38,32 +38,23 @@ type FullReport struct {
 	VirtualBlocks int64
 }
 
-// Params models report costs.
-type Params struct {
-	// PerBlockScan is the disk/CPU time to enumerate one block during a
+// A data server's report costs and cadence, as calibrated for the
+// experiments.
+const (
+	// perBlockScan is the disk/CPU time to enumerate one block during a
 	// full report (HDFS-era directory scans).
-	PerBlockScan sim.Time
-	// ReportOverhead is the fixed cost per full report.
-	ReportOverhead sim.Time
-	// IncrementalEvery is the cadence of incremental reports.
-	IncrementalEvery sim.Time
-}
-
-// DefaultParams returns the calibration used by the experiments.
-func DefaultParams() Params {
-	return Params{
-		PerBlockScan:     18 * sim.Microsecond,
-		ReportOverhead:   40 * sim.Millisecond,
-		IncrementalEvery: 3 * sim.Second,
-	}
-}
+	perBlockScan = 18 * sim.Microsecond
+	// reportOverhead is the fixed cost per full report.
+	reportOverhead = 40 * sim.Millisecond
+	// incrementalEvery is the cadence of incremental reports.
+	incrementalEvery = 3 * sim.Second
+)
 
 // DataServer is a simulated data node. It pushes incremental reports to
 // every metadata server in Targets (actives and standbys) and answers full
 // report requests with a size-proportional delay.
 type DataServer struct {
 	node    *simnet.Node
-	params  Params
 	targets []simnet.NodeID
 	blocks  map[uint64]bool
 	pending []uint64 // blocks not yet incrementally reported
@@ -71,8 +62,8 @@ type DataServer struct {
 }
 
 // NewDataServer registers a data server on the network.
-func NewDataServer(net *simnet.Network, id simnet.NodeID, params Params, targets []simnet.NodeID) *DataServer {
-	ds := &DataServer{params: params, targets: targets, blocks: map[uint64]bool{}}
+func NewDataServer(net *simnet.Network, id simnet.NodeID, targets []simnet.NodeID) *DataServer {
+	ds := &DataServer{targets: targets, blocks: map[uint64]bool{}}
 	ds.node = net.AddNode(id, ds)
 	return ds
 }
@@ -92,7 +83,7 @@ func (ds *DataServer) Start() {
 }
 
 func (ds *DataServer) armReport() {
-	ds.node.After(ds.params.IncrementalEvery, "dn-report", func() {
+	ds.node.After(incrementalEvery, "dn-report", func() {
 		ds.flushIncremental()
 		ds.armReport()
 	})
@@ -126,7 +117,7 @@ func (ds *DataServer) HandleMessage(from simnet.NodeID, msg any) {
 func (ds *DataServer) HandleRequest(from simnet.NodeID, req any, reply func(any)) {
 	switch req.(type) {
 	case FullReportRequest:
-		cost := ds.params.ReportOverhead + sim.Time(ds.BlockCount())*ds.params.PerBlockScan
+		cost := reportOverhead + sim.Time(ds.BlockCount())*perBlockScan
 		ds.node.After(cost, "dn-full-report", func() {
 			blocks := make([]uint64, 0, len(ds.blocks))
 			for b := range ds.blocks {

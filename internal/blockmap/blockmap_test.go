@@ -31,7 +31,7 @@ func TestIncrementalReportsReachActiveAndStandby(t *testing.T) {
 	standby := &mdsStub{mgr: NewManager()}
 	net.AddNode("active", active)
 	net.AddNode("standby", standby)
-	ds := NewDataServer(net, "dn1", DefaultParams(), []simnet.NodeID{"active", "standby"})
+	ds := NewDataServer(net, "dn1", []simnet.NodeID{"active", "standby"})
 	ds.Start()
 
 	net.AddNode("driver", nil)
@@ -50,7 +50,7 @@ func TestIncrementalReportsAreBatchedNotImmediate(t *testing.T) {
 	w, net := newWorld()
 	active := &mdsStub{mgr: NewManager()}
 	net.AddNode("active", active)
-	ds := NewDataServer(net, "dn1", DefaultParams(), []simnet.NodeID{"active"})
+	ds := NewDataServer(net, "dn1", []simnet.NodeID{"active"})
 	ds.Start()
 	net.AddNode("driver", nil)
 	net.Node("driver").Send("dn1", StoreBlocks{Blocks: []uint64{7}})
@@ -67,8 +67,8 @@ func TestIncrementalReportsAreBatchedNotImmediate(t *testing.T) {
 func TestFullReportCostScalesWithBlocks(t *testing.T) {
 	w, net := newWorld()
 	requester := net.AddNode("backup", nil)
-	small := NewDataServer(net, "dn-small", DefaultParams(), nil)
-	big := NewDataServer(net, "dn-big", DefaultParams(), nil)
+	small := NewDataServer(net, "dn-small", nil)
+	big := NewDataServer(net, "dn-big", nil)
 	small.SetVirtualBlocks(1_000)
 	big.SetVirtualBlocks(3_000_000)
 
@@ -98,7 +98,7 @@ func TestFullReportCostScalesWithBlocks(t *testing.T) {
 func TestFullReportCarriesRealAndVirtualBlocks(t *testing.T) {
 	w, net := newWorld()
 	requester := net.AddNode("backup", nil)
-	ds := NewDataServer(net, "dn", DefaultParams(), nil)
+	ds := NewDataServer(net, "dn", nil)
 	ds.SetVirtualBlocks(500)
 	net.AddNode("driver", nil)
 	net.Node("driver").Send("dn", StoreBlocks{Blocks: []uint64{10, 11}})
@@ -146,7 +146,7 @@ func TestDataServerDedupsStoredBlocks(t *testing.T) {
 	w, net := newWorld()
 	active := &mdsStub{mgr: NewManager()}
 	net.AddNode("active", active)
-	ds := NewDataServer(net, "dn1", DefaultParams(), []simnet.NodeID{"active"})
+	ds := NewDataServer(net, "dn1", []simnet.NodeID{"active"})
 	ds.Start()
 	net.AddNode("driver", nil)
 	net.Node("driver").Send("dn1", StoreBlocks{Blocks: []uint64{5}})

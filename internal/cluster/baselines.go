@@ -20,11 +20,6 @@ type BaselineSpec struct {
 	// data servers carry the matching block population (~1 block per
 	// 150-byte image entry, the paper's "7 million files at about 1 GB").
 	VirtualImageBytes int64
-	// CoordServers for the designs that use ZooKeeper (Avatar, HadoopHA).
-	CoordServers int
-	// Replicas for Boom-FS (default 3) / JournalNodes for Hadoop HA
-	// (paper sets 4).
-	Replicas int
 }
 
 // virtualBlocksPerDN splits the modeled block population across the DNs.
@@ -38,7 +33,7 @@ func (s BaselineSpec) virtualBlocksPerDN() int64 {
 // buildDataServers deploys the data servers, reporting blocks to targets.
 func buildDataServers(env *Env, name string, spec BaselineSpec, targets []simnet.NodeID) {
 	for d := 0; d < spec.DataServers; d++ {
-		ds := blockmap.NewDataServer(env.Net, NodeID("dn", name, d), blockmap.DefaultParams(), targets)
+		ds := blockmap.NewDataServer(env.Net, NodeID("dn", name, d), targets)
 		ds.SetVirtualBlocks(spec.virtualBlocksPerDN())
 		ds.Start()
 	}
@@ -90,7 +85,7 @@ func newBaselineSystem(env *Env, name string, servers ...BaselineServer) *Baseli
 
 // BuildHDFS deploys a vanilla NameNode.
 func BuildHDFS(env *Env, spec BaselineSpec) *BaselineSystem {
-	nn := baselines.NewHDFS(env.Net, NodeID("hdfs", "nn"), baselines.DefaultHDFSParams())
+	nn := baselines.NewHDFS(env.Net, NodeID("hdfs", "nn"))
 	s := newBaselineSystem(env, "HDFS", nn)
 	s.settle, s.crashNodeOnly = 100*sim.Millisecond, true
 	buildDataServers(env, "hdfs", spec, s.ids[0])
@@ -104,10 +99,9 @@ func BuildBackupNode(env *Env, spec BaselineSpec) *BaselineSystem {
 	for d := 0; d < spec.DataServers; d++ {
 		dnIDs = append(dnIDs, NodeID("dn", "bn", d))
 	}
-	params := baselines.DefaultBackupNodeParams()
 	s := newBaselineSystem(env, "BackupNode",
-		baselines.NewBackupNode(env.Net, pID, bID, true, dnIDs, params, env.Trace),
-		baselines.NewBackupNode(env.Net, bID, pID, false, dnIDs, params, env.Trace))
+		baselines.NewBackupNode(env.Net, pID, bID, true, dnIDs, env.Trace),
+		baselines.NewBackupNode(env.Net, bID, pID, false, dnIDs, env.Trace))
 	s.settle = 100 * sim.Millisecond
 	// Data servers report only to the primary: the backup must re-collect
 	// on takeover (the design's defining weakness).
@@ -122,15 +116,15 @@ func BuildAvatar(env *Env, spec BaselineSpec) *BaselineSystem {
 		baselines.DefaultAvatarParams(), []simnet.NodeID{NodeID("avatar", "filer")})
 }
 
+// journalNodes is Hadoop HA's journal-node count: "the number of
+// JournalNodes was set to 4".
+const journalNodes = 4
+
 // BuildHadoopHA deploys Hadoop HA: the shared-edit-log pair over the
-// journal nodes (spec.Replicas; the paper sets 4) with ZKFC failover.
+// journal nodes with ZKFC failover.
 func BuildHadoopHA(env *Env, spec BaselineSpec) *BaselineSystem {
-	jns := spec.Replicas
-	if jns == 0 {
-		jns = 4 // "the number of JournalNodes was set to 4"
-	}
 	var ids []simnet.NodeID
-	for i := 0; i < jns; i++ {
+	for i := 0; i < journalNodes; i++ {
 		ids = append(ids, NodeID("ha", "jn", i))
 	}
 	return buildSharedLog(env, spec, "Hadoop HA", baselines.HadoopHA, baselines.DefaultHadoopHAParams(), ids)
@@ -140,10 +134,7 @@ func BuildHadoopHA(env *Env, spec BaselineSpec) *BaselineSystem {
 // the edit stores, and the two servers of the pair.
 func buildSharedLog(env *Env, spec BaselineSpec, name string, d baselines.Design,
 	params baselines.SharedLogParams, storeIDs []simnet.NodeID) *BaselineSystem {
-	if spec.CoordServers == 0 {
-		spec.CoordServers = 3
-	}
-	ensemble := coord.StartEnsemble(env.Net, spec.CoordServers, env.Trace)
+	ensemble := coord.StartEnsemble(env.Net, coordServers, env.Trace)
 	var stores []*baselines.EditStore
 	for _, id := range storeIDs {
 		stores = append(stores, baselines.NewEditStore(env.Net, id, params.StoreWriteCost))
@@ -161,19 +152,18 @@ func buildSharedLog(env *Env, spec BaselineSpec, name string, d baselines.Design
 	return s
 }
 
-// BuildBoomFS deploys n (default 3) Paxos-replicated replicas.
+// boomReplicas is the number of Boom-FS replicas.
+const boomReplicas = 3
+
+// BuildBoomFS deploys boomReplicas Paxos-replicated replicas.
 func BuildBoomFS(env *Env, spec BaselineSpec) *BaselineSystem {
-	n := spec.Replicas
-	if n == 0 {
-		n = 3
-	}
 	var ids []simnet.NodeID
-	for i := 0; i < n; i++ {
+	for i := 0; i < boomReplicas; i++ {
 		ids = append(ids, NodeID("boom", fmt.Sprint(i)))
 	}
-	replicas := make([]BaselineServer, n)
+	replicas := make([]BaselineServer, boomReplicas)
 	for i, id := range ids {
-		replicas[i] = baselines.NewBoomFS(env.Net, id, ids, baselines.DefaultBoomFSParams(), env.Trace)
+		replicas[i] = baselines.NewBoomFS(env.Net, id, ids, env.Trace)
 	}
 	s := newBaselineSystem(env, "Boom-FS", replicas...)
 	buildDataServers(env, "boom", spec, ids)

@@ -52,9 +52,9 @@ func NewEnv(seed uint64) *Env {
 // sampler on repeat calls). Per-node and per-link series appear as the
 // instrumentation creates children; memory stays bounded by the sampler's
 // ring capacity and the registry's child limit.
-func (e *Env) StartTelemetry(cfg obs.SamplerConfig) *obs.Sampler {
+func (e *Env) StartTelemetry() *obs.Sampler {
 	if e.Sampler == nil {
-		e.Sampler = obs.NewSampler(e.World, e.Obs, cfg)
+		e.Sampler = obs.NewSampler(e.World, e.Obs, obs.SamplerConfig{})
 		e.Sampler.Start()
 	}
 	return e.Sampler

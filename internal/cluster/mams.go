@@ -6,7 +6,6 @@ import (
 	"mams/internal/fsclient"
 	"mams/internal/health"
 	"mams/internal/mams"
-	"mams/internal/obs"
 	"mams/internal/partition"
 	"mams/internal/sim"
 	"mams/internal/simnet"
@@ -20,11 +19,9 @@ type MAMSSpec struct {
 	// BackupsPerGroup 3.
 	Groups          int
 	BackupsPerGroup int
-	CoordServers    int
 	DataServers     int
 
-	Params    mams.Params
-	SSPParams ssp.Params
+	Params mams.Params
 
 	// Failure detector settings (the paper: heartbeat 2 s, session 5 s).
 	CoordHeartbeat      sim.Time
@@ -38,18 +35,20 @@ type MAMSSpec struct {
 	// paper's full-path hashing; BySubtree implements the conclusion's
 	// "other namespace management methods" direction).
 	Partition partition.Strategy
-
-	// SlotsPerGroup sizes the shard map (default
-	// partition.DefaultSlotsPerGroup). The uniform map routes identically
-	// to static hashing; slots only matter once migrations move them.
-	SlotsPerGroup int
-
-	// MetricChildLimit bounds per-family metric children (0 = auto: 64 at
-	// 64+ groups, unbounded below). Per-node and per-link label sets grow
-	// with Groups × members; at many-group scale the overflow aggregate
-	// keeps registry memory and scrape size O(families).
-	MetricChildLimit int
 }
+
+// coordServers is the size of a simulated deployment's coordination
+// ensemble.
+const coordServers = 3
+
+// From metricChildLimitGroups groups up, the registry keeps at most
+// metricChildLimit children per metric family (unbounded below). Per-node
+// and per-link label sets grow with Groups × members; at many-group scale
+// the overflow aggregate keeps registry memory and scrape size O(families).
+const (
+	metricChildLimit       = 64
+	metricChildLimitGroups = 64
+)
 
 func (s *MAMSSpec) defaults() {
 	if s.Groups == 0 {
@@ -58,26 +57,14 @@ func (s *MAMSSpec) defaults() {
 	if s.BackupsPerGroup == 0 {
 		s.BackupsPerGroup = 3
 	}
-	if s.CoordServers == 0 {
-		s.CoordServers = 3
-	}
 	if s.Params.BatchEvery == 0 {
 		s.Params = mams.DefaultParams()
-	}
-	if s.SSPParams.NetBW == 0 {
-		s.SSPParams = ssp.DefaultParams()
 	}
 	if s.CoordHeartbeat == 0 {
 		s.CoordHeartbeat = 2 * sim.Second
 	}
 	if s.CoordSessionTimeout == 0 {
 		s.CoordSessionTimeout = 5 * sim.Second
-	}
-	if s.SlotsPerGroup == 0 {
-		s.SlotsPerGroup = partition.DefaultSlotsPerGroup
-	}
-	if s.MetricChildLimit == 0 && s.Groups >= 64 {
-		s.MetricChildLimit = 64
 	}
 }
 
@@ -113,11 +100,11 @@ type MAMSCluster struct {
 func BuildMAMS(env *Env, spec MAMSSpec) *MAMSCluster {
 	spec.defaults()
 	c := &MAMSCluster{Env: env, Spec: spec}
-	if spec.MetricChildLimit > 0 {
-		env.Net.Obs().SetChildLimit(spec.MetricChildLimit)
+	if spec.Groups >= metricChildLimitGroups {
+		env.Net.Obs().SetChildLimit(metricChildLimit)
 	}
-	c.Coord = coord.StartEnsemble(env.Net, spec.CoordServers, env.Trace)
-	c.Part = partition.NewSharded(spec.Groups, spec.SlotsPerGroup, spec.Partition)
+	c.Coord = coord.StartEnsemble(env.Net, coordServers, env.Trace)
+	c.Part = partition.NewSharded(spec.Groups, partition.DefaultSlotsPerGroup, spec.Partition)
 
 	var groupIDs [][]simnet.NodeID
 	for g := 0; g < spec.Groups; g++ {
@@ -135,7 +122,7 @@ func BuildMAMS(env *Env, spec MAMSSpec) *MAMSCluster {
 		CoordSessionTimeout: spec.CoordSessionTimeout,
 		Partitioner:         c.Part,
 		Params:              spec.Params,
-		SSPParams:           spec.SSPParams,
+		SSPParams:           ssp.DefaultParams(),
 	}
 
 	for _, ids := range groupIDs {
@@ -153,7 +140,7 @@ func BuildMAMS(env *Env, spec MAMSSpec) *MAMSCluster {
 		allMDS = append(allMDS, ids...)
 	}
 	for d := 0; d < spec.DataServers; d++ {
-		ds := blockmap.NewDataServer(env.Net, NodeID("dn", d), blockmap.DefaultParams(), allMDS)
+		ds := blockmap.NewDataServer(env.Net, NodeID("dn", d), allMDS)
 		ds.Start()
 		c.DataServers = append(c.DataServers, ds)
 	}
@@ -291,13 +278,12 @@ func (c *MAMSCluster) StartMigrator() *mams.Migrator {
 // StartHealth wires the gray-failure monitoring plane over every MDS node:
 // the environment's telemetry sampler (started on demand), an active prober
 // on its own dedicated node, and the signal-driven detector. Idempotent.
-// cfg zero values take the detector defaults; the prober probes at the
-// sampler cadence.
-func (c *MAMSCluster) StartHealth(cfg health.Config) *health.Detector {
+// The prober probes at the sampler cadence.
+func (c *MAMSCluster) StartHealth() *health.Detector {
 	if c.Health != nil {
 		return c.Health
 	}
-	sampler := c.Env.StartTelemetry(obs.SamplerConfig{})
+	sampler := c.Env.StartTelemetry()
 	var targets []simnet.NodeID
 	var names []string
 	for _, ids := range c.GroupIDs {
@@ -309,7 +295,7 @@ func (c *MAMSCluster) StartHealth(cfg health.Config) *health.Detector {
 	host := c.Env.Net.AddNode(NodeID("health", "prober"), nil)
 	c.Prober = health.NewProber(host, targets, sampler.Every())
 	c.Prober.Start()
-	c.Health = health.NewDetector(c.Env.World, sampler, c.Env.Obs, c.Env.Trace, names, cfg)
+	c.Health = health.NewDetector(c.Env.World, sampler, c.Env.Obs, c.Env.Trace, names)
 	c.Health.Start()
 	return c.Health
 }

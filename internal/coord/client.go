@@ -15,10 +15,6 @@ type ClientConfig struct {
 	SessionTimeout sim.Time
 	// HeartbeatEvery is the ping period (the paper sets 2 s).
 	HeartbeatEvery sim.Time
-	// RequestTimeout bounds one RPC attempt. Default 300 ms.
-	RequestTimeout sim.Time
-	// MaxAttempts bounds retries per logical request. Default 40.
-	MaxAttempts int
 }
 
 func (c *ClientConfig) defaults() {
@@ -28,13 +24,15 @@ func (c *ClientConfig) defaults() {
 	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = 2 * sim.Second
 	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 300 * sim.Millisecond
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 40
-	}
 }
+
+// A client's retry budget for one logical request.
+const (
+	// requestTimeout bounds one RPC attempt.
+	requestTimeout = 300 * sim.Millisecond
+	// maxAttempts bounds the attempts per logical request.
+	maxAttempts = 40
+)
 
 // Client gives a host process (an MDS, a failover controller) access to the
 // coordination service. It shares the host's network identity, so
@@ -175,7 +173,7 @@ func (c *Client) ping() {
 		return
 	}
 	target := c.cfg.Servers[c.leader]
-	c.host.Call(target, pingRequest{Session: c.session}, c.cfg.RequestTimeout,
+	c.host.Call(target, pingRequest{Session: c.session}, requestTimeout,
 		func(resp any, err error) {
 			if err != nil {
 				// Try another member next time; the heartbeat cadence
@@ -230,12 +228,12 @@ func (c *Client) request(op Op, cb func(*Result, error)) {
 }
 
 func (c *Client) attempt(op Op, tries int, cb func(*Result, error)) {
-	if tries >= c.cfg.MaxAttempts {
+	if tries >= maxAttempts {
 		cb(nil, ErrNoQuorum)
 		return
 	}
 	target := c.cfg.Servers[c.leader]
-	c.host.Call(target, clientRequest{Op: op}, c.cfg.RequestTimeout,
+	c.host.Call(target, clientRequest{Op: op}, requestTimeout,
 		func(resp any, err error) {
 			if err != nil {
 				c.leader = (c.leader + 1) % len(c.cfg.Servers)
@@ -268,12 +266,12 @@ func (c *Client) ForceExpireNode(node transport.NodeID, cb func(err error)) {
 }
 
 func (c *Client) forceExpireAttempt(node transport.NodeID, tries int, cb func(err error)) {
-	if tries >= c.cfg.MaxAttempts {
+	if tries >= maxAttempts {
 		cb(ErrNoQuorum)
 		return
 	}
 	target := c.cfg.Servers[c.leader]
-	c.host.Call(target, poisonRequest{Node: node}, c.cfg.RequestTimeout,
+	c.host.Call(target, poisonRequest{Node: node}, requestTimeout,
 		func(resp any, err error) {
 			if err != nil {
 				c.leader = (c.leader + 1) % len(c.cfg.Servers)

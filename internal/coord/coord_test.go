@@ -391,16 +391,14 @@ func TestCloseReleasesEphemeralsImmediately(t *testing.T) {
 }
 
 func TestRetriedRequestAppliesOnce(t *testing.T) {
-	// Message loss forces client retries; sequential creates must still
-	// produce exactly one node per logical request.
+	// Message loss forces client retries (requestTimeout per attempt, at
+	// most maxAttempts); sequential creates must still produce exactly one
+	// node per logical request.
 	e := newEnv(t, 3, 10)
 	e.sp.Net.SetLoss(0.2)
 	// Long session timeout: heartbeats are also lossy and must not expire
 	// the session mid-test.
-	h := e.newHost(t, "cli", ClientConfig{
-		RequestTimeout: 200 * sim.Millisecond, MaxAttempts: 200,
-		SessionTimeout: 120 * sim.Second,
-	})
+	h := e.newHost(t, "cli", ClientConfig{SessionTimeout: 120 * sim.Second})
 	e.startClient(t, h)
 
 	done := 0

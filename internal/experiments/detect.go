@@ -218,7 +218,7 @@ func detectTrial(seed uint64, spec detectSpec) DetectCell {
 		return out
 	}
 	out.Stable = true
-	det := c.StartHealth(health.Config{})
+	det := c.StartHealth()
 	drv := workload.NewDriver(env, c.AsSystem(), 8, nil)
 	drv.Setup(8)
 	stop := drv.Continuous(workload.CreateMkdir(), 8)

@@ -139,7 +139,7 @@ func measureShardHotCell(seed uint64, groups int, policy string, warmup, window 
 	if policy == "migrate" {
 		mg = c.StartMigrator()
 		env.World.Defer("shard-balancer-on", func() {
-			mg.StartBalancer(mams.BalancerConfig{})
+			mg.StartBalancer()
 		})
 	}
 	stop := drv.Continuous(workload.Mix{mams.OpStat: 0.85, mams.OpCreate: 0.15}, 48)

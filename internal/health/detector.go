@@ -32,58 +32,32 @@ type Verdict struct {
 	ConfirmedAt    sim.Time
 }
 
-// Config tunes the detector. Zero values take the documented defaults.
-type Config struct {
-	// Every is the evaluation cadence (default 1 s).
-	Every sim.Time
-	// Window is the trailing window every signal is computed over
-	// (default 5 s). It should cover ≥ several probe intervals.
-	Window sim.Time
-	// Confirm is how many consecutive suspect evaluations confirm a
-	// verdict (default 3): transient blips (an election, one slow scrape)
-	// must not page.
-	Confirm int
-	// SlowFactor is the latency-SLO burn threshold: a node is slow when
-	// its windowed probe p99 is ≥ SlowFactor × the peer-median windowed
-	// p99 (default 2.5). The same ratio is used peer-relatively for pool
-	// serve latency (brownout).
-	SlowFactor float64
-	// SlowFloor is an absolute p99 floor (default 1 ms = the probe CPU
-	// cost): with every peer fast, tiny ratios over microsecond medians
-	// must not trip.
-	SlowFloor float64
-	// DriftMin is the minimum |clock-drift| (seconds per second) the
-	// offset-slope estimator flags as skew (default 0.05).
-	DriftMin float64
-	// MinProbes is the minimum windowed probe count required to judge RTT
-	// quantiles (default 4).
-	MinProbes uint64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Every <= 0 {
-		c.Every = sim.Second
-	}
-	if c.Window <= 0 {
-		c.Window = 5 * sim.Second
-	}
-	if c.Confirm <= 0 {
-		c.Confirm = 3
-	}
-	if c.SlowFactor <= 1 {
-		c.SlowFactor = 2.5
-	}
-	if c.SlowFloor <= 0 {
-		c.SlowFloor = 0.001
-	}
-	if c.DriftMin <= 0 {
-		c.DriftMin = 0.05
-	}
-	if c.MinProbes == 0 {
-		c.MinProbes = 4
-	}
-	return c
-}
+// The detector's fixed scoring policy.
+const (
+	// evalEvery is the evaluation cadence.
+	evalEvery = sim.Second
+	// evalWindow is the trailing window every signal is computed over. It
+	// covers several probe intervals.
+	evalWindow = 5 * sim.Second
+	// confirmEvals is how many consecutive suspect evaluations confirm a
+	// verdict: transient blips (an election, one slow scrape) must not page.
+	confirmEvals = 3
+	// slowFactor is the latency-SLO burn threshold: a node is slow when its
+	// windowed probe p99 is ≥ slowFactor × the peer-median windowed p99.
+	// The same ratio is used peer-relatively for pool serve latency
+	// (brownout).
+	slowFactor = 2.5
+	// slowFloor is an absolute p99 floor in seconds (the probe CPU cost):
+	// with every peer fast, tiny ratios over microsecond medians must not
+	// trip.
+	slowFloor = 0.001
+	// driftMin is the minimum |clock-drift| (seconds per second) the
+	// offset-slope estimator flags as skew.
+	driftMin = 0.05
+	// minProbes is the minimum windowed probe count required to judge RTT
+	// quantiles.
+	minProbes = 4
+)
 
 // nodeState tracks one node's suspicion streak.
 type nodeState struct {
@@ -102,7 +76,6 @@ type Detector struct {
 	world *sim.World
 	s     *obs.Sampler
 	log   *trace.Log
-	cfg   Config
 	nodes []string
 
 	state    map[string]*nodeState
@@ -137,12 +110,11 @@ func (c *obsKindCounters) inc(node string, k Kind) {
 // nodes. reg receives the mams_health_* output metrics (it is normally the
 // same registry the sampler scrapes, so health state is itself a series);
 // log receives KindHealth transition events. Both may be nil.
-func NewDetector(w *sim.World, s *obs.Sampler, reg *obs.Registry, log *trace.Log, nodes []string, cfg Config) *Detector {
+func NewDetector(w *sim.World, s *obs.Sampler, reg *obs.Registry, log *trace.Log, nodes []string) *Detector {
 	d := &Detector{
 		world:      w,
 		s:          s,
 		log:        log,
-		cfg:        cfg.withDefaults(),
 		nodes:      append([]string(nil), nodes...),
 		state:      map[string]*nodeState{},
 		stateGauge: map[string]*obs.Gauge{},
@@ -170,9 +142,9 @@ func (d *Detector) Start() {
 	var tick func()
 	tick = func() {
 		d.Eval()
-		d.world.After(d.cfg.Every, "health-eval", tick)
+		d.world.After(evalEvery, "health-eval", tick)
 	}
-	d.world.After(d.cfg.Every, "health-eval", tick)
+	d.world.After(evalEvery, "health-eval", tick)
 }
 
 // Verdicts returns every confirmed verdict so far, in confirmation order.
@@ -202,8 +174,8 @@ func (d *Detector) Eval() {
 		return
 	}
 	sig := evalSignals{
-		probeP99: d.windowP99(MetricProbeRTT, d.cfg.MinProbes),
-		poolP99:  d.windowP99("mams_ssp_pool_serve_seconds", d.cfg.MinProbes),
+		probeP99: d.windowP99(MetricProbeRTT),
+		poolP99:  d.windowP99("mams_ssp_pool_serve_seconds"),
 	}
 	sig.probeMed = median(values(sig.probeP99, d.nodes))
 	sig.poolMed = median(values(sig.poolP99, d.nodes))
@@ -236,7 +208,7 @@ func (d *Detector) dropSignals() (peers map[string]map[string]bool, srcs map[str
 		peers[a][b] = true
 	}
 	for _, ts := range d.s.SeriesOf("mams_net_messages_dropped_total") {
-		if delta, ok := ts.Delta(d.cfg.Window); !ok || delta <= 0 {
+		if delta, ok := ts.Delta(evalWindow); !ok || delta <= 0 {
 			continue
 		}
 		src, dst := ts.Label("src"), ts.Label("dst")
@@ -274,17 +246,17 @@ func flapSuspect(n string, sig evalSignals) bool {
 
 // windowP99 computes each node's windowed p99 for one histogram family,
 // skipping nodes with too few windowed observations to judge.
-func (d *Detector) windowP99(family string, minObs uint64) map[string]float64 {
+func (d *Detector) windowP99(family string) map[string]float64 {
 	out := map[string]float64{}
 	for _, n := range d.nodes {
 		hs := d.s.Hist(family, "node", n)
 		if hs == nil {
 			continue
 		}
-		if cnt, ok := hs.WindowCount(d.cfg.Window); !ok || cnt < minObs {
+		if cnt, ok := hs.WindowCount(evalWindow); !ok || cnt < minProbes {
 			continue
 		}
-		if v, ok := hs.WindowQuantile(0.99, d.cfg.Window); ok {
+		if v, ok := hs.WindowQuantile(0.99, evalWindow); ok {
 			out[n] = v
 		}
 	}
@@ -306,10 +278,10 @@ func (d *Detector) windowP99(family string, minObs uint64) map[string]float64 {
 //  4. brownout — pool data ops erroring, or pool serve p99 burning while the
 //     node's probe RTT is normal (the paper's slow-but-up shape).
 func (d *Detector) classify(n string, sig evalSignals) Kind {
-	w := d.cfg.Window
+	w := evalWindow
 
 	if ts := d.s.Series(MetricProbeOffset, "node", n); ts != nil {
-		if slope, ok := ts.Rate(w); ok && math.Abs(slope) >= d.cfg.DriftMin {
+		if slope, ok := ts.Rate(w); ok && math.Abs(slope) >= driftMin {
 			return Skew
 		}
 	}
@@ -320,7 +292,7 @@ func (d *Detector) classify(n string, sig evalSignals) Kind {
 
 	rtt, rttOK := sig.probeP99[n]
 	slow := rttOK && sig.probeMed > 0 &&
-		rtt >= d.cfg.SlowFactor*sig.probeMed && rtt >= d.cfg.SlowFloor
+		rtt >= slowFactor*sig.probeMed && rtt >= slowFloor
 	if slow {
 		return Slow
 	}
@@ -330,9 +302,9 @@ func (d *Detector) classify(n string, sig evalSignals) Kind {
 			return Brownout
 		}
 	}
-	if v, ok := sig.poolP99[n]; ok && sig.poolMed > 0 && v >= d.cfg.SlowFactor*sig.poolMed {
+	if v, ok := sig.poolP99[n]; ok && sig.poolMed > 0 && v >= slowFactor*sig.poolMed {
 		// Serve latency burns but probes are healthy: data path only.
-		if !rttOK || rtt < d.cfg.SlowFactor*sig.probeMed {
+		if !rttOK || rtt < slowFactor*sig.probeMed {
 			return Brownout
 		}
 	}
@@ -362,7 +334,7 @@ func (d *Detector) transition(n string, k Kind) {
 		}
 	}
 	st.streak++
-	if !st.confirmed && st.streak >= d.cfg.Confirm {
+	if !st.confirmed && st.streak >= confirmEvals {
 		st.confirmed = true
 		v := Verdict{Node: n, Kind: k, FirstSuspectAt: st.first, ConfirmedAt: now}
 		d.verdicts = append(d.verdicts, v)

@@ -19,14 +19,14 @@ type rig struct {
 	nodes []string
 }
 
-func newRig(t *testing.T, cfg Config) *rig {
+func newRig(t *testing.T) *rig {
 	t.Helper()
 	w := sim.NewWorld()
 	reg := obs.NewRegistry()
 	s := obs.NewSampler(w, reg, obs.SamplerConfig{})
 	s.Start()
 	r := &rig{w: w, reg: reg, s: s, nodes: []string{"n0", "n1", "n2", "n3"}}
-	r.d = NewDetector(w, s, reg, trace.New(w), r.nodes, cfg)
+	r.d = NewDetector(w, s, reg, trace.New(w), r.nodes)
 	r.d.Start()
 	return r
 }
@@ -80,7 +80,7 @@ func wantOnly(t *testing.T, d *Detector, node string, kind Kind) Verdict {
 }
 
 func TestDetectorSlowVerdictAndClear(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	const faultAt, healAt = 10 * sim.Second, 16 * sim.Second
 	r.feedProbes(func(n string, now sim.Time) float64 {
 		if n == "n1" && now >= faultAt && now < healAt {
@@ -102,7 +102,7 @@ func TestDetectorSlowVerdictAndClear(t *testing.T) {
 }
 
 func TestDetectorSkewVerdict(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	const drift = 0.15
 	hists := map[string]*obs.Histogram{}
 	for _, n := range r.nodes {
@@ -128,7 +128,7 @@ func TestDetectorSkewVerdict(t *testing.T) {
 func TestDetectorFlapBlamesCommonEndpoint(t *testing.T) {
 	for _, dir := range []string{"outbound", "inbound"} {
 		t.Run(dir, func(t *testing.T) {
-			r := newRig(t, Config{})
+			r := newRig(t)
 			r.feedProbes(func(string, sim.Time) float64 { return healthyRTT })
 			var drops []*obs.Counter
 			for _, peer := range []string{"n0", "n2", "n3"} {
@@ -158,7 +158,7 @@ func TestDetectorFlapBlamesCommonEndpoint(t *testing.T) {
 // With a single dropping link neither endpoint stands out, so the sender is
 // blamed (the injection convention flaps outbound links).
 func TestDetectorSingleLinkBlamesSender(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	r.feedProbes(func(string, sim.Time) float64 { return healthyRTT })
 	c := r.reg.Counter("mams_net_messages_dropped_total", "t", "src", "n0", "dst", "n1")
 	r.every(200*sim.Millisecond, func() {
@@ -171,7 +171,7 @@ func TestDetectorSingleLinkBlamesSender(t *testing.T) {
 }
 
 func TestDetectorBrownoutFromErrorsAndServeLatency(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	r.feedProbes(func(string, sim.Time) float64 { return healthyRTT })
 	serve := map[string]*obs.Histogram{}
 	for _, n := range r.nodes {
@@ -198,7 +198,7 @@ func TestDetectorBrownoutFromErrorsAndServeLatency(t *testing.T) {
 
 // The zero-false-positive pin: a healthy, balanced plane must never page.
 func TestDetectorQuietOnHealthySeries(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	r.feedProbes(func(string, sim.Time) float64 { return healthyRTT })
 	serve := map[string]*obs.Histogram{}
 	for _, n := range r.nodes {
@@ -223,7 +223,7 @@ func TestDetectorQuietOnHealthySeries(t *testing.T) {
 
 // The detector's output metrics are themselves scraped series.
 func TestDetectorEmitsHealthMetrics(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	const faultAt = 8 * sim.Second
 	r.feedProbes(func(n string, now sim.Time) float64 {
 		if n == "n0" && now >= faultAt {

@@ -14,7 +14,7 @@ func (s *Server) ReflushTailForTest() {
 // path re-reads s.sspc on each retry, so RestoreSSPForTest heals the next
 // retry attempt.
 func (s *Server) BreakSSPForTest() {
-	s.sspc = ssp.NewClient(s.node, nil, nil, s.cfg.Params.SSPReplicas)
+	s.sspc = ssp.NewClient(s.node, nil, nil, sspReplicas)
 }
 
 // RestoreSSPForTest reinstalls the real pool client after BreakSSPForTest.

@@ -54,13 +54,19 @@ func (s *Server) maybeElect() {
 	s.node.After(s.electionJitter(), "mams-election-jitter", s.tryAcquireLock)
 }
 
+// electionJitterMin and electionJitterMax bound Algorithm 1's random-number
+// contention, realized as a uniform random delay before the lock grab.
+const (
+	electionJitterMin = 10 * sim.Millisecond
+	electionJitterMax = 60 * sim.Millisecond
+)
+
 // electionJitter draws the contention delay. Standbys use a short uniform
 // window; juniors defer to standbys and order themselves by journal
 // position (Algorithm 1: "selecting the junior with maximum sn").
 func (s *Server) electionJitter() sim.Time {
-	p := s.cfg.Params
-	base := p.ElectionJitterMin +
-		sim.Time(float64(p.ElectionJitterMax-p.ElectionJitterMin)*s.rnd())
+	base := electionJitterMin +
+		sim.Time(float64(electionJitterMax-electionJitterMin)*s.rnd())
 	if s.role == RoleJunior {
 		snRank := s.log.LastSN()
 		if snRank > 1000 {
@@ -156,6 +162,10 @@ func (s *Server) abortUpgrade() {
 	})
 }
 
+// registrationWait is how long the new active collects peer registrations
+// before it serves (Fig. 4 step 5).
+const registrationWait = 120 * sim.Millisecond
+
 // commitCachedAndFlip performs steps 2-6: commit cached journals, flip the
 // global view, re-flush the journal tail, wait for registrations, serve.
 func (s *Server) commitCachedAndFlip() {
@@ -199,7 +209,7 @@ func (s *Server) commitCachedAndFlip() {
 				// Step 5: collect registrations (Register handler runs
 				// concurrently); step 6 after the registration window.
 				s.stageSpan = s.spans.Begin("stage-registration", me, s.failoverSpan)
-				s.node.After(s.cfg.Params.RegistrationWait, "mams-registration-wait", func() {
+				s.node.After(registrationWait, "mams-registration-wait", func() {
 					s.spans.End(s.stageSpan)
 					// Step 6: switch to active duty and drain the buffer.
 					// The shardmap znode is re-read first so a standing

@@ -149,12 +149,12 @@ type RenewStart struct {
 	ImageSize int64
 }
 
-// RenewJournalReq asks the active for journal batches after FromSN (used
-// when the SSP lacks them, or for the final synchronization stage).
+// RenewJournalReq asks the active for up to renewJournalChunk journal
+// batches after FromSN (used when the SSP lacks them, or for the final
+// synchronization stage).
 type RenewJournalReq struct {
 	From   transport.NodeID
 	FromSN uint64
-	Max    int
 }
 
 // RenewJournalResp carries a run of batches plus the active's current sn.

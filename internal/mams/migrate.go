@@ -547,33 +547,6 @@ type MigratorStats struct {
 	TotalPause   sim.Time
 }
 
-// BalancerConfig tunes the load-driven migration policy.
-type BalancerConfig struct {
-	// Every is the load-poll cadence (default 250 ms).
-	Every sim.Time
-	// MinOps ignores rounds whose hottest group executed fewer ops.
-	MinOps uint64
-	// Ratio triggers a move when hottest/coldest exceeds it (default 3).
-	Ratio float64
-	// Cooldown skips slots moved within the last N rounds (default 4).
-	Cooldown int
-}
-
-func (c *BalancerConfig) defaults() {
-	if c.Every == 0 {
-		c.Every = 250 * sim.Millisecond
-	}
-	if c.MinOps == 0 {
-		c.MinOps = 50
-	}
-	if c.Ratio == 0 {
-		c.Ratio = 3
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 4
-	}
-}
-
 // Migrator drives live migrations against the shardmap znode. It is an
 // out-of-band process with its own coordination session (like a cluster
 // operator), so it survives any metadata-server failover and can resume a
@@ -911,13 +884,24 @@ func (mg *Migrator) finishMove(st MoveStats, freezeStart sim.Time, done func(Mov
 
 // ---- load-driven balancing ----
 
+// The load-driven migration policy.
+const (
+	// balanceEvery is the load-poll cadence.
+	balanceEvery = 250 * sim.Millisecond
+	// balanceMinOps ignores rounds whose hottest group executed fewer ops.
+	balanceMinOps = 50
+	// balanceRatio triggers a move when hottest/coldest exceeds it.
+	balanceRatio = 3
+	// balanceCooldown skips slots moved within this many rounds.
+	balanceCooldown = 4
+)
+
 // StartBalancer begins periodic load polling and hot-slot migration. The
 // policy: find the hottest and coldest groups by executed ops in the window;
-// when the imbalance exceeds Ratio, either isolate a dominant hot slot (move
-// the hottest *other* slot off its group, giving the hotspot a dedicated
-// group) or move the hottest slot to the coldest group.
-func (mg *Migrator) StartBalancer(cfg BalancerConfig) {
-	cfg.defaults()
+// when the imbalance exceeds balanceRatio, either isolate a dominant hot slot
+// (move the hottest *other* slot off its group, giving the hotspot a
+// dedicated group) or move the hottest slot to the coldest group.
+func (mg *Migrator) StartBalancer() {
 	if mg.balOn {
 		return
 	}
@@ -927,18 +911,18 @@ func (mg *Migrator) StartBalancer(cfg BalancerConfig) {
 		if !mg.balOn {
 			return
 		}
-		mg.balanceOnce(cfg, func() {
-			mg.node.After(cfg.Every, "balancer-round", loop)
+		mg.balanceOnce(func() {
+			mg.node.After(balanceEvery, "balancer-round", loop)
 		})
 	}
-	mg.node.After(cfg.Every, "balancer-round", loop)
+	mg.node.After(balanceEvery, "balancer-round", loop)
 }
 
 // StopBalancer halts the polling loop (in-flight migrations finish).
 func (mg *Migrator) StopBalancer() { mg.balOn = false }
 
 // balanceOnce polls every group and performs at most one migration.
-func (mg *Migrator) balanceOnce(cfg BalancerConfig, next func()) {
+func (mg *Migrator) balanceOnce(next func()) {
 	mg.round++
 	if mg.busy {
 		next()
@@ -952,7 +936,7 @@ func (mg *Migrator) balanceOnce(cfg BalancerConfig, next func()) {
 		if remaining > 0 {
 			return
 		}
-		slot, to, ok := mg.pickMove(cfg, stats)
+		slot, to, ok := mg.pickMove(stats)
 		if !ok {
 			next()
 			return
@@ -986,7 +970,7 @@ func (mg *Migrator) balanceOnce(cfg BalancerConfig, next func()) {
 }
 
 // pickMove applies the balancing policy to one round of load stats.
-func (mg *Migrator) pickMove(cfg BalancerConfig, stats []LoadStats) (slot, to int, ok bool) {
+func (mg *Migrator) pickMove(stats []LoadStats) (slot, to int, ok bool) {
 	if mg.layout.Partitioner == nil {
 		return 0, 0, false
 	}
@@ -1005,8 +989,8 @@ func (mg *Migrator) pickMove(cfg BalancerConfig, stats []LoadStats) (slot, to in
 	if hot < 0 || cold < 0 || hot == cold {
 		return 0, 0, false
 	}
-	if stats[hot].Total < cfg.MinOps ||
-		float64(stats[hot].Total) < cfg.Ratio*float64(stats[cold].Total+1) {
+	if stats[hot].Total < balanceMinOps ||
+		float64(stats[hot].Total) < balanceRatio*float64(stats[cold].Total+1) {
 		return 0, 0, false
 	}
 	owned := mg.layout.Partitioner.Map().SlotsOf(hot)
@@ -1035,7 +1019,7 @@ func (mg *Migrator) pickMove(cfg BalancerConfig, stats []LoadStats) (slot, to in
 		// hottest co-resident slot instead.
 		pick = second
 	}
-	if r, moved := mg.lastMove[pick]; moved && mg.round-r <= cfg.Cooldown {
+	if r, moved := mg.lastMove[pick]; moved && mg.round-r <= balanceCooldown {
 		return 0, 0, false
 	}
 	return pick, cold, true

@@ -57,9 +57,11 @@ type CostModel struct {
 	RenewBatchApply  sim.Time // junior CPU per journal batch applied
 }
 
-// Params is the protocol's own timing and policy — time-outs, batch sizes,
-// windows, jitter: what a deployment tunes on any hardware — plus the
+// Params is the commit policy a deployment or experiment chooses — seal
+// timer, group commit and its window, ack point, pool durability — plus the
 // CostModel of the plane it runs on, embedded so p.CreateSvc still reads.
+// The protocol's fixed timing (ack time-out, election jitter, registration
+// window, renewing cadence) is constant at its use site.
 type Params struct {
 	CostModel
 
@@ -67,10 +69,6 @@ type Params struct {
 	// asynchronously (§IV).
 	BatchEvery      sim.Time
 	BatchMaxRecords int
-
-	// AckTimeout bounds how long the active waits for a standby's batch
-	// ack before degrading it to junior.
-	AckTimeout sim.Time
 
 	// GroupCommit switches the active's commit path from timer-only sealing
 	// to adaptive group commit with a pipelined journal: a batch seals as
@@ -91,19 +89,6 @@ type Params struct {
 	// durability watermark (committedSN), and clients learn durability when
 	// a later watermark from the same epoch covers their sn.
 	AsyncAck bool
-
-	// SSPReplicas is the shared-file replication factor in the pool.
-	SSPReplicas int
-
-	// Failover protocol timing.
-	ElectionJitterMin sim.Time // Algorithm 1's random-number contention,
-	ElectionJitterMax sim.Time // realized as a random delay before the lock grab
-	RegistrationWait  sim.Time // wait for peers to re-register (Fig. 4 step 5)
-
-	// Renewing protocol.
-	RenewScanEvery    sim.Time // active's periodic view scan for juniors
-	RenewSmallGap     uint64   // sn gap below which final sync starts
-	RenewJournalChunk int      // batches per catch-up round trip
 
 	// TraceAppends emits a KindJournal "append"/"append-dup" trace event at
 	// every journal append site (active seal, standby commit, renew apply,
@@ -155,21 +140,9 @@ func DefaultParams() Params {
 			RenewBatchApply:  200 * sim.Microsecond,
 		},
 
-		BatchEvery:      2 * sim.Millisecond,
-		BatchMaxRecords: 512,
-
-		AckTimeout:  500 * sim.Millisecond,
-		SSPReplicas: 2,
-
+		BatchEvery:         2 * sim.Millisecond,
+		BatchMaxRecords:    512,
 		MaxInflightBatches: 4,
-
-		ElectionJitterMin: 10 * sim.Millisecond,
-		ElectionJitterMax: 60 * sim.Millisecond,
-		RegistrationWait:  120 * sim.Millisecond,
-
-		RenewScanEvery:    2 * sim.Second,
-		RenewSmallGap:     8,
-		RenewJournalChunk: 64,
 	}
 }
 

@@ -300,6 +300,10 @@ func (p *commitPipeline) sealBatch() {
 	transport.Charge(p.node, launchDelay, "mds-journal-flush", func() { p.launch(rs) })
 }
 
+// ackTimeout bounds how long the active waits for a standby's batch ack
+// before degrading it to junior (§III.B).
+const ackTimeout = 500 * sim.Millisecond
+
 // launch sends a sealed batch on its way: to the pool, asynchronously by
 // default (§IV: "written back to journals in an asynchronous way") or as
 // part of the commit requirement under SyncSSP, and to every target.
@@ -316,7 +320,7 @@ func (p *commitPipeline) launch(rs *replState) {
 	}
 	msg := AppendBatch{From: p.node.ID(), Epoch: rs.batch.Epoch, Batch: rs.batch, CommitThrough: p.committedSN}
 	for _, t := range rs.targets {
-		p.node.Call(t, msg, p.params.AckTimeout, func(resp any, err error) {
+		p.node.Call(t, msg, ackTimeout, func(resp any, err error) {
 			// A timeout is handled by the ack-timeout path, which demotes
 			// the laggard.
 			if ack, ok := resp.(AppendAck); ok && err == nil {
@@ -324,7 +328,7 @@ func (p *commitPipeline) launch(rs *replState) {
 			}
 		})
 	}
-	rs.timer = p.node.After(p.params.AckTimeout+10*sim.Millisecond, "mds-ack-timeout", func() {
+	rs.timer = p.node.After(ackTimeout+10*sim.Millisecond, "mds-ack-timeout", func() {
 		p.onAckTimeout(sn)
 	})
 }

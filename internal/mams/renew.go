@@ -10,6 +10,18 @@ import (
 	"mams/internal/transport"
 )
 
+// The renewing protocol's fixed timing and sizes (§III.D).
+const (
+	// renewScanEvery is the active's global-view scan period for juniors.
+	renewScanEvery = 2 * sim.Second
+	// renewSmallGap is the sn gap at or below which a junior enters the
+	// final synchronization stage.
+	renewSmallGap = 8
+	// renewJournalChunk is the number of journal batches per catch-up round
+	// trip.
+	renewJournalChunk = 64
+)
+
 // ---- active side of the renewing protocol (§III.D) ----
 
 // armRenewScan starts the active's periodic global-view scan for juniors.
@@ -25,9 +37,9 @@ func (s *Server) armRenewScan() {
 			return
 		}
 		s.scanJuniors()
-		s.node.After(s.cfg.Params.RenewScanEvery, "mams-renew-scan", loop)
+		s.node.After(renewScanEvery, "mams-renew-scan", loop)
 	}
-	s.node.After(s.cfg.Params.RenewScanEvery, "mams-renew-scan", loop)
+	s.node.After(renewScanEvery, "mams-renew-scan", loop)
 }
 
 // scanJuniors launches one renewing session at a time, choosing the junior
@@ -90,10 +102,6 @@ func (s *Server) onRenewJournalReq(m RenewJournalReq, reply func(any)) {
 	}
 	committed := s.pipe.committedSN
 	s.renewLastSeen[m.From] = m.FromSN
-	max := m.Max
-	if max <= 0 {
-		max = s.cfg.Params.RenewJournalChunk
-	}
 	batches := s.log.Since(m.FromSN)
 	resp := RenewJournalResp{ActiveSN: committed}
 	if len(batches) == 0 || batches[0].SN != m.FromSN+1 {
@@ -114,7 +122,7 @@ func (s *Server) onRenewJournalReq(m RenewJournalReq, reply func(any)) {
 		return
 	}
 	for _, b := range batches {
-		if b.SN > committed || len(resp.Batches) >= max {
+		if b.SN > committed || len(resp.Batches) >= renewJournalChunk {
 			break
 		}
 		resp.Batches = append(resp.Batches, b)
@@ -138,7 +146,7 @@ func (s *Server) onRenewProgress(m RenewProgress) {
 	if m.SN > committed {
 		gap = 0
 	}
-	if gap > s.cfg.Params.RenewSmallGap {
+	if gap > renewSmallGap {
 		return
 	}
 	s.emit(trace.KindRenew, "renew-final-sync", "junior", string(m.From), "gap", fmt.Sprint(gap))
@@ -188,7 +196,7 @@ func (s *Server) onRenewStart(m RenewStart) {
 	if m.ActiveSN < s.log.LastSN() {
 		gap = 0
 	}
-	if m.ImageSN > s.log.LastSN() && (s.log.LastSN() == 0 || gap > 4*uint64(s.cfg.Params.RenewJournalChunk)) {
+	if m.ImageSN > s.log.LastSN() && (s.log.LastSN() == 0 || gap > 4*renewJournalChunk) {
 		s.fetchRenewImage(m.ImageSN)
 		return
 	}
@@ -240,7 +248,7 @@ func (s *Server) pullRenewJournal() {
 		s.renewCatchupSpan = s.spans.Begin("renew-catchup", string(s.cfg.ID), s.renewSpan,
 			"fromsn", fmt.Sprint(s.log.LastSN()))
 	}
-	req := RenewJournalReq{From: s.cfg.ID, FromSN: s.log.LastSN(), Max: s.cfg.Params.RenewJournalChunk}
+	req := RenewJournalReq{From: s.cfg.ID, FromSN: s.log.LastSN()}
 	s.node.Call(s.renewActive, req, 5*sim.Second, func(resp any, err error) {
 		if !s.renewing || s.role != RoleJunior {
 			return

@@ -223,6 +223,10 @@ func NewServer(net transport.Transport, cfg Config, tr *trace.Log, rnd func() fl
 	return s
 }
 
+// sspReplicas is the number of pool nodes holding each journal and image
+// object (§III.A's shared storage pool).
+const sspReplicas = 2
+
 // newPoolClient builds the client for this group's shared storage pool.
 // Placement consults the group view: a takeover records the deposed active
 // as RoleDown, and without this hint a lone survivor wedges its sole-owner
@@ -231,7 +235,7 @@ func NewServer(net transport.Transport, cfg Config, tr *trace.Log, rnd func() fl
 // avoids a member; juniors are live pool members, and absent entries
 // (bootstrap window) keep the default full-rotation placement.
 func (s *Server) newPoolClient() *ssp.Client {
-	c := ssp.NewClient(s.node, s.members, s.pool, s.cfg.Params.SSPReplicas)
+	c := ssp.NewClient(s.node, s.members, s.pool, sspReplicas)
 	c.SetAvoid(func(id transport.NodeID) bool {
 		r, ok := s.view.States[string(id)]
 		return ok && r == RoleDown

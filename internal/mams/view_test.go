@@ -146,13 +146,13 @@ func TestParamsSvcForCoversEveryKind(t *testing.T) {
 
 func TestDefaultParamsSane(t *testing.T) {
 	p := DefaultParams()
-	if p.BatchEvery <= 0 || p.AckTimeout <= p.BatchEvery {
+	if p.BatchEvery <= 0 || ackTimeout <= p.BatchEvery {
 		t.Fatal("batching/ack timing inverted")
 	}
-	if p.ElectionJitterMax <= p.ElectionJitterMin {
+	if electionJitterMax <= electionJitterMin {
 		t.Fatal("election jitter window empty")
 	}
-	if p.SSPReplicas < 1 || p.RenewJournalChunk < 1 {
+	if sspReplicas < 1 || renewJournalChunk < 1 {
 		t.Fatal("replication/renew params out of range")
 	}
 }

@@ -120,14 +120,14 @@ type Config struct {
 	Addr string
 	// Book resolves destination node ids to addresses. Required.
 	Book *AddrBook
-	// DialTimeout bounds outbound connection establishment (default 2s).
-	DialTimeout time.Duration
 }
+
+// dialTimeout bounds outbound connection establishment.
+const dialTimeout = 2 * time.Second
 
 // Transport is one process's endpoint set. See the package comment.
 type Transport struct {
-	book        *AddrBook
-	dialTimeout time.Duration
+	book *AddrBook
 
 	ln net.Listener
 	t0 time.Time
@@ -180,18 +180,14 @@ func New(cfg Config) (*Transport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nettrans: listen %s: %w", cfg.Addr, err)
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
 	t := &Transport{
-		book:        cfg.Book,
-		dialTimeout: cfg.DialTimeout,
-		ln:          ln,
-		t0:          time.Now(),
-		loopDone:    make(chan struct{}),
-		nodes:       make(map[transport.NodeID]*Node),
-		conns:       make(map[string]*conn),
-		live:        make(map[*conn]struct{}),
+		book:     cfg.Book,
+		ln:       ln,
+		t0:       time.Now(),
+		loopDone: make(chan struct{}),
+		nodes:    make(map[transport.NodeID]*Node),
+		conns:    make(map[string]*conn),
+		live:     make(map[*conn]struct{}),
 	}
 	t.cond = sync.NewCond(&t.mu)
 	t.wg.Add(2)
@@ -428,7 +424,7 @@ func (c *conn) write() {
 	defer c.tr.wg.Done()
 	defer c.shut()
 	if c.addr != "" {
-		sock, err := net.DialTimeout("tcp", c.addr, c.tr.dialTimeout)
+		sock, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 		if err != nil {
 			return
 		}

@@ -26,41 +26,26 @@ import (
 	"mams/internal/transport"
 )
 
-// ClusterConfig sizes a single-group wire-plane deployment.
+// ClusterConfig configures a single-group wire-plane deployment.
 type ClusterConfig struct {
-	// Members is the replica-group size (default 3: one active boots with
-	// two standbys). Every member doubles as an SSP pool node, like the
-	// paper's co-located pool.
-	Members int
-	// CoordServers sizes the coordination ensemble (default 3).
-	CoordServers int
 	// Seed feeds each server's election-jitter RNG (default 1).
 	Seed uint64
-
-	// CoordHeartbeat / CoordSessionTimeout are wall-clock here. The paper
-	// uses 2 s / 5 s; the defaults (300 ms / 1200 ms) keep failover tests
-	// fast while preserving the 4-heartbeats-per-timeout ratio.
-	CoordHeartbeat      sim.Time
-	CoordSessionTimeout sim.Time
 }
 
-func (c *ClusterConfig) defaults() {
-	if c.Members == 0 {
-		c.Members = 3
-	}
-	if c.CoordServers == 0 {
-		c.CoordServers = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.CoordHeartbeat == 0 {
-		c.CoordHeartbeat = 300 * sim.Millisecond
-	}
-	if c.CoordSessionTimeout == 0 {
-		c.CoordSessionTimeout = 1200 * sim.Millisecond
-	}
-}
+// The deployment's fixed shape and failure-detector timing.
+const (
+	// members is the replica-group size: one active boots with two
+	// standbys. Every member doubles as an SSP pool node, like the paper's
+	// co-located pool.
+	members = 3
+	// coordServers sizes the coordination ensemble.
+	coordServers = 3
+	// coordHeartbeat / coordSessionTimeout are wall-clock here. The paper
+	// uses 2 s / 5 s; 300 ms / 1200 ms keep failover tests fast while
+	// preserving the 4-heartbeats-per-timeout ratio.
+	coordHeartbeat      = 300 * sim.Millisecond
+	coordSessionTimeout = 1200 * sim.Millisecond
+)
 
 // Proc is one simulated OS process: a transport plus whatever server it
 // hosts.
@@ -71,7 +56,6 @@ type Proc struct {
 
 // Cluster is a running wire-plane deployment.
 type Cluster struct {
-	Cfg  ClusterConfig
 	Book *nettrans.AddrBook
 
 	Coord      []Proc
@@ -90,8 +74,10 @@ type Cluster struct {
 // then metadata servers, then the client. Server construction runs on each
 // process's event loop via Do — node state is loop-owned on the real plane.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	cfg.defaults()
-	c := &Cluster{Cfg: cfg, Book: nettrans.NewAddrBook()}
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	c := &Cluster{Book: nettrans.NewAddrBook()}
 
 	spawn := func(id transport.NodeID) (Proc, error) {
 		tr, err := nettrans.New(nettrans.Config{Addr: "127.0.0.1:0", Book: c.Book})
@@ -104,7 +90,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	// Phase 1: every process gets its listener and publishes its address.
-	coordIDs := coord.EnsembleIDs(cfg.CoordServers)
+	coordIDs := coord.EnsembleIDs(coordServers)
 	for _, id := range coordIDs {
 		p, err := spawn(id)
 		if err != nil {
@@ -113,7 +99,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.Coord = append(c.Coord, p)
 	}
 	var mdsIDs []transport.NodeID
-	for m := 0; m < cfg.Members; m++ {
+	for m := 0; m < members; m++ {
 		id := mams.MemberID(0, m)
 		mdsIDs = append(mdsIDs, id)
 		p, err := spawn(id)
@@ -148,12 +134,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// before it tries again.
 	if !c.awaitCoordLeader(5 * time.Second) {
 		c.Close()
-		return nil, fmt.Errorf("testutil: no coord leader among %d servers after 5s", cfg.CoordServers)
+		return nil, fmt.Errorf("testutil: no coord leader among %d servers after 5s", coordServers)
 	}
 
 	// Phase 3: metadata servers (member 0 boots active, the rest standby).
 	layout := mams.NewLayout(coordIDs, c.GroupIDs)
-	layout.CoordHeartbeat, layout.CoordSessionTimeout = cfg.CoordHeartbeat, cfg.CoordSessionTimeout
+	layout.CoordHeartbeat, layout.CoordSessionTimeout = coordHeartbeat, coordSessionTimeout
 	c.Part = layout.Partitioner
 	seedRNG := rng.New(cfg.Seed)
 	for _, p := range c.MDS {
