@@ -31,7 +31,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -86,8 +88,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var cfg nodeConfig
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	cfg, err := parseConfig(raw)
+	if err != nil {
 		fatal(fmt.Errorf("parse %s: %w", *cfgPath, err))
 	}
 	if cfg.Coord == "" && cfg.MDS == "" {
@@ -136,6 +138,21 @@ func main() {
 	<-stop
 	fmt.Println("mamsd: shutting down")
 	tr.Close()
+}
+
+// parseConfig decodes a node config. An unknown key is an error, so a
+// misspelt or retired setting cannot silently boot a node on its default.
+func parseConfig(raw []byte) (nodeConfig, error) {
+	var cfg nodeConfig
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, err
+	}
+	if dec.More() {
+		return cfg, errors.New("data after the config object")
+	}
+	return cfg, nil
 }
 
 // mdsConfig places this process's metadata server in the deployment: the

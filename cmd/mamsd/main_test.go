@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -14,11 +13,10 @@ import (
 // TestMDSConfig: the three processes of one deployment, each reading its own
 // JSON config, derive the same layout (the real-hardware defaults with the
 // configured failure detector); rejoin boots a junior; an mds named in no
-// group is an error.
+// group is an error; so is an unknown or misspelt config key.
 func TestMDSConfig(t *testing.T) {
-	parse := func(i int, extra string) nodeConfig {
-		t.Helper()
-		raw := fmt.Sprintf(`{
+	raw := func(i int, extra string) string {
+		return fmt.Sprintf(`{
 			"listen": "127.0.0.1:0",
 			"peers": {"coord0": "127.0.0.1:7100", "coord1": "127.0.0.1:7101", "coord2": "127.0.0.1:7102",
 			          "g0-mds0": "127.0.0.1:7100", "g0-mds1": "127.0.0.1:7101", "g0-mds2": "127.0.0.1:7102"},
@@ -27,8 +25,11 @@ func TestMDSConfig(t *testing.T) {
 			"coord_heartbeat_ms": 300, "coord_session_timeout_ms": 1200,
 			"coord": "coord%d", "mds": "g0-mds%d"%s
 		}`, i, i, extra)
-		var cfg nodeConfig
-		if err := json.Unmarshal([]byte(raw), &cfg); err != nil {
+	}
+	parse := func(i int, extra string) nodeConfig {
+		t.Helper()
+		cfg, err := parseConfig([]byte(raw(i, extra)))
+		if err != nil {
 			t.Fatal(err)
 		}
 		return cfg
@@ -65,5 +66,9 @@ func TestMDSConfig(t *testing.T) {
 	cfg.MDS = "g0-mds7"
 	if _, err := mdsConfig(cfg); err == nil || !strings.Contains(err.Error(), "not in any group") {
 		t.Fatalf("unknown mds: err %v", err)
+	}
+	if _, err := parseConfig([]byte(raw(0, `, "coord_session_timout_ms": 300`))); err == nil ||
+		!strings.Contains(err.Error(), "coord_session_timout_ms") {
+		t.Fatalf("misspelt key: err %v", err)
 	}
 }
