@@ -89,22 +89,35 @@ go run ./cmd/mamscheck run -members 2 -steps 2 -maxfaults 1 -kinds sfkb -q
 # seal-time acks (the durability invariant flips to watermark semantics).
 go run ./cmd/mamscheck run -members 3 -steps 2 -maxfaults 1 -kinds c -groupcommit -q
 go run ./cmd/mamscheck run -members 3 -steps 2 -maxfaults 1 -kinds c -asyncack -q
-# Commit-path sweep smoke: regenerate the TVL table and record the cells
-# (EXPERIMENTS.md "Commit-path performance trajectory" reads this file).
-go run ./cmd/mamsbench -exp tvl -bench-out BENCH_tvl.json >/dev/null
+# The modelled BENCH_*.json files are checked in and quoted by
+# EXPERIMENTS.md. Each sweep below regenerates its file into the temp dir,
+# and the run fails unless it matches the checked-in copy byte for byte.
+# After a deliberate change, regenerate the file in place with the same
+# command and commit it.
+bench_gate() {
+  go run ./cmd/mamsbench -exp "$1" -bench-out "$obsdir/BENCH_$1.json" >/dev/null
+  if ! cmp -s "$obsdir/BENCH_$1.json" "BENCH_$1.json"; then
+    echo "check: BENCH_$1.json differs from its regeneration" \
+      "(go run ./cmd/mamsbench -exp $1 -bench-out BENCH_$1.json)" >&2
+    exit 1
+  fi
+}
+# Commit-path sweep smoke: the TVL table (EXPERIMENTS.md "Commit-path
+# performance trajectory" reads this file).
+bench_gate tvl
 grep -q '"policy": "group-async"' BENCH_tvl.json
 # Sharded-namespace smoke sweep: group-count scaling plus the Zipfian
 # hotspot cells (static vs live migration) at default (bounded) scale; the
 # command exits nonzero on any placement violation, and the recorded cells
 # feed EXPERIMENTS.md's sharding section. The 256-group axis runs with
 # -full only.
-go run ./cmd/mamsbench -exp shard -bench-out BENCH_shard.json >/dev/null
+bench_gate shard
 grep -q '"policy": "migrate"' BENCH_shard.json
 # Health-detector scoring sweep: 16 ground-truth gray-fault cells + 2
 # fault-free controls; the command exits nonzero when recall < 0.9 or any
 # control cell produces a verdict, and the recorded cells feed
 # EXPERIMENTS.md's detection scorecard.
-go run ./cmd/mamsbench -exp detect -bench-out BENCH_detect.json >/dev/null
+bench_gate detect
 grep -q '"Fault": "brownout"' BENCH_detect.json
 # No separate wire smoke: bench/bench_test.go's TestSmoke, part of the
 # `go test ./...` above, boots every wire workload of the repo benchmark in
