@@ -9,7 +9,10 @@ import (
 	"mams/internal/fsclient"
 	"mams/internal/mams"
 	"mams/internal/namespace"
+	"mams/internal/partition"
 	"mams/internal/sim"
+	"mams/internal/transport"
+	"mams/internal/transport/transporttest"
 )
 
 type harness struct {
@@ -192,6 +195,58 @@ func TestListMergesAcrossGroups(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i-1].Path >= got[i].Path {
 			t.Fatal("merged listing not sorted")
+		}
+	}
+}
+
+// notActive is a one-member group that names itself active when asked but
+// answers every operation NotActive, so a client retries against it until
+// its attempts run out. It records when each operation arrived.
+type notActive struct {
+	node transport.Node
+	ops  []sim.Time
+}
+
+func (s *notActive) HandleMessage(transport.NodeID, any) {}
+
+func (s *notActive) HandleRequest(_ transport.NodeID, req any, reply func(any)) {
+	switch req.(type) {
+	case mams.ClientOp:
+		s.ops = append(s.ops, s.node.Now())
+		reply(mams.OpReply{NotActive: true})
+	case mams.WhoIsActive:
+		reply(mams.ActiveIs{Active: s.node.ID()})
+	}
+}
+
+// The back-off doubles from RetryBackoff and stays at 16× once reached, for
+// every remaining attempt: the shift must not overflow late in the budget.
+func TestRetryBackoffStaysCapped(t *testing.T) {
+	sp := transporttest.NewSim(1, 0, 0, 0, nil)
+	srv := &notActive{}
+	srv.node = sp.Net.Listen("g0-mds0", srv)
+	const backoff = 100 * sim.Millisecond
+	cli := fsclient.New(sp.Net, fsclient.Config{
+		ID:           "client",
+		Groups:       [][]transport.NodeID{{"g0-mds0"}},
+		Partitioner:  partition.New(1),
+		RetryBackoff: backoff,
+	})
+	var opErr error
+	finished := false
+	sp.World.Defer("op", func() {
+		cli.Create("/f", 1, func(err error) { opErr, finished = err, true })
+	})
+	sp.RunFor(2 * sim.Minute)
+	if !finished || !errors.Is(opErr, fsclient.ErrUnavailable) {
+		t.Fatalf("finished %v, err %v; want ErrUnavailable", finished, opErr)
+	}
+	if len(srv.ops) != 60 {
+		t.Fatalf("%d attempts reached the server, want 60", len(srv.ops))
+	}
+	for i := 5; i < len(srv.ops); i++ {
+		if gap := srv.ops[i] - srv.ops[i-1]; gap < 16*backoff {
+			t.Errorf("retry %d waited %v, want at least %v", i, gap, 16*backoff)
 		}
 	}
 }
