@@ -294,15 +294,20 @@ func (r *Replica) Tick() {
 		// higher ballot. Owners should jitter Tick timing to avoid duels.
 		r.TryLead()
 	case r.leading:
-		slots := make([]uint64, 0, len(r.proposals))
-		for s := range r.proposals {
-			slots = append(slots, s)
-		}
-		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-		for _, s := range slots {
+		for _, s := range r.proposalSlots() {
 			r.broadcastAccept(s)
 		}
 	}
+}
+
+// proposalSlots lists the in-flight proposals' slots in ascending order.
+func (r *Replica) proposalSlots() []uint64 {
+	slots := make([]uint64, 0, len(r.proposals))
+	for s := range r.proposals {
+		slots = append(slots, s)
+	}
+	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
+	return slots
 }
 
 // Outstanding reports the number of slots proposed but not yet chosen.
@@ -471,10 +476,12 @@ func (r *Replica) onNack(msg Nack) {
 	if msg.B != r.ballot {
 		return
 	}
-	// Our ballot lost. Preserve in-flight values, stand down, and let the
-	// owner decide when to retry (values stay in backlog).
+	// Our ballot lost. Preserve in-flight values in slot order, stand down,
+	// and let the owner decide when to retry (values stay in backlog, and
+	// are re-proposed in this order).
 	if r.leading || r.electing {
-		for _, pr := range r.proposals {
+		for _, s := range r.proposalSlots() {
+			pr := r.proposals[s]
 			if _, isNoop := pr.v.(Noop); isNoop {
 				continue
 			}
