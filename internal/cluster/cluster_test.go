@@ -80,6 +80,16 @@ func TestAllSystemsImplementSystemAndServe(t *testing.T) {
 	}
 }
 
+// TestMAMSSpecDefaultsTimerOnly: a simulated deployment that names no
+// params runs the calibrated timer-only commit path the paper tables were
+// tuned against, whatever the wire layout (mams.NewLayout) ships.
+func TestMAMSSpecDefaultsTimerOnly(t *testing.T) {
+	c := cluster.BuildMAMS(cluster.NewEnv(79), cluster.MAMSSpec{Groups: 1, BackupsPerGroup: 1})
+	if p := c.Spec.Params; p != mams.DefaultParams() || p.GroupCommit || p.AsyncAck {
+		t.Fatalf("default spec params %+v, want mams.DefaultParams (timer-only)", p)
+	}
+}
+
 func TestMAMSSystemLabel(t *testing.T) {
 	env := cluster.NewEnv(80)
 	c := cluster.BuildMAMS(env, cluster.MAMSSpec{Groups: 3, BackupsPerGroup: 3})

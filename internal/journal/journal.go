@@ -93,6 +93,18 @@ func (b *Batch) Encode() []byte {
 	return w.Bytes()
 }
 
+// EncodedLen returns len(b.Encode()) without encoding or allocating.
+func (b *Batch) EncodedLen() int {
+	n := wire.UvarintLen(b.SN) + wire.UvarintLen(b.Epoch) + wire.UvarintLen(b.FirstTx) +
+		wire.UvarintLen(uint64(len(b.Records)))
+	for i := range b.Records {
+		r := &b.Records[i]
+		n += wire.UvarintLen(r.TxID) + 1 + wire.StringLen(r.Path) + wire.StringLen(r.Dest) +
+			wire.VarintLen(r.Size) + 2 + wire.VarintLen(r.MTime)
+	}
+	return n
+}
+
 // DecodeBatch parses a batch produced by Encode.
 func DecodeBatch(buf []byte) (Batch, error) {
 	r := wire.NewReader(buf)
@@ -183,7 +195,7 @@ func (l *Log) Append(b Batch) error {
 	if b.Epoch > l.epoch {
 		l.epoch = b.Epoch
 	}
-	l.bytes += int64(len(b.Encode()))
+	l.bytes += int64(b.EncodedLen())
 	return nil
 }
 
@@ -215,7 +227,7 @@ func (l *Log) Get(sn uint64) (Batch, bool) {
 func (l *Log) TruncateThrough(sn uint64) {
 	i := 0
 	for i < len(l.batches) && l.batches[i].SN <= sn {
-		l.bytes -= int64(len(l.batches[i].Encode()))
+		l.bytes -= int64(l.batches[i].EncodedLen())
 		i++
 	}
 	l.batches = append([]Batch(nil), l.batches[i:]...)

@@ -2,6 +2,8 @@ package journal
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -30,6 +32,60 @@ func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 		if got.Records[i] != b.Records[i] {
 			t.Fatalf("record %d: got %+v want %+v", i, got.Records[i], b.Records[i])
 		}
+	}
+}
+
+// TestEncodedLen: the size Log.Bytes counts is the size Encode produces,
+// across every varint width and sign.
+func TestEncodedLen(t *testing.T) {
+	long := "/" + strings.Repeat("p", 299)
+	batches := map[string]Batch{
+		"empty":      {},
+		"zero ids":   {SN: 0, FirstTx: 0, Records: []Record{{TxID: 0, Op: OpCreate, Path: "/a"}}},
+		"one ids":    {SN: 1, Epoch: 1, FirstTx: 1, Records: []Record{{TxID: 1, Op: OpMkdir, Path: "/a"}}},
+		"top ids":    {SN: 1 << 63, Epoch: 1 << 63, FirstTx: 1 << 63, Records: []Record{{TxID: 1 << 63, Op: OpCreate, Path: "/a"}}},
+		"negative":   {SN: 2, Records: []Record{{TxID: 5, Op: OpCreate, Path: "/a", Size: -1, MTime: -300}}},
+		"min int64":  {SN: 2, Records: []Record{{TxID: 5, Op: OpCreate, Path: "/a", Size: math.MinInt64, MTime: math.MinInt64}}},
+		"max int64":  {SN: 2, Records: []Record{{TxID: 5, Op: OpCreate, Path: "/a", Size: math.MaxInt64, MTime: math.MaxInt64}}},
+		"empty dest": {SN: 3, Records: []Record{{TxID: 6, Op: OpRename, Path: "/a", Dest: ""}}},
+		"long path":  {SN: 3, Records: []Record{{TxID: 6, Op: OpRename, Path: long, Dest: long, Perm: 0o777}}},
+	}
+	for name, b := range batches {
+		if got, want := b.EncodedLen(), len(b.Encode()); got != want {
+			t.Errorf("%s: EncodedLen %d, Encode %d bytes", name, got, want)
+		}
+	}
+}
+
+// TestLogAppendAllocs: Append counts a batch's bytes without encoding it,
+// so the only allocations left are the growth of the batch slice.
+func TestLogAppendAllocs(t *testing.T) {
+	const n = 1000
+	batches := make([]Batch, n)
+	for i := range batches {
+		batches[i] = Batch{SN: uint64(i + 1), Epoch: 1, FirstTx: uint64(i + 1), Records: []Record{rec(OpCreate, "/d/f")}}
+		batches[i].Records[0].TxID = uint64(i + 1)
+	}
+	var grown []Batch
+	growths := 0
+	for _, b := range batches {
+		before := cap(grown)
+		grown = append(grown, b)
+		if cap(grown) != before {
+			growths++
+		}
+	}
+	got := testing.AllocsPerRun(5, func() {
+		l := NewLog()
+		for _, b := range batches {
+			if err := l.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	// One more for the Log itself.
+	if max := float64(growths + 1); got > max {
+		t.Errorf("%d appends allocated %.0f times, want at most %.0f (the slice grew %d times)", n, got, max, growths)
 	}
 }
 

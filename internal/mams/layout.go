@@ -28,12 +28,14 @@ type Layout struct {
 
 // NewLayout is the deployment real hardware runs: the shipped protocol
 // timing with a zero CostModel and zero ssp.Params — work costs what it
-// costs, and there is no pretend disk — the paper's 2 s / 5 s failure
-// detector, and the uniform shard map. The simulator fills its calibrated
-// layout from cluster.MAMSSpec instead.
+// costs, and there is no pretend disk — adaptive group commit with
+// sync acks, the paper's 2 s / 5 s failure detector, and the uniform shard
+// map. The simulator fills its calibrated, timer-only layout from
+// cluster.MAMSSpec instead.
 func NewLayout(coord []transport.NodeID, groups [][]transport.NodeID) Layout {
 	params := DefaultParams()
 	params.CostModel = CostModel{}
+	params.GroupCommit = true
 	return Layout{
 		Coord:               coord,
 		Groups:              groups,

@@ -11,13 +11,18 @@ import (
 // TestLayout: a server works out its place from its ID alone — group name
 // and index, members (which are also its pool nodes, see
 // cluster.TestPoolNodesAreMDSNodes) and boot role: member 0 active, the rest
-// standby, junior when asked.
+// standby, junior when asked. The layout real hardware runs ships adaptive
+// group commit with acks at commit.
 func TestLayout(t *testing.T) {
 	groups := [][]transport.NodeID{
 		{MemberID(0, 0), MemberID(0, 1), MemberID(0, 2)},
 		{MemberID(1, 0), MemberID(1, 1), MemberID(1, 2)},
 	}
 	layout := NewLayout([]transport.NodeID{"coord0"}, groups)
+	if p := layout.Params; !p.GroupCommit || p.AsyncAck || p.CostModel != (CostModel{}) {
+		t.Fatalf("NewLayout params: GroupCommit %v AsyncAck %v CostModel %+v, want group commit, sync acks, no modelled cost",
+			p.GroupCommit, p.AsyncAck, p.CostModel)
+	}
 	net := transporttest.NewSim(1, 1_000_000, 0, 0, nil).Net
 	rnd := func() float64 { return 0 }
 	type place struct {

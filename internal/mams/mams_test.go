@@ -9,8 +9,8 @@ import (
 	"mams/internal/mams"
 	"mams/internal/namespace"
 	"mams/internal/sim"
-	"mams/internal/transport"
 	"mams/internal/trace"
+	"mams/internal/transport"
 )
 
 type anyInfo = namespace.Info

@@ -92,6 +92,33 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeTargetIsReset: the decoder reuses one frame value, and gob
+// leaves a field the stream omits (a zero value) as it was. A one-way frame
+// (Kind 0) with ID 0 and a zero-heavy payload after a request frame must
+// still decode as sent, not inherit the request's kind and id.
+func TestDecodeTargetIsReset(t *testing.T) {
+	frames := []frame{
+		{Kind: frameRequest, ID: 41, From: "a", To: "b", Payload: mams.ClientOp{ReqID: 9, Kind: mams.OpCreate, Path: "/d/f", Size: 4096}},
+		{Kind: frameOneway, ID: 0, From: "a", To: "b", Payload: mams.ClientOp{Path: "/d/g"}},
+		{Kind: frameResponse, ID: 41, From: "b", To: "a", Payload: mams.AppendAck{From: "g0-mds1", SN: 3, OK: true, LastSN: 3}},
+		{Kind: frameOneway, ID: 0, From: "b", To: "a", Payload: mams.AppendAck{From: "g0-mds1"}},
+	}
+	var stream bytes.Buffer
+	if err := newFrameEncoder().writeTo(&stream, frames); err != nil {
+		t.Fatal(err)
+	}
+	dec := newFrameDecoder(&stream)
+	for i, want := range frames {
+		got, err := dec.next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("frame %d:\n got %#v\nwant %#v", i, got, want)
+		}
+	}
+}
+
 // badStreams are byte streams that open with one good frame and then break
 // the framing rules in one way each.
 func badStreams(t *testing.T) map[string][]byte {

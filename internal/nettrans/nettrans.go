@@ -29,12 +29,18 @@
 // fail the pending call with transport.ErrTimeout — immediately even for
 // timeout == 0 calls, the same pending-leak guarantee the sim plane makes.
 //
-// Timers: After(d) never fires before d, timers fire in deadline order, and
-// After(0) runs after the callback that armed it returns (all pinned for
-// both planes by transporttest). There is no useful upper bound below a
-// millisecond: an idle process sleeps in epoll_wait, whose time-out is in
-// whole milliseconds (runtime/netpoll_epoll.go rounds any delay < 1e6 ns up
-// to waitms = 1), so a 45 µs After on an idle loop fires up to ≈ 1 ms late.
+// Timers: every After and every timed Call of the process's nodes waits in
+// one deadline heap owned by the loop, and one runtime timer is set for the
+// heap's earliest deadline; when it goes off, the loop runs everything due.
+// A Call's deadline is part of its pending entry, so timing a call costs no
+// allocation, and Crash takes the node's entries out of the heap. After(d)
+// never fires before d, timers fire in deadline order (ties in arming
+// order), and After(0) runs after the callback that armed it returns (all
+// but the tie rule pinned for both planes by transporttest). There is no
+// useful upper bound below a millisecond: an idle process sleeps in
+// epoll_wait, whose time-out is in whole milliseconds
+// (runtime/netpoll_epoll.go rounds any delay < 1e6 ns up to waitms = 1), so
+// a 45 µs After on an idle loop fires up to ≈ 1 ms late.
 // That cannot be made honest without spinning. The wire plane therefore arms
 // no timer on the op path: it runs the zero mams.CostModel and ssp.Params,
 // and a zero charge runs inline (transport.Charge).
@@ -154,6 +160,15 @@ type Transport struct {
 	nextCall uint64
 	reg      *obs.Registry
 	tracer   *obs.Tracer
+
+	// Every After and timed Call of every hosted node waits in one
+	// deadline heap, and one runtime timer (rt, made on first use) is set
+	// for the earliest deadline it holds: wakeAt, while wakeSet. Loop-owned.
+	timers   timerHeap
+	timerSeq uint64
+	rt       *time.Timer
+	wakeAt   sim.Time
+	wakeSet  bool
 
 	// Every connection with a socket, dialed or accepted, registered by its
 	// reader so Close can unblock readers whose peers outlive us. liveShut
@@ -279,7 +294,7 @@ func (t *Transport) run() {
 // from the loop itself.
 //
 // The order is a contract: the loop must have exited before anything it
-// owns is touched (the timer sets here), and liveShut must be set in the
+// owns is touched (the runtime timer here), and liveShut must be set in the
 // same critical section as the walk of live, or a connection that a last
 // callback dialed, or the listener accepted, after the walk would have a
 // reader nothing ever unblocks. A connection still dialing has no reader
@@ -302,13 +317,9 @@ func (t *Transport) Close() {
 		c.shut()
 	}
 	t.liveMu.Unlock()
-	t.nmu.RLock()
-	for _, nd := range t.nodes {
-		for tm := range nd.timers {
-			tm.Stop()
-		}
+	if t.rt != nil {
+		t.rt.Stop()
 	}
-	t.nmu.RUnlock()
 	t.wg.Wait()
 }
 
@@ -322,7 +333,6 @@ func (t *Transport) Listen(id transport.NodeID, h transport.Handler) transport.N
 	nd := &Node{
 		id: id, tr: t, handler: h, up: true,
 		pending: make(map[uint64]*netPending),
-		timers:  make(map[*timer]struct{}),
 	}
 	t.nmu.Lock()
 	defer t.nmu.Unlock()
@@ -613,8 +623,8 @@ func (t *Transport) dispatch(f frame, via *conn) {
 			return // late response after timeout or crash
 		}
 		delete(dst.pending, f.ID)
-		if pc.timer != nil {
-			pc.timer.Stop()
+		if pc.timed {
+			pc.deadline.Stop()
 		}
 		if f.Kind == frameReap {
 			t.Dropped++
@@ -707,11 +717,15 @@ func (e *frameEncoder) writeTo(w io.Writer, batch []frame) error {
 // frameDecoder is the read half of a connection's gob stream. The decoder
 // reads through body, a view of the socket that ends where the current
 // frame does, so a frame can neither run into the next one nor make the
-// decoder wait for bytes its length did not announce.
+// decoder wait for bytes its length did not announce. hdr and f are the
+// length prefix and decode target of every frame: as fields they are not
+// allocated per frame.
 type frameDecoder struct {
 	br   *bufio.Reader
 	body frameBody
 	dec  *gob.Decoder
+	hdr  [4]byte
+	f    frame
 }
 
 func newFrameDecoder(r io.Reader) *frameDecoder {
@@ -723,32 +737,35 @@ func newFrameDecoder(r io.Reader) *frameDecoder {
 
 // next reads one frame. After an error the decoder must not be used again.
 func (d *frameDecoder) next() (frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(d.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(d.br, d.hdr[:]); err != nil {
 		return frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(d.hdr[:])
 	if n > maxFrame {
 		return frame{}, fmt.Errorf("nettrans: oversized frame (%d bytes)", n)
 	}
 	d.body.N = int64(n)
-	var f frame
-	if err := d.dec.Decode(&f); err != nil {
+	// gob leaves a field the stream omits (a zero value) as it was, so the
+	// previous frame must not show through.
+	d.f = frame{}
+	if err := d.dec.Decode(&d.f); err != nil {
 		return frame{}, fmt.Errorf("nettrans: decode frame: %w", err)
 	}
 	if d.body.N != 0 {
 		return frame{}, fmt.Errorf("nettrans: %d trailing bytes in a %d-byte frame", d.body.N, n)
 	}
-	return f, nil
+	return d.f, nil
 }
 
 // frameBody is io.LimitedReader plus ReadByte, without which gob.NewDecoder
 // would put its own read-ahead buffer in front and swallow the next frame's
-// prefix.
-type frameBody struct{ io.LimitedReader }
+// prefix. p is ReadByte's buffer.
+type frameBody struct {
+	io.LimitedReader
+	p [1]byte
+}
 
 func (b *frameBody) ReadByte() (byte, error) {
-	var p [1]byte
-	_, err := io.ReadFull(b, p[:])
-	return p[0], err
+	_, err := io.ReadFull(b, b.p[:])
+	return b.p[0], err
 }

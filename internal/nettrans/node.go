@@ -1,6 +1,7 @@
 package nettrans
 
 import (
+	"container/heap"
 	"time"
 
 	"mams/internal/obs"
@@ -8,10 +9,13 @@ import (
 	"mams/internal/transport"
 )
 
-// netPending is one outstanding Call.
+// netPending is one outstanding Call. A timed call's deadline lives inside
+// it, so a Call allocates one object whether or not it has a timeout.
 type netPending struct {
-	cb    func(resp any, err error)
-	timer *timer // nil for zero-timeout calls
+	cb       func(resp any, err error)
+	id       uint64
+	timed    bool
+	deadline timer // in the heap while timed and outstanding
 }
 
 // Node is one endpoint hosted on a Transport. All methods are loop-only
@@ -26,7 +30,6 @@ type Node struct {
 	gen       uint64 // bumped on crash; invalidates timers and pending RPCs
 
 	pending map[uint64]*netPending
-	timers  map[*timer]struct{}
 }
 
 // ID returns the node's name. Safe from any goroutine.
@@ -80,18 +83,11 @@ func (nd *Node) Call(to transport.NodeID, req any, timeout sim.Time, cb func(res
 	}
 	nd.tr.nextCall++
 	id := nd.tr.nextCall
-	pc := &netPending{cb: cb}
+	pc := &netPending{cb: cb, id: id}
 	if timeout > 0 {
-		gen := nd.gen
-		pc.timer = nd.newTimer(timeout, func() {
-			if nd.gen != gen || !nd.up {
-				return
-			}
-			if p, ok := nd.pending[id]; ok && p == pc {
-				delete(nd.pending, id)
-				pc.cb(nil, transport.ErrTimeout)
-			}
-		})
+		pc.timed = true
+		pc.deadline.call = pc
+		nd.arm(&pc.deadline, timeout)
 	}
 	nd.pending[id] = pc
 	nd.tr.sendFrame(frame{Kind: frameRequest, ID: id, From: nd.id, To: to, Payload: req})
@@ -102,7 +98,7 @@ func (nd *Node) Call(to transport.NodeID, req any, timeout sim.Time, cb func(res
 // callback itself is re-posted so it never runs inside the failing send.
 func (nd *Node) failPending(id uint64) {
 	pc, ok := nd.pending[id]
-	if !ok || pc.timer != nil {
+	if !ok || pc.timed {
 		return
 	}
 	delete(nd.pending, id)
@@ -118,12 +114,9 @@ func (nd *Node) failPending(id uint64) {
 // fire if the node crashes or restarts in the meantime.
 func (nd *Node) After(d sim.Time, name string, fn func()) transport.Timer {
 	_ = name // the sim plane uses names for deterministic trace labels
-	gen := nd.gen
-	return nd.newTimer(d, func() {
-		if nd.up && nd.gen == gen {
-			fn()
-		}
-	})
+	tm := &timer{fn: fn}
+	nd.arm(tm, d)
+	return tm
 }
 
 // Crash stops the node: timers die, pending RPC callbacks are dropped, and
@@ -137,10 +130,7 @@ func (nd *Node) Crash() {
 	nd.up = false
 	nd.gen++
 	nd.pending = make(map[uint64]*netPending)
-	for tm := range nd.timers {
-		tm.Stop()
-	}
-	nd.timers = make(map[*timer]struct{})
+	nd.tr.dropTimers(nd)
 }
 
 // Restart brings the node back with a fresh generation; the caller is
@@ -162,46 +152,133 @@ func (nd *Node) Replug() { nd.unplugged = false }
 
 // ---- timers ----
 
-// timer adapts time.AfterFunc to the transport loop and the
-// transport.Timer interface. The callback hops onto the loop; stopped-ness
-// is checked again there, so Stop() (called on the loop) wins any race
-// against a concurrently-firing AfterFunc — the same guarantee sim timers
-// give.
+// timer is one entry in the transport's deadline heap: an After callback
+// or a timed Call's deadline. It is in the heap, and Pending, from arming
+// until it fires or is stopped.
 type timer struct {
-	nd      *Node
-	t       *time.Timer
-	stopped bool
-	fired   bool
+	nd    *Node
+	at    sim.Time    // deadline on the transport clock
+	seq   uint64      // arming order, breaks deadline ties
+	index int         // position in the heap; -1 once fired or stopped
+	gen   uint64      // nd.gen at arming: a restarted node's old timers stay silent
+	fn    func()      // the After callback
+	call  *netPending // set instead of fn for a Call's deadline
 }
 
-// newTimer arms fn to run on the loop after d. Loop-only.
-func (nd *Node) newTimer(d sim.Time, fn func()) *timer {
-	tm := &timer{nd: nd}
-	nd.timers[tm] = struct{}{}
-	tm.t = time.AfterFunc(time.Duration(d), func() {
-		nd.tr.post(func() {
-			if tm.stopped || tm.fired {
-				return
-			}
-			tm.fired = true
-			delete(nd.timers, tm)
-			fn()
-		})
-	})
-	return tm
+// arm puts tm in the heap to fire after d. Loop-only.
+func (nd *Node) arm(tm *timer, d sim.Time) {
+	t := nd.tr
+	t.timerSeq++
+	tm.nd, tm.at, tm.seq, tm.gen = nd, t.Now()+d, t.timerSeq, nd.gen
+	heap.Push(&t.timers, tm)
+	t.wake()
 }
 
 // Stop cancels the timer, reporting whether it was still pending.
-// Loop-only (Close also calls it during teardown, after the loop exits).
+// Loop-only.
 func (tm *timer) Stop() bool {
-	if tm.stopped || tm.fired {
+	if tm.index < 0 {
 		return false
 	}
-	tm.stopped = true
-	tm.t.Stop()
-	delete(tm.nd.timers, tm)
+	heap.Remove(&tm.nd.tr.timers, tm.index)
 	return true
 }
 
 // Pending reports whether the callback has yet to run.
-func (tm *timer) Pending() bool { return !tm.stopped && !tm.fired }
+func (tm *timer) Pending() bool { return tm.index >= 0 }
+
+// fire runs a timer popped off the heap. Loop-only.
+func (tm *timer) fire() {
+	nd := tm.nd
+	if !nd.up || nd.gen != tm.gen {
+		return
+	}
+	pc := tm.call
+	if pc == nil {
+		tm.fn()
+		return
+	}
+	if p, ok := nd.pending[pc.id]; ok && p == pc {
+		delete(nd.pending, pc.id)
+		pc.cb(nil, transport.ErrTimeout)
+	}
+}
+
+// timerHeap orders timers by deadline, then arming order. It implements
+// heap.Interface and keeps each timer's index current so Stop can remove
+// from the middle.
+type timerHeap []*timer
+
+func (h timerHeap) Len() int { return len(h) }
+func (h timerHeap) Less(i, j int) bool {
+	return h[i].at < h[j].at || h[i].at == h[j].at && h[i].seq < h[j].seq
+}
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *timerHeap) Push(x any) {
+	tm := x.(*timer)
+	tm.index = len(*h)
+	*h = append(*h, tm)
+}
+func (h *timerHeap) Pop() any {
+	old := *h
+	n := len(old) - 1
+	tm := old[n]
+	old[n] = nil
+	tm.index = -1
+	*h = old[:n]
+	return tm
+}
+
+// wake makes sure the runtime timer goes off by the earliest deadline in
+// the heap. It is reset only when that deadline moves earlier than the one
+// it is already set for, so a steady stream of equal time-outs never touches
+// it. Loop-only.
+func (t *Transport) wake() {
+	if len(t.timers) == 0 {
+		return
+	}
+	at := t.timers[0].at
+	if t.wakeSet && t.wakeAt <= at {
+		return
+	}
+	t.wakeSet, t.wakeAt = true, at
+	d := time.Duration(at - t.Now())
+	if t.rt == nil {
+		fire := t.fireDue // one closure for the transport's life
+		t.rt = time.AfterFunc(d, func() { t.post(fire) })
+	} else {
+		t.rt.Reset(d)
+	}
+}
+
+// fireDue runs, in heap order, every timer whose deadline had passed when
+// it started, then re-arms the runtime timer for the rest. Timers that the
+// callbacks arm are due later, so a callback that keeps re-arming After(0)
+// cannot hold the loop. Loop-only.
+func (t *Transport) fireDue() {
+	t.wakeSet = false
+	now := t.Now()
+	for len(t.timers) > 0 && t.timers[0].at <= now && !t.closed.Load() {
+		heap.Pop(&t.timers).(*timer).fire()
+	}
+	t.wake()
+}
+
+// dropTimers removes nd's timers from the heap (Crash). Loop-only.
+func (t *Transport) dropTimers(nd *Node) {
+	kept := t.timers[:0]
+	for _, tm := range t.timers {
+		if tm.nd == nd {
+			tm.index = -1
+			continue
+		}
+		tm.index = len(kept)
+		kept = append(kept, tm)
+	}
+	clear(t.timers[len(kept):])
+	t.timers = kept
+	heap.Init(&t.timers)
+}

@@ -99,10 +99,11 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 
 // TestCallAllocBudget pins what a warm Call round trip allocates in the
 // whole process — caller loop, both writers, both readers, gob on either
-// side. It was 580 with a gob encoder and decoder built per frame and is
-// 32 with one stream per connection direction.
+// side. It was 580 with a gob encoder and decoder built per frame, 32 with
+// one stream per connection direction, and is 24 with the call's deadline
+// inside its pending entry and no per-frame escapes in the decoder.
 func TestCallAllocBudget(t *testing.T) {
-	const budget = 40
+	const budget = 28
 	a, caller := echoPair(t)
 	roundTrips(a, caller, 256, 64)
 	const perRun = 200
@@ -116,6 +117,40 @@ func TestCallAllocBudget(t *testing.T) {
 		if got > budget {
 			t.Errorf("window %d: %.1f allocs per warm Call round trip, budget %d", window, got, budget)
 		}
+	}
+}
+
+// TestAfterAllocBudget pins what an After costs from arming to firing: its
+// timer and the caller's closure. The deadline heap and its one runtime
+// timer add nothing per timer.
+func TestAfterAllocBudget(t *testing.T) {
+	const budget = 2
+	book := nettrans.NewAddrBook()
+	tr, nd := spawn(t, book, "a", nil)
+	defer tr.Close()
+	const perRun = 1000
+	run := func() {
+		done := make(chan struct{})
+		fired := 0
+		tr.Do(func() {
+			for i := 0; i < perRun; i++ {
+				nd.After(sim.Time(i%8)*100*sim.Microsecond, "t", func() {
+					if fired++; fired == perRun {
+						close(done)
+					}
+				})
+			}
+		})
+		<-done
+	}
+	run() // the runtime timer, heap and queue capacity
+	// slack covers what a run costs once, not per timer: the Do bridge, the
+	// done channel, and the runtime timer's few wake-ups.
+	const slack = 16
+	got := testing.AllocsPerRun(5, run)
+	t.Logf("%.0f allocs for %d Afters", got, perRun)
+	if got > budget*perRun+slack {
+		t.Errorf("%.0f allocs for %d Afters, budget %d each plus %d", got, perRun, budget, slack)
 	}
 }
 

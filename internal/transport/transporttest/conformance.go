@@ -64,7 +64,7 @@ func (echoHandler) HandleRequest(from transport.NodeID, req any, reply func(any)
 // blackholeHandler accepts requests and never replies.
 type blackholeHandler struct{ got int }
 
-func (b *blackholeHandler) HandleMessage(transport.NodeID, any) {}
+func (b *blackholeHandler) HandleMessage(transport.NodeID, any)            {}
 func (b *blackholeHandler) HandleRequest(transport.NodeID, any, func(any)) { b.got++ }
 
 // onewayOnlyHandler does not implement RequestHandler at all.

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrCorrupt reports a malformed or truncated buffer.
@@ -68,6 +69,21 @@ func (w *Writer) Blob(b []byte) {
 	w.Uvarint(uint64(len(b)))
 	w.buf = append(w.buf, b...)
 }
+
+// UvarintLen is how many bytes Uvarint(v) appends.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// VarintLen is how many bytes Varint(v) appends.
+func VarintLen(v int64) int {
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
+	}
+	return UvarintLen(ux)
+}
+
+// StringLen is how many bytes String(s) appends.
+func StringLen(s string) int { return UvarintLen(uint64(len(s))) + len(s) }
 
 // Bool appends a boolean as one byte.
 func (w *Writer) Bool(v bool) {

@@ -135,6 +135,26 @@ func TestPropertyVarintRoundTrip(t *testing.T) {
 	}
 }
 
+func TestPropertyLenMatchesWriter(t *testing.T) {
+	f := func(v int64, u uint64, s string) bool {
+		w := NewWriter(0)
+		w.Varint(v)
+		n := w.Len()
+		w.Uvarint(u)
+		m := w.Len()
+		w.String(s)
+		return VarintLen(v) == n && UvarintLen(u) == m-n && StringLen(s) == w.Len()-m
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1 << 63, ^uint64(0)} {
+		if !f(int64(u), u, "") {
+			t.Errorf("%d: length disagrees with the writer", u)
+		}
+	}
+}
+
 func TestPropertyBlobRoundTrip(t *testing.T) {
 	f := func(b []byte) bool {
 		w := NewWriter(0)

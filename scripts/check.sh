@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# Every Go file as gofmt writes it; the message names the ones that are not.
+unformatted="$(gofmt -l .)"
+if ! test -z "$unformatted"; then
+  echo "check: gofmt -l lists files to format (gofmt -w them):" $unformatted >&2
+  exit 1
+fi
 go test ./...
 # The race build runs ~10x slower; the experiments suite needs more than the
 # default 10m test timeout on small machines. This covers the tvl sweep
@@ -27,7 +33,7 @@ go test -race ./internal/nettrans/... ./internal/simnet/... ./internal/transport
 # callbacks; metadata servers against the coord election), so their stress
 # tests get three more rounds.
 go test -race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt' ./internal/nettrans/...
-# Keeps the layer benchmark compiling and prints its allocs/op (budget 40,
+# Keeps the layer benchmark compiling and prints its allocs/op (budget 28,
 # pinned by TestCallAllocBudget) in every verify run.
 go test -run '^$' -bench CallRoundTrip -benchtime 200x ./internal/nettrans
 go test -race -timeout 40m ./internal/mams/...
