@@ -46,29 +46,29 @@ func TestMAMSMatchesGolden(t *testing.T) {
 		{"timer-crash", cluster.MAMSSpec{Groups: 1, BackupsPerGroup: 2,
 			Params: params(func(*mams.Params) {})},
 			paperMix, crash, 10 * sim.Second,
-			"ops=32376/0 mttr=4798316863 msgs=90141/90099 g0-mds0=-/1042/7080/b15957393eac4a31 g0-mds1=S/2865/19521/d39325938c07843e g0-mds2=A/2865/19521/d39325938c07843e trace=d14a8f8a736a7c8d"},
+			"ops=32390/0 mttr=4798394811 msgs=90195/90153 g0-mds0=-/1042/7080/b15957393eac4a31 g0-mds1=S/2870/19527/d931dd8437bb816f g0-mds2=A/2870/19527/d931dd8437bb816f trace=31273290950b9f1c"},
 		{"group-crash", cluster.MAMSSpec{Groups: 1, BackupsPerGroup: 2,
 			Params: params(func(p *mams.Params) { p.GroupCommit = true })},
 			paperMix, crash, 10 * sim.Second,
-			"ops=69296/0 mttr=4800659547 msgs=286542/286504 g0-mds0=-/6333/14898/e5ca5ead309b6412 g0-mds1=S/18112/41649/3a0696e4832a4e11 g0-mds2=A/18112/41649/3a0696e4832a4e11 trace=2abe46873069b690"},
+			"ops=69359/0 mttr=4800562873 msgs=287304/287266 g0-mds0=-/6333/14898/e5ca5ead309b6412 g0-mds1=S/18203/41685/c193699114a7bcd0 g0-mds2=A/18203/41685/c193699114a7bcd0 trace=1efa3dc070da9141"},
 		{"async-crash", cluster.MAMSSpec{Groups: 1, BackupsPerGroup: 2,
 			Params: params(func(p *mams.Params) { p.GroupCommit, p.AsyncAck = true, true })},
 			paperMix, crash, 10 * sim.Second,
-			"ops=109468/0 mttr=4801049426 msgs=395726/395678 g0-mds0=-/7803/25031/59fe0eaff30c0e49 g0-mds1=S/21601/65680/e0c0dade60ae016d g0-mds2=A/21601/65680/e0c0dade60ae016d trace=e88b9c612f4dff09"},
+			"ops=109527/0 mttr=4801131689 msgs=395677/395629 g0-mds0=-/7803/25031/59fe0eaff30c0e49 g0-mds1=S/21577/65721/4b77ffd587e78331 g0-mds2=A/21577/65721/4b77ffd587e78331 trace=ca529bcde408bd7c"},
 		{"syncssp-crash", cluster.MAMSSpec{Groups: 1, BackupsPerGroup: 2,
 			Params: params(func(p *mams.Params) { p.SyncSSP = true })},
 			paperMix, crash, 10 * sim.Second,
-			"ops=29537/0 mttr=4803639285 msgs=82391/82350 g0-mds0=-/957/6489/32ba566ed09e045d g0-mds1=A/2610/17678/8bde4b550adb448b g0-mds2=S/2610/17678/8bde4b550adb448b trace=f0093d6b18fe2486"},
+			"ops=29551/0 mttr=4803835681 msgs=82425/82384 g0-mds0=-/957/6489/32ba566ed09e045d g0-mds1=A/2611/17683/b3153bcd54641be8 g0-mds2=S/2611/17683/b3153bcd54641be8 trace=ed21674d4174e74e"},
 		{"txn-migrate-crash", cluster.MAMSSpec{Groups: 2, BackupsPerGroup: 2,
 			Params: params(func(*mams.Params) {})},
 			workload.Mix{mams.OpCreate: 0.5, mams.OpMkdir: 0.2, mams.OpRename: 0.2, mams.OpStat: 0.1},
 			migrateAndCrashSource, 15 * sim.Second,
-			"ops=10329/17 mttr=2316312 msgs=65524/65365 g0-mds0=-/1088/2429/98eb203ce025c8b4 g0-mds1=S/1343/2223/748c67a460c60abc g0-mds2=A/1343/2223/748c67a460c60abc g1-mds0=A/1311/2890/acc6b0509d5dc81a g1-mds1=S/1311/2890/acc6b0509d5dc81a g1-mds2=S/1311/2890/acc6b0509d5dc81a trace=9286c85acac8b5d3"},
+			"ops=10298/17 mttr=2316312 msgs=65255/65096 g0-mds0=-/1088/2429/98eb203ce025c8b4 g0-mds1=S/1331/2223/49644e14d04c1579 g0-mds2=A/1331/2223/49644e14d04c1579 g1-mds0=A/1302/2877/93b223fb418cba1a g1-mds1=S/1302/2877/93b223fb418cba1a g1-mds2=S/1302/2877/93b223fb418cba1a trace=38be8d173788acfa"},
 		{"breaklock-selffence", cluster.MAMSSpec{Groups: 1, BackupsPerGroup: 2,
 			CoordHeartbeat: 300 * sim.Millisecond, CoordSessionTimeout: 1200 * sim.Millisecond,
 			Params: params(func(*mams.Params) {})},
 			paperMix, breakLockThenUnplug, 8 * sim.Second,
-			"ops=40141/0 mttr=601847 msgs=118433/118378 g0-mds0=S/3612/24160/5e56ccfa4086ca3f g0-mds1=A/3612/24160/5e56ccfa4086ca3f g0-mds2=S/3612/24160/5e56ccfa4086ca3f trace=73bacdf1441c4e27"},
+			"ops=51797/0 mttr=601847 msgs=154481/154439 g0-mds0=S/4663/31106/c7367ef4cfdcdc4c g0-mds1=A/4663/31106/c7367ef4cfdcdc4c g0-mds2=S/4663/31106/c7367ef4cfdcdc4c trace=242de3eda1c496bc"},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -56,9 +56,15 @@ const (
 	// leaderTimeout is how long a follower waits without hearing a leader
 	// announce before trying to take over.
 	leaderTimeout = 2 * sim.Second
-	// sessionCheckEvery is the leader's session-expiry scan period: a
+	// sessionCheckEvery caps the leader's session-expiry scan period: a
 	// session is expired at the first scan after its time-out has passed.
 	sessionCheckEvery = 250 * sim.Millisecond
+	// sessionTicks is how many scan periods fit in the shortest live
+	// session's time-out. ZooKeeper expires sessions on a tick grid and
+	// allows time-outs up to 20 ticks; this inverts that: the scan runs at
+	// the tick the shortest time-out implies, so a 5 s session scans every
+	// 250 ms and a 1.2 s one every 60 ms.
+	sessionTicks = 20
 )
 
 // Server is one coordination-ensemble member: a Paxos replica plus the
@@ -144,10 +150,24 @@ func (s *Server) armTick() {
 }
 
 func (s *Server) armSessionCheck() {
-	s.node.After(sessionCheckEvery, "coord-session-check", func() {
+	s.node.After(s.sessionCheckPeriod(), "coord-session-check", func() {
 		s.checkSessions()
 		s.armSessionCheck()
 	})
+}
+
+// sessionCheckPeriod is the next scan's delay: the shortest live session
+// time-out over sessionTicks, never more than sessionCheckEvery. Only the
+// scan's grid follows the time-out; a session still expires only once it
+// has been silent for longer than its time-out.
+func (s *Server) sessionCheckPeriod() sim.Time {
+	every := sessionCheckEvery
+	for _, sess := range s.sm.sessions {
+		if tick := sim.Time(sess.timeoutNs) / sessionTicks; tick > 0 && tick < every {
+			every = tick
+		}
+	}
+	return every
 }
 
 func (s *Server) tick() {

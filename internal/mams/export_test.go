@@ -34,3 +34,15 @@ func (s *Server) PendingReplForTest() int {
 	}
 	return len(s.pipe.pending)
 }
+
+// UpgradeForTest runs the Fig. 4 upgrade on this server as if it had just
+// won the group lock.
+func (s *Server) UpgradeForTest() {
+	s.runUpgrade()
+}
+
+// HeldRegistrationsForTest reports how many Register messages the server
+// holds for classification when it turns active.
+func (s *Server) HeldRegistrationsForTest() int {
+	return len(s.upgradeRegs)
+}

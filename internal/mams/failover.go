@@ -119,6 +119,8 @@ func (s *Server) tryAcquireLock() {
 func (s *Server) runUpgrade() {
 	s.upgrading = true
 	s.electing = 0
+	s.upgradeRegs = map[transport.NodeID]Register{}
+	s.regWindowDone = nil
 	s.emit(trace.KindFailover, "upgrade-start", "sn", fmt.Sprint(s.effectiveSN()))
 	// Step 1: visit the global view and check our own state.
 	s.stageSpan = s.spans.Begin("stage-view-check", string(s.cfg.ID), s.failoverSpan)
@@ -151,6 +153,8 @@ func (s *Server) runUpgrade() {
 
 func (s *Server) abortUpgrade() {
 	s.upgrading = false
+	s.upgradeRegs = nil
+	s.regWindowDone = nil
 	s.endElectionSpans("aborted")
 	for _, qo := range s.upgradeQueue {
 		qo.reply(OpReply{NotActive: true})
@@ -162,9 +166,73 @@ func (s *Server) abortUpgrade() {
 	})
 }
 
-// registrationWait is how long the new active collects peer registrations
-// before it serves (Fig. 4 step 5).
+// registrationWait caps how long the new active collects peer registrations
+// before it serves (Fig. 4 step 5); the window ends sooner once every live
+// member has registered at this node's journal position.
 const registrationWait = 120 * sim.Millisecond
+
+// awaitRegistrations runs done when every member but this one and those the
+// flipped view marks down has registered (allRegistered), or after
+// registrationWait, whichever comes first (Fig. 4 step 5). Like Lustre's
+// recovery window, it waits for the peers it knows of and uses the clock
+// only as a cap: a member that never registers (a partitioned standby), or
+// that registers off our position and never acks the re-flush's last
+// batch, costs the whole cap.
+func (s *Server) awaitRegistrations(done func(outcome string)) {
+	if s.allRegistered() {
+		done("all-registered")
+		return
+	}
+	var capTimer transport.Timer
+	s.regWindowDone = func() {
+		s.regWindowDone = nil
+		capTimer.Stop()
+		done("all-registered")
+	}
+	capTimer = s.node.After(registrationWait, "mams-registration-wait", func() {
+		s.regWindowDone = nil
+		done("cap")
+	})
+}
+
+// allRegistered reports whether every live peer has registered during this
+// upgrade at a position it will keep until classified. A member registered
+// off our position but not below the step-4 re-flush's range may still be
+// applying it, and its ack refreshes the position (noteReflushAck); one
+// further behind cannot be repaired by it and is final.
+func (s *Server) allRegistered() bool {
+	last := s.log.LastSN()
+	from := reflushFrom(last)
+	for _, m := range s.members {
+		if m == s.cfg.ID || s.view.RoleOf(string(m)) == RoleDown {
+			continue
+		}
+		if r, ok := s.upgradeRegs[m]; !ok || (r.LastSN != last && r.LastSN >= from) {
+			return false
+		}
+	}
+	return true
+}
+
+// noteReflushAck replaces a registered member's position with the one it
+// reports after the step-4 re-flush's last batch. A standby that
+// registered a batch behind (or ahead, holding a dead active's unconfirmed
+// prepare that the re-flush supersedes) registers as the standby it is now.
+func (s *Server) noteReflushAck(m AppendAck) {
+	if r, ok := s.upgradeRegs[m.From]; ok && m.SN == s.log.LastSN() {
+		r.LastSN = m.LastSN
+		s.upgradeRegs[m.From] = r
+		s.maybeEndRegistration()
+	}
+}
+
+// maybeEndRegistration ends an open registration window once every live
+// peer has registered.
+func (s *Server) maybeEndRegistration() {
+	if s.regWindowDone != nil && s.allRegistered() {
+		s.regWindowDone()
+	}
+}
 
 // commitCachedAndFlip performs steps 2-6: commit cached journals, flip the
 // global view, re-flush the journal tail, wait for registrations, serve.
@@ -207,10 +275,10 @@ func (s *Server) commitCachedAndFlip() {
 				s.reflushTail(epoch)
 				s.spans.End(s.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
 				// Step 5: collect registrations (Register handler runs
-				// concurrently); step 6 after the registration window.
+				// concurrently); step 6 once every live peer registered.
 				s.stageSpan = s.spans.Begin("stage-registration", me, s.failoverSpan)
-				s.node.After(registrationWait, "mams-registration-wait", func() {
-					s.spans.End(s.stageSpan)
+				s.awaitRegistrations(func(outcome string) {
+					s.spans.End(s.stageSpan, "outcome", outcome)
 					// Step 6: switch to active duty and drain the buffer.
 					// The shardmap znode is re-read first so a standing
 					// migration freeze (and any flip we slept through)
@@ -235,11 +303,7 @@ func (s *Server) commitCachedAndFlip() {
 // to others in the replica group again").
 func (s *Server) reflushTail(epoch uint64) {
 	last := s.log.LastSN()
-	from := uint64(0)
-	if last > 2 {
-		from = last - 2
-	}
-	batches := s.log.Since(from)
+	batches := s.log.Since(reflushFrom(last))
 	for _, m := range s.members {
 		if m == s.cfg.ID {
 			continue
@@ -251,6 +315,15 @@ func (s *Server) reflushTail(epoch uint64) {
 		}
 		s.node.Send(m, CommitNotice{Epoch: epoch, Through: last})
 	}
+}
+
+// reflushFrom is the sn the step-4 re-flush starts after: it re-sends the
+// last two batches.
+func reflushFrom(last uint64) uint64 {
+	if last > 2 {
+		return last - 2
+	}
+	return 0
 }
 
 // catchupAttempt replays every journal batch the shared storage pool holds

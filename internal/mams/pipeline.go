@@ -2,6 +2,7 @@ package mams
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mams/internal/journal"
@@ -99,7 +100,7 @@ type commitObs struct {
 type replState struct {
 	batch    journal.Batch
 	targets  []transport.NodeID // sorted; needed starts as all of them
-	needed   map[transport.NodeID]bool
+	needed   []transport.NodeID // distinct targets whose ack is still owed
 	timer    transport.Timer
 	sealedAt sim.Time // seal instant, for the seal-to-commit histogram
 	// sspPending: SyncSSP mode, pool write not yet durable.
@@ -282,11 +283,10 @@ func (p *commitPipeline) sealBatch() {
 			recs*p.params.SSPPerRecordCPU)
 	}
 
-	rs := &replState{batch: batch, targets: targets, needed: map[transport.NodeID]bool{}, sealedAt: now}
-	rs.span = p.spans.Begin("journal-2pc", string(p.node.ID()), 0,
-		"sn", fmt.Sprint(batch.SN), "standbys", fmt.Sprint(len(targets)))
-	for _, t := range targets {
-		rs.needed[t] = true
+	rs := &replState{batch: batch, targets: targets, needed: slices.Compact(slices.Clone(targets)), sealedAt: now}
+	if p.spans != nil { // the args are formatted only for a tracer that records them
+		rs.span = p.spans.Begin("journal-2pc", string(p.node.ID()), 0,
+			"sn", fmt.Sprint(batch.SN), "standbys", fmt.Sprint(len(targets)))
 	}
 	p.pending[batch.SN] = rs
 	p.obs.inflight.Set(float64(len(p.pending)))
@@ -318,7 +318,8 @@ func (p *commitPipeline) launch(rs *replState) {
 		p.tryAdvanceCommit()
 		return
 	}
-	msg := AppendBatch{From: p.node.ID(), Epoch: rs.batch.Epoch, Batch: rs.batch, CommitThrough: p.committedSN}
+	// Boxed once for every target.
+	var msg any = AppendBatch{From: p.node.ID(), Epoch: rs.batch.Epoch, Batch: rs.batch, CommitThrough: p.committedSN}
 	for _, t := range rs.targets {
 		p.node.Call(t, msg, ackTimeout, func(resp any, err error) {
 			// A timeout is handled by the ack-timeout path, which demotes
@@ -385,12 +386,19 @@ func (p *commitPipeline) onAppendAck(ack AppendAck) {
 	} else {
 		rs.acked++
 	}
-	delete(rs.needed, ack.From)
+	rs.drop(ack.From)
 	if len(rs.needed) == 0 {
 		if rs.timer != nil {
 			rs.timer.Stop()
 		}
 		p.tryAdvanceCommit()
+	}
+}
+
+// drop removes id from the targets whose ack rs still waits for.
+func (rs *replState) drop(id transport.NodeID) {
+	if i := slices.Index(rs.needed, id); i >= 0 {
+		rs.needed = slices.Delete(rs.needed, i, i+1)
 	}
 }
 
@@ -472,9 +480,9 @@ func (p *commitPipeline) onAckTimeout(sn uint64) {
 	// Fence in member order: each fence is a coordination write, and their
 	// order is part of a seeded run.
 	for _, t := range rs.targets {
-		if rs.needed[t] {
+		if slices.Contains(rs.needed, t) {
 			p.fenceLaggard(rs, t)
-			delete(rs.needed, t)
+			rs.drop(t)
 		}
 	}
 	p.tryAdvanceCommit()

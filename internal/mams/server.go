@@ -89,6 +89,11 @@ type Server struct {
 	// Election state.
 	electing     sim.Time // when the trigger fired (0 = not electing)
 	upgradeQueue []queuedOp
+	// Fig. 4 step 5: the Register messages received during this upgrade,
+	// classified once the node turns active, and (while the registration
+	// window is open) the call that ends it before its cap.
+	upgradeRegs   map[transport.NodeID]Register
+	regWindowDone func()
 
 	// Renewing.
 	renewTarget   transport.NodeID // junior currently receiving live batches
@@ -472,6 +477,16 @@ func (s *Server) becomeActiveNow(epoch uint64) {
 		obs:     s.commitObs,
 		spans:   s.spans,
 	}, s.cfg.Params, epoch)
+	// Classify the members that registered during the upgrade (Fig. 4
+	// step 5) before the buffered ops run: a drained op that seals a batch
+	// would leave every standby's registered sn behind ours.
+	regs := s.upgradeRegs
+	s.upgradeRegs = nil
+	for _, m := range s.members {
+		if r, ok := regs[m]; ok {
+			s.onRegister(r)
+		}
+	}
 	s.emit(trace.KindState, "become-active", "epoch", fmt.Sprint(epoch), "sn", fmt.Sprint(s.log.LastSN()))
 	// The batch timer arms lazily on the first record after a seal; the
 	// self-fence check runs on its own loop so an idle active still fences.
@@ -859,6 +874,8 @@ func (s *Server) HandleMessage(from transport.NodeID, msg any) {
 	case AppendAck:
 		if s.pipe != nil {
 			s.pipe.onAppendAck(m)
+		} else if s.upgrading {
+			s.noteReflushAck(m)
 		}
 	case CommitNotice:
 		s.onCommitNotice(m)
@@ -1279,12 +1296,16 @@ func (s *Server) commitAllQueued() {
 }
 
 func (s *Server) commitQueuedHead() {
-	b := &s.pendingQueue[0]
-	s.pendingQueue = s.pendingQueue[1:]
+	// Shift rather than reslice, so the queue keeps its backing array and a
+	// standby appends each batch without allocating.
+	b := s.pendingQueue[0]
+	n := copy(s.pendingQueue, s.pendingQueue[1:])
+	s.pendingQueue[n] = journal.Batch{}
+	s.pendingQueue = s.pendingQueue[:n]
 	if b.SN <= s.log.LastSN() {
 		return
 	}
-	if err := s.applyBatch(*b); err != nil {
+	if err := s.applyBatch(b); err != nil {
 		// Deterministic replay cannot fail unless our state diverged from
 		// the timeline; discard everything and recover through renewing.
 		s.emit(trace.KindJournal, "replay-divergence", "err", err.Error())
@@ -1355,6 +1376,12 @@ func (s *Server) onPromote(m Promote) {
 // onRegister: the (new) active classifies a member by its journal position
 // (Fig. 4 step 5).
 func (s *Server) onRegister(m Register) {
+	if s.upgrading {
+		// Held until this node turns active (becomeActiveNow).
+		s.upgradeRegs[m.From] = m
+		s.maybeEndRegistration()
+		return
+	}
 	if s.role != RoleActive {
 		return
 	}

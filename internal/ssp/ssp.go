@@ -467,26 +467,6 @@ func (c *Client) Put(key Key, data []byte, size int64, cb func(err error)) {
 	}
 	c.stores.Inc()
 	c.storeBytes.Add(float64(size))
-	started := c.host.Now()
-	remaining := len(targets)
-	var firstErr error
-	done := false
-	finish := func(err error) {
-		if err == transport.ErrTimeout {
-			c.timeouts.Inc()
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		remaining--
-		if remaining == 0 && !done {
-			done = true
-			if firstErr == nil {
-				c.storeLat.Observe((c.host.Now() - started).Seconds())
-			}
-			cb(firstErr)
-		}
-	}
 	// Size the store timeout to the object, as getRemote does for fetches: a
 	// dropped request for a small journal batch must fail (and be retried by
 	// the caller) in seconds, not stall a commit pipeline for the flat
@@ -495,20 +475,46 @@ func (c *Client) Put(key Key, data []byte, size int64, cb func(err error)) {
 	if putTimeout > c.timeout {
 		putTimeout = c.timeout
 	}
+	// One allocation holds the round's state, and the request is boxed once
+	// for every replica.
+	round := &putRound{c: c, cb: cb, started: c.host.Now(), remaining: len(targets)}
+	var req any = storeReq{Key: key, Data: data, Size: size}
 	for _, target := range targets {
-		c.host.Call(target, storeReq{Key: key, Data: data, Size: size}, putTimeout,
-			func(resp any, err error) {
-				if err != nil {
-					finish(err)
-					return
+		c.host.Call(target, req, putTimeout, func(resp any, err error) {
+			if err == nil {
+				if sr := resp.(storeResp); sr.Err != "" {
+					err = errors.New(sr.Err)
 				}
-				sr := resp.(storeResp)
-				if sr.Err != "" {
-					finish(errors.New(sr.Err))
-					return
-				}
-				finish(nil)
-			})
+			}
+			round.finish(err)
+		})
+	}
+}
+
+// putRound is one Put's progress over its replicas.
+type putRound struct {
+	c         *Client
+	cb        func(err error)
+	started   sim.Time
+	remaining int
+	firstErr  error
+}
+
+// finish records one replica's outcome and reports the Put once every
+// replica has answered.
+func (r *putRound) finish(err error) {
+	if err == transport.ErrTimeout {
+		r.c.timeouts.Inc()
+	}
+	if err != nil && r.firstErr == nil {
+		r.firstErr = err
+	}
+	r.remaining--
+	if r.remaining == 0 {
+		if r.firstErr == nil {
+			r.c.storeLat.Observe((r.c.host.Now() - r.started).Seconds())
+		}
+		r.cb(r.firstErr)
 	}
 }
 

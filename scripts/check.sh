@@ -29,10 +29,11 @@ go test -race -timeout 40m ./internal/experiments/... ./internal/sim/...
 # also asserts no protocol package (mams, coord, ssp, fsclient) imports
 # internal/simnet.
 go test -race ./internal/nettrans/... ./internal/simnet/... ./internal/transport/...
-# Teardown and boot are races by nature (Close against a loop still running
-# callbacks; metadata servers against the coord election), so their stress
-# tests get three more rounds.
-go test -race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt' ./internal/nettrans/...
+# Teardown, boot and failover are races by nature (Close against a loop
+# still running callbacks; metadata servers against the coord election; an
+# arriving Register against the registration window's cap timer), so their
+# stress tests get three more rounds.
+go test -race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt|TestWireClusterFailover' ./internal/nettrans/...
 # Keeps the layer benchmark compiling and prints its allocs/op (budget 28,
 # pinned by TestCallAllocBudget) in every verify run.
 go test -run '^$' -bench CallRoundTrip -benchtime 200x ./internal/nettrans
