@@ -77,20 +77,48 @@ func (b *Batch) LastTx() uint64 {
 // Encode serializes the batch.
 func (b *Batch) Encode() []byte {
 	w := wire.NewWriter(64 + 48*len(b.Records))
+	b.MarshalTo(w)
+	return w.Bytes()
+}
+
+// MarshalTo appends the batch to w: the one record layout, shared by pool
+// objects and the frames that replicate batches.
+func (b *Batch) MarshalTo(w *wire.Writer) {
 	w.Uvarint(b.SN)
 	w.Uvarint(b.Epoch)
 	w.Uvarint(b.FirstTx)
 	w.Uvarint(uint64(len(b.Records)))
-	for _, r := range b.Records {
-		w.Uvarint(r.TxID)
-		w.U8(uint8(r.Op))
-		w.String(r.Path)
-		w.String(r.Dest)
-		w.Varint(r.Size)
-		w.U16(r.Perm)
-		w.Varint(r.MTime)
+	for i := range b.Records {
+		b.Records[i].MarshalTo(w)
 	}
-	return w.Bytes()
+}
+
+// MarshalTo appends one record to w.
+func (rec *Record) MarshalTo(w *wire.Writer) {
+	w.Uvarint(rec.TxID)
+	w.U8(uint8(rec.Op))
+	w.String(rec.Path)
+	w.String(rec.Dest)
+	w.Varint(rec.Size)
+	w.U16(rec.Perm)
+	w.Varint(rec.MTime)
+}
+
+// MinRecordLen is the fewest bytes a record encodes to: the per-element
+// minimum to check a record count against (wire.Reader.Count).
+const MinRecordLen = 8
+
+// ReadRecord reads a record written by Record.MarshalTo; errors stick in r.
+func ReadRecord(r *wire.Reader) Record {
+	return Record{
+		TxID:  r.Uvarint(),
+		Op:    OpKind(r.U8()),
+		Path:  r.String(),
+		Dest:  r.String(),
+		Size:  r.Varint(),
+		Perm:  r.U16(),
+		MTime: r.Varint(),
+	}
 }
 
 // EncodedLen returns len(b.Encode()) without encoding or allocating.
@@ -108,33 +136,27 @@ func (b *Batch) EncodedLen() int {
 // DecodeBatch parses a batch produced by Encode.
 func DecodeBatch(buf []byte) (Batch, error) {
 	r := wire.NewReader(buf)
-	var b Batch
-	b.SN = r.Uvarint()
-	b.Epoch = r.Uvarint()
-	b.FirstTx = r.Uvarint()
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return Batch{}, r.Err()
-	}
-	if n > uint64(len(buf)) { // each record needs >= 1 byte
-		return Batch{}, fmt.Errorf("journal: implausible record count %d", n)
-	}
-	b.Records = make([]Record, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var rec Record
-		rec.TxID = r.Uvarint()
-		rec.Op = OpKind(r.U8())
-		rec.Path = r.String()
-		rec.Dest = r.String()
-		rec.Size = r.Varint()
-		rec.Perm = r.U16()
-		rec.MTime = r.Varint()
-		b.Records = append(b.Records, rec)
-	}
+	b := ReadBatch(r)
 	if err := r.Finish(); err != nil {
 		return Batch{}, err
 	}
 	return b, nil
+}
+
+// MinBatchLen is the fewest bytes a batch encodes to.
+const MinBatchLen = 4
+
+// ReadBatch reads a batch written by MarshalTo; errors stick in r. A batch
+// without records reads with nil Records.
+func ReadBatch(r *wire.Reader) Batch {
+	b := Batch{SN: r.Uvarint(), Epoch: r.Uvarint(), FirstTx: r.Uvarint()}
+	if n := r.Count(MinRecordLen); n > 0 {
+		b.Records = make([]Record, n)
+		for i := range b.Records {
+			b.Records[i] = ReadRecord(r)
+		}
+	}
+	return b
 }
 
 // Journal errors.

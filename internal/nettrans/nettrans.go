@@ -1,6 +1,7 @@
 // Package nettrans is the real-plane implementation of
-// transport.Transport: TCP listeners on real addresses, length-prefixed gob
-// framing, per-peer connection reuse, and wall-clock timers.
+// transport.Transport: TCP listeners on real addresses, length-prefixed
+// frames in internal/wire's encoding, per-peer connection reuse, and
+// wall-clock timers.
 //
 // One Transport corresponds to one OS process. It may host several nodes
 // (mamsd can serve a metadata role, a pool role, and a coordination role
@@ -10,18 +11,21 @@
 // the protocol state machines were written against on the sim plane, so
 // they need no locks here either.
 //
-// Wire format: each frame is a 4-byte big-endian length followed by that
-// many bytes of one gob stream per connection direction. A connection has
-// one encoder (owned by its single writer goroutine) and one decoder (owned
-// by its reader goroutine) for its whole life, so a type's descriptors cross
-// the wire once, with the first frame that carries it, and a frame is only
-// meaningful after every earlier frame of the same connection. The length
-// is checked against maxFrame before anything is read, a frame must decode
-// to exactly its length, and any encode, decode or socket error closes the
-// connection: stream state that diverged cannot be resynchronised, and the
-// next send redials with a fresh encoder/decoder pair. Concrete payload
-// types are registered with encoding/gob by the protocol packages'
-// gobwire.go files.
+// Wire format: a frame is
+//
+//	u32 length | kind u8 | id uvarint | from string | to string | tag u8 | payload
+//
+// with a big-endian length counting the bytes after it and strings as a
+// uvarint length and the bytes. The tag names the payload's type and the
+// payload is its fields, written and read by the codec its package
+// registers with internal/wire (tag 0: no payload). Every frame stands
+// alone, so the codec keeps no state per connection. The length is checked
+// against maxFrame before anything else is read, the receive buffer grows
+// only with bytes that have arrived, and a frame must decode to exactly
+// its length; a frame that breaks any of this closes its connection, and
+// the next send redials. A frame that cannot be sent (its payload is not a
+// registered message, or it is over maxFrame) is dropped on its own: its
+// caller fails and the connection carries on.
 //
 // Loss semantics mirror simnet: one-way messages to unknown, down, or
 // unplugged destinations vanish silently; requests that provably cannot
@@ -48,9 +52,7 @@ package nettrans
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -62,6 +64,7 @@ import (
 	"mams/internal/obs"
 	"mams/internal/sim"
 	"mams/internal/transport"
+	"mams/internal/wire"
 )
 
 // Compile-time plane checks.
@@ -354,15 +357,16 @@ func (t *Transport) node(id transport.NodeID) *Node {
 // ---- connections ----
 
 // conn is one TCP connection, dialed or accepted. Its writer goroutine is
-// the only one that encodes onto the socket and its reader goroutine the
-// only one that decodes from it, so each direction carries one gob stream.
-// Everything sent over the connection — requests and one-way messages on a
-// dialed one, responses and reaps on either kind — goes through enqueue.
+// the only one that writes to the socket and its reader goroutine the only
+// one that reads from it. Everything sent over the connection — requests
+// and one-way messages on a dialed one, responses and reaps on either
+// kind — goes through enqueue.
 //
-// Any error on either side shuts the connection: the frames still queued
-// are reported undeliverable (the ones already written are failed by the
-// peer's reap or by the caller's timeout), and a dialed connection leaves
-// the reuse map so the next send redials.
+// Any socket error, or a bad frame read, shuts the connection: the frames
+// still queued are reported undeliverable (the ones already written are
+// failed by the peer's reap or by the caller's timeout), and a dialed
+// connection leaves the reuse map so the next send redials. A frame that
+// will not encode is reported undeliverable alone.
 type conn struct {
 	tr   *Transport
 	addr string // dial target; empty for an accepted connection
@@ -421,7 +425,15 @@ func (c *conn) abandon(stranded []frame) {
 		if c.addr != "" && c.tr.conns[c.addr] == c {
 			delete(c.tr.conns, c.addr)
 		}
-		for _, f := range stranded {
+	})
+	c.reject(stranded)
+}
+
+// reject applies loss semantics, on the loop, to frames that will not
+// reach their destination.
+func (c *conn) reject(fs []frame) {
+	c.tr.post(func() {
+		for _, f := range fs {
 			c.tr.frameUndeliverable(f)
 		}
 	})
@@ -429,7 +441,8 @@ func (c *conn) abandon(stranded []frame) {
 
 // write runs in its own goroutine: dial if the connection has no socket
 // yet, then drain the queue. Each wake-up takes the whole queue, encodes it
-// into one buffer and issues one Write.
+// into one buffer and issues one Write; a frame that will not encode is
+// rejected on its own.
 func (c *conn) write() {
 	defer c.tr.wg.Done()
 	defer c.shut()
@@ -451,7 +464,7 @@ func (c *conn) write() {
 		c.tr.wg.Add(1)
 		go c.read()
 	}
-	enc := newFrameEncoder()
+	var enc frameEncoder
 	var batch []frame
 	for {
 		c.mu.Lock()
@@ -464,11 +477,21 @@ func (c *conn) write() {
 		}
 		batch, c.queue = c.queue, batch[:0]
 		c.mu.Unlock()
-		if err := enc.writeTo(c.sock, batch); err != nil {
-			// The encoder may have marked descriptors as sent that never
-			// reached the wire, and the socket may have taken any prefix of
-			// the batch: nothing more can go out on this stream.
-			c.abandon(batch)
+		sent := batch[:0]
+		var bad []frame
+		for _, f := range batch {
+			if enc.encode(&f) == nil {
+				sent = append(sent, f)
+			} else {
+				bad = append(bad, f)
+			}
+		}
+		if bad != nil {
+			c.reject(bad)
+		}
+		if err := enc.flush(c.sock); err != nil {
+			// The socket may have taken any prefix of the batch.
+			c.abandon(sent)
 			return
 		}
 		clear(batch) // drop the payload references until the next swap
@@ -661,111 +684,167 @@ func (t *Transport) answer(f frame, via *conn) {
 
 const (
 	maxFrame = 64 << 20 // 64 MiB; journals ship in bounded batches
-	// keepBuf is how much encode buffer a connection keeps between batches;
-	// one outsized journal frame must not pin its size for the connection's
-	// life.
+	// keepBuf is how much encode or gather buffer a connection keeps
+	// between frames; one outsized journal frame must not pin its size for
+	// the connection's life.
 	keepBuf = 1 << 20
 )
 
-// frameEncoder is the write half of a connection's gob stream: one encoder
-// whose output is cut into length-prefixed frames.
+// frameEncoder is the write half of a connection: frames accumulate in one
+// buffer, which flush hands to the socket in one Write.
 type frameEncoder struct {
-	buf bytes.Buffer
-	enc *gob.Encoder
+	w wire.Writer
 }
 
-func newFrameEncoder() *frameEncoder {
-	e := &frameEncoder{}
-	e.enc = gob.NewEncoder(&e.buf)
-	return e
-}
-
-// encode appends f to the buffer as one frame: the 4-byte big-endian length
-// of whatever the encoder emitted for it (descriptors of types it has not
-// sent yet, then the value).
+// encode appends f to the buffer as one frame. A frame whose payload will
+// not encode, or that comes out over maxFrame, is cut back out of the
+// buffer and reported as the error; the frames before it stand.
 func (e *frameEncoder) encode(f *frame) error {
-	start := e.buf.Len()
-	e.buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := e.enc.Encode(f); err != nil {
-		return fmt.Errorf("nettrans: encode frame to %s: %w", f.To, err)
+	start := e.w.Len()
+	e.w.U32(0) // length placeholder
+	e.w.U8(uint8(f.Kind))
+	e.w.Uvarint(f.ID)
+	e.w.String(string(f.From))
+	e.w.String(string(f.To))
+	e.w.Message(f.Payload)
+	err := e.w.Err()
+	n := e.w.Len() - start - 4
+	if err == nil && n > maxFrame {
+		err = fmt.Errorf("%d bytes, over the %d limit", n, maxFrame)
 	}
-	n := e.buf.Len() - start - 4
-	if n > maxFrame {
-		return fmt.Errorf("nettrans: frame to %s is %d bytes, over the %d limit", f.To, n, maxFrame)
+	if err != nil {
+		e.w.Truncate(start)
+		return fmt.Errorf("nettrans: frame to %s: %w", f.To, err)
 	}
-	binary.BigEndian.PutUint32(e.buf.Bytes()[start:], uint32(n))
+	binary.BigEndian.PutUint32(e.w.Bytes()[start:], uint32(n))
 	return nil
 }
 
-// writeTo encodes the batch and writes it to w in one call. After an error
-// the encoder must not be used again.
-func (e *frameEncoder) writeTo(w io.Writer, batch []frame) error {
-	for i := range batch {
-		if err := e.encode(&batch[i]); err != nil {
-			return err
-		}
+// flush writes the buffered frames to w in one call and empties the
+// buffer.
+func (e *frameEncoder) flush(w io.Writer) error {
+	if e.w.Len() == 0 {
+		return nil
 	}
-	_, err := w.Write(e.buf.Bytes())
-	if e.buf.Cap() > keepBuf {
-		e.buf = bytes.Buffer{}
+	_, err := w.Write(e.w.Bytes())
+	if cap(e.w.Bytes()) > keepBuf {
+		e.w = wire.Writer{}
 	} else {
-		e.buf.Reset()
+		e.w.Truncate(0)
 	}
 	return err
 }
 
-// frameDecoder is the read half of a connection's gob stream. The decoder
-// reads through body, a view of the socket that ends where the current
-// frame does, so a frame can neither run into the next one nor make the
-// decoder wait for bytes its length did not announce. hdr and f are the
-// length prefix and decode target of every frame: as fields they are not
-// allocated per frame.
+// readBuf is a connection's read buffer: a frame that fits is decoded in
+// place, without a copy.
+const readBuf = 32 << 10
+
+// maxNodeIDs bounds the node ids a connection's decoder keeps, so a peer
+// that sends endless new ones cannot grow the table.
+const maxNodeIDs = 64
+
+// frameDecoder is the read half of a connection. A frame longer than the
+// read buffer is gathered into big, which grows with the bytes that have
+// arrived, never ahead of them on the length prefix's word. r is the
+// reader every frame is decoded with, and ids the node ids seen so far:
+// a connection carries few, and reusing them saves two strings a frame.
 type frameDecoder struct {
-	br   *bufio.Reader
-	body frameBody
-	dec  *gob.Decoder
-	hdr  [4]byte
-	f    frame
+	br  *bufio.Reader
+	big []byte
+	r   wire.Reader
+	ids map[string]transport.NodeID
 }
 
 func newFrameDecoder(r io.Reader) *frameDecoder {
-	d := &frameDecoder{br: bufio.NewReader(r)}
-	d.body.R = d.br
-	d.dec = gob.NewDecoder(&d.body)
-	return d
+	return &frameDecoder{br: bufio.NewReaderSize(r, readBuf), ids: make(map[string]transport.NodeID)}
+}
+
+// node reads a node id, reusing the copy from an earlier frame.
+func (d *frameDecoder) node() transport.NodeID {
+	b := d.r.BlobView()
+	if id, ok := d.ids[string(b)]; ok {
+		return id
+	}
+	id := transport.NodeID(b)
+	if len(d.ids) < maxNodeIDs {
+		d.ids[string(id)] = id
+	}
+	return id
 }
 
 // next reads one frame. After an error the decoder must not be used again.
 func (d *frameDecoder) next() (frame, error) {
-	if _, err := io.ReadFull(d.br, d.hdr[:]); err != nil {
+	hdr, err := d.br.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 {
+			err = midFrame(err)
+		}
 		return frame{}, err
 	}
-	n := binary.BigEndian.Uint32(d.hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > maxFrame {
 		return frame{}, fmt.Errorf("nettrans: oversized frame (%d bytes)", n)
 	}
-	d.body.N = int64(n)
-	// gob leaves a field the stream omits (a zero value) as it was, so the
-	// previous frame must not show through.
-	d.f = frame{}
-	if err := d.dec.Decode(&d.f); err != nil {
+	d.br.Discard(4)
+	if n > d.br.Size() {
+		body, err := d.gather(n)
+		if err != nil {
+			return frame{}, err
+		}
+		return d.decode(body)
+	}
+	body, err := d.br.Peek(n)
+	if err != nil {
+		return frame{}, midFrame(err)
+	}
+	defer d.br.Discard(n) // once decoded: body is the read buffer
+	return d.decode(body)
+}
+
+// gather reads an n-byte frame body into big, appending only bytes that
+// have arrived.
+func (d *frameDecoder) gather(n int) ([]byte, error) {
+	buf := d.big[:0]
+	for len(buf) < n {
+		if _, err := d.br.Peek(1); err != nil { // waits for bytes to arrive
+			return nil, midFrame(err)
+		}
+		chunk, _ := d.br.Peek(min(d.br.Buffered(), n-len(buf)))
+		buf = append(buf, chunk...)
+		d.br.Discard(len(chunk))
+	}
+	if cap(buf) <= keepBuf {
+		d.big = buf
+	} else {
+		d.big = nil
+	}
+	return buf, nil
+}
+
+// midFrame reports the stream ending inside a frame as the error it is.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// decode parses one frame body; the frame copies what it keeps.
+func (d *frameDecoder) decode(body []byte) (frame, error) {
+	r := &d.r
+	r.Reset(body)
+	f := frame{
+		Kind:    frameKind(r.U8()),
+		ID:      r.Uvarint(),
+		From:    d.node(),
+		To:      d.node(),
+		Payload: r.Message(),
+	}
+	if err := r.Finish(); err != nil {
 		return frame{}, fmt.Errorf("nettrans: decode frame: %w", err)
 	}
-	if d.body.N != 0 {
-		return frame{}, fmt.Errorf("nettrans: %d trailing bytes in a %d-byte frame", d.body.N, n)
+	if f.Kind > frameReap {
+		return frame{}, fmt.Errorf("nettrans: unknown frame kind %d", f.Kind)
 	}
-	return d.f, nil
-}
-
-// frameBody is io.LimitedReader plus ReadByte, without which gob.NewDecoder
-// would put its own read-ahead buffer in front and swallow the next frame's
-// prefix. p is ReadByte's buffer.
-type frameBody struct {
-	io.LimitedReader
-	p [1]byte
-}
-
-func (b *frameBody) ReadByte() (byte, error) {
-	_, err := io.ReadFull(b, b.p[:])
-	return b.p[0], err
+	return f, nil
 }

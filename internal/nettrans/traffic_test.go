@@ -87,7 +87,7 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 	for _, window := range []int{1, 64} {
 		b.Run("window="+strconv.Itoa(window), func(b *testing.B) {
 			a, caller := echoPair(b)
-			roundTrips(a, caller, 256, window) // dial, descriptors, decode engines
+			roundTrips(a, caller, 256, window) // dial and warm the buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			if failed := roundTrips(a, caller, b.N, window); failed > 0 {
@@ -98,12 +98,13 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 }
 
 // TestCallAllocBudget pins what a warm Call round trip allocates in the
-// whole process — caller loop, both writers, both readers, gob on either
-// side. It was 580 with a gob encoder and decoder built per frame, 32 with
-// one stream per connection direction, and is 24 with the call's deadline
-// inside its pending entry and no per-frame escapes in the decoder.
+// whole process — caller loop, both writers, both readers, the frame codec
+// on either side. It was 580 with a gob encoder and decoder built per
+// frame, 32 with one gob stream per connection direction, 24 with the
+// call's deadline inside its pending entry, and is 15 with internal/wire's
+// stateless frame codec and node ids reused per connection.
 func TestCallAllocBudget(t *testing.T) {
-	const budget = 28
+	const budget = 17
 	a, caller := echoPair(t)
 	roundTrips(a, caller, 256, 64)
 	const perRun = 200

@@ -6,7 +6,8 @@
 //     Virtual clock, seeded latency model, fault injection; byte-identical
 //     runs for a given seed.
 //   - internal/nettrans — the real plane. TCP listeners on real addresses,
-//     length-prefixed gob framing, wall-clock timers.
+//     self-contained length-prefixed frames in internal/wire's encoding,
+//     wall-clock timers.
 //
 // The protocol packages import only this package (enforced by a lint test
 // in internal/transport); which plane they run on is decided by whoever

@@ -1,7 +1,6 @@
 package transporttest
 
 import (
-	"encoding/gob"
 	"fmt"
 	"runtime"
 	"testing"
@@ -9,17 +8,23 @@ import (
 
 	"mams/internal/sim"
 	"mams/internal/transport"
+	"mams/internal/wire"
 )
 
-// Ping / Pong are the conformance suite's wire payloads (gob-registered so
-// they survive the real transport's framing).
+// Ping / Pong are the conformance suite's wire payloads (registered with
+// internal/wire so they survive the real transport's framing).
 type Ping struct{ N int }
 type Pong struct{ N int }
 
 func init() {
-	gob.Register(Ping{})
-	gob.Register(Pong{})
+	wire.Register(func(r *wire.Reader) Ping { return Ping{N: int(r.Varint())} })
+	wire.Register(func(r *wire.Reader) Pong { return Pong{N: int(r.Varint())} })
 }
+
+func (Ping) WireTag() uint8               { return wire.TagTestbeds }
+func (m Ping) MarshalWire(w *wire.Writer) { w.Varint(int64(m.N)) }
+func (Pong) WireTag() uint8               { return wire.TagTestbeds + 1 }
+func (m Pong) MarshalWire(w *wire.Writer) { w.Varint(int64(m.N)) }
 
 // Plane abstracts one transport implementation under conformance test.
 // Nodes may live on separate executors (the real plane hosts each node in

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -184,5 +185,122 @@ func TestLenTracksBytes(t *testing.T) {
 	w.U32(1)
 	if w.Len() != 4 {
 		t.Fatalf("Len = %d", w.Len())
+	}
+}
+
+// box is a test message that nests another message, like paxos's V fields.
+type box struct {
+	N     int64
+	Inner any
+}
+
+func (box) WireTag() uint8 { return TagTestbeds + 15 }
+
+func (b box) MarshalWire(w *Writer) {
+	w.Varint(b.N)
+	w.Message(b.Inner)
+}
+
+// boxPtr is registered as a pointer type.
+type boxPtr struct{ S string }
+
+func (*boxPtr) WireTag() uint8 { return TagTestbeds + 14 }
+
+func (b *boxPtr) MarshalWire(w *Writer) { w.String(b.S) }
+
+func init() {
+	Register(func(r *Reader) box { return box{N: r.Varint(), Inner: r.Message()} })
+	Register(func(r *Reader) *boxPtr { return &boxPtr{S: r.String()} })
+}
+
+func TestMessageRoundTrip(t *testing.T) {
+	for _, v := range []any{nil, box{N: -3}, box{N: 4, Inner: &boxPtr{S: "x"}}, box{Inner: box{Inner: box{N: 1}}}} {
+		w := NewWriter(0)
+		w.Message(v)
+		if w.Err() != nil {
+			t.Fatalf("%#v: %v", v, w.Err())
+		}
+		r := NewReader(w.Bytes())
+		got := r.Message()
+		if err := r.Finish(); err != nil {
+			t.Fatalf("%#v: %v", v, err)
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Errorf("got %#v, want %#v", got, v)
+		}
+	}
+}
+
+// TestMessageRejectsWhatItCannotCarry: an unregistered type, a registered
+// type's value form when its pointer is registered, and a nil pointer fail
+// with Err; Truncate drops what they left and clears the error.
+func TestMessageRejectsWhatItCannotCarry(t *testing.T) {
+	for _, v := range []any{struct{}{}, "s", boxPtr{S: "x"}, (*boxPtr)(nil), box{Inner: 7}} {
+		w := NewWriter(0)
+		w.U8(9)
+		w.Message(v)
+		if w.Err() == nil {
+			t.Errorf("%#v encoded without error", v)
+		}
+		w.Truncate(1)
+		if w.Err() != nil || len(w.Bytes()) != 1 {
+			t.Errorf("after Truncate: err %v, %d bytes", w.Err(), len(w.Bytes()))
+		}
+	}
+}
+
+func TestMessageNestingIsBounded(t *testing.T) {
+	var v any = box{}
+	for i := 0; i < maxNesting; i++ {
+		v = box{Inner: v}
+	}
+	w := NewWriter(0)
+	w.Message(v)
+	r := NewReader(w.Bytes())
+	r.Message()
+	if r.Err() == nil {
+		t.Fatalf("%d nested messages decoded", maxNesting+1)
+	}
+	for _, tag := range []byte{1, TagMAMS - 1, 255} {
+		r := NewReader([]byte{tag})
+		if r.Message(); r.Err() == nil {
+			t.Errorf("unregistered tag %d decoded", tag)
+		}
+	}
+}
+
+// TestNonMinimalVarintRejected: the encoding is canonical, so a varint
+// with a redundant zero continuation byte is corrupt.
+func TestNonMinimalVarintRejected(t *testing.T) {
+	for _, b := range [][]byte{{0x80, 0x00}, {0x81, 0x80, 0x00}} {
+		r := NewReader(b)
+		r.Uvarint()
+		if r.Err() == nil {
+			t.Errorf("% x decoded", b)
+		}
+		r = NewReader(b)
+		r.Varint()
+		if r.Err() == nil {
+			t.Errorf("% x decoded as a varint", b)
+		}
+	}
+}
+
+func TestCountChecksRemainingBytes(t *testing.T) {
+	w := NewWriter(0)
+	w.Uvarint(3)
+	w.U8(0)
+	w.U8(0)
+	w.U8(0)
+	if n := NewReader(w.Bytes()).Count(1); n != 3 {
+		t.Errorf("Count(1) = %d, want 3", n)
+	}
+	r := NewReader(w.Bytes())
+	if n := r.Count(2); n != 0 || r.Err() == nil {
+		t.Errorf("Count(2) = %d (err %v): three 2-byte elements do not fit in 3 bytes", n, r.Err())
+	}
+	r = NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	if n := r.Count(1); n != 0 || r.Err() == nil {
+		t.Errorf("Count(1) = %d on a 4G count with no bytes behind it", n)
 	}
 }

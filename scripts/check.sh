@@ -34,9 +34,14 @@ go test -race ./internal/nettrans/... ./internal/simnet/... ./internal/transport
 # arriving Register against the registration window's cap timer), so their
 # stress tests get three more rounds.
 go test -race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt|TestWireClusterFailover' ./internal/nettrans/...
-# Keeps the layer benchmark compiling and prints its allocs/op (budget 28,
+# Keeps the layer benchmark compiling and prints its allocs/op (budget 17,
 # pinned by TestCallAllocBudget) in every verify run.
 go test -run '^$' -bench CallRoundTrip -benchtime 200x ./internal/nettrans
+# The frame decoder faces whatever a peer sends. `go test` above replays its
+# fuzz corpus (testdata/fuzz/FuzzFrameDecode plus one seed frame per message
+# type); this searches beyond it for a while: no panic, every accepted frame
+# re-encodes to its own bytes, allocation bounded by the input's length.
+go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 20s ./internal/nettrans
 go test -race -timeout 40m ./internal/mams/...
 # The commit pipeline's layer benchmark (one create through dispatch, seal
 # and commit under each seal policy, instant acks): keeps it compiling and
