@@ -35,14 +35,10 @@ func NewEnv(seed uint64) *Env {
 	w := sim.NewWorld()
 	w.SetStepLimit(500_000_000)
 	tr := trace.New(w)
-	// Span begin/end edges are mirrored into the trace log for subscribers
-	// (live monitors), but the tracer already retains the spans themselves;
-	// retaining the edge events too would double the memory for no reader.
-	tr.DispatchOnly(trace.KindSpan)
 	r := rng.New(seed)
 	net := simnet.New(w, r, simnet.LatencyModel{Base: 200 * sim.Microsecond, Spread: 0.25}, tr)
 	reg := obs.NewRegistry()
-	spans := obs.NewTracer(w, tr)
+	spans := obs.NewTracer(w)
 	net.SetObs(reg, spans)
 	return &Env{World: w, Net: net, Trace: tr, RNG: r, Obs: reg, Spans: spans}
 }

@@ -118,27 +118,6 @@ func (c *Client) reqID() uint64 {
 	return c.idSalt<<32 | c.nextReq
 }
 
-// groupFor picks the coordinator group for an operation, matching the
-// server-side transaction plans.
-func (c *Client) groupFor(op mams.ClientOp) int {
-	p := c.cfg.Partitioner
-	switch op.Kind {
-	case mams.OpCreate, mams.OpStat, mams.OpList:
-		return p.HomeGroup(op.Path)
-	case mams.OpMkdir:
-		_, gs := p.MkdirPlan(op.Path)
-		return gs[0]
-	case mams.OpDelete:
-		_, gs := p.DeletePlan(op.Path)
-		return gs[0]
-	case mams.OpRename:
-		_, gs := p.RenamePlan(op.Path, op.Dest)
-		return gs[0]
-	default:
-		return 0
-	}
-}
-
 // Create makes a file of the given size.
 func (c *Client) Create(path string, size int64, cb func(err error)) {
 	c.do(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpCreate, Path: path, Size: size},
@@ -229,7 +208,7 @@ func (c *Client) List(path string, cb func(infos []namespace.Info, err error)) {
 
 // do runs one logical operation with transparent reconnection.
 func (c *Client) do(op mams.ClientOp, cb func(mams.OpReply, error)) {
-	group := c.groupFor(op)
+	group := mams.LeadGroup(c.cfg.Partitioner, op)
 	start := c.node.Now()
 	c.attempt(op, group, 0, start, cb)
 }
@@ -252,7 +231,8 @@ func (c *Client) attempt(op mams.ClientOp, group, tries int, start sim.Time, cb 
 	}
 	target := c.actives[group]
 	if target == "" {
-		c.resolveActive(group, func(active transport.NodeID) {
+		c.probe[group]++
+		mams.ResolveActive(c.node, c.cfg.Groups, group, c.probe[group], func(active transport.NodeID) {
 			if active == "" {
 				c.backoffRetry(op, group, tries, start, cb)
 				return
@@ -300,7 +280,7 @@ func (c *Client) attempt(op mams.ClientOp, group, tries int, start sim.Time, cb 
 			if adopted {
 				c.mapRefreshes++
 				if op.Kind != mams.OpList {
-					if ng := c.groupFor(op); ng != group {
+					if ng := mams.LeadGroup(c.cfg.Partitioner, op); ng != group {
 						c.attempt(op, ng, tries+1, start, cb)
 						return
 					}
@@ -351,27 +331,5 @@ func (c *Client) backoffRetry(op mams.ClientOp, group, tries int, start sim.Time
 	}
 	c.node.After(c.cfg.RetryBackoff<<uint(shift), "fsclient-retry", func() {
 		c.attempt(op, group, tries+1, start, cb)
-	})
-}
-
-// resolveActive asks group members who the active is (round-robin).
-func (c *Client) resolveActive(group int, cb func(transport.NodeID)) {
-	members := c.cfg.Groups[group]
-	if len(members) == 0 {
-		cb("")
-		return
-	}
-	c.probe[group] = (c.probe[group] + 1) % len(members)
-	target := members[c.probe[group]]
-	c.node.Call(target, mams.WhoIsActive{}, 300*sim.Millisecond, func(resp any, err error) {
-		if err != nil {
-			cb("")
-			return
-		}
-		if ai, ok := resp.(mams.ActiveIs); ok {
-			cb(ai.Active)
-			return
-		}
-		cb("")
 	})
 }

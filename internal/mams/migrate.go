@@ -298,27 +298,6 @@ func (s *Server) touchesFrozenSlot(kind journal.OpKind, path, dest string) bool 
 	return false
 }
 
-// routeLead returns the group a correctly-routed client op coordinates at,
-// mirroring the fsclient plan (OpList fans everywhere and is exempt).
-func (s *Server) routeLead(op ClientOp) int {
-	p := s.cfg.Partitioner
-	switch op.Kind {
-	case OpCreate, OpStat:
-		return p.HomeGroup(op.Path)
-	case OpMkdir:
-		_, gs := p.MkdirPlan(op.Path)
-		return gs[0]
-	case OpDelete:
-		_, gs := p.DeletePlan(op.Path)
-		return gs[0]
-	case OpRename:
-		_, gs := p.RenamePlan(op.Path, op.Dest)
-		return gs[0]
-	default:
-		return s.groupIdx
-	}
-}
-
 // checkRouting rejects ops that belong to another group per this server's
 // installed map, handing the client the map snapshot so it can refresh its
 // cache and re-route (shard maps are immutable, so sharing the pointer
@@ -332,7 +311,7 @@ func (s *Server) checkRouting(op ClientOp) (OpReply, bool) {
 		// current map still decides this op — worst case the client retries).
 		s.refreshShardMap(nil)
 	}
-	if s.routeLead(op) == s.groupIdx {
+	if LeadGroup(s.cfg.Partitioner, op) == s.groupIdx {
 		return OpReply{}, false
 	}
 	s.obsStaleMap.Inc()
@@ -669,7 +648,7 @@ func (mg *Migrator) callActive(group int, req any, attempt int, ok func(resp any
 			mg.callActive(group, req, attempt+1, ok, cb)
 		})
 	}
-	resolveGroupActive(mg.node, mg.layout.Groups, group, attempt, func(active transport.NodeID) {
+	ResolveActive(mg.node, mg.layout.Groups, group, attempt, func(active transport.NodeID) {
 		if active == "" {
 			again()
 			return
@@ -952,7 +931,7 @@ func (mg *Migrator) balanceOnce(next func()) {
 	}
 	for g := 0; g < groups; g++ {
 		g := g
-		resolveGroupActive(mg.node, mg.layout.Groups, g, 0, func(active transport.NodeID) {
+		ResolveActive(mg.node, mg.layout.Groups, g, 0, func(active transport.NodeID) {
 			if active == "" {
 				finish()
 				return

@@ -17,7 +17,7 @@ type txnState struct {
 	reply     func(any)
 	needVotes map[int]bool // group index → vote outstanding
 	prepared  map[int]bool // groups that voted OK
-	undoLocal journal.Record
+	undo      []journal.Record
 	failed    bool
 	failErr   string
 	localDone bool
@@ -25,97 +25,76 @@ type txnState struct {
 	finished  bool
 }
 
+// LeadGroup is the group a client op is sent to, and for mkdir, delete and
+// rename the group that coordinates it: the lead of the op's partition
+// plan. Clients route by it and servers reject (StaleMap) what it does not
+// send them, so both sides decide with this one function.
+func LeadGroup(p *partition.Partitioner, op ClientOp) int {
+	switch op.Kind {
+	case OpMkdir:
+		return p.MkdirPlan(op.Path)[0]
+	case OpDelete:
+		return p.DeletePlan(op.Path)[0]
+	case OpRename:
+		return p.RenamePlan(op.Path, op.Dest)[0]
+	default:
+		return p.HomeGroup(op.Path)
+	}
+}
+
 // executeStructuralOp handles mkdir/delete/rename, which the partitioning
 // scheme may spread over several replica groups (the paper's "distributed
-// transactions in the CFS", Fig. 5).
+// transactions in the CFS", Fig. 5). The plan lists the groups the op
+// touches, lead first, and each gets one record: directory ops update the
+// replicated skeleton in every group; file ops touch the home groups and
+// journal a Noop, standing for parent-directory bookkeeping, on the
+// dir-master groups.
 func (s *Server) executeStructuralOp(op ClientOp, reply func(any)) {
 	now := int64(s.node.Now())
 	part := s.cfg.Partitioner
-
-	var class partition.OpClass
-	var groups []int
-	recsByGrp := map[int]journal.Record{}
-	undoByGrp := map[int]journal.Record{}
-
+	var rec journal.Record
 	switch op.Kind {
 	case OpMkdir:
-		class, groups = part.MkdirPlan(op.Path)
-		rec := journal.Record{Op: journal.OpMkdir, Path: op.Path, Perm: 0o755, MTime: now}
-		undo := journal.Record{Op: journal.OpDelete, Path: op.Path, MTime: now}
-		for _, g := range groups {
-			recsByGrp[g] = rec
-			undoByGrp[g] = undo
-		}
+		rec = journal.Record{Op: journal.OpMkdir, Path: op.Path, Perm: 0o755, MTime: now}
 	case OpDelete:
-		if info, err := s.tree.Stat(op.Path); err == nil && info.Dir {
-			// Directory delete updates the replicated skeleton everywhere.
-			class, groups = part.MkdirPlan(op.Path)
-			rec := journal.Record{Op: journal.OpDelete, Path: op.Path, MTime: now}
-			undo := journal.Record{Op: journal.OpMkdir, Path: op.Path, Perm: info.Perm, MTime: info.MTime}
-			for _, g := range groups {
-				recsByGrp[g] = rec
-				undoByGrp[g] = undo
-			}
-		} else {
-			class, groups = part.DeletePlan(op.Path)
-			rec := journal.Record{Op: journal.OpDelete, Path: op.Path, MTime: now}
-			size, perm := int64(0), uint16(0o644)
-			if err == nil {
-				size, perm = info.Size, info.Perm
-			}
-			undo := journal.Record{Op: journal.OpCreate, Path: op.Path, Size: size, Perm: perm, MTime: now}
-			recsByGrp[groups[0]] = rec
-			undoByGrp[groups[0]] = undo
-			for _, g := range groups[1:] {
-				// Parent-directory bookkeeping on the dir-master group.
-				recsByGrp[g] = journal.Record{Op: journal.OpNoop, Path: op.Path, MTime: now}
-				undoByGrp[g] = journal.Record{Op: journal.OpNoop, Path: op.Path, MTime: now}
-			}
-		}
+		rec = journal.Record{Op: journal.OpDelete, Path: op.Path, MTime: now}
 	case OpRename:
-		if info, err := s.tree.Stat(op.Path); err == nil && info.Dir {
-			class, groups = part.MkdirPlan(op.Path) // skeleton-wide
-			rec := journal.Record{Op: journal.OpRename, Path: op.Path, Dest: op.Dest, MTime: now}
-			undo := journal.Record{Op: journal.OpRename, Path: op.Dest, Dest: op.Path, MTime: now}
-			for _, g := range groups {
-				recsByGrp[g] = rec
-				undoByGrp[g] = undo
-			}
-		} else {
-			class, groups = part.RenamePlan(op.Path, op.Dest)
-			srcHome := part.HomeGroup(op.Path)
-			dstHome := part.HomeGroup(op.Dest)
-			size := int64(0)
-			if err == nil {
-				size = info.Size
-			}
-			if srcHome == dstHome {
-				rec := journal.Record{Op: journal.OpRename, Path: op.Path, Dest: op.Dest, MTime: now}
-				undo := journal.Record{Op: journal.OpRename, Path: op.Dest, Dest: op.Path, MTime: now}
-				recsByGrp[srcHome] = rec
-				undoByGrp[srcHome] = undo
-			} else {
-				// The file entry migrates between home groups.
-				recsByGrp[srcHome] = journal.Record{Op: journal.OpDelete, Path: op.Path, MTime: now}
-				undoByGrp[srcHome] = journal.Record{Op: journal.OpCreate, Path: op.Path, Size: size, Perm: 0o644, MTime: now}
-				recsByGrp[dstHome] = journal.Record{Op: journal.OpCreate, Path: op.Dest, Size: size, Perm: 0o644, MTime: now}
-				undoByGrp[dstHome] = journal.Record{Op: journal.OpDelete, Path: op.Dest, MTime: now}
-			}
-			for _, g := range groups {
-				if _, ok := recsByGrp[g]; !ok {
-					recsByGrp[g] = journal.Record{Op: journal.OpNoop, Path: op.Path, MTime: now}
-					undoByGrp[g] = journal.Record{Op: journal.OpNoop, Path: op.Path, MTime: now}
-				}
-			}
-		}
+		rec = journal.Record{Op: journal.OpRename, Path: op.Path, Dest: op.Dest, MTime: now}
 	default:
 		s.finishOp(op, OpReply{Err: "mams: not a structural op"}, reply)
 		return
 	}
+	var groups []int
+	recs := map[int]journal.Record{}
+	info, err := s.tree.Stat(op.Path)
+	switch {
+	case op.Kind == OpMkdir || err == nil && info.Dir:
+		groups = part.MkdirPlan(op.Path)
+		for _, g := range groups {
+			recs[g] = rec
+		}
+	case op.Kind == OpDelete:
+		groups = part.DeletePlan(op.Path)
+		recs[groups[0]] = rec
+	default:
+		groups = part.RenamePlan(op.Path, op.Dest)
+		if srcHome, dstHome := part.HomeGroup(op.Path), part.HomeGroup(op.Dest); srcHome == dstHome {
+			recs[srcHome] = rec
+		} else {
+			// The file entry migrates between home groups.
+			recs[srcHome] = journal.Record{Op: journal.OpDelete, Path: op.Path, MTime: now}
+			recs[dstHome] = journal.Record{Op: journal.OpCreate, Path: op.Dest, Size: info.Size, Perm: 0o644, MTime: now}
+		}
+	}
+	for _, g := range groups {
+		if _, ok := recs[g]; !ok {
+			recs[g] = journal.Record{Op: journal.OpNoop, Path: op.Path, MTime: now}
+		}
+	}
 
 	myGroup := s.groupIdx
-	localRec, involvesMe := recsByGrp[myGroup]
-	if class == partition.ClassLocal || (len(groups) == 1 && groups[0] == myGroup) {
+	localRec, involvesMe := recs[myGroup]
+	if len(groups) == 1 {
 		if !involvesMe {
 			// The client routed to the wrong group; tell it to re-plan.
 			s.finishOp(op, OpReply{Err: "mams: wrong coordinator group"}, reply)
@@ -132,13 +111,16 @@ func (s *Server) executeStructuralOp(op ClientOp, reply func(any)) {
 	// for the observed state to commit (see failOpAtBarrier): "exists" from
 	// an uncommitted create is a durability claim the client will rely on.
 	var localSN uint64
+	var undo []journal.Record
 	if involvesMe {
+		inv := s.tree.Inverse(localRec)
 		sn, err := s.pipe.journal(localRec)
 		if err != nil {
 			s.failOpAtBarrier(op, err.Error(), reply)
 			return
 		}
 		localSN = sn
+		undo = []journal.Record{inv}
 	}
 	s.txnSeq++
 	txn := &txnState{
@@ -147,7 +129,7 @@ func (s *Server) executeStructuralOp(op ClientOp, reply func(any)) {
 		reply:     reply,
 		needVotes: map[int]bool{},
 		prepared:  map[int]bool{},
-		undoLocal: undoByGrp[myGroup],
+		undo:      undo,
 	}
 	// Coordinator-side 2PC bookkeeping cost.
 	s.cpu.Add(s.node.Now(), s.cfg.Params.TxnOverhead)
@@ -164,7 +146,7 @@ func (s *Server) executeStructuralOp(op ClientOp, reply func(any)) {
 			continue
 		}
 		txn.needVotes[g] = true
-		s.sendPrepare(txn, g, []journal.Record{recsByGrp[g]}, 0)
+		s.sendPrepare(txn, g, []journal.Record{recs[g]}, 0)
 	}
 	txn.timer = s.node.After(2*sim.Second, "mams-txn-timeout", func() {
 		s.txnTimeout(txn)
@@ -197,7 +179,7 @@ func (s *Server) sendPrepare(txn *txnState, group int, recs []journal.Record, at
 		}
 		return
 	}
-	resolveGroupActive(s.node, s.cfg.Groups, group, attempt, func(active transport.NodeID) {
+	ResolveActive(s.node, s.cfg.Groups, group, attempt, func(active transport.NodeID) {
 		if active == "" {
 			s.node.After(300*sim.Millisecond, "mams-txn-retry", func() {
 				s.sendPrepare(txn, group, recs, attempt+1)
@@ -230,21 +212,17 @@ func (s *Server) sendPrepare(txn *txnState, group int, recs []journal.Record, at
 	})
 }
 
-// resolveGroupActive finds a group's active by asking one of its members
-// WhoIsActive, round-robin by attempt; cb gets "" when there is no answer.
-func resolveGroupActive(node transport.Node, groups [][]transport.NodeID, group, attempt int, cb func(transport.NodeID)) {
+// ResolveActive asks one member of a group which node is its active, and
+// passes the answer to cb ("" when there is none). pick chooses the member,
+// round-robin: members[pick % len(members)].
+func ResolveActive(node transport.Node, groups [][]transport.NodeID, group, pick int, cb func(transport.NodeID)) {
 	if group < 0 || group >= len(groups) || len(groups[group]) == 0 {
 		cb("")
 		return
 	}
 	members := groups[group]
-	target := members[attempt%len(members)]
-	node.Call(target, WhoIsActive{}, 300*sim.Millisecond, func(resp any, err error) {
-		if err != nil {
-			cb("")
-			return
-		}
-		if ai, ok := resp.(ActiveIs); ok && ai.Active != "" {
+	node.Call(members[pick%len(members)], WhoIsActive{}, 300*sim.Millisecond, func(resp any, err error) {
+		if ai, ok := resp.(ActiveIs); ok && err == nil {
 			cb(ai.Active)
 			return
 		}
@@ -264,10 +242,12 @@ func (s *Server) maybeFinishTxn(txn *txnState) {
 	}
 	if txn.failed {
 		// Compensate locally and on every prepared participant.
-		s.compensateLocal(txn)
-		for g := range txn.prepared {
-			g := g
-			resolveGroupActive(s.node, s.cfg.Groups, g, 0, func(active transport.NodeID) {
+		s.compensate(txn.undo)
+		for g := range s.cfg.Groups {
+			if !txn.prepared[g] {
+				continue
+			}
+			ResolveActive(s.node, s.cfg.Groups, g, 0, func(active transport.NodeID) {
 				if active != "" {
 					s.node.Send(active, TxnAbort{TxnID: txn.id})
 				}
@@ -283,15 +263,17 @@ func (s *Server) maybeFinishTxn(txn *txnState) {
 	s.finishOp(txn.op, OpReply{}, txn.reply)
 }
 
-// compensateLocal journals the undo of the coordinator's own record. An
-// undo that no longer validates was already rolled back, or lost a race
-// with a client op.
-func (s *Server) compensateLocal(txn *txnState) {
+// compensate journals undo records newest first and flushes them. An undo
+// that no longer validates was already rolled back, or lost a race with a
+// client op.
+func (s *Server) compensate(undo []journal.Record) {
 	if s.pipe == nil {
 		return
 	}
-	if txn.undoLocal.Op != journal.OpNoop {
-		s.pipe.journal(txn.undoLocal)
+	for i := len(undo) - 1; i >= 0; i-- {
+		if undo[i].Op != journal.OpNoop {
+			s.pipe.journal(undo[i])
+		}
 	}
 	s.pipe.flush()
 }
@@ -366,10 +348,8 @@ func (s *Server) onTxnPrepare(from transport.NodeID, m TxnPrepare, reply func(an
 				vote.OK, vote.Err = false, "mams: slot migrating"
 				break
 			}
+			undo = append(undo, s.tree.Inverse(r))
 			s.pipe.journal(r)
-			if r.Op != journal.OpNoop {
-				undo = append(undo, invertRecord(r))
-			}
 		}
 		// Records journaled before a refusal (Noop bookkeeping) still ride
 		// the next batch.
@@ -379,20 +359,6 @@ func (s *Server) onTxnPrepare(from transport.NodeID, m TxnPrepare, reply func(an
 	})
 }
 
-// invertRecord builds the compensating record for an applied record.
-func invertRecord(r journal.Record) journal.Record {
-	switch r.Op {
-	case journal.OpMkdir, journal.OpCreate:
-		return journal.Record{Op: journal.OpDelete, Path: r.Path, MTime: r.MTime}
-	case journal.OpDelete:
-		return journal.Record{Op: journal.OpCreate, Path: r.Path, Size: r.Size, Perm: r.Perm, MTime: r.MTime}
-	case journal.OpRename:
-		return journal.Record{Op: journal.OpRename, Path: r.Dest, Dest: r.Path, MTime: r.MTime}
-	default:
-		return journal.Record{Op: journal.OpNoop, Path: r.Path}
-	}
-}
-
 // onTxnAbort compensates a prepared transaction.
 func (s *Server) onTxnAbort(m TxnAbort) {
 	pt, ok := s.preparedTxns[m.TxnID]
@@ -400,11 +366,5 @@ func (s *Server) onTxnAbort(m TxnAbort) {
 		return
 	}
 	delete(s.preparedTxns, m.TxnID)
-	if s.pipe == nil {
-		return
-	}
-	for i := len(pt.undo) - 1; i >= 0; i-- {
-		s.pipe.journal(pt.undo[i]) // an undo that no longer validates was rolled back already
-	}
-	s.pipe.flush()
+	s.compensate(pt.undo)
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"mams/internal/cluster"
+	"mams/internal/fsclient"
 	"mams/internal/mams"
+	"mams/internal/partition"
 	"mams/internal/sim"
 )
 
@@ -46,35 +48,80 @@ func TestCrossGroupTxnDuringFailover(t *testing.T) {
 	}
 }
 
-// TestTxnAbortRollsBackParticipants: a doomed rename (destination exists at
-// the coordinator) must not leave partial state anywhere.
+// TestTxnAbortRollsBackParticipants: an aborted cross-group op must leave
+// every group's view of the paths it touched exactly as it was before.
 func TestTxnAbortRollsBackParticipants(t *testing.T) {
-	env, c := build(t, 14, cluster.MAMSSpec{Groups: 3, BackupsPerGroup: 1})
-	cli := c.NewClient(nil)
-	_ = doOp(t, env, func(done func(error)) { cli.Mkdir("/ab", done) })
-	if err := doOp(t, env, func(done func(error)) { cli.Create("/ab/src", 1, done) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := doOp(t, env, func(done func(error)) { cli.Create("/ab/dst", 1, done) }); err != nil {
-		t.Fatal(err)
-	}
-	// Renaming onto an existing destination must fail cleanly.
-	err := doOp(t, env, func(done func(error)) { cli.Rename("/ab/src", "/ab/dst", done) })
-	if err == nil {
-		t.Fatal("rename onto existing destination succeeded")
-	}
-	env.RunFor(5 * sim.Second)
-	// Both files still exist, exactly once, at their home groups.
-	found := map[string]int{}
-	for g := 0; g < 3; g++ {
-		for _, p := range []string{"/ab/src", "/ab/dst"} {
-			if c.ActiveOf(g).Tree().Exists(p) {
-				found[p]++
+	cases := []struct {
+		name    string
+		seed    uint64
+		setup   func(cli *fsclient.Client, part *partition.Partitioner) []func(done func(error))
+		op      func(cli *fsclient.Client, done func(error))
+		touched []string
+	}{{
+		// The destination exists, so the rename is refused after the
+		// source's home has journaled its delete.
+		name: "rename onto existing destination",
+		seed: 14,
+		setup: func(cli *fsclient.Client, _ *partition.Partitioner) []func(done func(error)) {
+			return []func(done func(error)){
+				func(done func(error)) { cli.Mkdir("/ab", done) },
+				func(done func(error)) { cli.Create("/ab/src", 1, done) },
+				func(done func(error)) { cli.Create("/ab/dst", 1, done) },
 			}
-		}
-	}
-	if found["/ab/src"] != 1 || found["/ab/dst"] != 1 {
-		t.Fatalf("post-abort placement: %v", found)
+		},
+		op:      func(cli *fsclient.Client, done func(error)) { cli.Rename("/ab/src", "/ab/dst", done) },
+		touched: []string{"/ab", "/ab/src", "/ab/dst"},
+	}, {
+		// The only file in /d lives on a participant, so the coordinator
+		// and the third group delete /d before that participant votes no.
+		name: "delete non-empty directory",
+		seed: 21,
+		setup: func(cli *fsclient.Client, part *partition.Partitioner) []func(done func(error)) {
+			lead := part.HomeGroup("/d")
+			f := "/d/f0"
+			for i := 1; part.HomeGroup(f) == lead; i++ {
+				f = fmt.Sprintf("/d/f%d", i)
+			}
+			return []func(done func(error)){
+				func(done func(error)) { cli.Mkdir("/d", done) },
+				func(done func(error)) { cli.Create(f, 1, done) },
+			}
+		},
+		op:      func(cli *fsclient.Client, done func(error)) { cli.Delete("/d", done) },
+		touched: []string{"/d"},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env, c := build(t, tc.seed, cluster.MAMSSpec{Groups: 3, BackupsPerGroup: 1})
+			cli := c.NewClient(nil)
+			for _, step := range tc.setup(cli, c.Part) {
+				if err := doOp(t, env, step); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stats := func() []string {
+				var out []string
+				for g := 0; g < 3; g++ {
+					for _, p := range tc.touched {
+						info, err := c.ActiveOf(g).Tree().Stat(p)
+						out = append(out, fmt.Sprintf("group %d %s: err=%v dir=%v size=%d perm=%o",
+							g, p, err, info.Dir, info.Size, info.Perm))
+					}
+				}
+				return out
+			}
+			before := stats()
+			if err := doOp(t, env, func(done func(error)) { tc.op(cli, done) }); err == nil {
+				t.Fatal("doomed op succeeded")
+			}
+			env.RunFor(5 * sim.Second)
+			after := stats()
+			for i := range before {
+				if before[i] != after[i] {
+					t.Errorf("after abort %s, want %s", after[i], before[i])
+				}
+			}
+		})
 	}
 }
 
@@ -210,5 +257,29 @@ func TestRetryCacheHoldsOnlyMutations(t *testing.T) {
 	}
 	if got := a.RetryCacheLenForTest(); got != before {
 		t.Fatalf("retry cache grew from %d to %d over 200 reads", before, got)
+	}
+}
+
+// TestLeadGroupFollowsPlans: create, stat and list go to the path's home
+// group; mkdir, delete and rename go to the lead of their partition plan.
+func TestLeadGroupFollowsPlans(t *testing.T) {
+	p := partition.New(5)
+	for i := 0; i < 50; i++ {
+		src, dst := fmt.Sprintf("/d%d/f%d", i%7, i), fmt.Sprintf("/e%d/g%d", i%3, i)
+		for _, tc := range []struct {
+			kind mams.OpKind
+			want int
+		}{
+			{mams.OpCreate, p.HomeGroup(src)},
+			{mams.OpStat, p.HomeGroup(src)},
+			{mams.OpList, p.HomeGroup(src)},
+			{mams.OpMkdir, p.DirMasterGroup(src)},
+			{mams.OpDelete, p.HomeGroup(src)},
+			{mams.OpRename, p.HomeGroup(src)},
+		} {
+			if got := mams.LeadGroup(p, mams.ClientOp{Kind: tc.kind, Path: src, Dest: dst}); got != tc.want {
+				t.Fatalf("%v %s: lead %d, want %d", tc.kind, src, got, tc.want)
+			}
+		}
 	}
 }

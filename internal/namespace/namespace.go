@@ -518,6 +518,29 @@ func (t *Tree) walkFilesAt(prefix string, dir *inode, fn func(info Info) bool) b
 	return true
 }
 
+// Inverse returns the record that undoes rec, read from the tree just before
+// rec is applied. A mkdir or create is undone by a delete, a rename by the
+// reverse rename, and a delete by recreating what it removes: a directory
+// with its own Perm and MTime, a file with its Size and Perm and the
+// delete's MTime. Anything else (including a delete of a missing path,
+// which will not validate) inverts to OpNoop.
+func (t *Tree) Inverse(rec journal.Record) journal.Record {
+	switch rec.Op {
+	case journal.OpMkdir, journal.OpCreate:
+		return journal.Record{Op: journal.OpDelete, Path: rec.Path, MTime: rec.MTime}
+	case journal.OpRename:
+		return journal.Record{Op: journal.OpRename, Path: rec.Dest, Dest: rec.Path, MTime: rec.MTime}
+	case journal.OpDelete:
+		if node, _ := t.walkPath(rec.Path); node != nil {
+			if node.dir {
+				return journal.Record{Op: journal.OpMkdir, Path: rec.Path, Perm: node.perm, MTime: node.mtime}
+			}
+			return journal.Record{Op: journal.OpCreate, Path: rec.Path, Size: node.size, Perm: node.perm, MTime: rec.MTime}
+		}
+	}
+	return journal.Record{Op: journal.OpNoop, Path: rec.Path}
+}
+
 // Validate checks whether rec would apply cleanly to the tree, without
 // mutating it. Metadata servers validate before journaling so that only
 // records guaranteed to replay ever reach replicas.
@@ -681,6 +704,12 @@ func LoadImage(buf []byte) (*Tree, error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
+		// The root is nameless and every other entry is one path segment;
+		// anything else would hash (Digest) and resolve unlike the tree
+		// that was saved.
+		if (depth == 0) != (n.name == "") || n.name == "." || n.name == ".." || strings.IndexByte(n.name, '/') >= 0 {
+			return nil, fmt.Errorf("namespace: bad image entry name %q at depth %d", n.name, depth)
+		}
 		h := fnvString(parent, n.name)
 		if n.dir {
 			n.children = map[string]*inode{}
@@ -696,6 +725,9 @@ func LoadImage(buf []byte) (*Tree, error) {
 				c, err := dec(depth+1, n.pathState)
 				if err != nil {
 					return nil, err
+				}
+				if _, dup := n.children[c.name]; dup {
+					return nil, fmt.Errorf("namespace: image entry %q appears twice", c.name)
 				}
 				n.children[c.name] = c
 				t.nameBytes += int64(len(c.name))
@@ -804,23 +836,4 @@ func subtreeSum(parent uint64, n *inode) uint64 {
 		sum += subtreeSum(n.pathState, c)
 	}
 	return sum
-}
-
-// AllBlocks returns every block id in the namespace (sorted), used by the
-// data-server substrate to synthesize block reports.
-func (t *Tree) AllBlocks() []uint64 {
-	out := make([]uint64, 0, t.blocks)
-	var walk func(n *inode)
-	walk = func(n *inode) {
-		if n.dir {
-			for _, c := range n.children {
-				walk(c)
-			}
-		} else {
-			out = append(out, n.blocks...)
-		}
-	}
-	walk(t.root)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

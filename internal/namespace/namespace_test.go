@@ -1,6 +1,7 @@
 package namespace
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -486,6 +487,22 @@ func TestImageRejectsCorruption(t *testing.T) {
 	if _, err := LoadImage(append(img, 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+	// Entry names: the root has none, every other entry is one path
+	// segment, and siblings differ.
+	two := New()
+	_ = two.Create("/qa", 0, 0o644, 1, 1)
+	_ = two.Create("/qb", 0, 0o644, 1, 2)
+	img = two.SaveImage()
+	for _, name := range []string{"qa", "q/", ".."} {
+		if _, err := LoadImage(bytes.Replace(img, []byte("qb"), []byte(name), 1)); err == nil {
+			t.Fatalf("image with sibling entry %q accepted", name)
+		}
+	}
+	// After the 8-byte header comes the root's name, length 0: call it "r".
+	named := append(append(append([]byte(nil), img[:8]...), 1, 'r'), img[9:]...)
+	if _, err := LoadImage(named); err == nil {
+		t.Fatal("image with a named root accepted")
+	}
 }
 
 func TestEstimatedImageBytesTracksGrowth(t *testing.T) {
@@ -503,21 +520,6 @@ func TestEstimatedImageBytesTracksGrowth(t *testing.T) {
 	}
 	if tr.EstimatedImageBytes() != base {
 		t.Fatalf("estimate did not return to base: %d vs %d", tr.EstimatedImageBytes(), base)
-	}
-}
-
-func TestAllBlocksSorted(t *testing.T) {
-	tr := New()
-	_ = tr.Create("/a", BlockSize*3, 0o644, 1, 5)
-	_ = tr.Create("/b", BlockSize*2, 0o644, 1, 2)
-	blocks := tr.AllBlocks()
-	if len(blocks) != 5 {
-		t.Fatalf("blocks = %v", blocks)
-	}
-	for i := 1; i < len(blocks); i++ {
-		if blocks[i-1] >= blocks[i] {
-			t.Fatalf("not sorted: %v", blocks)
-		}
 	}
 }
 

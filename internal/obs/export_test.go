@@ -36,7 +36,7 @@ func goldenRegistry() *Registry {
 // children, one open span that must be skipped by the exporter.
 func goldenSpans() []Span {
 	w := sim.NewWorld()
-	tr := NewTracer(w, nil)
+	tr := NewTracer(w)
 	run := func(d sim.Time) { w.After(d, "t", func() {}); w.Run() }
 
 	run(5 * sim.Second)

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"mams/internal/sim"
-	"mams/internal/trace"
 )
 
 // SpanID names one span. 0 is "no span" (a root has Parent 0; nil-tracer
@@ -42,13 +41,10 @@ func (s Span) Arg(k string) string { return s.Args[k] }
 // counted and dropped.
 const DefaultMaxSpans = 1 << 20
 
-// Tracer mints spans on a virtual clock and (optionally) mirrors their
-// begin/end edges into a trace.Log as KindSpan events, so subscription-based
-// monitors observe causality live while the tracer retains the tree for
+// Tracer mints spans on a virtual clock and retains the span tree for
 // querying and export. Single-threaded, like everything on a World.
 type Tracer struct {
 	world *sim.World
-	log   *trace.Log
 	spans []Span
 	open  map[SpanID]int // id -> index in spans
 	next  SpanID
@@ -58,9 +54,9 @@ type Tracer struct {
 	Dropped  int
 }
 
-// NewTracer builds a tracer on the world's clock. log may be nil.
-func NewTracer(w *sim.World, log *trace.Log) *Tracer {
-	return &Tracer{world: w, log: log, open: map[SpanID]int{}}
+// NewTracer builds a tracer on the world's clock.
+func NewTracer(w *sim.World) *Tracer {
+	return &Tracer{world: w, open: map[SpanID]int{}}
 }
 
 // Begin opens a span. parent may be 0 (root). args are alternating
@@ -88,10 +84,6 @@ func (t *Tracer) Begin(name, node string, parent SpanID, args ...string) SpanID 
 	}
 	t.open[id] = len(t.spans)
 	t.spans = append(t.spans, sp)
-	if t.log != nil {
-		t.log.Emit(trace.KindSpan, node, name,
-			append([]string{"ph", "B", "span", itoa(id), "parent", itoa(parent)}, args...)...)
-	}
 	return id
 }
 
@@ -114,10 +106,6 @@ func (t *Tracer) End(id SpanID, args ...string) {
 			sp.Args = make(map[string]string, len(args)/2)
 		}
 		sp.Args[args[i]] = args[i+1]
-	}
-	if t.log != nil {
-		t.log.Emit(trace.KindSpan, sp.Node, sp.Name,
-			append([]string{"ph", "E", "span", itoa(id)}, args...)...)
 	}
 }
 

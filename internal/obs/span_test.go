@@ -4,12 +4,11 @@ import (
 	"testing"
 
 	"mams/internal/sim"
-	"mams/internal/trace"
 )
 
 func TestSpanLifecycleAndQueries(t *testing.T) {
 	w := sim.NewWorld()
-	tr := NewTracer(w, nil)
+	tr := NewTracer(w)
 
 	root := tr.Begin("failover", "n1", 0, "epoch", "2")
 	w.After(10*sim.Millisecond, "t", func() {})
@@ -56,7 +55,7 @@ func TestSpanLifecycleAndQueries(t *testing.T) {
 
 func TestSpanOpenAndDoubleEnd(t *testing.T) {
 	w := sim.NewWorld()
-	tr := NewTracer(w, nil)
+	tr := NewTracer(w)
 	id := tr.Begin("renew", "n2", 0)
 	if sp := tr.Spans()[0]; sp.Done {
 		t.Fatalf("span must be open before End")
@@ -71,7 +70,7 @@ func TestSpanOpenAndDoubleEnd(t *testing.T) {
 
 func TestSpanCap(t *testing.T) {
 	w := sim.NewWorld()
-	tr := NewTracer(w, nil)
+	tr := NewTracer(w)
 	tr.MaxSpans = 2
 	a := tr.Begin("a", "n", 0)
 	b := tr.Begin("b", "n", 0)
@@ -92,28 +91,5 @@ func TestNilTracer(t *testing.T) {
 	}
 	if _, ok := tr.EarliestStart("x", 0); ok {
 		t.Fatalf("nil tracer query must miss")
-	}
-}
-
-func TestSpanEdgesMirroredToTraceLog(t *testing.T) {
-	w := sim.NewWorld()
-	log := trace.New(w)
-	var seen []trace.Event
-	log.Subscribe(func(e trace.Event) { seen = append(seen, e) })
-	tr := NewTracer(w, log)
-
-	id := tr.Begin("election", "n1", 0, "role", "standby")
-	tr.End(id, "outcome", "won")
-
-	if len(seen) != 2 {
-		t.Fatalf("got %d mirrored events", len(seen))
-	}
-	if seen[0].Kind != trace.KindSpan || seen[0].What != "election" ||
-		seen[0].Args["ph"] != "B" || seen[0].Args["role"] != "standby" {
-		t.Fatalf("begin edge = %+v", seen[0])
-	}
-	if seen[1].Args["ph"] != "E" || seen[1].Args["outcome"] != "won" ||
-		seen[1].Args["span"] != seen[0].Args["span"] {
-		t.Fatalf("end edge = %+v", seen[1])
 	}
 }

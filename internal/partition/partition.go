@@ -141,61 +141,35 @@ func parentDir(path string) string {
 	return "/"
 }
 
-// OpClass describes how an operation spreads over groups.
-type OpClass uint8
-
-// Operation classes.
-const (
-	// ClassLocal runs entirely inside one group.
-	ClassLocal OpClass = iota
-	// ClassPair is a two-group distributed transaction.
-	ClassPair
-	// ClassGlobal must run in every group (directory skeleton updates).
-	ClassGlobal
-)
-
-// CreatePlan: create(path) is local to the file's home group.
-func (p *Partitioner) CreatePlan(path string) (OpClass, []int) {
-	return ClassLocal, []int{p.HomeGroup(path)}
-}
-
-// StatPlan: getfileinfo(path) is local to the file's home group.
-func (p *Partitioner) StatPlan(path string) (OpClass, []int) {
-	return ClassLocal, []int{p.HomeGroup(path)}
-}
+// The plans below list the groups an operation touches, lead first; one
+// group means the operation runs locally there. create and getfileinfo
+// need no plan: they run at HomeGroup.
 
 // MkdirPlan: directory creation updates the replicated skeleton in every
 // group; the dir-master group coordinates.
-func (p *Partitioner) MkdirPlan(path string) (OpClass, []int) {
-	if p.m.groups == 1 {
-		return ClassLocal, []int{0}
-	}
-	return ClassGlobal, p.allGroupsLeadBy(p.DirMasterGroup(path))
+func (p *Partitioner) MkdirPlan(path string) []int {
+	return p.allGroupsLeadBy(p.DirMasterGroup(path))
 }
 
 // DeletePlan: file deletion touches the home group and the dir-master
 // group (parent-directory bookkeeping) — a two-phase commit when they
 // differ.
-func (p *Partitioner) DeletePlan(path string) (OpClass, []int) {
+func (p *Partitioner) DeletePlan(path string) []int {
 	home, master := p.HomeGroup(path), p.DirMasterGroup(path)
-	if home == master || p.m.groups == 1 {
-		return ClassLocal, []int{home}
+	if home == master {
+		return []int{home}
 	}
-	return ClassPair, []int{home, master}
+	return []int{home, master}
 }
 
 // RenamePlan: rename moves a file between home groups and updates both
 // parent directories; when any differ it is a distributed transaction led
 // by the source home group.
-func (p *Partitioner) RenamePlan(src, dst string) (OpClass, []int) {
-	groups := dedup([]int{
+func (p *Partitioner) RenamePlan(src, dst string) []int {
+	return dedup([]int{
 		p.HomeGroup(src), p.HomeGroup(dst),
 		p.DirMasterGroup(src), p.DirMasterGroup(dst),
 	})
-	if len(groups) == 1 {
-		return ClassLocal, groups
-	}
-	return ClassPair, groups
 }
 
 // allGroupsLeadBy lists every group with lead first.

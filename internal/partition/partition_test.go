@@ -36,36 +36,17 @@ func TestHomeGroupSpreads(t *testing.T) {
 func TestSingleGroupAlwaysLocal(t *testing.T) {
 	p := New(1)
 	for _, path := range []string{"/a", "/a/b/c", "/x/y"} {
-		if cls, gs := p.MkdirPlan(path); cls != ClassLocal || len(gs) != 1 || gs[0] != 0 {
-			t.Fatalf("mkdir plan = %v %v", cls, gs)
+		for _, gs := range [][]int{p.MkdirPlan(path), p.DeletePlan(path), p.RenamePlan(path, path+"x")} {
+			if len(gs) != 1 || gs[0] != 0 {
+				t.Fatalf("plan = %v, want [0]", gs)
+			}
 		}
-		if cls, gs := p.DeletePlan(path); cls != ClassLocal || gs[0] != 0 {
-			t.Fatalf("delete plan = %v %v", cls, gs)
-		}
-		if cls, gs := p.RenamePlan(path, path+"x"); cls != ClassLocal || gs[0] != 0 {
-			t.Fatalf("rename plan = %v %v", cls, gs)
-		}
-	}
-}
-
-func TestCreateAndStatAreLocal(t *testing.T) {
-	p := New(5)
-	cls, gs := p.CreatePlan("/d/f")
-	if cls != ClassLocal || len(gs) != 1 {
-		t.Fatalf("create plan = %v %v", cls, gs)
-	}
-	cls2, gs2 := p.StatPlan("/d/f")
-	if cls2 != ClassLocal || gs2[0] != gs[0] {
-		t.Fatal("stat must target the file's home group")
 	}
 }
 
 func TestMkdirIsGlobal(t *testing.T) {
 	p := New(3)
-	cls, gs := p.MkdirPlan("/newdir")
-	if cls != ClassGlobal {
-		t.Fatalf("class = %v", cls)
-	}
+	gs := p.MkdirPlan("/newdir")
 	if len(gs) != 3 {
 		t.Fatalf("groups = %v", gs)
 	}
@@ -86,23 +67,20 @@ func TestDeletePlanPairOrLocal(t *testing.T) {
 	pairSeen, localSeen := false, false
 	for i := 0; i < 200; i++ {
 		path := fmt.Sprintf("/dir%d/f%d", i, i)
-		cls, gs := p.DeletePlan(path)
-		switch cls {
-		case ClassLocal:
+		gs := p.DeletePlan(path)
+		if gs[0] != p.HomeGroup(path) {
+			t.Fatal("home group must coordinate deletes")
+		}
+		switch len(gs) {
+		case 1:
 			localSeen = true
-			if len(gs) != 1 {
-				t.Fatalf("local plan with %d groups", len(gs))
-			}
-		case ClassPair:
+		case 2:
 			pairSeen = true
-			if len(gs) != 2 || gs[0] == gs[1] {
+			if gs[0] == gs[1] {
 				t.Fatalf("pair plan = %v", gs)
 			}
-			if gs[0] != p.HomeGroup(path) {
-				t.Fatal("home group must coordinate deletes")
-			}
 		default:
-			t.Fatalf("unexpected class %v", cls)
+			t.Fatalf("delete plan = %v", gs)
 		}
 	}
 	if !pairSeen || !localSeen {
@@ -113,7 +91,7 @@ func TestDeletePlanPairOrLocal(t *testing.T) {
 func TestRenamePlanIncludesAllInvolvedGroups(t *testing.T) {
 	p := New(4)
 	src, dst := "/a/src", "/b/dst"
-	_, gs := p.RenamePlan(src, dst)
+	gs := p.RenamePlan(src, dst)
 	want := map[int]bool{
 		p.HomeGroup(src): true, p.HomeGroup(dst): true,
 		p.DirMasterGroup(src): true, p.DirMasterGroup(dst): true,
@@ -159,8 +137,7 @@ func TestPropertyPlansWellFormed(t *testing.T) {
 		src := "/" + sanitize(a)
 		dst := "/" + sanitize(b)
 		for _, plan := range [][]int{
-			second(p.CreatePlan(src)), second(p.MkdirPlan(src)),
-			second(p.DeletePlan(src)), second(p.RenamePlan(src, dst)),
+			p.MkdirPlan(src), p.DeletePlan(src), p.RenamePlan(src, dst),
 		} {
 			if len(plan) == 0 {
 				return false
@@ -179,8 +156,6 @@ func TestPropertyPlansWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func second(_ OpClass, gs []int) []int { return gs }
 
 func sanitize(s string) string {
 	out := make([]rune, 0, len(s))

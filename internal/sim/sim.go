@@ -10,14 +10,12 @@
 //
 // The kernel is a hot path: every simulated RPC arms (and usually cancels) a
 // timeout timer, so the experiment harness dispatches tens of millions of
-// events per run. Three mechanisms keep that cheap:
+// events per run. Two mechanisms keep that cheap:
 //
 //   - fired and compacted events return to a per-World free list, so
 //     steady-state scheduling does not allocate;
 //   - cancelled events are removed lazily, but the heap is compacted once
-//     more than half of it is dead, so Timer.Stop cannot leak memory;
-//   - Rearm reschedules through an existing Timer handle without allocating,
-//     the analogue of time.Timer.Reset for heartbeat/timeout loops.
+//     more than half of it is dead, so Timer.Stop cannot leak memory.
 //
 // A World is confined to one goroutine. Independent Worlds (one per
 // experiment trial) may run on different goroutines concurrently; they share
@@ -261,41 +259,6 @@ func (w *World) Defer(name string, fn func()) *Timer {
 	return w.At(w.now, name, fn)
 }
 
-// Rearm schedules fn at now+d, reusing the Timer handle t when possible: a
-// still-pending timer is rescheduled in place (no allocation at all), and a
-// fired or stopped handle is re-pointed at a free-list event. It returns the
-// handle actually armed — t unless t was nil. This is the AfterFunc/Reset
-// fast path for heartbeat and retry loops that would otherwise churn a
-// Timer allocation per tick.
-func (w *World) Rearm(t *Timer, d Time, name string, fn func()) *Timer {
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	if t == nil {
-		return w.After(d, name, fn)
-	}
-	if d < 0 {
-		d = 0
-	}
-	at := w.now + d
-	if t.live() && t.ev.index >= 0 {
-		ev := t.ev
-		w.seq++
-		ev.at = at
-		ev.seq = w.seq
-		ev.name = name
-		ev.fn = fn
-		heap.Fix(&w.events, ev.index)
-		return t
-	}
-	w.maybeCompact()
-	ev := w.alloc(at, name, fn)
-	heap.Push(&w.events, ev)
-	t.ev = ev
-	t.gen = ev.gen
-	return t
-}
-
 // Step dispatches the next event, advancing the clock to its timestamp.
 // It reports false when the queue is empty.
 func (w *World) Step() bool {
@@ -315,8 +278,9 @@ func (w *World) Step() bool {
 			panic(fmt.Sprintf("sim: step limit %d exceeded (last event %q at %v)", w.maxStep, ev.name, ev.at))
 		}
 		fn := ev.fn
-		// Recycle before dispatch so fn can Rearm its own handle straight
-		// from the free list; the gen bump has already detached the handle.
+		// Recycle before dispatch so an event fn schedules can reuse this
+		// one from the free list; the gen bump has already detached the
+		// handle.
 		w.recycle(ev)
 		fn()
 		return true

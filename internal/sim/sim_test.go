@@ -287,68 +287,6 @@ func TestRecycledEventDetachesOldHandle(t *testing.T) {
 	}
 }
 
-func TestRearmReschedulesInPlace(t *testing.T) {
-	w := NewWorld()
-	count := 0
-	tm := w.After(Second, "tick", func() { count++ })
-	// Rearm a pending timer: same handle, new deadline, old one cancelled.
-	if got := w.Rearm(tm, 2*Second, "tick", func() { count += 10 }); got != tm {
-		t.Fatal("Rearm of a pending timer should return the same handle")
-	}
-	w.RunUntil(Second)
-	if count != 0 {
-		t.Fatalf("original deadline fired: count = %d", count)
-	}
-	w.RunUntil(2 * Second)
-	if count != 10 {
-		t.Fatalf("rearmed deadline: count = %d, want 10", count)
-	}
-	// Rearm after firing: handle is re-pointed at a fresh schedule.
-	if got := w.Rearm(tm, Second, "tick", func() { count += 100 }); got != tm {
-		t.Fatal("Rearm of a fired timer should reuse the handle")
-	}
-	if !tm.Pending() {
-		t.Fatal("rearmed handle not pending")
-	}
-	w.Run()
-	if count != 110 {
-		t.Fatalf("count = %d, want 110", count)
-	}
-	// Rearm with nil handle allocates one.
-	tm2 := w.Rearm(nil, Second, "fresh", func() { count += 1000 })
-	if tm2 == nil || !tm2.Pending() {
-		t.Fatal("Rearm(nil) did not arm a timer")
-	}
-	w.Run()
-	if count != 1110 {
-		t.Fatalf("count = %d, want 1110", count)
-	}
-}
-
-func TestRearmSelfInsideCallback(t *testing.T) {
-	// The heartbeat pattern: a callback rearms its own handle. The event
-	// struct was recycled before dispatch, so the rearm must arm a fresh
-	// schedule rather than resurrect the fired one.
-	w := NewWorld()
-	ticks := 0
-	var tm *Timer
-	var tick func()
-	tick = func() {
-		ticks++
-		if ticks < 5 {
-			tm = w.Rearm(tm, Second, "hb", tick)
-		}
-	}
-	tm = w.After(Second, "hb", tick)
-	w.Run()
-	if ticks != 5 {
-		t.Fatalf("ticks = %d, want 5", ticks)
-	}
-	if w.Now() != 5*Second {
-		t.Fatalf("Now = %v, want 5s", w.Now())
-	}
-}
-
 // TestAfterStopAllocBudget locks in the free-list fast path: steady-state
 // schedule/cancel cycles may allocate the Timer handle but not the event
 // (regression guard for the per-schedule event allocation and the Stop leak).
@@ -364,18 +302,5 @@ func TestAfterStopAllocBudget(t *testing.T) {
 	})
 	if avg > 1.5 {
 		t.Fatalf("After+Stop allocates %.2f objects/op, budget 1.5 (Timer handle only)", avg)
-	}
-}
-
-// TestRearmAllocBudget locks in the zero-allocation rearm loop.
-func TestRearmAllocBudget(t *testing.T) {
-	w := NewWorld()
-	fn := func() {}
-	tm := w.After(Second, "hb", fn)
-	avg := testing.AllocsPerRun(10000, func() {
-		tm = w.Rearm(tm, Second, "hb", fn)
-	})
-	if avg != 0 {
-		t.Fatalf("Rearm allocates %.2f objects/op, want 0", avg)
 	}
 }

@@ -15,15 +15,22 @@ func TestConformance(t *testing.T) {
 
 // TestAfterRearmOrdering covers the sim-specific timer surface the
 // interface can't: node timers returned by After are kernel timers
-// underneath, and Rearm must re-order them against later-armed ones.
+// underneath, and re-arming one the way protocol loops do (Stop, then
+// After) re-orders it against timers armed after it.
 func TestAfterRearmOrdering(t *testing.T) {
 	sp := transporttest.NewSim(7, 1_000_000, 0, 0, nil)
 	nd := sp.Net.AddNode("n", nil)
 	var fired []string
 	tm := nd.After(10*sim.Millisecond, "a", func() { fired = append(fired, "a") })
 	nd.After(20*sim.Millisecond, "b", func() { fired = append(fired, "b") })
+	if _, ok := tm.(*sim.Timer); !ok {
+		t.Fatalf("node timer is a %T, want *sim.Timer", tm)
+	}
 	// Push "a" past "b": it must now fire second despite being armed first.
-	sp.World.Rearm(tm.(*sim.Timer), 30*sim.Millisecond, "a", func() { fired = append(fired, "a") })
+	if !tm.Stop() {
+		t.Fatal("pending timer did not stop")
+	}
+	nd.After(30*sim.Millisecond, "a", func() { fired = append(fired, "a") })
 	sp.World.RunFor(50 * sim.Millisecond)
 	if len(fired) != 2 || fired[0] != "b" || fired[1] != "a" {
 		t.Fatalf("fire order %v, want [b a]", fired)

@@ -25,7 +25,6 @@ const (
 	KindRenew    Kind = "renew"    // junior renewing milestones
 	KindCoord    Kind = "coord"    // coordination-service events (session expiry, watch)
 	KindCheck    Kind = "check"    // invariant-checker verdicts (internal/check)
-	KindSpan     Kind = "span"     // causal span begin/end edges (internal/obs)
 	KindHealth   Kind = "health"   // gray-failure detector verdicts (internal/health)
 )
 

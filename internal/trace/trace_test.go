@@ -95,15 +95,15 @@ func TestDumpAndString(t *testing.T) {
 
 func TestDispatchOnlyStillReachesSubscribers(t *testing.T) {
 	l := New(sim.NewWorld())
-	l.DispatchOnly(KindSpan)
+	l.DispatchOnly(KindJournal)
 	var seen []Event
 	l.Subscribe(func(e Event) { seen = append(seen, e) })
-	l.Emit(KindSpan, "a", "span-begin", "span", "1")
+	l.Emit(KindJournal, "a", "append", "sn", "1")
 	l.Emit(KindState, "a", "become-active")
 	if len(seen) != 2 {
 		t.Fatalf("subscriber saw %d events, want 2 (dispatch-only must still dispatch)", len(seen))
 	}
-	if seen[0].What != "span-begin" || seen[1].What != "become-active" {
+	if seen[0].What != "append" || seen[1].What != "become-active" {
 		t.Fatalf("seen = %+v", seen)
 	}
 	// Only the retained kind lands in the log itself.
@@ -111,7 +111,7 @@ func TestDispatchOnlyStillReachesSubscribers(t *testing.T) {
 		t.Fatalf("retained events = %+v", l.Events())
 	}
 	// And the query API agrees: First never finds a dispatch-only event.
-	if l.First(KindSpan, "span-begin", 0) != nil {
+	if l.First(KindJournal, "append", 0) != nil {
 		t.Fatal("First found a dispatch-only event")
 	}
 	if l.First(KindState, "become-active", 0) == nil {

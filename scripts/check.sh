@@ -42,6 +42,11 @@ go test -run '^$' -bench CallRoundTrip -benchtime 200x ./internal/nettrans
 # type); this searches beyond it for a while: no panic, every accepted frame
 # re-encodes to its own bytes, allocation bounded by the input's length.
 go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 20s ./internal/nettrans
+# The image loader faces stored checkpoint bytes. `go test` replays its
+# corpus (testdata/fuzz/FuzzLoadImage: saved trees, truncated and garbage
+# images); this searches beyond it: no panic, and an accepted image is a
+# consistent tree whose own saved image reloads to the same digest.
+go test -run '^$' -fuzz '^FuzzLoadImage$' -fuzztime 20s ./internal/namespace
 go test -race -timeout 40m ./internal/mams/...
 # The commit pipeline's layer benchmark (one create through dispatch, seal
 # and commit under each seal policy, instant acks): keeps it compiling and
