@@ -74,7 +74,8 @@ type Client struct {
 	actives []transport.NodeID // cached active per group ("" = unknown)
 	nextReq uint64
 	idSalt  uint64
-	probe   []int // round-robin cursor per group for WhoIsActive
+	probe   []int   // round-robin cursor per group for WhoIsActive
+	free    []*call // finished operations' state, for reuse: at most the peak in flight
 	// mapRefreshes counts shard-map adoptions from StaleMap replies — the
 	// client-side cache-invalidation signal (no central lookups happen).
 	mapRefreshes uint64
@@ -120,43 +121,54 @@ func (c *Client) reqID() uint64 {
 
 // Create makes a file of the given size.
 func (c *Client) Create(path string, size int64, cb func(err error)) {
-	c.do(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpCreate, Path: path, Size: size},
-		func(rep mams.OpReply, err error) { cb(err) })
+	c.mutate(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpCreate, Path: path, Size: size}, cb)
 }
 
 // Mkdir makes a directory (parent must exist).
 func (c *Client) Mkdir(path string, cb func(err error)) {
-	c.do(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpMkdir, Path: path},
-		func(rep mams.OpReply, err error) { cb(err) })
+	c.mutate(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpMkdir, Path: path}, cb)
 }
 
 // Delete removes a file or empty directory.
 func (c *Client) Delete(path string, cb func(err error)) {
-	c.do(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpDelete, Path: path},
-		func(rep mams.OpReply, err error) { cb(err) })
+	c.mutate(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpDelete, Path: path}, cb)
 }
 
 // Rename moves a file or directory.
 func (c *Client) Rename(src, dst string, cb func(err error)) {
-	c.do(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpRename, Path: src, Dest: dst},
-		func(rep mams.OpReply, err error) { cb(err) })
+	c.mutate(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpRename, Path: src, Dest: dst}, cb)
 }
 
-// Stat returns file metadata (the paper's getfileinfo).
+// mutate runs an operation whose caller wants only its error.
+func (c *Client) mutate(op mams.ClientOp, cb func(err error)) {
+	k := c.newCall(op)
+	k.ack = cb
+	c.do(k)
+}
+
+// Stat returns file metadata (the paper's getfileinfo). The reply carries
+// no path, as HDFS's getFileInfo does not: Info.Path is the path asked for
+// and Info.Name its last segment (namespace.Base), both restored here from
+// the request.
 func (c *Client) Stat(path string, cb func(info *namespace.Info, err error)) {
-	c.do(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpStat, Path: path},
-		func(rep mams.OpReply, err error) { cb(rep.Info, err) })
+	k := c.newCall(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpStat, Path: path})
+	k.stat = cb
+	c.do(k)
 }
 
 // List returns a directory's children. Directories are replicated in every
 // group but file entries are partitioned by path hash, so the client fans
 // the listing out to every replica group and merges the results (duplicate
-// directory entries collapse; files are unique to their home group).
+// directory entries collapse; files are unique to their home group). Every
+// group holds the directory, so a group that fails leaves the listing
+// incomplete: List then returns the first failed group's error and no
+// entries.
 func (c *Client) List(path string, cb func(infos []namespace.Info, err error)) {
 	groups := len(c.cfg.Groups)
 	if groups == 1 {
-		c.do(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpList, Path: path},
-			func(rep mams.OpReply, err error) { cb(rep.Infos, err) })
+		k := c.newCall(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpList, Path: path})
+		k.list = func(rep mams.OpReply, err error) { cb(rep.Infos, err) }
+		c.do(k)
 		return
 	}
 	type part struct {
@@ -172,13 +184,10 @@ func (c *Client) List(path string, cb func(infos []namespace.Info, err error)) {
 		}
 		seen := map[string]bool{}
 		var merged []namespace.Info
-		var firstErr error
 		for _, p := range parts {
 			if p.err != nil {
-				if firstErr == nil {
-					firstErr = p.err
-				}
-				continue
+				cb(nil, p.err)
+				return
 			}
 			for _, info := range p.infos {
 				if seen[info.Path] {
@@ -188,121 +197,184 @@ func (c *Client) List(path string, cb func(infos []namespace.Info, err error)) {
 				merged = append(merged, info)
 			}
 		}
-		if len(merged) == 0 && firstErr != nil {
-			cb(nil, firstErr)
-			return
-		}
 		sort.Slice(merged, func(i, j int) bool { return merged[i].Path < merged[j].Path })
 		cb(merged, nil)
 	}
 	for g := 0; g < groups; g++ {
-		g := g
-		op := mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpList, Path: path}
-		start := c.node.Now()
-		c.attempt(op, g, 0, start, func(rep mams.OpReply, err error) {
+		k := c.newCall(mams.ClientOp{ReqID: c.reqID(), Kind: mams.OpList, Path: path})
+		k.group = g
+		k.list = func(rep mams.OpReply, err error) {
 			parts[g] = part{infos: rep.Infos, err: err}
 			finish()
-		})
+		}
+		k.attempt()
 	}
+}
+
+// call is one operation in flight: the request, the group it goes to, the
+// attempts so far, when it started, and the caller's callback. Its bound
+// callbacks (onReply, onActive, onRetry) are made once, with the call. A
+// finished call goes back on Client.free for the next operation, so an
+// attempt allocates no closure. At most one Call, WhoIsActive lookup or
+// back-off timer of a call is outstanding at a time, and the call finishes
+// from that one's callback, so nothing still refers to it when it is reused.
+type call struct {
+	c      *Client
+	op     mams.ClientOp
+	group  int
+	tries  int
+	start  sim.Time
+	target transport.NodeID // where the outstanding Call went
+
+	// The caller's callback: exactly one is set.
+	ack  func(error)                  // Create, Mkdir, Delete, Rename
+	stat func(*namespace.Info, error) // Stat
+	list func(mams.OpReply, error)    // List, one group's part
+
+	onReply  func(resp any, err error) // k.reply
+	onActive func(transport.NodeID)    // k.resolved
+	onRetry  func()                    // k.retry
+}
+
+// newCall returns a call for op, reused when one has finished, started now
+// and aimed at group 0.
+func (c *Client) newCall(op mams.ClientOp) *call {
+	var k *call
+	if n := len(c.free); n > 0 {
+		k, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		k = &call{c: c}
+		k.onReply, k.onActive, k.onRetry = k.reply, k.resolved, k.retry
+	}
+	k.op, k.start = op, c.node.Now()
+	return k
 }
 
 // do runs one logical operation with transparent reconnection.
-func (c *Client) do(op mams.ClientOp, cb func(mams.OpReply, error)) {
-	group := mams.LeadGroup(c.cfg.Partitioner, op)
-	start := c.node.Now()
-	c.attempt(op, group, 0, start, cb)
+func (c *Client) do(k *call) {
+	k.group = mams.LeadGroup(c.cfg.Partitioner, k.op)
+	k.attempt()
 }
 
-func (c *Client) finish(op mams.ClientOp, start sim.Time, retries int, rep mams.OpReply, err error, cb func(mams.OpReply, error)) {
+// finish reports the operation, puts the call back for reuse and then hands
+// the outcome to the caller, whose callback may start the next operation on
+// this very call.
+func (k *call) finish(rep mams.OpReply, err error) {
+	c := k.c
 	if c.cfg.OnResult != nil {
 		c.cfg.OnResult(Result{
-			Kind: op.Kind, Path: op.Path, Start: start,
-			End: c.node.Now(), Err: err, Retries: retries,
+			Kind: k.op.Kind, Path: k.op.Path, Start: k.start,
+			End: c.node.Now(), Err: err, Retries: k.tries,
 			SN: rep.SN, Epoch: rep.Epoch, DurableSN: rep.DurableSN,
 		})
 	}
-	cb(rep, err)
+	path, ack, stat, list := k.op.Path, k.ack, k.stat, k.list
+	*k = call{c: c, onReply: k.onReply, onActive: k.onActive, onRetry: k.onRetry}
+	c.free = append(c.free, k)
+	switch {
+	case ack != nil:
+		ack(err)
+	case stat != nil:
+		if rep.Info != nil {
+			rep.Info.Path, rep.Info.Name = path, namespace.Base(path)
+		}
+		stat(rep.Info, err)
+	default:
+		list(rep, err)
+	}
 }
 
-func (c *Client) attempt(op mams.ClientOp, group, tries int, start sim.Time, cb func(mams.OpReply, error)) {
-	if tries >= maxAttempts {
-		c.finish(op, start, tries, mams.OpReply{}, ErrUnavailable, cb)
+// attempt sends the op to its group's active, looking the active up first
+// when the client does not know it.
+func (k *call) attempt() {
+	c := k.c
+	if k.tries >= maxAttempts {
+		k.finish(mams.OpReply{}, ErrUnavailable)
 		return
 	}
-	target := c.actives[group]
+	target := c.actives[k.group]
 	if target == "" {
-		c.probe[group]++
-		mams.ResolveActive(c.node, c.cfg.Groups, group, c.probe[group], func(active transport.NodeID) {
-			if active == "" {
-				c.backoffRetry(op, group, tries, start, cb)
-				return
-			}
-			c.actives[group] = active
-			c.attempt(op, group, tries, start, cb)
-		})
+		c.probe[k.group]++
+		mams.ResolveActive(c.node, c.cfg.Groups, k.group, c.probe[k.group], k.onActive)
 		return
 	}
 	if c.cfg.Partitioner != nil {
-		op.MapEpoch = c.cfg.Partitioner.Epoch()
+		k.op.MapEpoch = c.cfg.Partitioner.Epoch()
 	}
-	c.node.Call(target, op, c.cfg.RequestTimeout, func(resp any, err error) {
-		if err != nil {
-			// Timeout or dead server: drop the cached active and retry.
-			c.actives[group] = ""
-			c.backoffRetry(op, group, tries, start, cb)
-			return
+	k.target = target
+	c.node.Call(target, k.op, c.cfg.RequestTimeout, k.onReply)
+}
+
+// resolved continues an attempt once the WhoIsActive lookup has answered.
+func (k *call) resolved(active transport.NodeID) {
+	if active == "" {
+		k.backoff()
+		return
+	}
+	k.c.actives[k.group] = active
+	k.attempt()
+}
+
+// reply handles the answer to an attempt's Call.
+func (k *call) reply(resp any, err error) {
+	c := k.c
+	if err != nil {
+		// Timeout or dead server: drop the cached active and retry.
+		c.actives[k.group] = ""
+		k.backoff()
+		return
+	}
+	rep, ok := resp.(mams.OpReply)
+	if !ok {
+		k.backoff()
+		return
+	}
+	if rep.NotActive {
+		if rep.Hint != "" && rep.Hint != k.target {
+			c.actives[k.group] = rep.Hint
+		} else {
+			c.actives[k.group] = ""
 		}
-		rep, ok := resp.(mams.OpReply)
-		if !ok {
-			c.backoffRetry(op, group, tries, start, cb)
-			return
-		}
-		if rep.NotActive {
-			if rep.Hint != "" && rep.Hint != target {
-				c.actives[group] = rep.Hint
-			} else {
-				c.actives[group] = ""
-			}
-			c.backoffRetry(op, group, tries, start, cb)
-			return
-		}
-		if rep.SlotMoving {
-			// The slot is frozen mid-migration; the op never executed.
-			// Back off until the flip lands.
-			c.backoffRetry(op, group, tries, start, cb)
-			return
-		}
-		if rep.StaleMap {
-			// Routing rejection: adopt the server's (strictly newer) map and
-			// re-route immediately; if the server is the one behind, our
-			// Install rejects its map and we back off while it catches up.
-			adopted := rep.Map != nil && c.cfg.Partitioner != nil && c.cfg.Partitioner.Install(rep.Map)
-			if adopted {
-				c.mapRefreshes++
-				if op.Kind != mams.OpList {
-					if ng := mams.LeadGroup(c.cfg.Partitioner, op); ng != group {
-						c.attempt(op, ng, tries+1, start, cb)
-						return
-					}
+		k.backoff()
+		return
+	}
+	if rep.SlotMoving {
+		// The slot is frozen mid-migration; the op never executed.
+		// Back off until the flip lands.
+		k.backoff()
+		return
+	}
+	if rep.StaleMap {
+		// Routing rejection: adopt the server's (strictly newer) map and
+		// re-route immediately; if the server is the one behind, our
+		// Install rejects its map and we back off while it catches up.
+		adopted := rep.Map != nil && c.cfg.Partitioner != nil && c.cfg.Partitioner.Install(rep.Map)
+		if adopted {
+			c.mapRefreshes++
+			if k.op.Kind != mams.OpList {
+				if ng := mams.LeadGroup(c.cfg.Partitioner, k.op); ng != k.group {
+					k.group = ng
+					k.tries++
+					k.attempt()
+					return
 				}
 			}
-			c.backoffRetry(op, group, tries, start, cb)
+		}
+		k.backoff()
+		return
+	}
+	if rep.Err != "" {
+		// Duplicate-message handling (§IV.C): a retried mutation may
+		// have taken effect before the failover; the resulting
+		// exists/not-found answers mean the original succeeded.
+		if k.tries > 0 && c.duplicateOutcome(k.op, rep.Err) {
+			k.finish(mams.OpReply{}, nil)
 			return
 		}
-		if rep.Err != "" {
-			err := errors.New(rep.Err)
-			// Duplicate-message handling (§IV.C): a retried mutation may
-			// have taken effect before the failover; the resulting
-			// exists/not-found answers mean the original succeeded.
-			if tries > 0 && c.duplicateOutcome(op, rep.Err) {
-				c.finish(op, start, tries, mams.OpReply{}, nil, cb)
-				return
-			}
-			c.finish(op, start, tries, rep, err, cb)
-			return
-		}
-		c.finish(op, start, tries, rep, nil, cb)
-	})
+		k.finish(rep, errors.New(rep.Err))
+		return
+	}
+	k.finish(rep, nil)
 }
 
 // duplicateOutcome recognizes the footprint of a retried mutation that
@@ -324,12 +396,14 @@ func (c *Client) duplicateOutcome(op mams.ClientOp, errStr string) bool {
 // overflows sim.Time late in the attempt budget.
 const maxBackoffShift = 4
 
-func (c *Client) backoffRetry(op mams.ClientOp, group, tries int, start sim.Time, cb func(mams.OpReply, error)) {
-	shift := tries
-	if shift > maxBackoffShift {
-		shift = maxBackoffShift
-	}
-	c.node.After(c.cfg.RetryBackoff<<uint(shift), "fsclient-retry", func() {
-		c.attempt(op, group, tries+1, start, cb)
-	})
+// backoff schedules the next attempt.
+func (k *call) backoff() {
+	shift := min(k.tries, maxBackoffShift)
+	k.c.node.After(k.c.cfg.RetryBackoff<<uint(shift), "fsclient-retry", k.onRetry)
+}
+
+// retry is the next attempt, after a back-off.
+func (k *call) retry() {
+	k.tries++
+	k.attempt()
 }

@@ -199,6 +199,117 @@ func TestListMergesAcrossGroups(t *testing.T) {
 	}
 }
 
+// A listing is fanned out to every group and every group holds every
+// directory, so one group that cannot answer makes the listing incomplete:
+// List must report that group's error, not the other groups' entries.
+func TestListFailsWhenAGroupIsDown(t *testing.T) {
+	h := newHarness(t, 57, 3)
+	if err := h.do(t, func(done func(error)) { h.cli.Mkdir("/d", done) }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		p := fmt.Sprintf("/d/f%02d", i)
+		if err := h.do(t, func(done func(error)) { h.cli.Create(p, 1, done) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range h.c.Groups[1] {
+		s.Shutdown()
+	}
+	var got []namespace.Info
+	var listErr error
+	finished := false
+	h.env.World.Defer("list", func() {
+		h.cli.List("/d", func(infos []namespace.Info, err error) {
+			got, listErr, finished = infos, err, true
+		})
+	})
+	// Group 1 is retried for the client's whole attempt budget first.
+	for deadline := h.env.Now() + 10*sim.Minute; !finished && h.env.Now() < deadline; {
+		h.env.RunFor(sim.Second)
+	}
+	if !finished {
+		t.Fatal("List never completed")
+	}
+	if !errors.Is(listErr, fsclient.ErrUnavailable) || got != nil {
+		t.Fatalf("List with group 1 down = %d entries, err %v; want no entries and ErrUnavailable", len(got), listErr)
+	}
+}
+
+// lateFirst is a one-member group whose first operation's reply comes
+// after the client's time-out, and whose later ones come in time. It
+// answers every Stat with Size set to the operation's arrival count, so a
+// reply says which request it answers.
+type lateFirst struct {
+	node transport.Node
+	ops  int
+	sent []int // arrival counts of the replies sent, in sending order
+}
+
+func (s *lateFirst) HandleMessage(transport.NodeID, any) {}
+
+func (s *lateFirst) HandleRequest(_ transport.NodeID, req any, reply func(any)) {
+	switch req.(type) {
+	case mams.ClientOp:
+		s.ops++
+		n := s.ops
+		delay := 300 * sim.Millisecond
+		if n == 1 {
+			delay = 1500 * sim.Millisecond
+		}
+		s.node.After(delay, "reply", func() {
+			s.sent = append(s.sent, n)
+			reply(mams.OpReply{Info: &namespace.Info{Size: int64(n)}})
+		})
+	case mams.WhoIsActive:
+		reply(mams.ActiveIs{Active: s.node.ID()})
+	}
+}
+
+// An operation's state is reused by the next operation once it finishes.
+// The first Stat times out (1 s) and is retried; its retry is answered
+// (1.4 s), and the second Stat, issued from that callback, reuses the
+// state. The first attempt's reply arrives late (1.5 s), while the second
+// Stat waits for its own (1.7 s). Each Stat finishes exactly once, with its
+// own reply and its own path.
+func TestLateReplyDoesNotReachTheNextOp(t *testing.T) {
+	sp := transporttest.NewSim(1, 0, 0, 0, nil)
+	srv := &lateFirst{}
+	srv.node = sp.Net.Listen("g0-mds0", srv)
+	var results []fsclient.Result
+	cli := fsclient.New(sp.Net, fsclient.Config{
+		ID:          "client",
+		Groups:      [][]transport.NodeID{{"g0-mds0"}},
+		Partitioner: partition.New(1),
+		OnResult:    func(r fsclient.Result) { results = append(results, r) },
+	})
+	var got []string
+	stat := func(path string, next func()) {
+		cli.Stat(path, func(info *namespace.Info, err error) {
+			if err != nil {
+				got = append(got, fmt.Sprintf("%s: %v", path, err))
+			} else {
+				got = append(got, fmt.Sprintf("%s: path=%s name=%s reply=%d", path, info.Path, info.Name, info.Size))
+			}
+			if next != nil {
+				next()
+			}
+		})
+	}
+	sp.World.Defer("op", func() { stat("/a/b", func() { stat("/c", nil) }) })
+	sp.RunFor(10 * sim.Second)
+	want := []string{"/a/b: path=/a/b name=b reply=2", "/c: path=/c name=c reply=3"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("callbacks ran %q, want %q", got, want)
+	}
+	if fmt.Sprint(srv.sent) != "[2 1 3]" {
+		t.Errorf("replies sent in order %v, want [2 1 3]: the first one must arrive while /c waits", srv.sent)
+	}
+	if len(results) != 2 || results[0].Retries != 1 || results[1].Retries != 0 {
+		t.Errorf("results %+v, want /a/b with one retry, then /c with none", results)
+	}
+}
+
 // notActive is a one-member group that names itself active when asked but
 // answers every operation NotActive, so a client retries against it until
 // its attempts run out. It records when each operation arrived.

@@ -962,10 +962,14 @@ func (s *Server) handleClientOp(from transport.NodeID, op ClientOp, reply func(a
 		return
 	}
 	// CPU queue: ops are serviced sequentially, for what the commit policy
-	// leaves on the dispatch thread.
-	transport.Charge(s.node, s.cpu.Add(s.node.Now(), s.pipe.dispatchCost(op.Kind)), "mds-op", func() {
-		s.executeOp(op, reply)
-	})
+	// leaves on the dispatch thread. This is transport.Charge written out,
+	// so that an op with no wait (the wire plane's zero cost model) runs
+	// without a closure: op is copied into one only on the timer path.
+	if wait := s.cpu.Add(s.node.Now(), s.pipe.dispatchCost(op.Kind)); wait > 0 {
+		s.node.After(wait, "mds-op", func() { s.executeOp(op, reply) })
+		return
+	}
+	s.executeOp(op, reply)
 }
 
 // finishOp replies and, for a mutation, remembers the reply so that a
@@ -1024,6 +1028,9 @@ func (s *Server) executeOp(op ClientOp, reply func(any)) {
 			s.finishOp(op, OpReply{Err: err.Error()}, reply)
 			return
 		}
+		// The client has the path: it fills Path and Name in from its
+		// request (fsclient.Stat), so the reply does not carry them.
+		info.Path, info.Name = "", ""
 		s.finishOp(op, OpReply{Info: &info}, reply)
 	case OpList:
 		infos, err := s.tree.List(op.Path)

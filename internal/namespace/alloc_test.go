@@ -30,15 +30,42 @@ func TestLookupAllocFree(t *testing.T) {
 	}
 }
 
+// Stat of a directory or of a file allocates nothing: a file's Info shares
+// the inode's block list instead of copying it.
 func TestStatDirAllocFree(t *testing.T) {
 	tr := benchTree(t, 100)
-	avg := testing.AllocsPerRun(2000, func() {
-		if _, err := tr.Stat("/d03"); err != nil {
-			t.Fatal(err)
+	for _, p := range []string{"/d03", "/d03/f0000003"} {
+		avg := testing.AllocsPerRun(2000, func() {
+			info, err := tr.Stat(p)
+			if err != nil || !info.Dir && len(info.Blocks) == 0 {
+				t.Fatalf("Stat(%s) = %+v, %v", p, info, err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("Stat(%s) allocates %.2f objects/op, want 0", p, avg)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("Stat(dir) allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// The block list Stat returns is the inode's own, clipped to its length:
+// appending to it copies, so the tree, and its digest, stay as they were.
+func TestStatBlocksAppendLeavesTree(t *testing.T) {
+	tr := New()
+	if err := tr.Create("/f", 3*BlockSize, 0o644, 1, 7); err != nil {
+		t.Fatal(err)
+	}
+	digest := tr.Digest()
+	info, err := tr.Stat("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]uint64(nil), info.Blocks...)
+	grown := append(info.Blocks, 99)
+	grown[0] = 99
+	again, _ := tr.Stat("/f")
+	if tr.Digest() != digest || fmt.Sprint(again.Blocks) != fmt.Sprint(want) {
+		t.Fatalf("after appending to a returned block list: digest %#x (was %#x), blocks %v (were %v)",
+			tr.Digest(), digest, again.Blocks, want)
 	}
 }
 

@@ -132,6 +132,23 @@ func nextSeg(p string, i int) (lo, hi int) {
 	return i, j
 }
 
+// Base returns the name of the entry that path p resolves to, the Name its
+// Info carries: the last segment other than ".", or "" for the root. It
+// slices p and allocates nothing.
+func Base(p string) string {
+	name := ""
+	for i := 0; ; {
+		lo, hi := nextSeg(p, i)
+		if lo < 0 {
+			return name
+		}
+		i = hi
+		if seg := p[lo:hi]; seg != "." {
+			name = seg
+		}
+	}
+}
+
 // isRoot reports whether a syntactically valid path normalizes to "/".
 func isRoot(p string) bool {
 	if p == "" || p[0] != '/' {
@@ -434,7 +451,10 @@ func (t *Tree) Rename(src, dst string) error {
 	return nil
 }
 
-// Stat returns metadata for path.
+// Stat returns metadata for path. Info.Blocks is the inode's own block
+// list, clipped to its length, not a copy: it is read-only. Block lists are
+// written once, when a file is created or loaded, so the slice stays valid,
+// and an append to it copies.
 func (t *Tree) Stat(path string) (Info, error) {
 	node, ok := t.walkPath(path)
 	if !ok {
@@ -445,7 +465,7 @@ func (t *Tree) Stat(path string) (Info, error) {
 	}
 	return Info{
 		Path: path, Name: node.name, Dir: node.dir, Size: node.size,
-		Perm: node.perm, MTime: node.mtime, Blocks: append([]uint64(nil), node.blocks...),
+		Perm: node.perm, MTime: node.mtime, Blocks: node.blocks[:len(node.blocks):len(node.blocks)],
 	}, nil
 }
 
@@ -744,7 +764,9 @@ func LoadImage(buf []byte) (*Tree, error) {
 			if nb > uint64(len(buf)) {
 				return nil, fmt.Errorf("namespace: implausible block count %d", nb)
 			}
-			n.blocks = make([]uint64, nb)
+			if nb > 0 { // an empty file has no list, as after Create
+				n.blocks = make([]uint64, nb)
+			}
 			for i := range n.blocks {
 				n.blocks[i] = r.Uvarint()
 			}

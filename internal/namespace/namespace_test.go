@@ -42,6 +42,23 @@ func TestCreateAndStat(t *testing.T) {
 	}
 }
 
+// Base names the entry a path resolves to, as Stat's Info.Name does, for
+// canonical and for non-canonical spellings.
+func TestBaseMatchesStatName(t *testing.T) {
+	tr := New()
+	mustMkdir(t, tr, "/a")
+	mustCreate(t, tr, "/a/f")
+	for _, p := range []string{"/", "//", "/.", "/a", "/a/", "/a/.", "/a/./", "/a//f", "/a/f", "/./a/f/."} {
+		info, err := tr.Stat(p)
+		if err != nil {
+			t.Fatalf("Stat(%q): %v", p, err)
+		}
+		if got := Base(p); got != info.Name {
+			t.Errorf("Base(%q) = %q, Stat names it %q", p, got, info.Name)
+		}
+	}
+}
+
 func TestCreateRequiresParent(t *testing.T) {
 	tr := New()
 	if err := tr.Create("/missing/f", 0, 0o644, 1, 1); !errors.Is(err, ErrNotFound) {

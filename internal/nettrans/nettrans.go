@@ -9,7 +9,12 @@
 // event-loop goroutine. The loop serializes every handler invocation, timer
 // callback, and Call completion — exactly the run-to-completion discipline
 // the protocol state machines were written against on the sim plane, so
-// they need no locks here either.
+// they need no locks here either. The loop's inputs wait in one queue, in
+// arrival order: a callback (post, Do, a timer going off), or a frame that
+// a reader decoded or a local send routed, queued as a value with the
+// connection it came in on, so delivering a frame costs no closure. A
+// Call's pending entry is reused by a later Call once the entry has left
+// its node's pending map and its deadline has left the timer heap.
 //
 // Wire format: a frame is
 //
@@ -143,7 +148,7 @@ type Transport struct {
 
 	mu    sync.Mutex
 	cond  *sync.Cond
-	queue []func()
+	queue []input
 	// closed is written under mu (so post and Do decide atomically with the
 	// append) and read without it by the loop between two callbacks.
 	closed atomic.Bool
@@ -163,6 +168,10 @@ type Transport struct {
 	nextCall uint64
 	reg      *obs.Registry
 	tracer   *obs.Tracer
+	// freeCalls holds pending entries no call owns any more: out of their
+	// node's pending map and, if timed, out of the deadline heap. It holds
+	// at most as many as were ever outstanding at once.
+	freeCalls []*netPending
 
 	// Every After and timed Call of every hosted node waits in one
 	// deadline heap, and one runtime timer (rt, made on first use) is set
@@ -229,15 +238,30 @@ func (t *Transport) Obs() *obs.Registry { return t.reg }
 // Tracer returns the attached span tracer (possibly nil).
 func (t *Transport) Tracer() *obs.Tracer { return t.tracer }
 
+// input is one entry of the loop's queue: a callback (fn), or a frame that
+// arrived, with the connection it came in on (nil for the local fast path).
+// Frames travel as values, so delivering one costs the loop no closure.
+type input struct {
+	fn  func()
+	f   frame
+	via *conn
+}
+
 // post enqueues fn for the event loop, reporting whether it was taken.
 // Safe from any goroutine; a no-op after Close.
-func (t *Transport) post(fn func()) bool {
+func (t *Transport) post(fn func()) bool { return t.enqueue(input{fn: fn}) }
+
+// deliver enqueues an arrived frame for dispatch on the loop. Safe from any
+// goroutine; a no-op after Close.
+func (t *Transport) deliver(f frame, via *conn) { t.enqueue(input{f: f, via: via}) }
+
+func (t *Transport) enqueue(in input) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed.Load() {
 		return false
 	}
-	t.queue = append(t.queue, fn)
+	t.queue = append(t.queue, in)
 	t.cond.Signal()
 	return true
 }
@@ -265,13 +289,13 @@ func (t *Transport) Do(fn func()) bool {
 	}
 }
 
-// run is the event loop: one callback at a time, in arrival order. It takes
+// run is the event loop: one input at a time, in arrival order. It takes
 // the whole queue per wake-up, so a burst costs one lock round trip, and
 // still runs no callback once Close has been called.
 func (t *Transport) run() {
 	defer t.wg.Done()
 	defer close(t.loopDone)
-	var batch []func()
+	var batch []input
 	for {
 		t.mu.Lock()
 		for len(t.queue) == 0 && !t.closed.Load() {
@@ -279,12 +303,16 @@ func (t *Transport) run() {
 		}
 		batch, t.queue = t.queue, batch[:0]
 		t.mu.Unlock()
-		for i, fn := range batch {
+		for i := range batch {
 			if t.closed.Load() {
 				return
 			}
-			fn()
-			batch[i] = nil
+			if in := &batch[i]; in.fn != nil {
+				in.fn()
+			} else {
+				t.dispatch(in.f, in.via)
+			}
+			batch[i] = input{}
 		}
 		if t.closed.Load() {
 			return
@@ -522,7 +550,7 @@ func (c *conn) read() {
 		if err != nil {
 			return // peer closed, tore down mid-frame, or sent a bad frame
 		}
-		t.post(func() { t.dispatch(f, c) })
+		t.deliver(f, c)
 	}
 }
 
@@ -569,7 +597,7 @@ func (t *Transport) sendFrame(f frame) {
 		return
 	}
 	if local := t.node(f.To); local != nil {
-		t.post(func() { t.dispatch(f, nil) })
+		t.deliver(f, nil)
 		return
 	}
 	addr, ok := t.book.Lookup(f.To)
@@ -627,8 +655,7 @@ func (t *Transport) dispatch(f frame, via *conn) {
 		}
 		t.Delivered++
 		replied := false
-		gen := dst.gen
-		resp := frame{Kind: frameResponse, ID: f.ID, From: f.To, To: f.From}
+		gen, id, from, to := dst.gen, f.ID, f.From, f.To
 		rh.HandleRequest(f.From, f.Payload, func(r any) {
 			if replied {
 				panic("nettrans: reply invoked twice")
@@ -637,8 +664,7 @@ func (t *Transport) dispatch(f frame, via *conn) {
 			if dst.gen != gen || !dst.up || dst.unplugged {
 				return // we crashed or went dark since receiving the request
 			}
-			resp.Payload = r
-			t.answer(resp, via)
+			t.answer(frame{Kind: frameResponse, ID: id, From: to, To: from, Payload: r}, via)
 		})
 	case frameResponse, frameReap:
 		pc, ok := dst.pending[f.ID]
@@ -649,13 +675,14 @@ func (t *Transport) dispatch(f frame, via *conn) {
 		if pc.timed {
 			pc.deadline.Stop()
 		}
+		cb := t.release(pc)
 		if f.Kind == frameReap {
 			t.Dropped++
-			pc.cb(nil, transport.ErrTimeout)
+			cb(nil, transport.ErrTimeout)
 			return
 		}
 		t.Delivered++
-		pc.cb(f.Payload, nil)
+		cb(f.Payload, nil)
 	}
 }
 

@@ -10,12 +10,37 @@ import (
 )
 
 // netPending is one outstanding Call. A timed call's deadline lives inside
-// it, so a Call allocates one object whether or not it has a timeout.
+// it, and entries are reused (Transport.freeCalls), so a warm Call allocates
+// none whether or not it has a timeout.
 type netPending struct {
 	cb       func(resp any, err error)
 	id       uint64
 	timed    bool
 	deadline timer // in the heap while timed and outstanding
+}
+
+// acquire returns a pending entry for call id, reusing a released one when
+// there is one. Loop-only.
+func (t *Transport) acquire(id uint64, cb func(resp any, err error)) *netPending {
+	var pc *netPending
+	if n := len(t.freeCalls); n > 0 {
+		pc, t.freeCalls = t.freeCalls[n-1], t.freeCalls[:n-1]
+	} else {
+		pc = &netPending{deadline: timer{index: -1}}
+		pc.deadline.call = pc
+	}
+	pc.cb, pc.id, pc.timed = cb, id, false
+	return pc
+}
+
+// release puts an entry that has left its node's pending map, and whose
+// deadline is out of the heap, back for reuse, and returns its callback.
+// Loop-only.
+func (t *Transport) release(pc *netPending) func(resp any, err error) {
+	cb := pc.cb
+	pc.cb = nil
+	t.freeCalls = append(t.freeCalls, pc)
+	return cb
 }
 
 // Node is one endpoint hosted on a Transport. All methods are loop-only
@@ -83,10 +108,9 @@ func (nd *Node) Call(to transport.NodeID, req any, timeout sim.Time, cb func(res
 	}
 	nd.tr.nextCall++
 	id := nd.tr.nextCall
-	pc := &netPending{cb: cb, id: id}
+	pc := nd.tr.acquire(id, cb)
 	if timeout > 0 {
 		pc.timed = true
-		pc.deadline.call = pc
 		nd.arm(&pc.deadline, timeout)
 	}
 	nd.pending[id] = pc
@@ -102,10 +126,10 @@ func (nd *Node) failPending(id uint64) {
 		return
 	}
 	delete(nd.pending, id)
-	gen := nd.gen
+	gen, cb := nd.gen, nd.tr.release(pc)
 	nd.tr.post(func() {
 		if nd.up && nd.gen == gen {
-			pc.cb(nil, transport.ErrTimeout)
+			cb(nil, transport.ErrTimeout)
 		}
 	})
 }
@@ -200,7 +224,7 @@ func (tm *timer) fire() {
 	}
 	if p, ok := nd.pending[pc.id]; ok && p == pc {
 		delete(nd.pending, pc.id)
-		pc.cb(nil, transport.ErrTimeout)
+		nd.tr.release(pc)(nil, transport.ErrTimeout)
 	}
 }
 

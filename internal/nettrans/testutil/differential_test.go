@@ -141,7 +141,7 @@ func issue(cl *fsclient.Client, op scriptOp, done func(string)) {
 				done(fail(err))
 				return
 			}
-			done(fmt.Sprintf("name=%q dir=%v size=%d blocks=%d", info.Name, info.Dir, info.Size, len(info.Blocks)))
+			done(fmt.Sprintf("path=%q name=%q dir=%v size=%d blocks=%d", info.Path, info.Name, info.Dir, info.Size, len(info.Blocks)))
 		})
 	case mams.OpList:
 		cl.List(op.path, func(infos []namespace.Info, err error) {
@@ -265,7 +265,15 @@ func TestPlanesAgree(t *testing.T) {
 		t.Skip("boots a wire-plane cluster")
 	}
 	defer transporttest.LeakCheck(t)()
-	script := genScript(24, 240)
+	// Stat replies carry no path and the client restores it from the
+	// request: the script ends on stats of the root and of a nested file,
+	// whose answers are also checked against the paths asked for.
+	script := append(genScript(24, 240),
+		scriptOp{kind: mams.OpMkdir, path: "/agree"},
+		scriptOp{kind: mams.OpMkdir, path: "/agree/d"},
+		scriptOp{kind: mams.OpCreate, path: "/agree/d/f", size: 1},
+		scriptOp{kind: mams.OpStat, path: "/"},
+		scriptOp{kind: mams.OpStat, path: "/agree/d/f"})
 	kinds := map[mams.OpKind]int{}
 	for _, op := range script {
 		kinds[op.kind]++
@@ -286,6 +294,14 @@ func TestPlanesAgree(t *testing.T) {
 	}
 	if oks < len(script)/3 || errs < len(script)/10 {
 		t.Errorf("script exercises little: %d ok, %d refused, kinds %v", oks, errs, kinds)
+	}
+	for i, want := range []string{
+		`path="/" name="" dir=true size=0 blocks=0`,
+		`path="/agree/d/f" name="f" dir=false size=1 blocks=1`,
+	} {
+		if got := wireOut[len(script)-2+i]; got != want {
+			t.Errorf("wire: %v answered %s, want %s", script[len(script)-2+i], got, want)
+		}
 	}
 	if len(simFiles) == 0 || strings.Join(simFiles, "\n") != strings.Join(wireFiles, "\n") {
 		t.Errorf("final listings differ (or are empty):\n  sim:  %v\n  wire: %v", simFiles, wireFiles)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mams/internal/mams"
 	"mams/internal/sim"
 	"mams/internal/transport"
 )
@@ -184,4 +185,65 @@ func TestStopAfterDeadlineInsideCallback(t *testing.T) {
 			t.Error("stopped timer fired")
 		}
 	})
+}
+
+// holder passes every request's reply to the test, which sends it later on
+// the holder's loop.
+type holder struct{ replies chan func() }
+
+func (holder) HandleMessage(transport.NodeID, any) {}
+func (h holder) HandleRequest(_ transport.NodeID, req any, reply func(any)) {
+	h.replies <- func() { reply(req) }
+}
+
+// TestLateResponseAfterEntryReuse: call A times out, call B reuses A's
+// pending entry, and then A's response arrives, ahead of B's on the same
+// connection. A's callback runs once, with ErrTimeout; B's runs once, with
+// B's response.
+func TestLateResponseAfterEntryReuse(t *testing.T) {
+	book := NewAddrBook()
+	boot := func(id transport.NodeID, h transport.Handler) (*Transport, transport.Node) {
+		tr, err := New(Config{Addr: "127.0.0.1:0", Book: book})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tr.Close)
+		book.Set(id, tr.Addr())
+		return tr, tr.Listen(id, h)
+	}
+	h := holder{replies: make(chan func(), 2)}
+	a, caller := boot("caller", nil)
+	b, _ := boot("held", h)
+
+	var gotA, gotB []any
+	call := func(reqID uint64, timeout sim.Time, got *[]any) (pc *netPending) {
+		a.Do(func() {
+			caller.Call("held", mams.ClientOp{ReqID: reqID}, timeout, func(resp any, err error) {
+				if err != nil {
+					*got = append(*got, err)
+					return
+				}
+				*got = append(*got, resp)
+			})
+			pc = caller.(*Node).pending[a.nextCall]
+		})
+		return pc
+	}
+	entryA := call(1, 20*sim.Millisecond, &gotA)
+	replyA := <-h.replies
+	waitFor(t, a, func() bool { return len(gotA) > 0 })
+	entryB := call(2, 5*sim.Second, &gotB)
+	if entryB != entryA {
+		t.Fatal("call B did not reuse timed-out call A's pending entry")
+	}
+	replyB := <-h.replies
+	b.Do(replyA)
+	b.Do(replyB)
+	waitFor(t, a, func() bool { return len(gotB) > 0 })
+	if len(gotA) != 1 || gotA[0] != transport.ErrTimeout {
+		t.Errorf("call A's callback got %v, want one ErrTimeout", gotA)
+	}
+	if len(gotB) != 1 || gotB[0] != (mams.ClientOp{ReqID: 2}) {
+		t.Errorf("call B's callback got %v, want one echo of request 2", gotB)
+	}
 }
