@@ -147,6 +147,9 @@ func cmdReplay(args []string) {
 			fatal(err)
 		}
 		a.Schedule = s
+		if err := a.Validate(); err != nil {
+			fatal(err)
+		}
 	}
 	r := check.Replay(a)
 	report(r)

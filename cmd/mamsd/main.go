@@ -69,7 +69,8 @@ type nodeConfig struct {
 	Rejoin bool `json:"rejoin"`
 
 	// CoordHeartbeatMS / CoordSessionTimeoutMS override the paper's 2 s /
-	// 5 s failure-detector settings (milliseconds; 0 = default).
+	// 5 s failure-detector settings (milliseconds; 0 = default; negative is
+	// an error). The heartbeat must be shorter than the time-out.
 	CoordHeartbeatMS      int64 `json:"coord_heartbeat_ms"`
 	CoordSessionTimeoutMS int64 `json:"coord_session_timeout_ms"`
 
@@ -168,11 +169,23 @@ func mdsConfig(cfg nodeConfig) (mc mams.Config, err error) {
 		return mc, fmt.Errorf("mds %q is not in any group", cfg.MDS)
 	}
 	layout := mams.NewLayout(nodeIDs(cfg.CoordEnsemble), groups)
+	switch {
+	case cfg.CoordHeartbeatMS < 0:
+		return mc, fmt.Errorf("coord_heartbeat_ms is %d, want > 0 (or 0 for the default)", cfg.CoordHeartbeatMS)
+	case cfg.CoordSessionTimeoutMS < 0:
+		return mc, fmt.Errorf("coord_session_timeout_ms is %d, want > 0 (or 0 for the default)", cfg.CoordSessionTimeoutMS)
+	}
 	if cfg.CoordHeartbeatMS > 0 {
 		layout.CoordHeartbeat = sim.Time(cfg.CoordHeartbeatMS) * sim.Millisecond
 	}
 	if cfg.CoordSessionTimeoutMS > 0 {
 		layout.CoordSessionTimeout = sim.Time(cfg.CoordSessionTimeoutMS) * sim.Millisecond
+	}
+	// Coord expires a session once it has been silent for longer than the
+	// time-out, so a heartbeat that is not shorter expires between pings.
+	if layout.CoordHeartbeat >= layout.CoordSessionTimeout {
+		return mc, fmt.Errorf("coord_heartbeat_ms (%v) must be shorter than coord_session_timeout_ms (%v)",
+			layout.CoordHeartbeat, layout.CoordSessionTimeout)
 	}
 	return mams.Config{ID: id, Junior: cfg.Rejoin, Layout: layout}, nil
 }

@@ -13,7 +13,9 @@ import (
 // TestMDSConfig: the three processes of one deployment, each reading its own
 // JSON config, derive the same layout (the real-hardware defaults with the
 // configured failure detector); rejoin boots a junior; an mds named in no
-// group is an error; so is an unknown or misspelt config key.
+// group is an error; so is an unknown or misspelt config key, a negative
+// failure-detector timing, and a heartbeat no shorter than the session
+// time-out (the session would expire between its own pings).
 func TestMDSConfig(t *testing.T) {
 	raw := func(i int, extra string) string {
 		return fmt.Sprintf(`{
@@ -70,5 +72,15 @@ func TestMDSConfig(t *testing.T) {
 	if _, err := parseConfig([]byte(raw(0, `, "coord_session_timout_ms": 300`))); err == nil ||
 		!strings.Contains(err.Error(), "coord_session_timout_ms") {
 		t.Fatalf("misspelt key: err %v", err)
+	}
+	for _, tc := range []struct{ extra, key string }{
+		{`, "coord_heartbeat_ms": -1`, "coord_heartbeat_ms"},
+		{`, "coord_session_timeout_ms": -300`, "coord_session_timeout_ms"},
+		{`, "coord_heartbeat_ms": 1200`, "coord_heartbeat_ms"},
+		{`, "coord_heartbeat_ms": 6000, "coord_session_timeout_ms": 0`, "coord_heartbeat_ms"},
+	} {
+		if _, err := mdsConfig(parse(0, tc.extra)); err == nil || !strings.Contains(err.Error(), tc.key) {
+			t.Fatalf("config%s: err %v, want one naming %s", tc.extra, err, tc.key)
+		}
 	}
 }

@@ -106,7 +106,7 @@ func main() {
 		}
 		fmt.Printf("t=%v: unplugging the active's network cable\n", faultAt)
 		if a := mc.ActiveOf(0); a != nil {
-			a.Node().Unplug()
+			env.Net.Node(a.Node().ID()).Unplug()
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown fault %q\n", *fault)

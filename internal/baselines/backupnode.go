@@ -48,8 +48,8 @@ type bnPong struct{}
 // BackupNode is one member of the primary/backup pair.
 type BackupNode struct {
 	nsCore
-	peer simnet.NodeID
-	dns  []simnet.NodeID
+	peer transport.NodeID
+	dns  []transport.NodeID
 
 	disk      transport.Lane
 	misses    int
@@ -60,8 +60,8 @@ type BackupNode struct {
 
 // NewBackupNode registers one pair member. Exactly one should start as
 // primary.
-func NewBackupNode(net *simnet.Network, id, peer simnet.NodeID, primary bool,
-	dns []simnet.NodeID, tr *trace.Log) *BackupNode {
+func NewBackupNode(net *simnet.Network, id, peer transport.NodeID, primary bool,
+	dns []transport.NodeID, tr *trace.Log) *BackupNode {
 	b := &BackupNode{peer: peer, dns: dns}
 	r := roleStandby
 	if primary {
@@ -159,8 +159,8 @@ func (b *BackupNode) finishTakeover() {
 	b.armBatch()
 }
 
-// HandleMessage implements simnet.Handler.
-func (b *BackupNode) HandleMessage(from simnet.NodeID, msg any) {
+// HandleMessage implements transport.Handler.
+func (b *BackupNode) HandleMessage(from transport.NodeID, msg any) {
 	// Best-effort replay; gaps are silently ignored (the design's
 	// documented weakness). Block reports are not tracked here: the backup
 	// must re-collect them on takeover.
@@ -169,8 +169,8 @@ func (b *BackupNode) HandleMessage(from simnet.NodeID, msg any) {
 	}
 }
 
-// HandleRequest implements simnet.RequestHandler.
-func (b *BackupNode) HandleRequest(from simnet.NodeID, req any, reply func(any)) {
+// HandleRequest implements transport.RequestHandler.
+func (b *BackupNode) HandleRequest(from transport.NodeID, req any, reply func(any)) {
 	if _, ok := req.(bnPing); ok {
 		reply(bnPong{})
 		return

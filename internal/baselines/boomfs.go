@@ -6,6 +6,7 @@ import (
 	"mams/internal/sim"
 	"mams/internal/simnet"
 	"mams/internal/trace"
+	"mams/internal/transport"
 )
 
 // Boom-FS's calibration: the metadata state machine replicated over a
@@ -39,7 +40,7 @@ type boomPong struct {
 // best guess of the leader, which a follower pings and redirects clients to.
 type BoomFS struct {
 	nsCore
-	peers    []simnet.NodeID
+	peers    []transport.NodeID
 	rank     int // position in peers (takeover stagger)
 	replica  *paxos.Replica
 	misses   int
@@ -48,7 +49,7 @@ type BoomFS struct {
 
 // NewBoomFS registers one replica; peers lists every replica including id.
 // The first peer bootstraps leadership.
-func NewBoomFS(net *simnet.Network, id simnet.NodeID, peers []simnet.NodeID, tr *trace.Log) *BoomFS {
+func NewBoomFS(net *simnet.Network, id transport.NodeID, peers []transport.NodeID, tr *trace.Log) *BoomFS {
 	b := &BoomFS{peers: peers}
 	for i, p := range peers {
 		if p == id {
@@ -61,8 +62,8 @@ func NewBoomFS(net *simnet.Network, id simnet.NodeID, peers []simnet.NodeID, tr 
 	for i, p := range peers {
 		strPeers[i] = string(p)
 	}
-	transport := func(to string, m paxos.Msg) { b.node.Send(simnet.NodeID(to), m) }
-	b.replica = paxos.New(paxos.Config{Self: string(id), Peers: strPeers}, transport, b.onPaxosApply)
+	send := func(to string, m paxos.Msg) { b.node.Send(transport.NodeID(to), m) }
+	b.replica = paxos.New(paxos.Config{Self: string(id), Peers: strPeers}, send, b.onPaxosApply)
 	return b
 }
 
@@ -264,15 +265,15 @@ func (b *BoomFS) onPaxosApply(slot uint64, v any) {
 	}
 }
 
-// HandleMessage implements simnet.Handler.
-func (b *BoomFS) HandleMessage(from simnet.NodeID, msg any) {
+// HandleMessage implements transport.Handler.
+func (b *BoomFS) HandleMessage(from transport.NodeID, msg any) {
 	if m, ok := msg.(paxos.Msg); ok {
 		b.replica.Deliver(string(from), m)
 	}
 }
 
-// HandleRequest implements simnet.RequestHandler.
-func (b *BoomFS) HandleRequest(from simnet.NodeID, req any, reply func(any)) {
+// HandleRequest implements transport.RequestHandler.
+func (b *BoomFS) HandleRequest(from transport.NodeID, req any, reply func(any)) {
 	if _, ok := req.(boomPing); ok {
 		// A leader-elect mid-repair also claims leadership so contenders
 		// stand down while the centralized repair runs.

@@ -40,7 +40,7 @@ type nsCore struct {
 	params  mams.Params
 	tr      *trace.Log
 	role    role
-	leader  simnet.NodeID // redirect hint for clients of a non-active server
+	leader  transport.NodeID // redirect hint for clients of a non-active server
 	tree    *namespace.Tree
 	builder *journal.Builder
 	log     *journal.Log
@@ -58,7 +58,7 @@ type nsCore struct {
 
 // register builds the core for server h, which embeds it, and adds h to the
 // network under id. Every design runs the MAMS servers' calibration.
-func (c *nsCore) register(net *simnet.Network, id simnet.NodeID, h simnet.Handler,
+func (c *nsCore) register(net *simnet.Network, id transport.NodeID, h transport.Handler,
 	tr *trace.Log, r role) {
 	c.node = net.AddNode(id, h)
 	c.params = mams.DefaultParams()
@@ -100,14 +100,14 @@ func (c *nsCore) Crash() {
 	c.role = roleDead
 }
 
-// HandleMessage implements simnet.Handler; designs that exchange one-way
+// HandleMessage implements transport.Handler; designs that exchange one-way
 // messages override it.
-func (c *nsCore) HandleMessage(from simnet.NodeID, msg any) {}
+func (c *nsCore) HandleMessage(from transport.NodeID, msg any) {}
 
-// HandleRequest implements simnet.RequestHandler: the client protocol.
+// HandleRequest implements transport.RequestHandler: the client protocol.
 // Designs with requests of their own answer those first and pass the rest
 // here.
-func (c *nsCore) HandleRequest(from simnet.NodeID, req any, reply func(any)) {
+func (c *nsCore) HandleRequest(from transport.NodeID, req any, reply func(any)) {
 	switch m := req.(type) {
 	case mams.ClientOp:
 		if c.role != roleActive {

@@ -20,7 +20,7 @@ type HDFS struct {
 }
 
 // NewHDFS registers the NameNode on the network.
-func NewHDFS(net *simnet.Network, id simnet.NodeID) *HDFS {
+func NewHDFS(net *simnet.Network, id transport.NodeID) *HDFS {
 	h := &HDFS{}
 	h.register(net, id, h, nil, roleActive)
 	return h

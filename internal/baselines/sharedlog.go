@@ -110,7 +110,7 @@ type EditStore struct {
 }
 
 // NewEditStore registers a store whose disk takes writeCost per batch.
-func NewEditStore(net *simnet.Network, id simnet.NodeID, writeCost sim.Time) *EditStore {
+func NewEditStore(net *simnet.Network, id transport.NodeID, writeCost sim.Time) *EditStore {
 	e := &EditStore{cost: writeCost, batches: map[uint64]journal.Batch{}}
 	e.node = net.AddNode(id, e)
 	return e
@@ -119,12 +119,12 @@ func NewEditStore(net *simnet.Network, id simnet.NodeID, writeCost sim.Time) *Ed
 // Node exposes the store process.
 func (e *EditStore) Node() *simnet.Node { return e.node }
 
-// HandleMessage implements simnet.Handler.
-func (e *EditStore) HandleMessage(from simnet.NodeID, msg any) {}
+// HandleMessage implements transport.Handler.
+func (e *EditStore) HandleMessage(from transport.NodeID, msg any) {}
 
-// HandleRequest implements simnet.RequestHandler. A read returns the
+// HandleRequest implements transport.RequestHandler. A read returns the
 // contiguous run of batches from FromSN.
-func (e *EditStore) HandleRequest(from simnet.NodeID, req any, reply func(any)) {
+func (e *EditStore) HandleRequest(from transport.NodeID, req any, reply func(any)) {
 	switch m := req.(type) {
 	case storeAppend:
 		e.node.After(e.disk.Add(e.node.Now(), e.cost), "store-append", func() {
@@ -155,15 +155,15 @@ type SharedLogNode struct {
 	nsCore
 	design   Design
 	params   SharedLogParams
-	stores   []simnet.NodeID
+	stores   []transport.NodeID
 	coordCli *coord.Client
 	tailing  bool
 }
 
 // NewSharedLogNode registers one server of the pair. Exactly one starts
 // active.
-func NewSharedLogNode(net *simnet.Network, id simnet.NodeID, design Design, stores []simnet.NodeID,
-	active bool, coordServers []simnet.NodeID, params SharedLogParams, tr *trace.Log) *SharedLogNode {
+func NewSharedLogNode(net *simnet.Network, id transport.NodeID, design Design, stores []transport.NodeID,
+	active bool, coordServers []transport.NodeID, params SharedLogParams, tr *trace.Log) *SharedLogNode {
 	n := &SharedLogNode{design: design, params: params, stores: stores}
 	r := roleStandby
 	if active {
@@ -305,7 +305,7 @@ func (n *SharedLogNode) takeover() {
 	})
 }
 
-// HandleMessage implements simnet.Handler.
-func (n *SharedLogNode) HandleMessage(from simnet.NodeID, msg any) {
+// HandleMessage implements transport.Handler.
+func (n *SharedLogNode) HandleMessage(from transport.NodeID, msg any) {
 	n.coordCli.MaybeHandle(from, msg)
 }

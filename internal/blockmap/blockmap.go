@@ -16,11 +16,12 @@ import (
 
 	"mams/internal/sim"
 	"mams/internal/simnet"
+	"mams/internal/transport"
 )
 
 // IncrementalReport tells metadata servers about newly stored blocks.
 type IncrementalReport struct {
-	From   simnet.NodeID
+	From   transport.NodeID
 	Blocks []uint64
 }
 
@@ -30,7 +31,7 @@ type FullReportRequest struct{}
 
 // FullReport is the response to FullReportRequest.
 type FullReport struct {
-	From simnet.NodeID
+	From transport.NodeID
 	// Blocks are the real block ids held.
 	Blocks []uint64
 	// VirtualBlocks counts additional modeled blocks not materialized in
@@ -55,14 +56,14 @@ const (
 // report requests with a size-proportional delay.
 type DataServer struct {
 	node    *simnet.Node
-	targets []simnet.NodeID
+	targets []transport.NodeID
 	blocks  map[uint64]bool
 	pending []uint64 // blocks not yet incrementally reported
 	virtual int64
 }
 
 // NewDataServer registers a data server on the network.
-func NewDataServer(net *simnet.Network, id simnet.NodeID, targets []simnet.NodeID) *DataServer {
+func NewDataServer(net *simnet.Network, id transport.NodeID, targets []transport.NodeID) *DataServer {
 	ds := &DataServer{targets: targets, blocks: map[uint64]bool{}}
 	ds.node = net.AddNode(id, ds)
 	return ds
@@ -100,8 +101,8 @@ func (ds *DataServer) flushIncremental() {
 	}
 }
 
-// HandleMessage implements simnet.Handler.
-func (ds *DataServer) HandleMessage(from simnet.NodeID, msg any) {
+// HandleMessage implements transport.Handler.
+func (ds *DataServer) HandleMessage(from transport.NodeID, msg any) {
 	switch m := msg.(type) {
 	case StoreBlocks:
 		for _, b := range m.Blocks {
@@ -113,8 +114,8 @@ func (ds *DataServer) HandleMessage(from simnet.NodeID, msg any) {
 	}
 }
 
-// HandleRequest implements simnet.RequestHandler: full report scans.
-func (ds *DataServer) HandleRequest(from simnet.NodeID, req any, reply func(any)) {
+// HandleRequest implements transport.RequestHandler: full report scans.
+func (ds *DataServer) HandleRequest(from transport.NodeID, req any, reply func(any)) {
 	switch req.(type) {
 	case FullReportRequest:
 		cost := reportOverhead + sim.Time(ds.BlockCount())*perBlockScan
@@ -141,7 +142,7 @@ type StoreBlocks struct {
 // Manager is the per-MDS view of block locations, fed by incremental and
 // full reports.
 type Manager struct {
-	locations map[uint64][]simnet.NodeID
+	locations map[uint64][]transport.NodeID
 	// virtualReported counts blocks acknowledged via full-report
 	// VirtualBlocks fields.
 	virtualReported int64
@@ -150,7 +151,7 @@ type Manager struct {
 
 // NewManager returns an empty location map.
 func NewManager() *Manager {
-	return &Manager{locations: map[uint64][]simnet.NodeID{}}
+	return &Manager{locations: map[uint64][]transport.NodeID{}}
 }
 
 // ApplyIncremental merges an incremental report.
@@ -169,7 +170,7 @@ func (m *Manager) ApplyFull(rep FullReport) {
 	m.fullReports++
 }
 
-func (m *Manager) add(b uint64, from simnet.NodeID) {
+func (m *Manager) add(b uint64, from transport.NodeID) {
 	for _, n := range m.locations[b] {
 		if n == from {
 			return
@@ -179,7 +180,7 @@ func (m *Manager) add(b uint64, from simnet.NodeID) {
 }
 
 // Locations returns the data servers known to hold block b.
-func (m *Manager) Locations(b uint64) []simnet.NodeID { return m.locations[b] }
+func (m *Manager) Locations(b uint64) []transport.NodeID { return m.locations[b] }
 
 // Known returns the number of distinct real blocks with locations.
 func (m *Manager) Known() int { return len(m.locations) }
@@ -189,7 +190,7 @@ func (m *Manager) FullReports() int { return m.fullReports }
 
 // Reset drops all location state (a cold restart).
 func (m *Manager) Reset() {
-	m.locations = map[uint64][]simnet.NodeID{}
+	m.locations = map[uint64][]transport.NodeID{}
 	m.virtualReported = 0
 	m.fullReports = 0
 }

@@ -6,6 +6,7 @@ import (
 	"mams/internal/rng"
 	"mams/internal/sim"
 	"mams/internal/simnet"
+	"mams/internal/transport"
 )
 
 // mdsStub collects reports like a metadata server would.
@@ -13,7 +14,7 @@ type mdsStub struct {
 	mgr *Manager
 }
 
-func (s *mdsStub) HandleMessage(from simnet.NodeID, msg any) {
+func (s *mdsStub) HandleMessage(from transport.NodeID, msg any) {
 	if rep, ok := msg.(IncrementalReport); ok {
 		s.mgr.ApplyIncremental(rep)
 	}
@@ -31,7 +32,7 @@ func TestIncrementalReportsReachActiveAndStandby(t *testing.T) {
 	standby := &mdsStub{mgr: NewManager()}
 	net.AddNode("active", active)
 	net.AddNode("standby", standby)
-	ds := NewDataServer(net, "dn1", []simnet.NodeID{"active", "standby"})
+	ds := NewDataServer(net, "dn1", []transport.NodeID{"active", "standby"})
 	ds.Start()
 
 	net.AddNode("driver", nil)
@@ -50,7 +51,7 @@ func TestIncrementalReportsAreBatchedNotImmediate(t *testing.T) {
 	w, net := newWorld()
 	active := &mdsStub{mgr: NewManager()}
 	net.AddNode("active", active)
-	ds := NewDataServer(net, "dn1", []simnet.NodeID{"active"})
+	ds := NewDataServer(net, "dn1", []transport.NodeID{"active"})
 	ds.Start()
 	net.AddNode("driver", nil)
 	net.Node("driver").Send("dn1", StoreBlocks{Blocks: []uint64{7}})
@@ -72,7 +73,7 @@ func TestFullReportCostScalesWithBlocks(t *testing.T) {
 	small.SetVirtualBlocks(1_000)
 	big.SetVirtualBlocks(3_000_000)
 
-	timeFor := func(target simnet.NodeID) sim.Time {
+	timeFor := func(target transport.NodeID) sim.Time {
 		start := w.Now()
 		var took sim.Time
 		requester.Call(target, FullReportRequest{}, 600*sim.Second, func(resp any, err error) {
@@ -146,7 +147,7 @@ func TestDataServerDedupsStoredBlocks(t *testing.T) {
 	w, net := newWorld()
 	active := &mdsStub{mgr: NewManager()}
 	net.AddNode("active", active)
-	ds := NewDataServer(net, "dn1", []simnet.NodeID{"active"})
+	ds := NewDataServer(net, "dn1", []transport.NodeID{"active"})
 	ds.Start()
 	net.AddNode("driver", nil)
 	net.Node("driver").Send("dn1", StoreBlocks{Blocks: []uint64{5}})

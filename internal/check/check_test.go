@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mams/internal/sim"
@@ -88,6 +89,14 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadArtifact(bytes.NewBufferString("not an artifact\n")); err == nil {
 		t.Fatal("bad header accepted")
+	}
+	// A fault aimed at a member the group does not have fails to load,
+	// instead of being skipped at injection time; a drop has no target.
+	for schedule, ok := range map[string]bool{"c3@1": false, "c1@1,d@2": true} {
+		_, err := ReadArtifact(strings.NewReader(artifactHeader + "\nbackups=1\nschedule=" + schedule + "\n"))
+		if (err == nil) != ok {
+			t.Fatalf("schedule %s on a 2-member group: err %v", schedule, err)
+		}
 	}
 }
 

@@ -130,7 +130,7 @@ func (m *Monitor) Sample() {
 		actives := 0
 		names := ""
 		for _, s := range members {
-			if s.Node().Up() && !s.Node().Unplugged() && s.Role() == mams.RoleActive {
+			if s.Node().Up() && !m.env.Net.Node(s.Node().ID()).Unplugged() && s.Role() == mams.RoleActive {
 				actives++
 				if names != "" {
 					names += "+"
@@ -152,7 +152,7 @@ func (m *Monitor) HealedNow() bool {
 		actives, standbys := 0, 0
 		var activeSN uint64
 		for _, s := range members {
-			if !s.Node().Up() || s.Node().Unplugged() {
+			if !s.Node().Up() || m.env.Net.Node(s.Node().ID()).Unplugged() {
 				return false
 			}
 			switch s.Role() {

@@ -7,7 +7,6 @@ import (
 	"mams/internal/fsclient"
 	"mams/internal/mams"
 	"mams/internal/sim"
-	"mams/internal/ssp"
 	"mams/internal/trace"
 	"mams/internal/workload"
 )
@@ -210,8 +209,7 @@ func RunSchedule(cfg Config, sched Schedule) Result {
 	// Heal everything and give the protocol HealBudget to converge back to
 	// one active plus all-hot standbys.
 	env.World.Defer("check-heal", func() {
-		injector.clearDrop()
-		injector.clearGray()
+		injector.heal()
 		c.HealAll()
 	})
 	healPoll := 500 * sim.Millisecond
@@ -266,8 +264,7 @@ type injector struct {
 	pending Schedule
 	step    int
 	dropN   int      // nesting count of active drop bursts
-	flaps   []func() // stop functions for in-flight flap cycles
-	grayed  bool     // any persistent gray fault applied (cleared at heal)
+	heals   []func() // one per gray fault applied, run at heal time
 }
 
 func (in *injector) advance() {
@@ -283,23 +280,19 @@ func (in *injector) advance() {
 }
 
 func (in *injector) apply(a Action) {
-	members := in.c.Groups[0]
+	group := in.c.GroupIDs[0]
+	node, args := "", []string{"step", fmt.Sprint(a.Step)}
+	if a.Kind != Drop {
+		node = string(group[a.Target])
+	}
+	if a.Kind.takesMag() {
+		args = append(args, "mag", fmt.Sprint(a.Mag))
+	}
+	in.env.Trace.Emit(trace.KindCheck, node, "inject-"+a.Kind.String(), args...)
 	switch a.Kind {
 	case Crash:
-		if a.Target < len(members) {
-			in.env.Trace.Emit(trace.KindCheck, string(members[a.Target].Node().ID()),
-				"inject-crash", "step", fmt.Sprint(a.Step))
-			members[a.Target].Shutdown()
-		}
-	case Unplug:
-		if a.Target < len(members) {
-			nd := members[a.Target].Node()
-			in.env.Trace.Emit(trace.KindCheck, string(nd.ID()),
-				"inject-unplug", "step", fmt.Sprint(a.Step))
-			nd.Unplug()
-		}
+		in.c.Groups[0][a.Target].Shutdown()
 	case Drop:
-		in.env.Trace.Emit(trace.KindCheck, "", "inject-drop", "step", fmt.Sprint(a.Step))
 		in.dropN++
 		in.env.Net.SetLoss(1.0)
 		in.env.World.After(2*sim.Second, "check-drop-end", func() {
@@ -308,68 +301,22 @@ func (in *injector) apply(a Action) {
 				in.env.Net.SetLoss(0)
 			}
 		})
-	case Slow:
-		if a.Target < len(members) {
-			nd := members[a.Target].Node()
-			in.env.Trace.Emit(trace.KindCheck, string(nd.ID()),
-				"inject-slow", "step", fmt.Sprint(a.Step), "mag", fmt.Sprint(a.Mag))
-			nd.SetSlowdown(float64(a.Mag))
-			in.grayed = true
-		}
-	case Skew:
-		if a.Target < len(members) {
-			nd := members[a.Target].Node()
-			in.env.Trace.Emit(trace.KindCheck, string(nd.ID()),
-				"inject-skew", "step", fmt.Sprint(a.Step), "mag", fmt.Sprint(a.Mag))
-			nd.SetClockSkew(float64(a.Mag) / 1000)
-			in.grayed = true
-		}
-	case Flap:
-		if a.Target < len(members) {
-			src := members[a.Target].Node().ID()
-			in.env.Trace.Emit(trace.KindCheck, string(src),
-				"inject-flap", "step", fmt.Sprint(a.Step), "mag", fmt.Sprint(a.Mag))
-			down := sim.Time(a.Mag) * 100 * sim.Millisecond
-			for i, m := range members {
-				if i == a.Target {
-					continue
-				}
-				in.flaps = append(in.flaps, in.env.Net.Flap(src, m.Node().ID(), sim.Second, down))
-			}
-		}
-	case Brownout:
-		if a.Target < len(members) {
-			srv := members[a.Target]
-			in.env.Trace.Emit(trace.KindCheck, string(srv.Node().ID()),
-				"inject-brownout", "step", fmt.Sprint(a.Step), "mag", fmt.Sprint(a.Mag))
-			srv.Pool().SetBrownout(ssp.Brownout{SlowFactor: float64(a.Mag), FailEvery: 3})
-			in.grayed = true
-		}
+	case Unplug:
+		// HealAll replugs it, in member order with the restarts.
+		Inject(in.env, group, in.c.Pool, a)
+	default:
+		in.heals = append(in.heals, Inject(in.env, group, in.c.Pool, a))
 	}
 }
 
-// clearDrop force-ends any in-flight drop burst at heal time.
-func (in *injector) clearDrop() {
+// heal force-ends any drop burst and undoes every gray fault, so recovery
+// is judged on clean hardware, as HealAll's restarts judge it on whole
+// processes.
+func (in *injector) heal() {
 	in.dropN = 0
 	in.env.Net.SetLoss(0)
-}
-
-// clearGray lifts every persistent gray fault at heal time: flap cycles
-// stop (healing their links), slowdown/skew/brownout reset to healthy.
-// Recovery is then judged on clean hardware, same as HealAll restarting
-// crashed processes.
-func (in *injector) clearGray() {
-	for _, stop := range in.flaps {
-		stop()
+	for _, h := range in.heals {
+		h()
 	}
-	in.flaps = nil
-	if !in.grayed {
-		return
-	}
-	in.grayed = false
-	for _, srv := range in.c.Groups[0] {
-		srv.Node().SetSlowdown(1)
-		srv.Node().SetClockSkew(0)
-		srv.Pool().SetBrownout(ssp.Brownout{})
-	}
+	in.heals = nil
 }

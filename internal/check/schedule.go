@@ -346,7 +346,19 @@ func ReadArtifact(r io.Reader) (Artifact, error) {
 			return a, fmt.Errorf("check: bad artifact value for %s: %v", key, err)
 		}
 	}
-	return a, nil
+	return a, a.Validate()
+}
+
+// Validate rejects a schedule that aims a fault at a member the artifact's
+// group does not have (group size = Backups+1, after defaults).
+func (a Artifact) Validate() error {
+	members := a.Config().withDefaults().Backups + 1
+	for _, act := range a.Schedule {
+		if act.Kind != Drop && act.Target >= members {
+			return fmt.Errorf("check: %s targets member %d, but the group has %d members", act, act.Target, members)
+		}
+	}
+	return nil
 }
 
 // Config returns the runner configuration the artifact pins down.

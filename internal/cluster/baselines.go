@@ -10,6 +10,7 @@ import (
 	"mams/internal/partition"
 	"mams/internal/sim"
 	"mams/internal/simnet"
+	"mams/internal/transport"
 )
 
 // BaselineSpec sizes a baseline deployment.
@@ -31,7 +32,7 @@ func (s BaselineSpec) virtualBlocksPerDN() int64 {
 }
 
 // buildDataServers deploys the data servers, reporting blocks to targets.
-func buildDataServers(env *Env, name string, spec BaselineSpec, targets []simnet.NodeID) {
+func buildDataServers(env *Env, name string, spec BaselineSpec, targets []transport.NodeID) {
 	for d := 0; d < spec.DataServers; d++ {
 		ds := blockmap.NewDataServer(env.Net, NodeID("dn", name, d), targets)
 		ds.SetVirtualBlocks(spec.virtualBlocksPerDN())
@@ -61,7 +62,7 @@ type BaselineSystem struct {
 	env       *Env
 	name      string
 	part      *partition.Partitioner
-	ids       [][]simnet.NodeID
+	ids       [][]transport.NodeID
 	clientSeq int
 	// settle is how long AwaitReady runs a design that serves from boot
 	// (HDFS, BackupNode); the others poll for an active.
@@ -74,12 +75,12 @@ type BaselineSystem struct {
 // newBaselineSystem starts the servers, in order.
 func newBaselineSystem(env *Env, name string, servers ...BaselineServer) *BaselineSystem {
 	s := &BaselineSystem{Servers: servers, env: env, name: name, part: partition.New(1)}
-	ids := make([]simnet.NodeID, len(servers))
+	ids := make([]transport.NodeID, len(servers))
 	for i, v := range servers {
 		v.Start()
 		ids[i] = v.Node().ID()
 	}
-	s.ids = [][]simnet.NodeID{ids}
+	s.ids = [][]transport.NodeID{ids}
 	return s
 }
 
@@ -95,7 +96,7 @@ func BuildHDFS(env *Env, spec BaselineSpec) *BaselineSystem {
 // BuildBackupNode deploys the primary/backup pair plus data servers.
 func BuildBackupNode(env *Env, spec BaselineSpec) *BaselineSystem {
 	pID, bID := NodeID("bn", "primary"), NodeID("bn", "backup")
-	var dnIDs []simnet.NodeID
+	var dnIDs []transport.NodeID
 	for d := 0; d < spec.DataServers; d++ {
 		dnIDs = append(dnIDs, NodeID("dn", "bn", d))
 	}
@@ -105,7 +106,7 @@ func BuildBackupNode(env *Env, spec BaselineSpec) *BaselineSystem {
 	s.settle = 100 * sim.Millisecond
 	// Data servers report only to the primary: the backup must re-collect
 	// on takeover (the design's defining weakness).
-	buildDataServers(env, "bn", spec, []simnet.NodeID{pID})
+	buildDataServers(env, "bn", spec, []transport.NodeID{pID})
 	return s
 }
 
@@ -113,7 +114,7 @@ func BuildBackupNode(env *Env, spec BaselineSpec) *BaselineSystem {
 // one NFS filer.
 func BuildAvatar(env *Env, spec BaselineSpec) *BaselineSystem {
 	return buildSharedLog(env, spec, "Hadoop Avatar", baselines.AvatarNode,
-		baselines.DefaultAvatarParams(), []simnet.NodeID{NodeID("avatar", "filer")})
+		baselines.DefaultAvatarParams(), []transport.NodeID{NodeID("avatar", "filer")})
 }
 
 // journalNodes is Hadoop HA's journal-node count: "the number of
@@ -123,7 +124,7 @@ const journalNodes = 4
 // BuildHadoopHA deploys Hadoop HA: the shared-edit-log pair over the
 // journal nodes with ZKFC failover.
 func BuildHadoopHA(env *Env, spec BaselineSpec) *BaselineSystem {
-	var ids []simnet.NodeID
+	var ids []transport.NodeID
 	for i := 0; i < journalNodes; i++ {
 		ids = append(ids, NodeID("ha", "jn", i))
 	}
@@ -133,7 +134,7 @@ func BuildHadoopHA(env *Env, spec BaselineSpec) *BaselineSystem {
 // buildSharedLog deploys a coordination ensemble for failure detection,
 // the edit stores, and the two servers of the pair.
 func buildSharedLog(env *Env, spec BaselineSpec, name string, d baselines.Design,
-	params baselines.SharedLogParams, storeIDs []simnet.NodeID) *BaselineSystem {
+	params baselines.SharedLogParams, storeIDs []transport.NodeID) *BaselineSystem {
 	ensemble := coord.StartEnsemble(env.Net, coordServers, env.Trace)
 	var stores []*baselines.EditStore
 	for _, id := range storeIDs {
@@ -157,7 +158,7 @@ const boomReplicas = 3
 
 // BuildBoomFS deploys boomReplicas Paxos-replicated replicas.
 func BuildBoomFS(env *Env, spec BaselineSpec) *BaselineSystem {
-	var ids []simnet.NodeID
+	var ids []transport.NodeID
 	for i := 0; i < boomReplicas; i++ {
 		ids = append(ids, NodeID("boom", fmt.Sprint(i)))
 	}
@@ -171,7 +172,7 @@ func BuildBoomFS(env *Env, spec BaselineSpec) *BaselineSystem {
 }
 
 func (s *BaselineSystem) Name() string                        { return s.name }
-func (s *BaselineSystem) GroupIDs() [][]simnet.NodeID         { return s.ids }
+func (s *BaselineSystem) GroupIDs() [][]transport.NodeID      { return s.ids }
 func (s *BaselineSystem) Partitioner() *partition.Partitioner { return s.part }
 
 func (s *BaselineSystem) AwaitReady(d sim.Time) bool {
@@ -231,7 +232,7 @@ func (c *MAMSCluster) AsSystem() *MAMSSystem {
 }
 
 func (s *MAMSSystem) Name() string                        { return s.label }
-func (s *MAMSSystem) GroupIDs() [][]simnet.NodeID         { return s.MAMSCluster.GroupIDs }
+func (s *MAMSSystem) GroupIDs() [][]transport.NodeID      { return s.MAMSCluster.GroupIDs }
 func (s *MAMSSystem) Partitioner() *partition.Partitioner { return s.Part }
 func (s *MAMSSystem) AwaitReady(d sim.Time) bool          { return s.AwaitStable(d) }
 func (s *MAMSSystem) CrashPrimary() {

@@ -13,6 +13,7 @@ import (
 	"mams/internal/sim"
 	"mams/internal/simnet"
 	"mams/internal/trace"
+	"mams/internal/transport"
 )
 
 // Env is one simulated world: clock, network, tracing, seeded randomness.
@@ -63,7 +64,7 @@ func (e *Env) RunFor(d sim.Time) { e.World.RunFor(d) }
 func (e *Env) Now() sim.Time { return e.World.Now() }
 
 // NodeID builds a namespaced node id.
-func NodeID(parts ...any) simnet.NodeID {
+func NodeID(parts ...any) transport.NodeID {
 	s := ""
 	for i, p := range parts {
 		if i > 0 {
@@ -71,5 +72,5 @@ func NodeID(parts ...any) simnet.NodeID {
 		}
 		s += fmt.Sprint(p)
 	}
-	return simnet.NodeID(s)
+	return transport.NodeID(s)
 }

@@ -178,7 +178,7 @@ func TestObservedRolesNeverShowTwoActives(t *testing.T) {
 		t.Fatal("not stable")
 	}
 	active := c.ActiveOf(0)
-	active.Node().Unplug()
+	env.Net.Node(active.Node().ID()).Unplug()
 	check := func() {
 		roles := c.ObservedRoles(0)
 		actives := 0
@@ -196,7 +196,7 @@ func TestObservedRolesNeverShowTwoActives(t *testing.T) {
 		check()
 	}
 	// Replug: the stale claimant must not surface as a second A either.
-	active.Node().Replug()
+	env.Net.Node(active.Node().ID()).Replug()
 	for i := 0; i < 50; i++ {
 		env.RunFor(200 * sim.Millisecond)
 		check()
@@ -412,8 +412,8 @@ func TestTwoMembersDroppedAtOnceDumpIdentically(t *testing.T) {
 		drv.Setup(4)
 		stop := drv.Continuous(workload.CreateMkdir(), 4)
 		env.RunFor(2 * sim.Second)
-		c.Groups[0][2].Node().Unplug()
-		c.Groups[0][3].Node().Unplug()
+		env.Net.Node(c.GroupIDs[0][2]).Unplug()
+		env.Net.Node(c.GroupIDs[0][3]).Unplug()
 		env.RunFor(15 * sim.Second)
 		stop()
 		return env.Trace.Dump()

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+
 	"mams/internal/blockmap"
 	"mams/internal/coord"
 	"mams/internal/fsclient"
@@ -10,6 +12,7 @@ import (
 	"mams/internal/sim"
 	"mams/internal/simnet"
 	"mams/internal/ssp"
+	"mams/internal/transport"
 )
 
 // MAMSSpec sizes a CFS deployment with the MAMS policy.
@@ -76,7 +79,7 @@ type MAMSCluster struct {
 	Coord       *coord.Ensemble
 	Part        *partition.Partitioner
 	Groups      [][]*mams.Server // [group][member]; member 0 boots active
-	GroupIDs    [][]simnet.NodeID
+	GroupIDs    [][]transport.NodeID
 	DataServers []*blockmap.DataServer
 
 	// layout is what every server is built from. Its Groups is GroupIDs,
@@ -106,9 +109,9 @@ func BuildMAMS(env *Env, spec MAMSSpec) *MAMSCluster {
 	c.Coord = coord.StartEnsemble(env.Net, coordServers, env.Trace)
 	c.Part = partition.NewSharded(spec.Groups, partition.DefaultSlotsPerGroup, spec.Partition)
 
-	var groupIDs [][]simnet.NodeID
+	var groupIDs [][]transport.NodeID
 	for g := 0; g < spec.Groups; g++ {
-		var ids []simnet.NodeID
+		var ids []transport.NodeID
 		for m := 0; m <= spec.BackupsPerGroup; m++ {
 			ids = append(ids, mams.MemberID(g, m))
 		}
@@ -135,7 +138,7 @@ func BuildMAMS(env *Env, spec MAMSSpec) *MAMSCluster {
 
 	// Data servers report to every MDS (actives and standbys), which is
 	// what keeps MAMS standbys hot with respect to block locations.
-	var allMDS []simnet.NodeID
+	var allMDS []transport.NodeID
 	for _, ids := range groupIDs {
 		allMDS = append(allMDS, ids...)
 	}
@@ -247,11 +250,25 @@ func (c *MAMSCluster) HealAll() {
 			if !s.Node().Up() {
 				s.Restart()
 			}
-			if s.Node().Unplugged() {
-				s.Node().Replug()
-			}
+			c.Env.Net.Node(s.Node().ID()).Replug()
 		}
 	}
+}
+
+// Pool returns the storage pool co-located with metadata server id, or nil
+// when id is no member.
+func (c *MAMSCluster) Pool(id transport.NodeID) *ssp.PoolNode {
+	for g, ids := range c.GroupIDs {
+		if m := slices.Index(ids, id); m >= 0 {
+			return c.Groups[g][m].Pool()
+		}
+	}
+	return nil
+}
+
+// unplugged reports whether the harness has unplugged s's simulator node.
+func (c *MAMSCluster) unplugged(s *mams.Server) bool {
+	return c.Env.Net.Node(s.Node().ID()).Unplugged()
 }
 
 // StartMigrator creates and starts the out-of-band migration coordinator
@@ -284,7 +301,7 @@ func (c *MAMSCluster) StartHealth() *health.Detector {
 		return c.Health
 	}
 	sampler := c.Env.StartTelemetry()
-	var targets []simnet.NodeID
+	var targets []transport.NodeID
 	var names []string
 	for _, ids := range c.GroupIDs {
 		for _, id := range ids {
@@ -308,7 +325,7 @@ type breaker struct {
 	client *coord.Client
 }
 
-func (b *breaker) HandleMessage(from simnet.NodeID, msg any) {
+func (b *breaker) HandleMessage(from transport.NodeID, msg any) {
 	b.client.MaybeHandle(from, msg)
 }
 
@@ -392,7 +409,7 @@ func (c *MAMSCluster) ObservedRoles(g int) []string {
 		switch {
 		case !s.Node().Up():
 			out = append(out, "-")
-		case s.Node().Unplugged():
+		case c.unplugged(s):
 			if view.RoleOf(id) == mams.RoleJunior {
 				out = append(out, "J")
 			} else {

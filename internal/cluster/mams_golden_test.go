@@ -165,9 +165,9 @@ func breakLockThenUnplug(r goldenRun) sim.Time {
 	}
 	env.RunFor(sim.Second)
 	if a := c.ActiveOf(0); a != nil {
-		a.Node().Unplug()
+		env.Net.Node(a.Node().ID()).Unplug()
 		env.RunFor(3 * sim.Second)
-		a.Node().Replug()
+		env.Net.Node(a.Node().ID()).Replug()
 	}
 	return at
 }

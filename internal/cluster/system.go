@@ -4,7 +4,7 @@ import (
 	"mams/internal/fsclient"
 	"mams/internal/partition"
 	"mams/internal/sim"
-	"mams/internal/simnet"
+	"mams/internal/transport"
 )
 
 // System abstracts the six metadata services so the experiments can drive
@@ -14,7 +14,7 @@ type System interface {
 	Name() string
 	// GroupIDs lists the metadata-server processes clients may contact,
 	// by replica group.
-	GroupIDs() [][]simnet.NodeID
+	GroupIDs() [][]transport.NodeID
 	// Partitioner maps paths to groups (single group for the baselines).
 	Partitioner() *partition.Partitioner
 	// AwaitReady runs the world until the system serves requests.

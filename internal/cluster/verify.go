@@ -47,7 +47,7 @@ func (c *MAMSCluster) VerifyGroup(g int) GroupReport {
 		}
 		switch s.Role() {
 		case mams.RoleActive:
-			if s.Node().Unplugged() {
+			if c.unplugged(s) {
 				// A stale claimant that cannot serve anyone.
 				rep.Problems = append(rep.Problems,
 					fmt.Sprintf("%s claims active while unplugged", s.Node().ID()))
@@ -76,7 +76,7 @@ func (c *MAMSCluster) VerifyGroup(g int) GroupReport {
 	wantDigest := active.Tree().Digest()
 	wantSN := active.LastSN()
 	for _, s := range c.Groups[g] {
-		if s == active || !s.Node().Up() || s.Node().Unplugged() || s.Role() != mams.RoleStandby {
+		if s == active || !s.Node().Up() || c.unplugged(s) || s.Role() != mams.RoleStandby {
 			continue
 		}
 		if s.LastSN() > wantSN {

@@ -5,10 +5,10 @@ import (
 	"sort"
 	"strings"
 
+	"mams/internal/check"
 	"mams/internal/cluster"
 	"mams/internal/health"
 	"mams/internal/sim"
-	"mams/internal/ssp"
 	"mams/internal/workload"
 )
 
@@ -50,23 +50,24 @@ type DetectCell struct {
 }
 
 // detectFaults is the gray alphabet swept, with a weak and a strong
-// magnitude each (the same units the systematic checker's schedules use:
-// slowdown factor, drift ms/s, flap down-phase x100ms, brownout factor).
+// magnitude each, as the systematic checker's letters s, k, f and b (the
+// detector names its verdicts by the same words: slow, skew, flap,
+// brownout).
 var detectFaults = []struct {
-	kind health.Kind
+	kind check.FaultKind
 	mags [2]int
 }{
-	{health.Slow, [2]int{4, 8}},
-	{health.Skew, [2]int{150, 400}},
-	{health.Flap, [2]int{5, 10}},
-	{health.Brownout, [2]int{4, 12}},
+	{check.Slow, [2]int{4, 8}},
+	{check.Skew, [2]int{150, 400}},
+	{check.Flap, [2]int{5, 10}},
+	{check.Brownout, [2]int{4, 12}},
 }
 
-// detectSpec is one cell's injection plan.
+// detectSpec is one cell's injection plan: the fault, on a group-member
+// index (0 boots active), or none for a control.
 type detectSpec struct {
-	kind   health.Kind // "" = control
-	mag    int
-	target int // group-member index; 0 boots active
+	fault   check.Action
+	control bool
 }
 
 // detectGrid builds the sweep: every (kind, magnitude, target role) cell
@@ -76,11 +77,11 @@ func detectGrid() []detectSpec {
 	for _, f := range detectFaults {
 		for _, mag := range f.mags {
 			for target := 0; target <= 1; target++ {
-				grid = append(grid, detectSpec{kind: f.kind, mag: mag, target: target})
+				grid = append(grid, detectSpec{fault: check.Action{Kind: f.kind, Mag: mag, Target: target}})
 			}
 		}
 	}
-	grid = append(grid, detectSpec{}, detectSpec{}) // controls
+	grid = append(grid, detectSpec{control: true}, detectSpec{control: true})
 	return grid
 }
 
@@ -115,18 +116,18 @@ func Detect(opts Options) DetectResult {
 		cells, hits, missed, misclass, fps int
 		ttds                               []float64
 	}
-	agg := map[health.Kind]*kindAgg{}
+	agg := map[string]*kindAgg{}
 	for _, f := range detectFaults {
-		agg[f.kind] = &kindAgg{}
+		agg[f.kind.String()] = &kindAgg{}
 	}
-	predicted := map[health.Kind]int{} // earliest verdicts claiming each kind
+	predicted := map[string]int{} // earliest verdicts claiming each kind
 	totalFaulted, totalHits := 0, 0
 	for _, c := range cells {
 		verdict, ttd, cleared := c.Verdict, "-", fmt.Sprint(c.Cleared)
 		if verdict == "" {
 			verdict = "-"
 		} else {
-			predicted[health.Kind(c.Verdict)]++
+			predicted[c.Verdict]++
 		}
 		if c.TTDs >= 0 && c.Verdict != "" {
 			ttd = fmt.Sprintf("%.1f", c.TTDs)
@@ -141,7 +142,7 @@ func Detect(opts Options) DetectResult {
 			continue
 		}
 		detail.AddRow(c.Fault, fmt.Sprint(c.Mag), c.Target, verdict, ttd, fmt.Sprint(c.FPs), cleared)
-		a := agg[health.Kind(c.Fault)]
+		a := agg[c.Fault]
 		a.cells++
 		a.fps += c.FPs
 		totalFaulted++
@@ -183,12 +184,12 @@ func Detect(opts Options) DetectResult {
 		Header: []string{"fault", "cells", "hit", "miss", "misclass", "precision", "recall", "fp", "ttd med(s)"},
 	}
 	for _, f := range detectFaults {
-		a := agg[f.kind]
+		a := agg[f.kind.String()]
 		prec := "-"
-		if p := predicted[f.kind]; p > 0 {
+		if p := predicted[f.kind.String()]; p > 0 {
 			prec = fmt.Sprintf("%.2f", float64(a.hits)/float64(p))
 		}
-		score.AddRow(string(f.kind), fmt.Sprint(a.cells), fmt.Sprint(a.hits),
+		score.AddRow(f.kind.String(), fmt.Sprint(a.cells), fmt.Sprint(a.hits),
 			fmt.Sprint(a.missed), fmt.Sprint(a.misclass), prec,
 			fmt.Sprintf("%.2f", float64(a.hits)/float64(max(a.cells, 1))),
 			fmt.Sprint(a.fps), medianTTD(a.ttds))
@@ -209,10 +210,11 @@ func detectTrial(seed uint64, spec detectSpec) DetectCell {
 	)
 	env := cluster.NewEnv(seed)
 	c := cluster.BuildMAMS(env, cluster.MAMSSpec{Groups: 1, BackupsPerGroup: 3})
-	out := DetectCell{Fault: string(spec.kind), Mag: spec.mag, TTDs: -1}
-	if spec.kind != "" {
-		out.Target = [2]string{"active", "standby"}[spec.target]
-		out.Node = string(c.GroupIDs[0][spec.target])
+	out := DetectCell{TTDs: -1}
+	if !spec.control {
+		out.Fault, out.Mag = spec.fault.Kind.String(), spec.fault.Mag
+		out.Target = [2]string{"active", "standby"}[spec.fault.Target]
+		out.Node = string(c.GroupIDs[0][spec.fault.Target])
 	}
 	if !c.AwaitStable(60 * sim.Second) {
 		return out
@@ -225,38 +227,13 @@ func detectTrial(seed uint64, spec detectSpec) DetectCell {
 	start := env.Now()
 
 	injectAt := sim.Time(-1)
-	var stopFlaps []func()
-	if spec.kind != "" {
-		srv := c.Groups[0][spec.target]
+	if !spec.control {
+		var heal func()
 		env.World.At(start+faultAt, "detect-inject", func() {
 			injectAt = env.Now()
-			switch spec.kind {
-			case health.Slow:
-				srv.Node().SetSlowdown(float64(spec.mag))
-			case health.Skew:
-				srv.Node().SetClockSkew(float64(spec.mag) / 1000)
-			case health.Flap:
-				down := sim.Time(spec.mag) * 100 * sim.Millisecond
-				for i, id := range c.GroupIDs[0] {
-					if i == spec.target {
-						continue
-					}
-					stopFlaps = append(stopFlaps,
-						env.Net.Flap(c.GroupIDs[0][spec.target], id, sim.Second, down))
-				}
-			case health.Brownout:
-				srv.Pool().SetBrownout(ssp.Brownout{SlowFactor: float64(spec.mag), FailEvery: 3})
-			}
+			heal = check.Inject(env, c.GroupIDs[0], c.Pool, spec.fault)
 		})
-		env.World.At(start+faultAt+faultFor, "detect-heal", func() {
-			srv.Node().SetSlowdown(1)
-			srv.Node().SetClockSkew(0)
-			srv.Pool().SetBrownout(ssp.Brownout{})
-			for _, f := range stopFlaps {
-				f()
-			}
-			stopFlaps = nil
-		})
+		env.World.At(start+faultAt+faultFor, "detect-heal", func() { heal() })
 	}
 	env.RunFor(runEnd)
 	stop()

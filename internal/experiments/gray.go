@@ -172,12 +172,20 @@ func Gray(opts Options) GrayResult {
 			return cluster.BuildMAMS(env, cluster.MAMSSpec{Groups: 1, BackupsPerGroup: 3}).AsSystem()
 		}},
 	}
-	faults := []string{"slow x6", "skew +500ms/s", "flap 1s/600ms"}
+	// Each fault is a checker action on the serving node (member 0); the
+	// trial injects it at a fixed time, so its step is unused.
+	faults := []struct{ label, action string }{
+		{"slow x6", "s0x6@0"}, {"skew +500ms/s", "k0x500@0"}, {"flap 1s/600ms", "f0x6@0"},
+	}
 	cells := make([]grayCell, len(systems)*len(faults))
 	forEachCell(opts, len(cells), func(i int) {
 		sys := systems[i/len(faults)]
-		fault := faults[i%len(faults)]
-		cells[i] = grayTrial(opts.Seed*1000+uint64(i)+1, sys, fault)
+		f := faults[i%len(faults)]
+		sched, err := check.DecodeSchedule(f.action)
+		if err != nil {
+			panic(fmt.Sprintf("gray fault %q: %v", f.action, err))
+		}
+		cells[i] = grayTrial(opts.Seed*1000+uint64(i)+1, sys, f.label, sched[0])
 	})
 	for _, c := range cells {
 		degrade.AddRow(c.row...)
@@ -202,7 +210,7 @@ type grayCell struct {
 // grayTrial builds one system fresh, applies one gray fault to the serving
 // node at t=5s for 20s, heals, and mines the throughput series for the
 // degradation verdict.
-func grayTrial(seed uint64, b systemBuilder, fault string) (c grayCell) {
+func grayTrial(seed uint64, b systemBuilder, fault string, a check.Action) (c grayCell) {
 	const (
 		faultAt  = 5 * sim.Second
 		faultFor = 20 * sim.Second
@@ -227,30 +235,12 @@ func grayTrial(seed uint64, b systemBuilder, fault string) (c grayCell) {
 	stop := drv.Continuous(workload.CreateMkdir(), 8)
 
 	group := sys.GroupIDs()[0]
-	primary := env.Net.Node(group[0]) // index 0 boots as the serving node
-	var stopFlaps []func()
+	var heal func()
 	env.World.At(start+faultAt, "gray-inject", func() {
-		switch {
-		case strings.HasPrefix(fault, "slow"):
-			primary.SetSlowdown(6)
-		case strings.HasPrefix(fault, "skew"):
-			primary.SetClockSkew(0.5)
-		case strings.HasPrefix(fault, "flap"):
-			for _, id := range group[1:] {
-				stopFlaps = append(stopFlaps,
-					env.Net.Flap(group[0], id, sim.Second, 600*sim.Millisecond))
-			}
-		}
+		heal = check.Inject(env, group, nil, a) // no brownout here: no pool needed
 	})
-	env.World.At(start+faultAt+faultFor, "gray-heal", func() {
-		primary.SetSlowdown(1)
-		primary.SetClockSkew(0)
-		for _, f := range stopFlaps {
-			f()
-		}
-		stopFlaps = nil
-	})
-	if strings.HasPrefix(fault, "flap") && len(group) < 2 {
+	env.World.At(start+faultAt+faultFor, "gray-heal", func() { heal() })
+	if a.Kind == check.Flap && len(group) < 2 {
 		c.row[3], c.row[4] = "n/a", "n/a"
 		c.finding = fmt.Sprintf("%s under %s: n/a (single metadata node, no peer links to flap)",
 			b.name, fault)

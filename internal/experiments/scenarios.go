@@ -41,23 +41,23 @@ func scenarioFor(kind TestKind) []scenarioEvent {
 		}
 		return []scenarioEvent{ev(60 * sim.Second), ev(120 * sim.Second), ev(180 * sim.Second)}
 	case TestB:
+		// plug sets two group-0 members' cables in or out.
+		plug := func(in bool, a, b int) func(c *cluster.MAMSCluster) {
+			return func(c *cluster.MAMSCluster) {
+				for _, m := range []int{a, b} {
+					if nd := c.Env.Net.Node(c.GroupIDs[0][m]); in {
+						nd.Replug()
+					} else {
+						nd.Unplug()
+					}
+				}
+			}
+		}
 		return []scenarioEvent{
-			{60 * sim.Second, "unplug-m2-m3", func(c *cluster.MAMSCluster) {
-				c.Groups[0][2].Node().Unplug()
-				c.Groups[0][3].Node().Unplug()
-			}},
-			{100 * sim.Second, "replug-m2-m3", func(c *cluster.MAMSCluster) {
-				c.Groups[0][2].Node().Replug()
-				c.Groups[0][3].Node().Replug()
-			}},
-			{140 * sim.Second, "unplug-m0-m1", func(c *cluster.MAMSCluster) {
-				c.Groups[0][0].Node().Unplug()
-				c.Groups[0][1].Node().Unplug()
-			}},
-			{180 * sim.Second, "replug-m0-m1", func(c *cluster.MAMSCluster) {
-				c.Groups[0][0].Node().Replug()
-				c.Groups[0][1].Node().Replug()
-			}},
+			{60 * sim.Second, "unplug-m2-m3", plug(false, 2, 3)},
+			{100 * sim.Second, "replug-m2-m3", plug(true, 2, 3)},
+			{140 * sim.Second, "unplug-m0-m1", plug(false, 0, 1)},
+			{180 * sim.Second, "replug-m0-m1", plug(true, 0, 1)},
 		}
 	default: // TestC
 		return []scenarioEvent{

@@ -20,6 +20,7 @@ import (
 	"mams/internal/obs"
 	"mams/internal/sim"
 	"mams/internal/simnet"
+	"mams/internal/transport"
 )
 
 // ProbeReq is the active health probe. Servers answer it after ProbeCost of
@@ -56,13 +57,13 @@ func probeRTTBounds() []float64 { return obs.ExpBuckets(0.0005, 1.5, 14) }
 // counter.
 type Prober struct {
 	host    *simnet.Node
-	targets []simnet.NodeID
+	targets []transport.NodeID
 	every   sim.Time
 	timeout sim.Time
 
-	rtt      map[simnet.NodeID]*obs.Histogram
-	offset   map[simnet.NodeID]*obs.Gauge
-	failures map[simnet.NodeID]*obs.Counter
+	rtt      map[transport.NodeID]*obs.Histogram
+	offset   map[transport.NodeID]*obs.Gauge
+	failures map[transport.NodeID]*obs.Counter
 
 	started bool
 }
@@ -70,18 +71,18 @@ type Prober struct {
 // NewProber builds a prober on host probing targets every `every` (default
 // 500 ms). The host should be a dedicated monitoring node so that injected
 // faults on cluster members never skew the prober's own timers.
-func NewProber(host *simnet.Node, targets []simnet.NodeID, every sim.Time) *Prober {
+func NewProber(host *simnet.Node, targets []transport.NodeID, every sim.Time) *Prober {
 	if every <= 0 {
 		every = 500 * sim.Millisecond
 	}
 	p := &Prober{
 		host:     host,
-		targets:  append([]simnet.NodeID(nil), targets...),
+		targets:  append([]transport.NodeID(nil), targets...),
 		every:    every,
 		timeout:  2 * sim.Second,
-		rtt:      map[simnet.NodeID]*obs.Histogram{},
-		offset:   map[simnet.NodeID]*obs.Gauge{},
-		failures: map[simnet.NodeID]*obs.Counter{},
+		rtt:      map[transport.NodeID]*obs.Histogram{},
+		offset:   map[transport.NodeID]*obs.Gauge{},
+		failures: map[transport.NodeID]*obs.Counter{},
 	}
 	reg := host.Net().Obs()
 	for _, t := range p.targets {

@@ -74,12 +74,12 @@ func runChaos(t *testing.T, seed uint64) {
 			}
 		case 2:
 			if !down[m] && !unplugged[m] {
-				members[m].Node().Unplug()
+				env.Net.Node(members[m].Node().ID()).Unplug()
 				unplugged[m] = true
 			}
 		case 3:
 			if unplugged[m] {
-				members[m].Node().Replug()
+				env.Net.Node(members[m].Node().ID()).Replug()
 				unplugged[m] = false
 			}
 		}

@@ -96,7 +96,7 @@ func TestLaggardFencedBeforeAck(t *testing.T) {
 
 	victim := c.StandbysOf(0)[0]
 	victimID := string(victim.Node().ID())
-	env.World.Defer("unplug-victim", func() { victim.Node().Unplug() })
+	env.World.Defer("unplug-victim", func() { env.Net.Node(victim.Node().ID()).Unplug() })
 	env.RunFor(100 * sim.Millisecond)
 
 	// The create must still commit (the other standby acks), but only after

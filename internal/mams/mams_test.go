@@ -242,8 +242,8 @@ func TestUnplugTwoBackupsTestBStyle(t *testing.T) {
 		t.Fatalf("standbys = %d", len(standbys))
 	}
 	s1, s2 := standbys[0], standbys[1]
-	s1.Node().Unplug()
-	s2.Node().Unplug()
+	env.Net.Node(s1.Node().ID()).Unplug()
+	env.Net.Node(s2.Node().ID()).Unplug()
 
 	// Keep writing so the active notices missing acks and demotes them.
 	for i := 0; i < 10; i++ {
@@ -264,8 +264,8 @@ func TestUnplugTwoBackupsTestBStyle(t *testing.T) {
 	}
 
 	// Plug back: sessions are gone, nodes re-join as juniors, then renew.
-	s1.Node().Replug()
-	s2.Node().Replug()
+	env.Net.Node(s1.Node().ID()).Replug()
+	env.Net.Node(s2.Node().ID()).Replug()
 	deadline := env.Now() + 90*sim.Second
 	renewed := func(s *mams.Server) bool {
 		return s.Role() == mams.RoleStandby && s.LastSN() == active.LastSN()

@@ -142,7 +142,7 @@ func TestRegistrationWindowCapsOnUnpluggedStandby(t *testing.T) {
 	crashAt := env.Now()
 	env.World.Defer("crash-and-unplug", func() {
 		old.Shutdown()
-		standbys[0].Node().Unplug()
+		env.Net.Node(standbys[0].Node().ID()).Unplug()
 	})
 	next := awaitNewActive(t, env, c, old)
 	if next != standbys[1] {
@@ -183,7 +183,7 @@ func TestAbortedUpgradeHoldsNoRegistrations(t *testing.T) {
 	}
 	env.World.Defer("crash-and-unplug", func() {
 		old.Shutdown()
-		standby.Node().Unplug()
+		env.Net.Node(standby.Node().ID()).Unplug()
 	})
 	env.RunFor(8 * sim.Second)
 	if junior.Role() != mams.RoleJunior {

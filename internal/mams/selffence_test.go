@@ -40,7 +40,7 @@ func TestSelfFenceDropsReplicationState(t *testing.T) {
 		switch {
 		case e.What == "append" && !unplugged:
 			unplugged = true
-			env.World.Defer("unplug-active", active.Node().Unplug)
+			env.World.Defer("unplug-active", env.Net.Node(active.Node().ID()).Unplug)
 		case e.What == "self-fence":
 			fenced = true
 		case fenced && (e.What == "demote-member" || e.What == "fence-held" || e.What == "ssp-put-retry"):

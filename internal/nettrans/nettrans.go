@@ -32,8 +32,8 @@
 // registered message, or it is over maxFrame) is dropped on its own: its
 // caller fails and the connection carries on.
 //
-// Loss semantics mirror simnet: one-way messages to unknown, down, or
-// unplugged destinations vanish silently; requests that provably cannot
+// Loss semantics mirror simnet: one-way messages to unknown or down
+// destinations vanish silently; requests that provably cannot
 // complete (dial failure, write failure, dead or handler-less destination)
 // fail the pending call with transport.ErrTimeout — immediately even for
 // timeout == 0 calls, the same pending-leak guarantee the sim plane makes.
@@ -592,7 +592,7 @@ func (t *Transport) frameUndeliverable(f frame) {
 // otherwise the reusable outbound connection. Loop-only.
 func (t *Transport) sendFrame(f frame) {
 	t.Sent++
-	if src := t.node(f.From); src != nil && (!src.up || src.unplugged) {
+	if src := t.node(f.From); src != nil && !src.up {
 		t.frameUndeliverable(f)
 		return
 	}
@@ -630,7 +630,7 @@ func (t *Transport) accept() {
 // which answer through sendFrame instead.
 func (t *Transport) dispatch(f frame, via *conn) {
 	dst := t.node(f.To)
-	if dst == nil || !dst.up || dst.unplugged {
+	if dst == nil || !dst.up {
 		t.Dropped++
 		// Requests get a reap so the caller learns immediately; responses
 		// and reaps for a dead or unknown node just vanish (the pending
@@ -661,8 +661,8 @@ func (t *Transport) dispatch(f frame, via *conn) {
 				panic("nettrans: reply invoked twice")
 			}
 			replied = true
-			if dst.gen != gen || !dst.up || dst.unplugged {
-				return // we crashed or went dark since receiving the request
+			if dst.gen != gen || !dst.up {
+				return // we crashed since receiving the request
 			}
 			t.answer(frame{Kind: frameResponse, ID: id, From: to, To: from, Payload: r}, via)
 		})

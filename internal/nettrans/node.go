@@ -47,12 +47,11 @@ func (t *Transport) release(pc *netPending) func(resp any, err error) {
 // unless noted (use Transport.Do from outside); this matches the sim plane,
 // where everything runs inside the single-threaded world.
 type Node struct {
-	id        transport.NodeID
-	tr        *Transport
-	handler   transport.Handler
-	up        bool
-	unplugged bool
-	gen       uint64 // bumped on crash; invalidates timers and pending RPCs
+	id      transport.NodeID
+	tr      *Transport
+	handler transport.Handler
+	up      bool
+	gen     uint64 // bumped on crash; invalidates timers and pending RPCs
 
 	pending map[uint64]*netPending
 }
@@ -69,9 +68,6 @@ func (nd *Node) SetHandler(h transport.Handler) { nd.handler = h }
 // Up reports whether the node is accepting traffic.
 func (nd *Node) Up() bool { return nd.up }
 
-// Unplugged reports whether the node's I/O is disconnected.
-func (nd *Node) Unplugged() bool { return nd.unplugged }
-
 // Now returns the transport clock (wall-clock elapsed). Safe anywhere.
 func (nd *Node) Now() sim.Time { return nd.tr.Now() }
 
@@ -83,12 +79,6 @@ func (nd *Node) Obs() *obs.Registry { return nd.tr.reg }
 
 // Tracer returns the transport's span tracer (possibly nil).
 func (nd *Node) Tracer() *obs.Tracer { return nd.tr.tracer }
-
-// SetSlowdown is a sim-plane fault injection; a no-op on real hardware.
-func (nd *Node) SetSlowdown(float64) {}
-
-// SetClockSkew is a sim-plane fault injection; a no-op on real hardware.
-func (nd *Node) SetClockSkew(float64) {}
 
 // PendingCalls reports outstanding RPCs awaiting a callback.
 func (nd *Node) PendingCalls() int { return len(nd.pending) }
@@ -166,13 +156,6 @@ func (nd *Node) Restart() {
 	nd.up = true
 	nd.gen++
 }
-
-// Unplug makes the node's I/O go dark while it keeps running: inbound
-// frames are dropped at dispatch, outbound frames at send.
-func (nd *Node) Unplug() { nd.unplugged = true }
-
-// Replug reconnects the node.
-func (nd *Node) Replug() { nd.unplugged = false }
 
 // ---- timers ----
 

@@ -7,6 +7,7 @@ import (
 	"mams/internal/rng"
 	"mams/internal/sim"
 	"mams/internal/simnet"
+	"mams/internal/transport"
 )
 
 // harness runs a Paxos ensemble over the simulated network.
@@ -21,7 +22,7 @@ type paxosActor struct {
 	r *Replica
 }
 
-func (a *paxosActor) HandleMessage(from simnet.NodeID, msg any) {
+func (a *paxosActor) HandleMessage(from transport.NodeID, msg any) {
 	a.r.Deliver(string(from), msg.(Msg))
 }
 
@@ -38,11 +39,11 @@ func newHarness(t *testing.T, n int, latency simnet.LatencyModel, seed uint64) *
 	for _, id := range peers {
 		id := id
 		var node *simnet.Node
-		transport := func(to string, m Msg) { node.Send(simnet.NodeID(to), m) }
-		r := New(Config{Self: id, Peers: peers}, transport, func(slot uint64, v any) {
+		send := func(to string, m Msg) { node.Send(transport.NodeID(to), m) }
+		r := New(Config{Self: id, Peers: peers}, send, func(slot uint64, v any) {
 			h.applied[id] = append(h.applied[id], v)
 		})
-		node = net.AddNode(simnet.NodeID(id), &paxosActor{r: r})
+		node = net.AddNode(transport.NodeID(id), &paxosActor{r: r})
 		h.replicas[id] = r
 		// Per-replica retransmission ticks with per-node phase offsets so
 		// duelling proposers eventually separate.
@@ -199,7 +200,7 @@ func TestPartitionedMinorityCannotCommit(t *testing.T) {
 	h := newHarness(t, 5, simnet.LatencyModel{Base: sim.Millisecond}, 6)
 	// Isolate p0 from everyone.
 	for i := 1; i < 5; i++ {
-		h.net.CutBoth("p0", simnet.NodeID(fmt.Sprintf("p%d", i)))
+		h.net.CutBoth("p0", transport.NodeID(fmt.Sprintf("p%d", i)))
 	}
 	h.world.After(0, "propose", func() { h.replicas["p0"].Propose("lonely") })
 	h.world.RunUntil(5 * sim.Second)
@@ -208,7 +209,7 @@ func TestPartitionedMinorityCannotCommit(t *testing.T) {
 	}
 	// Heal; the value must now commit everywhere.
 	for i := 1; i < 5; i++ {
-		h.net.HealBoth("p0", simnet.NodeID(fmt.Sprintf("p%d", i)))
+		h.net.HealBoth("p0", transport.NodeID(fmt.Sprintf("p%d", i)))
 	}
 	h.world.RunFor(20 * sim.Second)
 	h.checkAgreement(t)

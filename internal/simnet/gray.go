@@ -23,6 +23,7 @@ import (
 	"mams/internal/obs"
 	"mams/internal/sim"
 	"mams/internal/trace"
+	"mams/internal/transport"
 )
 
 // ftoa renders a float compactly for trace-event args.
@@ -114,7 +115,7 @@ func (nd *Node) stretchTimeout(t sim.Time) sim.Time {
 }
 
 // obsNodeGauge returns a per-node gauge, nil-safe when observability is off.
-func (n *Network) obsNodeGauge(name, help string, id NodeID) *obs.Gauge {
+func (n *Network) obsNodeGauge(name, help string, id transport.NodeID) *obs.Gauge {
 	if n.reg == nil {
 		return nil
 	}
@@ -127,7 +128,7 @@ func (n *Network) obsNodeGauge(name, help string, id NodeID) *obs.Gauge {
 // left) in whatever state Cut/Heal last put it; the first transition — to
 // cut — happens after the first up phase. The returned stop function ends
 // the cycle and heals the link; it is idempotent.
-func (n *Network) Flap(a, b NodeID, up, down sim.Time) (stop func()) {
+func (n *Network) Flap(a, b transport.NodeID, up, down sim.Time) (stop func()) {
 	if up <= 0 || down <= 0 {
 		panic("simnet: Flap phases must be positive")
 	}

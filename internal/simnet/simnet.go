@@ -27,27 +27,6 @@ import (
 	"mams/internal/transport"
 )
 
-// NodeID names a process in the simulated cluster. It is the shared
-// transport-plane identifier; protocol packages see it as transport.NodeID.
-type NodeID = transport.NodeID
-
-// Errors surfaced to RPC callers. These alias the transport-plane values so
-// identity comparisons (err == transport.ErrTimeout) hold regardless of
-// which package the caller imported.
-var (
-	// ErrTimeout reports that no response arrived within the deadline.
-	ErrTimeout = transport.ErrTimeout
-	// ErrNodeDown reports a local send from a crashed process.
-	ErrNodeDown = transport.ErrNodeDown
-)
-
-// Handler consumes one-way messages addressed to a node.
-type Handler = transport.Handler
-
-// RequestHandler additionally consumes RPC requests. reply may be invoked
-// immediately or from a later event; invoking it more than once panics.
-type RequestHandler = transport.RequestHandler
-
 // Compile-time plane checks: simnet is the deterministic implementation of
 // the transport interface pair.
 var (
@@ -96,13 +75,13 @@ type Network struct {
 	world   *sim.World
 	rng     *rng.RNG
 	latency LatencyModel
-	nodes   map[NodeID]*Node
-	cuts    map[[2]NodeID]bool
+	nodes   map[transport.NodeID]*Node
+	cuts    map[[2]transport.NodeID]bool
 	log     *trace.Log
 	loss    float64 // probability an individual message is dropped
 	// lastArrival enforces per-link FIFO delivery (TCP-like): a message
 	// never overtakes an earlier one on the same (src, dst) link.
-	lastArrival map[[2]NodeID]sim.Time
+	lastArrival map[[2]transport.NodeID]sim.Time
 
 	// Stats counts message traffic for reporting.
 	Sent      uint64
@@ -114,7 +93,7 @@ type Network struct {
 	// the FIFO clamp above.
 	reg       *obs.Registry
 	tracer    *obs.Tracer
-	linkStats map[[2]NodeID]*linkCounters
+	linkStats map[[2]transport.NodeID]*linkCounters
 }
 
 // linkCounters are the per-directed-link traffic instruments.
@@ -130,7 +109,7 @@ func (n *Network) SetObs(reg *obs.Registry, tracer *obs.Tracer) {
 	n.reg = reg
 	n.tracer = tracer
 	if reg != nil && n.linkStats == nil {
-		n.linkStats = make(map[[2]NodeID]*linkCounters)
+		n.linkStats = make(map[[2]transport.NodeID]*linkCounters)
 	}
 }
 
@@ -144,11 +123,11 @@ func (n *Network) Tracer() *obs.Tracer { return n.tracer }
 
 // link returns the cached counters for a directed (src, dst) pair, or nil
 // when no registry is attached.
-func (n *Network) link(src, dst NodeID) *linkCounters {
+func (n *Network) link(src, dst transport.NodeID) *linkCounters {
 	if n.reg == nil {
 		return nil
 	}
-	key := [2]NodeID{src, dst}
+	key := [2]transport.NodeID{src, dst}
 	lc := n.linkStats[key]
 	if lc == nil {
 		lc = &linkCounters{
@@ -167,10 +146,10 @@ func New(w *sim.World, r *rng.RNG, latency LatencyModel, log *trace.Log) *Networ
 		world:       w,
 		rng:         r.Split("simnet"),
 		latency:     latency,
-		nodes:       make(map[NodeID]*Node),
-		cuts:        make(map[[2]NodeID]bool),
+		nodes:       make(map[transport.NodeID]*Node),
+		cuts:        make(map[[2]transport.NodeID]bool),
 		log:         log,
-		lastArrival: make(map[[2]NodeID]sim.Time),
+		lastArrival: make(map[[2]transport.NodeID]sim.Time),
 	}
 }
 
@@ -178,11 +157,11 @@ func New(w *sim.World, r *rng.RNG, latency LatencyModel, log *trace.Log) *Networ
 func (n *Network) World() *sim.World { return n.world }
 
 // Node looks up a registered node, or nil.
-func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
+func (n *Network) Node(id transport.NodeID) *Node { return n.nodes[id] }
 
 // AddNode registers a new process. The handler may be nil initially and set
 // later with SetHandler.
-func (n *Network) AddNode(id NodeID, h Handler) *Node {
+func (n *Network) AddNode(id transport.NodeID, h transport.Handler) *Node {
 	if _, dup := n.nodes[id]; dup {
 		panic(fmt.Sprintf("simnet: duplicate node %q", id))
 	}
@@ -193,22 +172,24 @@ func (n *Network) AddNode(id NodeID, h Handler) *Node {
 
 // Listen registers a node and returns it as a transport-plane handle; it is
 // AddNode behind the transport.Transport interface.
-func (n *Network) Listen(id NodeID, h Handler) transport.Node { return n.AddNode(id, h) }
+func (n *Network) Listen(id transport.NodeID, h transport.Handler) transport.Node {
+	return n.AddNode(id, h)
+}
 
 // Cut severs delivery from a to b (one direction). Messages in flight are
 // dropped at delivery time.
-func (n *Network) Cut(a, b NodeID) { n.cuts[[2]NodeID{a, b}] = true }
+func (n *Network) Cut(a, b transport.NodeID) { n.cuts[[2]transport.NodeID{a, b}] = true }
 
 // Heal restores delivery from a to b.
-func (n *Network) Heal(a, b NodeID) { delete(n.cuts, [2]NodeID{a, b}) }
+func (n *Network) Heal(a, b transport.NodeID) { delete(n.cuts, [2]transport.NodeID{a, b}) }
 
 // CutBoth severs both directions between a and b.
-func (n *Network) CutBoth(a, b NodeID) { n.Cut(a, b); n.Cut(b, a) }
+func (n *Network) CutBoth(a, b transport.NodeID) { n.Cut(a, b); n.Cut(b, a) }
 
 // HealBoth restores both directions between a and b.
-func (n *Network) HealBoth(a, b NodeID) { n.Heal(a, b); n.Heal(b, a) }
+func (n *Network) HealBoth(a, b transport.NodeID) { n.Heal(a, b); n.Heal(b, a) }
 
-func (n *Network) cut(a, b NodeID) bool { return n.cuts[[2]NodeID{a, b}] }
+func (n *Network) cut(a, b transport.NodeID) bool { return n.cuts[[2]transport.NodeID{a, b}] }
 
 // SetLoss makes every message independently vanish with probability p.
 // Protocols under test must tolerate this via retransmission.
@@ -233,7 +214,7 @@ func (n *Network) deliverable(src, dst *Node) bool {
 // timer as before; without one (timeout == 0) the entry would otherwise
 // outlive the drop forever — the caller's pending map entry and callback
 // closure leaking for the node's lifetime.
-func (n *Network) reapDropped(src *Node, to NodeID, env envelope) {
+func (n *Network) reapDropped(src *Node, to transport.NodeID, env envelope) {
 	switch env.kind {
 	case envRequest:
 		if src != nil {
@@ -248,9 +229,9 @@ func (n *Network) reapDropped(src *Node, to NodeID, env envelope) {
 
 // send schedules delivery of env from src to dst subject to faults at both
 // send and delivery time.
-func (n *Network) send(src *Node, to NodeID, env envelope) {
+func (n *Network) send(src *Node, to transport.NodeID, env envelope) {
 	n.Sent++
-	fromID := NodeID("")
+	fromID := transport.NodeID("")
 	if src != nil {
 		fromID = src.id
 	}
@@ -278,7 +259,7 @@ func (n *Network) send(src *Node, to NodeID, env envelope) {
 	delay := n.latency.draw(n.rng)
 	// FIFO per link: clamp the arrival so it never precedes an earlier
 	// message on the same link.
-	link := [2]NodeID{fromID, to}
+	link := [2]transport.NodeID{fromID, to}
 	arrival := n.world.Now() + delay
 	if last := n.lastArrival[link]; arrival < last {
 		arrival = last
@@ -319,9 +300,9 @@ func (lc *linkCounters) timeoutInc() {
 
 // Node is one simulated process.
 type Node struct {
-	id        NodeID
+	id        transport.NodeID
 	net       *Network
-	handler   Handler
+	handler   transport.Handler
 	up        bool
 	unplugged bool
 	gen       uint64 // bumped on crash; invalidates timers and pending RPCs
@@ -338,7 +319,7 @@ type Node struct {
 }
 
 // ID returns the node's name.
-func (nd *Node) ID() NodeID { return nd.id }
+func (nd *Node) ID() transport.NodeID { return nd.id }
 
 // Net returns the owning network.
 func (nd *Node) Net() *Network { return nd.net }
@@ -362,10 +343,10 @@ func (nd *Node) Up() bool { return nd.up }
 func (nd *Node) Unplugged() bool { return nd.unplugged }
 
 // SetHandler installs (or replaces) the message handler.
-func (nd *Node) SetHandler(h Handler) { nd.handler = h }
+func (nd *Node) SetHandler(h transport.Handler) { nd.handler = h }
 
 // Send delivers a one-way message (subject to faults and latency).
-func (nd *Node) Send(to NodeID, msg any) {
+func (nd *Node) Send(to transport.NodeID, msg any) {
 	nd.net.send(nd, to, envelope{kind: envOneway, payload: msg})
 }
 
@@ -386,7 +367,7 @@ func (nd *Node) failPending(id uint64) {
 	gen := nd.gen
 	nd.net.world.Defer("rpc-drop:"+string(nd.id), func() {
 		if nd.up && nd.gen == gen {
-			pc.cb(nil, ErrTimeout)
+			pc.cb(nil, transport.ErrTimeout)
 		}
 	})
 }
@@ -395,7 +376,7 @@ func (nd *Node) failPending(id uint64) {
 // ErrTimeout after the deadline (or, for zero-timeout calls, as soon as the
 // request or its response is provably dropped); or never if this node
 // crashes first.
-func (nd *Node) Call(to NodeID, req any, timeout sim.Time, cb func(resp any, err error)) {
+func (nd *Node) Call(to transport.NodeID, req any, timeout sim.Time, cb func(resp any, err error)) {
 	if !nd.up {
 		// Local process is dead; nothing can run a callback meaningfully.
 		return
@@ -415,7 +396,7 @@ func (nd *Node) Call(to NodeID, req any, timeout sim.Time, cb func(resp any, err
 			if p, ok := nd.pending[id]; ok && p == pc {
 				delete(nd.pending, id)
 				nd.net.link(nd.id, to).timeoutInc()
-				pc.cb(nil, ErrTimeout)
+				pc.cb(nil, transport.ErrTimeout)
 			}
 		})
 	}
@@ -425,14 +406,14 @@ func (nd *Node) Call(to NodeID, req any, timeout sim.Time, cb func(resp any, err
 
 // deliver dispatches an arrived envelope to the local handler or a pending
 // callback.
-func (nd *Node) deliver(from NodeID, env envelope) {
+func (nd *Node) deliver(from transport.NodeID, env envelope) {
 	switch env.kind {
 	case envOneway:
 		if nd.handler != nil {
 			nd.handler.HandleMessage(from, env.payload)
 		}
 	case envRequest:
-		rh, ok := nd.handler.(RequestHandler)
+		rh, ok := nd.handler.(transport.RequestHandler)
 		if !ok {
 			// Node does not serve RPCs; the request times out at the caller.
 			// A zero-timeout caller has no timer to fire, so reap its entry.

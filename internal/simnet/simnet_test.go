@@ -5,6 +5,7 @@ import (
 
 	"mams/internal/rng"
 	"mams/internal/sim"
+	"mams/internal/transport"
 )
 
 type recorder struct {
@@ -16,9 +17,9 @@ type recorder struct {
 	delayReply sim.Time
 }
 
-func (r *recorder) HandleMessage(from NodeID, msg any) { r.msgs = append(r.msgs, msg) }
+func (r *recorder) HandleMessage(from transport.NodeID, msg any) { r.msgs = append(r.msgs, msg) }
 
-func (r *recorder) HandleRequest(from NodeID, req any, reply func(any)) {
+func (r *recorder) HandleRequest(from transport.NodeID, req any, reply func(any)) {
 	r.msgs = append(r.msgs, req)
 	if !r.echo {
 		return
@@ -36,7 +37,7 @@ func newNet(latency sim.Time) (*sim.World, *Network) {
 	return w, n
 }
 
-func addRec(n *Network, id NodeID) (*Node, *recorder) {
+func addRec(n *Network, id transport.NodeID) (*Node, *recorder) {
 	r := &recorder{echo: true}
 	nd := n.AddNode(id, r)
 	r.node = nd
@@ -113,7 +114,7 @@ func TestRPCTimeout(t *testing.T) {
 	if called != 1 {
 		t.Fatalf("callback ran %d times", called)
 	}
-	if gotErr != ErrTimeout {
+	if gotErr != transport.ErrTimeout {
 		t.Fatalf("err = %v", gotErr)
 	}
 	if w.Now() != 50*sim.Millisecond {
@@ -129,7 +130,7 @@ func TestLateResponseAfterTimeoutIgnored(t *testing.T) {
 	calls := 0
 	a.Call("b", "ping", 10*sim.Millisecond, func(resp any, err error) {
 		calls++
-		if err != ErrTimeout {
+		if err != transport.ErrTimeout {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -292,8 +293,8 @@ func TestDoubleReplyPanics(t *testing.T) {
 
 type doubleReplier struct{}
 
-func (d *doubleReplier) HandleMessage(NodeID, any) {}
-func (d *doubleReplier) HandleRequest(from NodeID, req any, reply func(any)) {
+func (d *doubleReplier) HandleMessage(transport.NodeID, any) {}
+func (d *doubleReplier) HandleRequest(from transport.NodeID, req any, reply func(any)) {
 	reply(1)
 	reply(2)
 }
@@ -305,14 +306,14 @@ func TestRequestToNonRPCNodeTimesOut(t *testing.T) {
 	var gotErr error
 	a.Call("plain", "x", 10*sim.Millisecond, func(resp any, err error) { gotErr = err })
 	w.Run()
-	if gotErr != ErrTimeout {
+	if gotErr != transport.ErrTimeout {
 		t.Fatalf("err = %v", gotErr)
 	}
 }
 
 type plainHandler struct{}
 
-func (plainHandler) HandleMessage(NodeID, any) {}
+func (plainHandler) HandleMessage(transport.NodeID, any) {}
 
 func TestLatencySpreadDeterministic(t *testing.T) {
 	run := func() sim.Time {
@@ -383,7 +384,7 @@ func TestReplyAfterServerCrashDropped(t *testing.T) {
 	// Crash b after it received the request but before its delayed reply.
 	w.After(10*sim.Millisecond, "crash", func() { b.Crash() })
 	w.Run()
-	if gotErr != ErrTimeout {
+	if gotErr != transport.ErrTimeout {
 		t.Fatalf("err = %v, want timeout (reply from crashed server must drop)", gotErr)
 	}
 }
@@ -391,7 +392,7 @@ func TestReplyAfterServerCrashDropped(t *testing.T) {
 // nonServer handles one-way messages but not RPCs.
 type nonServer struct{}
 
-func (nonServer) HandleMessage(from NodeID, msg any) {}
+func (nonServer) HandleMessage(from transport.NodeID, msg any) {}
 
 func TestZeroTimeoutCallReapedOnDrop(t *testing.T) {
 	cases := []struct {
@@ -413,7 +414,7 @@ func TestZeroTimeoutCallReapedOnDrop(t *testing.T) {
 			a, _ := addRec(n, "a")
 			b, _ := addRec(n, "b")
 			tc.prep(n, a, b)
-			to := NodeID("b")
+			to := transport.NodeID("b")
 			if tc.name == "dest unknown" {
 				to = "ghost"
 			}
@@ -427,8 +428,8 @@ func TestZeroTimeoutCallReapedOnDrop(t *testing.T) {
 			if a.PendingCalls() != 0 {
 				t.Fatalf("pending calls leaked: %d", a.PendingCalls())
 			}
-			if called != 1 || gotErr != ErrTimeout {
-				t.Fatalf("callback: called=%d err=%v, want 1×ErrTimeout", called, gotErr)
+			if called != 1 || gotErr != transport.ErrTimeout {
+				t.Fatalf("callback: called=%d err=%v, want 1×transport.ErrTimeout", called, gotErr)
 			}
 		})
 	}
@@ -481,7 +482,7 @@ func TestTimeoutCallUnchangedByReaping(t *testing.T) {
 	a.Call("b", "ping", 10*sim.Millisecond, func(resp any, err error) {
 		calls++
 		at = w.Now()
-		if err != ErrTimeout {
+		if err != transport.ErrTimeout {
 			t.Fatalf("err = %v", err)
 		}
 	})

@@ -3,15 +3,18 @@
 // internal/fsclient) are written against. Two implementations exist:
 //
 //   - internal/simnet — the deterministic discrete-event simulation plane.
-//     Virtual clock, seeded latency model, fault injection; byte-identical
-//     runs for a given seed.
+//     Virtual clock, seeded latency model; byte-identical runs for a given
+//     seed.
 //   - internal/nettrans — the real plane. TCP listeners on real addresses,
 //     self-contained length-prefixed frames in internal/wire's encoding,
 //     wall-clock timers.
 //
 // The protocol packages import only this package (enforced by a lint test
 // in internal/transport); which plane they run on is decided by whoever
-// constructs the servers. Both planes honor the same contract, pinned by
+// constructs the servers. Faults other than a crash are not part of this
+// surface: they are the test harness's, applied to the simulator's node
+// (internal/check.Inject applies the fault alphabet), so the wire plane has
+// no unplug, slowdown or clock skew to stub. Both planes honor the same contract, pinned by
 // the cross-transport conformance suite (transporttest):
 //
 //   - Handlers run one at a time per transport: a handler never races
@@ -131,17 +134,15 @@ type Node interface {
 	Now() sim.Time
 	LocalNow() sim.Time
 
-	// Liveness and fault hooks. On the real plane Crash/Unplug genuinely
-	// stop I/O for the node; SetSlowdown/SetClockSkew are sim-plane fault
-	// injections and act as no-ops there.
+	// Liveness. Crash stops the node's I/O, timers and pending calls on
+	// either plane; Restart brings it back with none of them. The server
+	// calls both on its own node. Every other fault (unplug, cuts,
+	// slowdown, clock skew, link flap) belongs to the test harness, which
+	// applies it to the simulator's node (simnet.Network.Node), never
+	// through this interface.
 	Up() bool
-	Unplugged() bool
 	Crash()
 	Restart()
-	Unplug()
-	Replug()
-	SetSlowdown(factor float64)
-	SetClockSkew(skew float64)
 
 	// Obs and Tracer expose the observability attachments of the owning
 	// transport; either may be nil.

@@ -110,6 +110,11 @@ go run ./cmd/mamscheck run -members 2 -steps 2 -maxfaults 1 -kinds sfkb -q
 # seal-time acks (the durability invariant flips to watermark semantics).
 go run ./cmd/mamscheck run -members 3 -steps 2 -maxfaults 1 -kinds c -groupcommit -q
 go run ./cmd/mamscheck run -members 3 -steps 2 -maxfaults 1 -kinds c -asyncack -q
+# The gray-failure experiment: MAMS under each gray letter through the
+# invariant monitor, then every design under the same faults on its serving
+# node. It exits 1 on any MAMS violation or lost acked create (~12 s on
+# 2 vCPUs).
+go run ./cmd/mamsbench -exp gray >/dev/null
 # The modelled BENCH_*.json files are checked in and quoted by
 # EXPERIMENTS.md. Each sweep below regenerates its file into the temp dir,
 # and the run fails unless it matches the checked-in copy byte for byte.
