@@ -3,6 +3,7 @@ package fsclient_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"mams/internal/cluster"
@@ -94,6 +95,24 @@ func TestErrorsSurfaceToCaller(t *testing.T) {
 	err = h.do(t, func(done func(error)) { h.cli.Delete("/nope", done) })
 	if err == nil {
 		t.Fatal("delete of missing file should fail")
+	}
+}
+
+// A create whose size has no block list (negative, or more blocks than a
+// transaction's block ids can number) is refused with ErrBadSize before it
+// is journaled: the group keeps serving, and the path is still free. The
+// largest size first: the block list of a size that overflowed used to
+// panic the active's apply, and each successor's in turn on the retry.
+func TestOutOfRangeSizeIsRefused(t *testing.T) {
+	h := newHarness(t, 53, 1)
+	for _, size := range []int64{math.MaxInt64, 1 << 60, namespace.MaxFileSize + 1, -1} {
+		err := h.do(t, func(done func(error)) { h.cli.Create("/f", size, done) })
+		if err == nil || err.Error() != namespace.ErrBadSize.Error() {
+			t.Fatalf("create of size %d: %v, want %v", size, err, namespace.ErrBadSize)
+		}
+	}
+	if err := h.do(t, func(done func(error)) { h.cli.Create("/f", namespace.MaxFileSize, done) }); err != nil {
+		t.Fatalf("create of the largest size after the refusals: %v", err)
 	}
 }
 

@@ -303,15 +303,18 @@ func (bd *Builder) Add(rec Record) uint64 {
 
 // Seal closes the pending records into a batch with the next SN. Sealing
 // with no pending records returns an empty batch (still SN-numbered), which
-// callers normally avoid.
+// callers normally avoid. The batch's Records are clipped to their length,
+// so a sealed batch carries no append slack; the next batch starts with room
+// for as many records as this one held.
 func (bd *Builder) Seal() Batch {
+	n := len(bd.pending)
 	b := Batch{
 		SN:      bd.nextSN,
 		Epoch:   bd.epoch,
-		FirstTx: bd.nextTx - uint64(len(bd.pending)),
-		Records: bd.pending,
+		FirstTx: bd.nextTx - uint64(n),
+		Records: bd.pending[:n:n],
 	}
 	bd.nextSN++
-	bd.pending = nil
+	bd.pending = make([]Record, 0, n)
 	return b
 }

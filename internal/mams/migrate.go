@@ -398,7 +398,7 @@ func (s *Server) ackAtCommit(sn uint64, applied int, reply func(any)) {
 		reply(MigrateAck{OK: true})
 		return
 	}
-	s.pipe.await(sn, false, func(err error) {
+	s.pipe.await(sn, func(err error) {
 		if err != nil {
 			reply(MigrateAck{Err: err.Error()})
 			return

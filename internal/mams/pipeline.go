@@ -53,9 +53,11 @@ type commitPipeline struct {
 	poolPutOK     map[uint64]bool
 	heldFences    []heldFence
 	// waiters fire when their batch commits; sealWaiters when it seals
-	// (AsyncAck client replies).
-	waiters     map[uint64][]func(error)
-	sealWaiters map[uint64][]func(error)
+	// (AsyncAck client replies). spare is a fired sn's slice, cleared, which
+	// the next sn to get a waiter reuses.
+	waiters     map[uint64][]waiter
+	sealWaiters map[uint64][]waiter
+	spare       []waiter
 	batchTimer  transport.Timer
 	batchArmed  bool
 	journalLane transport.Lane // the journal writer under group commit
@@ -83,9 +85,12 @@ type pipeWorld struct {
 	fence func(id transport.NodeID, done func())
 	// targets lists, sorted, the members every batch must reach.
 	targets func() []transport.NodeID
-	emit    func(kind trace.Kind, what string, args ...string)
-	obs     commitObs
-	spans   *obs.Tracer
+	// ack answers a client mutation's wait on batch sn: with nil once the
+	// batch commits (or seals, under AsyncAck), or with the tenure's error.
+	ack   func(op opAck, sn uint64, err error)
+	emit  func(kind trace.Kind, what string, args ...string)
+	obs   commitObs
+	spans *obs.Tracer
 }
 
 // commitObs are the seal and commit instruments. A server registers them
@@ -124,6 +129,31 @@ type replState struct {
 	sspDone bool
 }
 
+// waiter is one wait on a batch: a client mutation's ack, answered through
+// pipeWorld.ack, or any other wait (a transaction vote, a migration ack, an
+// error reply held to its barrier), which is a func. Acks are values so that
+// a create waits without a closure of its own.
+type waiter struct {
+	done func(error)
+	op   opAck
+}
+
+// opAck is what answering a client mutation needs of its request.
+type opAck struct {
+	reqID uint64
+	kind  OpKind
+	reply func(any)
+}
+
+// fire answers w for batch sn.
+func (p *commitPipeline) fire(w waiter, sn uint64, err error) {
+	if w.done != nil {
+		w.done(err)
+		return
+	}
+	p.ack(w.op, sn, err)
+}
+
 // heldFence is a laggard demotion deferred until the pool-durability
 // watermark catches up to the commit watermark (see fenceLaggard).
 type heldFence struct {
@@ -147,8 +177,8 @@ func newCommitPipeline(w pipeWorld, params Params, epoch uint64) *commitPipeline
 		committedSN:   w.log.LastSN(),
 		poolDurableSN: w.log.LastSN(),
 		poolPutOK:     map[uint64]bool{},
-		waiters:       map[uint64][]func(error){},
-		sealWaiters:   map[uint64][]func(error){},
+		waiters:       map[uint64][]waiter{},
+		sealWaiters:   map[uint64][]waiter{},
 	}
 	if params.GroupCommit || params.AsyncAck {
 		p.group = true
@@ -196,20 +226,48 @@ func (p *commitPipeline) barrier() uint64 {
 
 // await runs done once batch sn commits (at once if it has), with nil, or
 // with the tenure's error if the pipeline is abandoned first; then it
-// flushes. A client's mutation ack (clientAck) runs at seal instead when the
-// policy acks at seal; votes and migration acks are durability promises.
-func (p *commitPipeline) await(sn uint64, clientAck bool, done func(error)) {
+// flushes. Votes and migration acks are durability promises.
+func (p *commitPipeline) await(sn uint64, done func(error)) {
+	p.wait(sn, waiter{done: done})
+}
+
+// awaitOp is await for a client mutation's ack, answered through
+// pipeWorld.ack. It runs at seal instead when the policy acks at seal.
+func (p *commitPipeline) awaitOp(sn uint64, op opAck) {
+	p.wait(sn, waiter{op: op})
+}
+
+func (p *commitPipeline) wait(sn uint64, w waiter) {
 	switch {
 	case sn <= p.committedSN:
-		done(nil)
-	case clientAck && p.ackAtSeal:
+		p.fire(w, sn, nil)
+	case w.done == nil && p.ackAtSeal:
 		// The reply carries the durability watermark the client compares its
 		// sn against.
-		p.sealWaiters[sn] = append(p.sealWaiters[sn], done)
+		p.add(p.sealWaiters, sn, w)
 	default:
-		p.waiters[sn] = append(p.waiters[sn], done)
+		p.add(p.waiters, sn, w)
 	}
 	p.flush()
+}
+
+// add appends w to sn's waiters in m; the first waiter of an sn takes the
+// spare slice.
+func (p *commitPipeline) add(m map[uint64][]waiter, sn uint64, w waiter) {
+	ws, ok := m[sn]
+	if !ok {
+		ws, p.spare = p.spare, nil
+	}
+	m[sn] = append(ws, w)
+}
+
+// release drops sn's fired waiters from m and keeps their slice, cleared,
+// as the spare.
+func (p *commitPipeline) release(m map[uint64][]waiter, sn uint64) {
+	ws := m[sn]
+	delete(m, sn)
+	clear(ws)
+	p.spare = ws[:0]
 }
 
 // flush hands the records journaled so far to the seal policy: seal now, or
@@ -293,9 +351,9 @@ func (p *commitPipeline) sealBatch() {
 	p.obs.watermarkLag.Set(float64(batch.SN - p.committedSN))
 	if p.ackAtSeal {
 		for _, w := range p.sealWaiters[batch.SN] {
-			w(nil)
+			p.fire(w, batch.SN, nil)
 		}
-		delete(p.sealWaiters, batch.SN)
+		p.release(p.sealWaiters, batch.SN)
 	}
 	transport.Charge(p.node, launchDelay, "mds-journal-flush", func() { p.launch(rs) })
 }
@@ -438,9 +496,9 @@ func (p *commitPipeline) tryAdvanceCommit() {
 			p.cpu.Add(now, sim.Time(n)*p.ackCost)
 		}
 		for _, w := range p.waiters[next] {
-			w(nil)
+			p.fire(w, next, nil)
 		}
-		delete(p.waiters, next)
+		p.release(p.waiters, next)
 	}
 	if advanced {
 		p.obs.inflight.Set(float64(len(p.pending)))
@@ -580,7 +638,7 @@ func (p *commitPipeline) abandon(outcome string, err error) {
 			rs.timer.Stop()
 		}
 	}
-	for _, m := range []map[uint64][]func(error){p.waiters, p.sealWaiters} {
+	for _, m := range []map[uint64][]waiter{p.waiters, p.sealWaiters} {
 		sns := make([]uint64, 0, len(m))
 		for sn := range m {
 			sns = append(sns, sn)
@@ -588,7 +646,7 @@ func (p *commitPipeline) abandon(outcome string, err error) {
 		sort.Slice(sns, func(i, j int) bool { return sns[i] < sns[j] })
 		for _, sn := range sns {
 			for _, w := range m[sn] {
-				w(err)
+				p.fire(w, sn, err)
 			}
 			delete(m, sn)
 		}

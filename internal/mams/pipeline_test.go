@@ -95,7 +95,9 @@ func newRig(t testing.TB, params Params, n int, instant bool) *rig {
 			r.fences = append(r.fences, done)
 		},
 		targets: func() []transport.NodeID { return ids },
-		emit:    func(trace.Kind, string, ...string) {},
+		// A client ack's reply gets the wait's error.
+		ack:  func(op opAck, _ uint64, err error) { op.reply(err) },
+		emit: func(trace.Kind, string, ...string) {},
 	}, params, 1)
 	return r
 }
@@ -115,11 +117,11 @@ func (r *rig) create(path string) (uint64, *reply) {
 		r.t.Fatalf("journal %s: %v", path, err)
 	}
 	rep := &reply{}
-	r.p.await(sn, true, func(err error) {
+	r.p.awaitOp(sn, opAck{reply: func(err any) {
 		rep.calls++
-		rep.err = err
+		rep.err, _ = err.(error)
 		rep.durable = r.p.committedSN
-	})
+	}})
 	r.run(0) // deliver what the seal sent
 	return sn, rep
 }
@@ -247,7 +249,7 @@ func TestPipelineAsyncAckRepliesAtSeal(t *testing.T) {
 	}
 	sn, rep := r.create("/a")
 	vote := &reply{}
-	r.p.await(sn, false, func(err error) { vote.calls++ })
+	r.p.await(sn, func(err error) { vote.calls++ })
 	if rep.calls != 1 || rep.err != nil {
 		t.Fatalf("client reply ran %d times (err %v) at seal, want once", rep.calls, rep.err)
 	}
@@ -313,7 +315,7 @@ func TestPipelineAbandonFailsEachWaiterOnce(t *testing.T) {
 	_, inflight := r.create("/a") // sealed, replicating
 	_, open := r.create("/b")     // still in the builder
 	barrier := &reply{}
-	r.p.await(r.p.barrier(), false, func(err error) { barrier.calls++; barrier.err = err })
+	r.p.await(r.p.barrier(), func(err error) { barrier.calls++; barrier.err = err })
 	r.standbys[0].ack(1, false) // fence pending on s0
 	r.standbys[1].ack(1, true)
 	r.run(0)
@@ -350,6 +352,56 @@ func TestPipelineAbandonFailsEachWaiterOnce(t *testing.T) {
 	}
 }
 
+// A create's ack, an error reply held to its barrier (as failOpAtBarrier
+// holds one) and a vote, waiting on one sn, fire in that order at commit
+// and on abandonment, under either ack policy: an AsyncAck create's ack
+// fires at seal, before the other two are even registered. The commit
+// charges the dispatch thread CommitAckCost for each wait it releases.
+func TestPipelineWaitersFireInOrder(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		for _, abandon := range []bool{false, true} {
+			name := fmt.Sprintf("async=%v/abandon=%v", async, abandon)
+			r := newRig(t, zeroCost(func(p *Params) {
+				p.GroupCommit = true
+				p.AsyncAck = async
+				p.CommitAckCost = sim.Millisecond
+			}), 1, false)
+			var fired []string
+			sn, err := r.p.journal(journal.Record{Op: journal.OpCreate, Path: "/a", Perm: 0o644})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.p.awaitOp(sn, opAck{reply: func(any) { fired = append(fired, "create") }})
+			r.p.await(r.p.barrier(), func(error) { fired = append(fired, "barrier") })
+			r.p.await(sn, func(error) { fired = append(fired, "vote") })
+			r.run(0)
+			if r.sealed() != sn {
+				t.Fatalf("%s: batch %d not sealed", name, sn)
+			}
+			before := r.cpu.Add(r.active.Now(), 0)
+			if abandon {
+				r.p.abandon("abandoned-test", errors.New("gone"))
+			} else {
+				r.land(sn)
+				r.ackAll(sn)
+			}
+			if got := fmt.Sprint(fired); got != "[create barrier vote]" {
+				t.Errorf("%s: fired %s, want [create barrier vote]", name, got)
+			}
+			atCommit := 3 // the waiters still waiting when the batch commits
+			if async {
+				atCommit = 2
+			}
+			if abandon {
+				atCommit = 0
+			}
+			if charged := r.cpu.Add(r.active.Now(), 0) - before; charged != sim.Time(atCommit)*sim.Millisecond {
+				t.Errorf("%s: commit charged %v, want %d acks' worth", name, charged, atCommit)
+			}
+		}
+	}
+}
+
 // BenchmarkPipelineCreate times dispatch → seal → commit for one create,
 // with instant standby acks and pool writes and no modelled cost, under
 // each seal policy: the layer the wire benchmark cannot reach from outside.
@@ -366,11 +418,11 @@ func BenchmarkPipelineCreate(b *testing.B) {
 			}
 			const window = 64
 			acked := 0
-			done := func(err error) {
+			done := opAck{reply: func(err any) {
 				if err == nil {
 					acked++
 				}
-			}
+			}}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -378,7 +430,7 @@ func BenchmarkPipelineCreate(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				r.p.await(sn, true, done)
+				r.p.awaitOp(sn, done)
 				if (i+1)%window == 0 || i == b.N-1 {
 					for acked < i+1 {
 						r.run(r.p.params.BatchEvery)

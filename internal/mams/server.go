@@ -473,6 +473,7 @@ func (s *Server) becomeActiveNow(epoch uint64) {
 		put:     s.putJournal,
 		fence:   s.demoteMember,
 		targets: s.replTargets,
+		ack:     s.answerOp,
 		emit:    s.emit,
 		obs:     s.commitObs,
 		spans:   s.spans,
@@ -993,7 +994,7 @@ func (s *Server) finishOp(op ClientOp, rep OpReply, reply func(any)) {
 // batch it was derived from. If that batch dies with our activeness, the
 // client is redirected to retry against the successor's recovered state.
 func (s *Server) failOpAtBarrier(op ClientOp, errStr string, reply func(any)) {
-	s.pipe.await(s.pipe.barrier(), false, func(err error) {
+	s.pipe.await(s.pipe.barrier(), func(err error) {
 		if err != nil {
 			reply(OpReply{NotActive: true, Hint: transport.NodeID(s.view.Active)})
 			return
@@ -1058,13 +1059,18 @@ func (s *Server) applyAndJournal(op ClientOp, rec journal.Record, reply func(any
 		s.failOpAtBarrier(op, err.Error(), reply)
 		return
 	}
-	s.pipe.await(sn, true, func(err error) {
-		if err != nil {
-			reply(OpReply{Err: err.Error(), NotActive: true, Hint: transport.NodeID(s.view.Active)})
-			return
-		}
-		s.finishOp(op, OpReply{SN: sn, Epoch: s.view.Epoch, DurableSN: s.pipe.committedSN}, reply)
-	})
+	s.pipe.awaitOp(sn, opAck{reqID: op.ReqID, kind: op.Kind, reply: reply})
+}
+
+// answerOp answers a client mutation waiting on batch sn (pipeWorld.ack):
+// with the batch and the durability watermark as they stand when the wait
+// fires, or with NotActive once the tenure has ended.
+func (s *Server) answerOp(op opAck, sn uint64, err error) {
+	if err != nil {
+		op.reply(OpReply{Err: err.Error(), NotActive: true, Hint: transport.NodeID(s.view.Active)})
+		return
+	}
+	s.finishOp(ClientOp{ReqID: op.reqID, Kind: op.kind}, OpReply{SN: sn, Epoch: s.view.Epoch, DurableSN: s.pipe.committedSN}, op.reply)
 }
 
 // armFenceLoop runs the active's self-fence check on its own periodic loop

@@ -158,7 +158,7 @@ func (s *Server) executeStructuralOp(op ClientOp, reply func(any)) {
 // coordinator's own record, commits — never at seal: 2PC correctness needs
 // the record durable before the coordinator can count our own vote.
 func (s *Server) awaitLocalVote(txn *txnState, sn uint64) {
-	s.pipe.await(sn, false, func(err error) {
+	s.pipe.await(sn, func(err error) {
 		if err != nil {
 			txn.failed = true
 			txn.failErr = err.Error()

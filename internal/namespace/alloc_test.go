@@ -84,10 +84,34 @@ func TestCreateAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// One inode, one block slice, amortized map growth. The old
+	// One inode (its one block inside it), amortized map growth. The old
 	// splitPath-based resolver added a []string per op on top.
 	if avg > 4 {
 		t.Fatalf("Create allocates %.2f objects/op, budget 4", avg)
+	}
+}
+
+// A file of at most one block keeps its block list inside its inode, so
+// creating it allocates the inode alone; a longer list is one allocation
+// more. Each run deletes the file again, so the directory's map does not
+// grow.
+func TestCreateBlockListAllocs(t *testing.T) {
+	tr := benchTree(t, 100)
+	for _, c := range []struct {
+		size int64
+		want float64
+	}{{0, 1}, {1, 1}, {BlockSize, 1}, {3 * BlockSize, 2}} {
+		avg := testing.AllocsPerRun(1000, func() {
+			if err := tr.Create("/d00/x", c.size, 0o644, 1, 9); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Delete("/d00/x"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != c.want {
+			t.Errorf("Create of a %d-byte file allocates %.2f objects, want %v", c.size, avg, c.want)
+		}
 	}
 }
 

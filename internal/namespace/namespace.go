@@ -27,11 +27,16 @@ var (
 	ErrNotEmpty = errors.New("namespace: directory not empty")
 	ErrBadPath  = errors.New("namespace: invalid path")
 	ErrSubtree  = errors.New("namespace: cannot move a directory into itself")
+	ErrBadSize  = errors.New("namespace: file size out of range")
 )
 
 // BlockSize is the fixed block size used to derive a file's block list from
 // its length (64 MB, the HDFS default of the paper's era).
 const BlockSize = 64 << 20
+
+// MaxFileSize is the largest file size a create accepts: 2^16 blocks, as
+// many as a transaction's block ids (txid<<16 | i) can number.
+const MaxFileSize = BlockSize << 16
 
 // Info describes one file or directory.
 type Info struct {
@@ -57,6 +62,10 @@ type inode struct {
 	// directory's canonical path plus a trailing "/". A child's digest term
 	// continues from it over the child's name, so no path string is built.
 	pathState uint64
+
+	// block holds the block list of a file of one block, so that only a
+	// longer list is allocated on its own.
+	block [1]uint64
 }
 
 // Tree is a mutable namespace. The zero value is not usable; call New.
@@ -269,24 +278,33 @@ func (t *Tree) invalidateParentCache() {
 	t.lastParentKey = ""
 }
 
-// blocksFor derives the deterministic block list for a file created by
-// transaction txid with the given size. Determinism matters: replaying the
-// same journal on any replica must yield identical block ids.
-func blocksFor(txid uint64, size int64) []uint64 {
-	if size <= 0 {
-		return nil
+// allocBlocks gives file n a block list of nb entries: none, the inode's
+// own one-entry array, or a list of its own.
+func (n *inode) allocBlocks(nb int) {
+	switch {
+	case nb == 1:
+		n.blocks = n.block[:]
+	case nb > 1:
+		n.blocks = make([]uint64, nb)
 	}
-	n := (size + BlockSize - 1) / BlockSize
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = txid<<16 | uint64(i)
+}
+
+// checkSize rejects a file size that is negative or over MaxFileSize: the
+// block ids of a larger file would run into the next transaction's.
+func checkSize(size int64) error {
+	if size < 0 || size > MaxFileSize {
+		return ErrBadSize
 	}
-	return ids
+	return nil
 }
 
 // Create adds a regular file. The txid feeds deterministic block-id
-// assignment (use 0 for ad-hoc trees in tests).
+// assignment (use 0 for ad-hoc trees in tests): replaying the same journal
+// on any replica must yield identical block ids.
 func (t *Tree) Create(path string, size int64, perm uint16, mtime, txid int64) error {
+	if err := checkSize(size); err != nil {
+		return err
+	}
 	dir, name, err := t.walkParent(path)
 	if err != nil {
 		return err
@@ -294,14 +312,17 @@ func (t *Tree) Create(path string, size int64, perm uint16, mtime, txid int64) e
 	if _, exists := dir.children[name]; exists {
 		return ErrExists
 	}
-	blocks := blocksFor(uint64(txid), size)
-	node := &inode{name: name, perm: perm, mtime: mtime, size: size, blocks: blocks}
+	node := &inode{name: name, perm: perm, mtime: mtime, size: size}
+	node.allocBlocks(int((size + BlockSize - 1) / BlockSize))
+	for i := range node.blocks {
+		node.blocks[i] = uint64(txid)<<16 | uint64(i)
+	}
 	dir.children[name] = node
 	t.digest += subtreeSum(dir.pathState, node)
 	dir.mtime = mtime
 	t.files++
 	t.nameBytes += int64(len(name))
-	t.blocks += int64(len(blocks))
+	t.blocks += int64(len(node.blocks))
 	return nil
 }
 
@@ -452,9 +473,10 @@ func (t *Tree) Rename(src, dst string) error {
 }
 
 // Stat returns metadata for path. Info.Blocks is the inode's own block
-// list, clipped to its length, not a copy: it is read-only. Block lists are
-// written once, when a file is created or loaded, so the slice stays valid,
-// and an append to it copies.
+// list, clipped to its length, not a copy; for a file of one block it
+// points into the inode itself. It is read-only. Block lists are written
+// once, when a file is created or loaded, so the slice stays valid, and an
+// append to it copies.
 func (t *Tree) Stat(path string) (Info, error) {
 	node, ok := t.walkPath(path)
 	if !ok {
@@ -569,6 +591,11 @@ func (t *Tree) Validate(rec journal.Record) error {
 	case journal.OpNoop:
 		return nil
 	case journal.OpCreate, journal.OpMkdir:
+		if rec.Op == journal.OpCreate {
+			if err := checkSize(rec.Size); err != nil {
+				return err
+			}
+		}
 		dir, name, err := t.walkParent(rec.Path)
 		if err != nil {
 			if err == ErrBadPath && isRoot(rec.Path) {
@@ -764,9 +791,7 @@ func LoadImage(buf []byte) (*Tree, error) {
 			if nb > uint64(len(buf)) {
 				return nil, fmt.Errorf("namespace: implausible block count %d", nb)
 			}
-			if nb > 0 { // an empty file has no list, as after Create
-				n.blocks = make([]uint64, nb)
-			}
+			n.allocBlocks(int(nb))
 			for i := range n.blocks {
 				n.blocks[i] = r.Uvarint()
 			}

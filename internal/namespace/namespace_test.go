@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -486,6 +487,58 @@ func TestImageRoundTrip(t *testing.T) {
 	info, err := got.Stat("/a/b/f")
 	if err != nil || info.Size != BlockSize+1 || len(info.Blocks) != 2 {
 		t.Fatalf("stat after load: %+v err=%v", info, err)
+	}
+}
+
+// Files of no, one and three blocks keep their block lists in three shapes
+// (none, inside the inode, a list of their own); an image round trip keeps
+// each list and the digest, and the loaded tree saves the same image.
+func TestImageRoundTripBlockLists(t *testing.T) {
+	tr := New()
+	sizes := map[string]int64{"/none": 0, "/one": BlockSize, "/three": 2*BlockSize + 1}
+	txid := int64(30)
+	for p, size := range sizes {
+		txid++
+		if err := tr.Create(p, size, 0o644, 1, txid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img := tr.SaveImage()
+	got, err := LoadImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Digest() != tr.Digest() || got.Blocks() != 4 || !bytes.Equal(got.SaveImage(), img) {
+		t.Fatalf("digest %#x (want %#x), %d blocks (want 4), image equal %v",
+			got.Digest(), tr.Digest(), got.Blocks(), bytes.Equal(got.SaveImage(), img))
+	}
+	for p := range sizes {
+		want, _ := tr.Stat(p)
+		info, err := got.Stat(p)
+		if err != nil || fmt.Sprint(info.Blocks) != fmt.Sprint(want.Blocks) {
+			t.Fatalf("%s after load: blocks %v err %v, want %v", p, info.Blocks, err, want.Blocks)
+		}
+	}
+}
+
+// A size with no block list, negative or over MaxFileSize, is refused by
+// both Validate and Create, and leaves the tree as it was.
+func TestCreateRejectsOutOfRangeSize(t *testing.T) {
+	tr := New()
+	for _, size := range []int64{-1, MaxFileSize + 1, math.MaxInt64} {
+		rec := journal.Record{Op: journal.OpCreate, Path: "/f", Size: size}
+		if err := tr.Validate(rec); err != ErrBadSize {
+			t.Fatalf("Validate(size %d) = %v, want ErrBadSize", size, err)
+		}
+		if err := tr.Create("/f", size, 0o644, 1, 1); err != ErrBadSize {
+			t.Fatalf("Create(size %d) = %v, want ErrBadSize", size, err)
+		}
+	}
+	if tr.Files() != 0 || tr.Exists("/f") {
+		t.Fatal("a refused create left a file")
+	}
+	if err := tr.Create("/f", MaxFileSize, 0o644, 1, 1); err != nil || tr.Blocks() != 1<<16 {
+		t.Fatalf("Create(MaxFileSize) = %v with %d blocks, want 1<<16", err, tr.Blocks())
 	}
 }
 

@@ -172,6 +172,8 @@ type Transport struct {
 	// node's pending map and, if timed, out of the deadline heap. It holds
 	// at most as many as were ever outstanding at once.
 	freeCalls []*netPending
+	// freeReplies holds reply slots whose request has been answered.
+	freeReplies []*replySlot
 
 	// Every After and timed Call of every hosted node waits in one
 	// deadline heap, and one runtime timer (rt, made on first use) is set
@@ -654,18 +656,7 @@ func (t *Transport) dispatch(f frame, via *conn) {
 			return
 		}
 		t.Delivered++
-		replied := false
-		gen, id, from, to := dst.gen, f.ID, f.From, f.To
-		rh.HandleRequest(f.From, f.Payload, func(r any) {
-			if replied {
-				panic("nettrans: reply invoked twice")
-			}
-			replied = true
-			if dst.gen != gen || !dst.up {
-				return // we crashed since receiving the request
-			}
-			t.answer(frame{Kind: frameResponse, ID: id, From: to, To: from, Payload: r}, via)
-		})
+		rh.HandleRequest(f.From, f.Payload, t.replyFunc(dst, &f, via))
 	case frameResponse, frameReap:
 		pc, ok := dst.pending[f.ID]
 		if !ok {

@@ -43,6 +43,48 @@ func (t *Transport) release(pc *netPending) func(resp any, err error) {
 	return cb
 }
 
+// replySlot is one received request's right to an answer. Slots are
+// reused (Transport.freeReplies): an answer moves its slot on a turn and
+// frees it, so a reply func whose turn has passed, a second reply to one
+// request, is caught even once the slot serves another request. A request
+// that is never answered leaves its slot to the GC.
+type replySlot struct {
+	turn     uint64
+	dst      *Node
+	gen      uint64 // dst's generation when the request arrived
+	id       uint64
+	from, to transport.NodeID
+	via      *conn
+}
+
+// replyFunc returns the reply func for request f, which arrived for dst on
+// via, in a free slot when there is one. Loop-only.
+func (t *Transport) replyFunc(dst *Node, f *frame, via *conn) func(any) {
+	var s *replySlot
+	if n := len(t.freeReplies); n > 0 {
+		s, t.freeReplies = t.freeReplies[n-1], t.freeReplies[:n-1]
+	} else {
+		s = &replySlot{}
+	}
+	s.dst, s.gen, s.id, s.from, s.to, s.via = dst, dst.gen, f.ID, f.From, f.To, via
+	turn := s.turn
+	return func(r any) { t.reply(s, turn, r) }
+}
+
+// reply answers the request s holds for turn and frees s. Loop-only.
+func (t *Transport) reply(s *replySlot, turn uint64, r any) {
+	if s.turn != turn {
+		panic("nettrans: reply invoked twice")
+	}
+	rs := *s
+	*s = replySlot{turn: turn + 1}
+	t.freeReplies = append(t.freeReplies, s)
+	if rs.dst.gen != rs.gen || !rs.dst.up {
+		return // we crashed since receiving the request
+	}
+	t.answer(frame{Kind: frameResponse, ID: rs.id, From: rs.to, To: rs.from, Payload: r}, rs.via)
+}
+
 // Node is one endpoint hosted on a Transport. All methods are loop-only
 // unless noted (use Transport.Do from outside); this matches the sim plane,
 // where everything runs inside the single-threaded world.

@@ -105,15 +105,16 @@ func statCluster(tb testing.TB) (*Cluster, []string) {
 // process (client, transport, active and its standbys, coord) on a warm
 // loopback cluster, 64 in flight. The client boxes its request and decodes
 // the reply, its Info and block list; the active decodes the request and
-// its path, makes the reply closure and its replied flag, and boxes the
-// reply and its Info: 10. It was 21 before frames reached the loop without
-// a closure, pending entries and client call state were reused, the active
-// stopped copying the block list, and the reply stopped carrying the path.
+// its path, makes the reply closure, and boxes the reply and its Info: 9.
+// It was 21 before frames reached the loop without a closure, pending
+// entries and client call state were reused, the active stopped copying the
+// block list, the reply stopped carrying the path, and the reply closure
+// lost its replied flag.
 func TestWireStatAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a wire-plane cluster")
 	}
-	const budget, perRun = 11, 2000
+	const budget, perRun = 10, 2000
 	c, files := statCluster(t)
 	l := newOpLoop(c, false, files)
 	l.run(t, perRun) // dial, and grow the buffers, queues and free lists
@@ -125,6 +126,45 @@ func TestWireStatAllocBudget(t *testing.T) {
 	t.Logf("%.2f allocs per stat", got)
 	if got > budget {
 		t.Errorf("%.2f allocs per warm stat, budget %d", got, budget)
+	}
+}
+
+// TestWireCreateAllocBudget pins what a create of a fresh file allocates
+// across the whole process on a warm loopback cluster, 64 in flight. The
+// client boxes its request and decodes the reply; the active decodes the
+// request and its path, makes the reply closure and boxes the reply; each
+// of the three replicas makes the file's inode (its one block inside it),
+// and each standby decodes the record's path: 11. About one more is the
+// create's share of its batch: the records slice, the batch frames and
+// their decoding on each standby, the pool write and the commit notice. It
+// was 17-18 before block ids moved into the inode, commit waits became
+// values, per-batch slices were reused and replies lost their flag.
+func TestWireCreateAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a wire-plane cluster")
+	}
+	const budget, perRun, runs = 13, 2000, 3
+	c, _ := statCluster(t)
+	// Every run creates fresh files: AllocsPerRun makes one warm-up run
+	// before the measured ones, and one more warms the cluster first.
+	paths := make([]string, (runs+2)*perRun)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/w/n%06d", i)
+	}
+	l := newOpLoop(c, true, paths)
+	next := 0
+	run := func() {
+		l.paths = paths[next : next+perRun]
+		next += perRun
+		if failed := l.run(t, perRun); failed > 0 {
+			t.Errorf("%d of %d creates failed", failed, perRun)
+		}
+	}
+	run()
+	got := testing.AllocsPerRun(runs, run) / perRun
+	t.Logf("%.2f allocs per create", got)
+	if got > budget {
+		t.Errorf("%.2f allocs per warm create, budget %d", got, budget)
 	}
 }
 

@@ -102,14 +102,15 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 // on either side. It was 580 with a gob encoder and decoder built per
 // frame, 32 with one gob stream per connection direction, 24 with the
 // call's deadline inside its pending entry, 15 with internal/wire's
-// stateless frame codec and node ids reused per connection, and is 11 with
-// frames queued to the loop as values, one reply closure per request and
-// pending entries reused. What is left: the test's callback, the request
-// boxed, and the reply, its Info and two strings decoded, on the caller's
-// side; the request and its path decoded, the reply closure, its replied
-// flag and the boxed reply, on the echo's.
+// stateless frame codec and node ids reused per connection, 11 with frames
+// queued to the loop as values, one reply closure per request and pending
+// entries reused, and is 10 with reply slots reused in place of a replied
+// flag per request. What is left: the test's callback, the request boxed,
+// and the reply, its Info and two strings decoded, on the caller's side;
+// the request and its path decoded, the reply closure and the boxed reply,
+// on the echo's.
 func TestCallAllocBudget(t *testing.T) {
-	const budget = 12
+	const budget = 11
 	a, caller := echoPair(t)
 	roundTrips(a, caller, 256, 64)
 	const perRun = 200

@@ -77,6 +77,37 @@ type onewayOnlyHandler struct{ msgs int }
 
 func (o *onewayOnlyHandler) HandleMessage(transport.NodeID, any) { o.msgs++ }
 
+// doubleReplier answers each Ping, and calls a reply func a second time:
+// request 1's own at once, and, while handling request 2, request 1's
+// again before answering request 2. caught counts the second calls that
+// panicked.
+type doubleReplier struct {
+	first  func(any)
+	caught int
+}
+
+func (d *doubleReplier) HandleMessage(transport.NodeID, any) {}
+func (d *doubleReplier) HandleRequest(_ transport.NodeID, req any, reply func(any)) {
+	n := req.(Ping).N
+	if n == 1 {
+		reply(Pong{N: n})
+		d.first = reply
+		d.replyPanics(reply, n)
+		return
+	}
+	d.replyPanics(d.first, 1) // on a plane that reuses request 1's state, 2 holds it now
+	reply(Pong{N: n})
+}
+
+func (d *doubleReplier) replyPanics(reply func(any), n int) {
+	defer func() {
+		if recover() != nil {
+			d.caught++
+		}
+	}()
+	reply(Pong{N: n})
+}
+
 // RunConformance exercises the behavioral contract both transport planes
 // must satisfy (see the package comment of internal/transport). mk builds a
 // fresh plane per subtest; the suite closes it.
@@ -333,6 +364,43 @@ func RunConformance(t *testing.T, mk func(t *testing.T) Plane) {
 			}
 			if cbRan {
 				t.Error("call callback ran after the caller crashed")
+			}
+		})
+	})
+
+	t.Run("DoubleReplyPanics", func(t *testing.T) {
+		// Answering one request twice is a handler bug, and it panics: at
+		// once, and also once the request after it has taken over whatever
+		// the plane kept for the first. Neither stale call reaches a caller.
+		p := mk(t)
+		defer p.Close()
+		dh := &doubleReplier{}
+		a := p.Listen("a", nil)
+		b := p.Listen("b", dh)
+		got := map[int]int{} // Pong.N → replies; -1 counts errors
+		for n := 1; n <= 2; n++ {
+			p.Do(a, func() {
+				a.Call("b", Ping{N: n}, 5*sim.Second, func(resp any, err error) {
+					if pong, ok := resp.(Pong); ok && err == nil {
+						got[pong.N]++
+					} else {
+						got[-1]++
+					}
+				})
+			})
+			if !waitUntil(p, a, 5*sim.Second, func() bool { return got[n] > 0 }) {
+				t.Fatalf("request %d never answered", n)
+			}
+		}
+		p.Step(20 * sim.Millisecond) // room for a stray extra reply to land
+		p.Do(a, func() {
+			if len(got) != 2 || got[1] != 1 || got[2] != 1 {
+				t.Errorf("replies by request %v, want exactly one each for 1 and 2", got)
+			}
+		})
+		p.Do(b, func() {
+			if dh.caught != 2 {
+				t.Errorf("%d of 2 second replies panicked", dh.caught)
 			}
 		})
 	})

@@ -34,12 +34,16 @@ go test -race ./internal/nettrans/... ./internal/simnet/... ./internal/transport
 # arriving Register against the registration window's cap timer), so their
 # stress tests get three more rounds.
 go test -race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt|TestWireClusterFailover' ./internal/nettrans/...
-# Keeps the layer benchmark compiling and prints its allocs/op (budget 12,
+# The allocation budgets (a Call, an After, a wire stat and a wire create)
+# three times over, so that one that holds only by luck fails here.
+go test -count=3 -run 'AllocBudget' ./internal/nettrans/...
+# Keeps the layer benchmark compiling and prints its allocs/op (budget 11,
 # pinned by TestCallAllocBudget) in every verify run.
 go test -run '^$' -bench CallRoundTrip -benchtime 200x ./internal/nettrans
 # The same for a whole stat and create through fsclient on one loopback
-# cluster, tracing off: allocs/op (a stat's budget of 11 is pinned by
-# TestWireStatAllocBudget) and cpu-us/op, the process's CPU time per op.
+# cluster, tracing off: allocs/op (a stat's budget of 10 is pinned by
+# TestWireStatAllocBudget, a create's of 13 by TestWireCreateAllocBudget)
+# and cpu-us/op, the process's CPU time per op.
 go test -run '^$' -bench WireOp -benchtime 2000x ./internal/nettrans/testutil
 # The frame decoder faces whatever a peer sends. `go test` above replays its
 # fuzz corpus (testdata/fuzz/FuzzFrameDecode plus one seed frame per message
