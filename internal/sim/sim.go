@@ -10,10 +10,14 @@
 //
 // The kernel is a hot path: every simulated RPC arms (and usually cancels) a
 // timeout timer, so the experiment harness dispatches tens of millions of
-// events per run. Two mechanisms keep that cheap:
+// events per run. Three mechanisms keep that cheap:
 //
-//   - fired and compacted events return to a per-World free list, so
-//     steady-state scheduling does not allocate;
+//   - fired and compacted events return to a per-World free list, and the
+//     Timer handle is a value, so steady-state scheduling does not allocate;
+//   - an event body may be a Firer the caller keeps anyway (a reused record,
+//     a handle), and an event's owner and name are joined only when the
+//     step limit reports it, so a schedule builds neither a closure nor a
+//     string;
 //   - cancelled events are removed lazily, but the heap is compacted once
 //     more than half of it is dead, so Timer.Stop cannot leak memory.
 //
@@ -56,6 +60,17 @@ func (t Time) String() string { return time.Duration(t).String() }
 // FromDuration converts a time.Duration into a virtual duration.
 func FromDuration(d time.Duration) Time { return Time(d) }
 
+// A Firer is an event body. Scheduling a value the caller keeps anyway — a
+// reused record, a handle it returns — through AfterFor costs no closure.
+type Firer interface{ Fire() }
+
+// Func adapts a plain function to Firer. A func value is a single pointer,
+// so the conversion does not allocate.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // An event is a scheduled callback. Events fire in (at, seq) order; seq is a
 // monotonically increasing tiebreaker that makes scheduling deterministic.
 // Recycled events bump gen so stale Timer handles cannot observe the next
@@ -64,16 +79,26 @@ type event struct {
 	at    Time
 	seq   uint64
 	gen   uint64
+	owner string // who the event runs for ("" for the world itself)
 	name  string
-	fn    func()
+	f     Firer
 	w     *World
 	index int  // heap index, -1 once popped
 	dead  bool // cancelled
 }
 
+// label names the event for a panic: "owner:name", or name alone.
+func (ev *event) label() string {
+	if ev.owner == "" {
+		return ev.name
+	}
+	return ev.owner + ":" + ev.name
+}
+
 // Timer is a handle to a scheduled event; it may be cancelled before firing.
-// The generation snapshot detaches the handle once the event struct is
-// recycled for a later schedule.
+// It is a value: the generation snapshot detaches it once the event struct
+// is recycled for a later schedule, so copies need no shared state. The
+// zero Timer refers to nothing.
 type Timer struct {
 	ev  *event
 	gen uint64
@@ -81,21 +106,21 @@ type Timer struct {
 
 // live reports whether the handle still refers to its original, uncancelled,
 // unfired schedule.
-func (t *Timer) live() bool {
-	return t != nil && t.ev != nil && t.ev.gen == t.gen && !t.ev.dead
+func (t Timer) live() bool {
+	return t.ev != nil && t.ev.gen == t.gen && !t.ev.dead
 }
 
 // Stop cancels the timer. It reports whether the timer was still pending.
 // The event stays in the heap until it surfaces or a compaction pass
 // reclaims it; either way it no longer counts toward World.Pending.
-func (t *Timer) Stop() bool {
+func (t Timer) Stop() bool {
 	if !t.live() {
 		return false
 	}
 	ev := t.ev
 	pending := ev.index >= 0
 	ev.dead = true
-	ev.fn = nil // release the closure now; the struct may linger in the heap
+	ev.f = nil // release the body now; the struct may linger in the heap
 	if pending {
 		ev.w.dead++
 	}
@@ -103,7 +128,7 @@ func (t *Timer) Stop() bool {
 }
 
 // Pending reports whether the timer has neither fired nor been stopped.
-func (t *Timer) Pending() bool {
+func (t Timer) Pending() bool {
 	return t.live() && t.ev.index >= 0
 }
 
@@ -174,7 +199,7 @@ func (w *World) Steps() uint64 { return w.steps }
 func (w *World) Pending() int { return len(w.events) - w.dead }
 
 // alloc takes an event from the free list (or the allocator) and fills it.
-func (w *World) alloc(t Time, name string, fn func()) *event {
+func (w *World) alloc(t Time, owner, name string, f Firer) *event {
 	var ev *event
 	if n := len(w.free); n > 0 {
 		ev = w.free[n-1]
@@ -186,8 +211,9 @@ func (w *World) alloc(t Time, name string, fn func()) *event {
 	w.seq++
 	ev.at = t
 	ev.seq = w.seq
+	ev.owner = owner
 	ev.name = name
-	ev.fn = fn
+	ev.f = f
 	ev.dead = false
 	return ev
 }
@@ -196,8 +222,8 @@ func (w *World) alloc(t Time, name string, fn func()) *event {
 // the free list. ev must already be out of the heap.
 func (w *World) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
-	ev.name = ""
+	ev.f = nil
+	ev.owner, ev.name = "", ""
 	w.free = append(w.free, ev)
 }
 
@@ -230,33 +256,45 @@ func (w *World) maybeCompact() {
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // (t < Now) panics: it would silently reorder causality.
-func (w *World) At(t Time, name string, fn func()) *Timer {
+func (w *World) At(t Time, name string, fn func()) Timer {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
 	if t < w.now {
 		panic(fmt.Sprintf("sim: event %q scheduled at %v, before now %v", name, t, w.now))
 	}
-	w.maybeCompact()
-	ev := w.alloc(t, name, fn)
-	heap.Push(&w.events, ev)
-	return &Timer{ev: ev, gen: ev.gen}
+	return w.schedule(t, "", name, Func(fn))
 }
 
 // After schedules fn to run d after the current virtual time. Negative d is
 // clamped to zero (fires "immediately" but still via the queue, preserving
 // run-to-completion semantics of the current event).
-func (w *World) After(d Time, name string, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	return w.At(w.now+d, name, fn)
+func (w *World) After(d Time, name string, fn func()) Timer {
+	return w.At(w.now+max(d, 0), name, fn)
 }
 
 // Defer schedules fn at the current instant, after all callbacks already
 // queued for this instant.
-func (w *World) Defer(name string, fn func()) *Timer {
+func (w *World) Defer(name string, fn func()) Timer {
 	return w.At(w.now, name, fn)
+}
+
+// AfterFor is After for an event that runs on owner's behalf, with a body
+// the caller keeps: owner and name stay apart, and are joined ("owner:name")
+// only if the step limit reports the event.
+func (w *World) AfterFor(d Time, owner, name string, f Firer) Timer {
+	if f == nil {
+		panic("sim: nil event function")
+	}
+	return w.schedule(w.now+max(d, 0), owner, name, f)
+}
+
+// schedule queues f at t, which is not in the past, and returns its handle.
+func (w *World) schedule(t Time, owner, name string, f Firer) Timer {
+	w.maybeCompact()
+	ev := w.alloc(t, owner, name, f)
+	heap.Push(&w.events, ev)
+	return Timer{ev: ev, gen: ev.gen}
 }
 
 // Step dispatches the next event, advancing the clock to its timestamp.
@@ -275,14 +313,14 @@ func (w *World) Step() bool {
 		w.now = ev.at
 		w.steps++
 		if w.maxStep > 0 && w.steps > w.maxStep {
-			panic(fmt.Sprintf("sim: step limit %d exceeded (last event %q at %v)", w.maxStep, ev.name, ev.at))
+			panic(fmt.Sprintf("sim: step limit %d exceeded (last event %q at %v)", w.maxStep, ev.label(), ev.at))
 		}
-		fn := ev.fn
-		// Recycle before dispatch so an event fn schedules can reuse this
-		// one from the free list; the gen bump has already detached the
-		// handle.
+		f := ev.f
+		// Recycle before dispatch so an event the body schedules can reuse
+		// this one from the free list; the gen bump has already detached
+		// the handle.
 		w.recycle(ev)
-		fn()
+		f.Fire()
 		return true
 	}
 	return false

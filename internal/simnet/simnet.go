@@ -65,10 +65,145 @@ type envelope struct {
 	payload any
 }
 
+// pendingCall is one outstanding Call. Entries are reused
+// (Network.freeCalls): one leaves its node's pending map and is released
+// when its call is answered, times out or is reaped. A crashed node's
+// entries are dropped with its map and left to the GC, so their deadlines,
+// which still surface as events, find the entry as the crash left it.
 type pendingCall struct {
+	nd    *Node
+	id    uint64
+	to    transport.NodeID
+	gen   uint64 // nd.gen at the call
 	cb    func(resp any, err error)
-	timer *sim.Timer
+	timed bool
+	timer sim.Timer // the deadline, while timed
 }
+
+// Fire is the call's deadline: it fails the call with ErrTimeout if the
+// entry still holds it.
+func (pc *pendingCall) Fire() {
+	nd := pc.nd
+	if nd.gen != pc.gen || !nd.up {
+		return
+	}
+	if p, ok := nd.pending[pc.id]; ok && p == pc {
+		delete(nd.pending, pc.id)
+		nd.net.link(nd.id, pc.to).timeoutInc()
+		nd.net.release(pc)(nil, transport.ErrTimeout)
+	}
+}
+
+// reuse takes a released record off free, or makes one.
+func reuse[T any](free *[]*T) *T {
+	k := len(*free)
+	if k == 0 {
+		return new(T)
+	}
+	r := (*free)[k-1]
+	*free = (*free)[:k-1]
+	return r
+}
+
+// release puts an entry that has left its node's pending map, and whose
+// deadline has fired or been stopped, back for reuse, and returns its
+// callback.
+func (n *Network) release(pc *pendingCall) func(resp any, err error) {
+	cb := pc.cb
+	*pc = pendingCall{}
+	n.freeCalls = append(n.freeCalls, pc)
+	return cb
+}
+
+// delivery is one message in flight. Records are reused
+// (Network.freeDeliveries): each fires exactly once, since nothing stops a
+// delivery, and goes back to the list before the message is handled.
+type delivery struct {
+	n        *Network
+	src, dst *Node
+	lc       *linkCounters
+	from, to transport.NodeID
+	env      envelope
+}
+
+// Fire hands the message to dst, or drops it if a fault now stands between
+// the two.
+func (d *delivery) Fire() {
+	m, n := *d, d.n
+	*d = delivery{}
+	n.freeDeliveries = append(n.freeDeliveries, d)
+	if !n.deliverable(m.src, m.dst) {
+		n.Dropped++
+		m.lc.droppedInc()
+		n.reapDropped(m.src, m.to, m.env)
+		return
+	}
+	n.Delivered++
+	m.dst.deliver(m.from, m.env)
+}
+
+// replySlot is one received request's right to an answer. Slots are reused
+// (Network.freeReplies): an answer moves its slot on a turn and frees it,
+// so a reply func whose turn has passed, a second reply to one request, is
+// caught even once the slot serves another request. A request that is
+// never answered leaves its slot to the GC.
+type replySlot struct {
+	turn uint64
+	nd   *Node
+	gen  uint64 // nd.gen when the request arrived
+	id   uint64
+	from transport.NodeID
+}
+
+// replyFunc returns the reply func for request id, which arrived at nd from
+// from, in a free slot when there is one.
+func (n *Network) replyFunc(nd *Node, from transport.NodeID, id uint64) func(any) {
+	s := reuse(&n.freeReplies)
+	s.nd, s.gen, s.id, s.from = nd, nd.gen, id, from
+	turn := s.turn
+	return func(r any) { n.reply(s, turn, r) }
+}
+
+// reply answers the request s holds for turn and frees s.
+func (n *Network) reply(s *replySlot, turn uint64, r any) {
+	if s.turn != turn {
+		panic("simnet: reply invoked twice")
+	}
+	rs := *s
+	*s = replySlot{turn: turn + 1}
+	n.freeReplies = append(n.freeReplies, s)
+	if rs.nd.gen != rs.gen || !rs.nd.up {
+		return // we crashed since receiving the request
+	}
+	n.send(rs.nd, rs.from, envelope{kind: envResponse, id: rs.id, payload: r})
+}
+
+// nodeTimer is the handle Node.After returns, and the event body it
+// schedules: one allocation per timer.
+type nodeTimer struct {
+	nd  *Node
+	gen uint64 // nd.gen at arming: a restarted node's old timers stay silent
+	fn  func()
+	t   sim.Timer
+}
+
+// Fire runs the callback unless the node crashed or restarted since arming.
+func (nt *nodeTimer) Fire() {
+	fn := nt.fn
+	nt.fn = nil
+	if nt.nd.up && nt.nd.gen == nt.gen {
+		fn()
+	}
+}
+
+// Stop cancels the timer, reporting whether it was still pending.
+func (nt *nodeTimer) Stop() bool {
+	nt.fn = nil
+	return nt.t.Stop()
+}
+
+// Pending reports whether the callback has yet to fire.
+func (nt *nodeTimer) Pending() bool { return nt.t.Pending() }
 
 // Network ties nodes together over a shared latency model.
 type Network struct {
@@ -82,6 +217,12 @@ type Network struct {
 	// lastArrival enforces per-link FIFO delivery (TCP-like): a message
 	// never overtakes an earlier one on the same (src, dst) link.
 	lastArrival map[[2]transport.NodeID]sim.Time
+
+	// Reused per-message and per-call state (see delivery, pendingCall,
+	// replySlot).
+	freeDeliveries []*delivery
+	freeCalls      []*pendingCall
+	freeReplies    []*replySlot
 
 	// Stats counts message traffic for reporting.
 	Sent      uint64
@@ -266,16 +407,9 @@ func (n *Network) send(src *Node, to transport.NodeID, env envelope) {
 		delay = arrival - n.world.Now()
 	}
 	n.lastArrival[link] = arrival
-	n.world.After(delay, "deliver:"+string(to), func() {
-		if !n.deliverable(src, dst) {
-			n.Dropped++
-			lc.droppedInc()
-			n.reapDropped(src, to, env)
-			return
-		}
-		n.Delivered++
-		dst.deliver(fromID, env)
-	})
+	d := reuse(&n.freeDeliveries)
+	*d = delivery{n: n, src: src, dst: dst, lc: lc, from: fromID, to: to, env: env}
+	n.world.AfterFor(delay, string(to), "deliver", d)
 }
 
 // sentInc / droppedInc / timeoutInc tolerate a nil receiver (observability
@@ -360,16 +494,16 @@ func (nd *Node) PendingCalls() int { return len(nd.pending) }
 // pending entry — and never learn of the drop — for the node's lifetime.
 func (nd *Node) failPending(id uint64) {
 	pc, ok := nd.pending[id]
-	if !ok || pc.timer != nil {
+	if !ok || pc.timed {
 		return
 	}
 	delete(nd.pending, id)
-	gen := nd.gen
-	nd.net.world.Defer("rpc-drop:"+string(nd.id), func() {
+	gen, cb := nd.gen, nd.net.release(pc)
+	nd.net.world.AfterFor(0, string(nd.id), "rpc-drop", sim.Func(func() {
 		if nd.up && nd.gen == gen {
-			pc.cb(nil, transport.ErrTimeout)
+			cb(nil, transport.ErrTimeout)
 		}
-	})
+	}))
 }
 
 // Call issues an RPC. cb runs exactly once: with the response; with
@@ -383,22 +517,13 @@ func (nd *Node) Call(to transport.NodeID, req any, timeout sim.Time, cb func(res
 	}
 	nd.nextCall++
 	id := nd.nextCall
-	pc := &pendingCall{cb: cb}
+	pc := reuse(&nd.net.freeCalls)
+	*pc = pendingCall{nd: nd, id: id, to: to, gen: nd.gen, cb: cb}
 	if timeout > 0 {
 		// The deadline is measured on the node's local clock: a skewed-fast
 		// node gives up on RPCs early relative to true time (gray.go).
-		timeout = nd.stretchTimeout(timeout)
-		gen := nd.gen
-		pc.timer = nd.net.world.After(timeout, "rpc-timeout:"+string(nd.id), func() {
-			if nd.gen != gen || !nd.up {
-				return
-			}
-			if p, ok := nd.pending[id]; ok && p == pc {
-				delete(nd.pending, id)
-				nd.net.link(nd.id, to).timeoutInc()
-				pc.cb(nil, transport.ErrTimeout)
-			}
-		})
+		pc.timed = true
+		pc.timer = nd.net.world.AfterFor(nd.stretchTimeout(timeout), string(nd.id), "rpc-timeout", pc)
 	}
 	nd.pending[id] = pc
 	nd.net.send(nd, to, envelope{kind: envRequest, id: id, payload: req})
@@ -422,29 +547,15 @@ func (nd *Node) deliver(from transport.NodeID, env envelope) {
 			}
 			return
 		}
-		replied := false
-		gen := nd.gen
-		id := env.id
-		rh.HandleRequest(from, env.payload, func(resp any) {
-			if replied {
-				panic("simnet: reply invoked twice")
-			}
-			replied = true
-			if nd.gen != gen || !nd.up {
-				return // we crashed since receiving the request
-			}
-			nd.net.send(nd, from, envelope{kind: envResponse, id: id, payload: resp})
-		})
+		rh.HandleRequest(from, env.payload, nd.net.replyFunc(nd, from, env.id))
 	case envResponse:
 		pc, ok := nd.pending[env.id]
 		if !ok {
 			return // late response after timeout or crash
 		}
 		delete(nd.pending, env.id)
-		if pc.timer != nil {
-			pc.timer.Stop()
-		}
-		pc.cb(env.payload, nil)
+		pc.timer.Stop()
+		nd.net.release(pc)(env.payload, nil)
 	}
 }
 
@@ -453,13 +564,9 @@ func (nd *Node) deliver(from transport.NodeID, env envelope) {
 // slowdown stretches it and clock skew rescales it (gray.go), so a degraded
 // or skewed node's timers fire late or early in true virtual time.
 func (nd *Node) After(d sim.Time, name string, fn func()) transport.Timer {
-	d = nd.stretchTimer(d)
-	gen := nd.gen
-	return nd.net.world.After(d, string(nd.id)+":"+name, func() {
-		if nd.up && nd.gen == gen {
-			fn()
-		}
-	})
+	nt := &nodeTimer{nd: nd, gen: nd.gen, fn: fn}
+	nt.t = nd.net.world.AfterFor(nd.stretchTimer(d), string(nd.id), name, nt)
+	return nt
 }
 
 // Crash stops the process: timers die, pending RPC callbacks are dropped,

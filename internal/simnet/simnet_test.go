@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"strings"
 	"testing"
 
 	"mams/internal/rng"
@@ -492,5 +493,34 @@ func TestTimeoutCallUnchangedByReaping(t *testing.T) {
 	}
 	if a.PendingCalls() != 0 {
 		t.Fatalf("pending calls leaked: %d", a.PendingCalls())
+	}
+}
+
+// TestStepLimitNamesNodeAndEvent: an event's node and name are joined only
+// when the step limit reports it, and a runaway simulation's panic names
+// both — for a node timer, a delivery and an RPC deadline.
+func TestStepLimitNamesNodeAndEvent(t *testing.T) {
+	for _, tc := range []struct {
+		want  string
+		start func(a *Node)
+	}{
+		{`"a:tick"`, func(a *Node) { a.After(sim.Millisecond, "tick", func() {}) }},
+		{`"b:deliver"`, func(a *Node) { a.Send("b", "x") }},
+		{`"a:rpc-timeout"`, func(a *Node) { a.Call("b", "x", sim.Microsecond, func(any, error) {}) }},
+	} {
+		w, n := newNet(sim.Millisecond)
+		a, _ := addRec(n, "a")
+		addRec(n, "b")
+		w.SetStepLimit(1)
+		w.After(0, "first", func() {}) // the one step allowed
+		tc.start(a)
+		msg := func() (msg string) {
+			defer func() { msg, _ = recover().(string) }()
+			w.Run()
+			return ""
+		}()
+		if !strings.Contains(msg, "step limit") || !strings.Contains(msg, tc.want) {
+			t.Errorf("step-limit panic %q does not name %s", msg, tc.want)
+		}
 	}
 }

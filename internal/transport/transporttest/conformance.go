@@ -108,6 +108,14 @@ func (d *doubleReplier) replyPanics(reply func(any), n int) {
 	reply(Pong{N: n})
 }
 
+// holder keeps each request's answer, to be given when the test says.
+type holder struct{ answers []func() }
+
+func (h *holder) HandleMessage(transport.NodeID, any) {}
+func (h *holder) HandleRequest(_ transport.NodeID, req any, reply func(any)) {
+	h.answers = append(h.answers, func() { reply(Pong{N: req.(Ping).N}) })
+}
+
 // RunConformance exercises the behavioral contract both transport planes
 // must satisfy (see the package comment of internal/transport). mk builds a
 // fresh plane per subtest; the suite closes it.
@@ -403,6 +411,89 @@ func RunConformance(t *testing.T, mk func(t *testing.T) Plane) {
 				t.Errorf("%d of 2 second replies panicked", dh.caught)
 			}
 		})
+	})
+
+	t.Run("LateResponseAfterEntryReuse", func(t *testing.T) {
+		// Call 1 times out, and call 2 may take over whatever the plane
+		// kept for it. Call 1's response then arrives, ahead of call 2's:
+		// it is dropped, and each callback runs once with its own result.
+		p := mk(t)
+		defer p.Close()
+		h := &holder{}
+		a := p.Listen("a", nil)
+		b := p.Listen("b", h)
+		var got [3][]any // by request
+		call := func(n int, timeout sim.Time) {
+			p.Do(a, func() {
+				a.Call("b", Ping{N: n}, timeout, func(resp any, err error) {
+					if err != nil {
+						got[n] = append(got[n], err)
+						return
+					}
+					got[n] = append(got[n], resp)
+				})
+			})
+			if !waitUntil(p, b, 5*sim.Second, func() bool { return len(h.answers) == n }) {
+				t.Fatalf("request %d never arrived", n)
+			}
+		}
+		call(1, 20*sim.Millisecond)
+		if !waitUntil(p, a, 5*sim.Second, func() bool { return len(got[1]) > 0 }) {
+			t.Fatal("call 1 never timed out")
+		}
+		call(2, 5*sim.Second)
+		p.Do(b, func() {
+			h.answers[0]()
+			h.answers[1]()
+		})
+		if !waitUntil(p, a, 5*sim.Second, func() bool { return len(got[2]) > 0 }) {
+			t.Fatal("call 2 never answered")
+		}
+		p.Step(20 * sim.Millisecond) // room for a stray extra callback
+		p.Do(a, func() {
+			if len(got[1]) != 1 || got[1][0] != transport.ErrTimeout {
+				t.Errorf("call 1's callback got %v, want one ErrTimeout", got[1])
+			}
+			if len(got[2]) != 1 || got[2][0] != (Pong{N: 2}) {
+				t.Errorf("call 2's callback got %v, want one Pong{2}", got[2])
+			}
+			if n := a.PendingCalls(); n != 0 {
+				t.Errorf("PendingCalls = %d, want 0", n)
+			}
+		})
+	})
+
+	t.Run("StopAfterFireSparesLaterTimer", func(t *testing.T) {
+		// A timer's callback arms a later one, which may take over what
+		// the plane kept for the first. Stopping the fired timer's handle
+		// then reports false and leaves the later timer to fire.
+		p := mk(t)
+		defer p.Close()
+		a := p.Listen("a", nil)
+		var first, later transport.Timer
+		laterFired := false
+		p.Do(a, func() {
+			first = a.After(sim.Millisecond, "first", func() {
+				later = a.After(30*sim.Millisecond, "later", func() { laterFired = true })
+			})
+		})
+		if !waitUntil(p, a, 5*sim.Second, func() bool { return later != nil }) {
+			t.Fatal("first timer never fired")
+		}
+		p.Do(a, func() {
+			if first.Stop() {
+				t.Error("Stop() of a fired timer returned true")
+			}
+			if first.Pending() {
+				t.Error("fired timer still Pending")
+			}
+			if !later.Pending() {
+				t.Error("the fired timer's Stop cancelled the later one")
+			}
+		})
+		if !waitUntil(p, a, 5*sim.Second, func() bool { return laterFired }) {
+			t.Fatal("later timer never fired")
+		}
 	})
 
 	t.Run("ConcurrentCalls", func(t *testing.T) {

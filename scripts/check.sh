@@ -34,12 +34,20 @@ go test -race ./internal/nettrans/... ./internal/simnet/... ./internal/transport
 # arriving Register against the registration window's cap timer), so their
 # stress tests get three more rounds.
 go test -race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt|TestWireClusterFailover' ./internal/nettrans/...
-# The allocation budgets (a Call, an After, a wire stat and a wire create)
-# three times over, so that one that holds only by luck fails here.
-go test -count=3 -run 'AllocBudget' ./internal/nettrans/...
+# The allocation budgets three times over, so that one that holds only by
+# luck fails here: on the wire plane a Call, an After, a stat and a create;
+# on the simulator a kernel schedule and cancel (0), a send and its delivery
+# (0), a timed Call (2), an After (2), and a create and a stat through
+# fsclient on a simulated 1A2S cluster (11 and 7).
+go test -count=3 -run 'AllocBudget' ./internal/nettrans/... ./internal/sim/... ./internal/simnet/... ./internal/cluster/...
 # Keeps the layer benchmark compiling and prints its allocs/op (budget 11,
 # pinned by TestCallAllocBudget) in every verify run.
 go test -run '^$' -bench CallRoundTrip -benchtime 200x ./internal/nettrans
+# The simulator's counterparts: a timed Call round trip on simnet (pinned by
+# its TestCallAllocBudget) and a kernel schedule and cancel (pinned by
+# TestAfterStopAllocBudget), so both keep compiling and print allocs/op.
+go test -run '^$' -bench SimnetCall -benchtime 200x ./internal/simnet
+go test -run '^$' -bench TimerChurn -benchtime 200x -benchmem ./internal/sim
 # The same for a whole stat and create through fsclient on one loopback
 # cluster, tracing off: allocs/op (a stat's budget of 10 is pinned by
 # TestWireStatAllocBudget, a create's of 13 by TestWireCreateAllocBudget)
