@@ -119,6 +119,7 @@ type Server struct {
 
 	// Modeling.
 	cpu                  transport.Lane // the single op-dispatch thread
+	freeDispatch         []*opDispatch  // records no op is waiting in
 	virtualOverheadBytes int64
 	lastImageSN          uint64
 	lastImageSize        int64
@@ -965,11 +966,46 @@ func (s *Server) handleClientOp(from transport.NodeID, op ClientOp, reply func(a
 	// CPU queue: ops are serviced sequentially, for what the commit policy
 	// leaves on the dispatch thread. This is transport.Charge written out,
 	// so that an op with no wait (the wire plane's zero cost model) runs
-	// without a closure: op is copied into one only on the timer path.
+	// inline, and one that waits does so in a reused dispatch record.
 	if wait := s.cpu.Add(s.node.Now(), s.pipe.dispatchCost(op.Kind)); wait > 0 {
-		s.node.After(wait, "mds-op", func() { s.executeOp(op, reply) })
+		d := s.dispatchRecord()
+		d.op, d.reply = op, reply
+		s.node.After(wait, "mds-op", d.fire)
 		return
 	}
+	s.executeOp(op, reply)
+}
+
+// opDispatch holds one client op while it waits out its dispatch charge.
+// Its fire func is bound once, when the record is made, and the record
+// goes back on Server.freeDispatch when it fires, so a charged op costs no
+// closure. Each record is armed on its own timer: a slowdown that changes
+// between two arms can make them fire out of arming order. A crashed
+// node's timers never fire, and its records are left to the GC.
+type opDispatch struct {
+	s     *Server
+	op    ClientOp
+	reply func(any)
+	fire  func() // d.run
+}
+
+// dispatchRecord returns a free dispatch record, making one if none is.
+func (s *Server) dispatchRecord() *opDispatch {
+	if n := len(s.freeDispatch); n > 0 {
+		d := s.freeDispatch[n-1]
+		s.freeDispatch = s.freeDispatch[:n-1]
+		return d
+	}
+	d := &opDispatch{s: s}
+	d.fire = d.run
+	return d
+}
+
+// run executes the op once its charge is paid, freeing the record first.
+func (d *opDispatch) run() {
+	s, op, reply := d.s, d.op, d.reply
+	d.op, d.reply = ClientOp{}, nil
+	s.freeDispatch = append(s.freeDispatch, d)
 	s.executeOp(op, reply)
 }
 

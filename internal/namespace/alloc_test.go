@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mams/internal/journal"
+	"mams/internal/race"
 )
 
 // The namespace is the metadata hot path: every simulated op resolves at
@@ -70,6 +71,9 @@ func TestStatBlocksAppendLeavesTree(t *testing.T) {
 }
 
 func TestCreateAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	tr := benchTree(t, 0)
 	paths := make([]string, 1<<16)
 	for i := range paths {

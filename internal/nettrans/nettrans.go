@@ -28,7 +28,10 @@
 // against maxFrame before anything else is read, the receive buffer grows
 // only with bytes that have arrived, and a frame must decode to exactly
 // its length; a frame that breaks any of this closes its connection, and
-// the next send redials. A frame that cannot be sent (its payload is not a
+// the next send redials. A dial that fails makes its address refused for
+// refuseWindow: until then every frame to it is undeliverable at once, on
+// the loop, without a connection or a goroutine, and the first send after
+// the window dials again. A frame that cannot be sent (its payload is not a
 // registered message, or it is over maxFrame) is dropped on its own: its
 // caller fails and the connection carries on.
 //
@@ -136,8 +139,13 @@ type Config struct {
 	Book *AddrBook
 }
 
-// dialTimeout bounds outbound connection establishment.
-const dialTimeout = 2 * time.Second
+const (
+	// dialTimeout bounds outbound connection establishment.
+	dialTimeout = 2 * time.Second
+	// refuseWindow is how long an address whose dial failed stays refused:
+	// a dead peer costs one dial per window, not one per frame sent to it.
+	refuseWindow = 50 * time.Millisecond
+)
 
 // Transport is one process's endpoint set. See the package comment.
 type Transport struct {
@@ -191,10 +199,12 @@ type Transport struct {
 	live     map[*conn]struct{}
 	liveShut bool
 
-	// Stats mirror simnet.Network's counters (loop-owned).
+	// Stats mirror simnet.Network's counters (loop-owned); Dials counts
+	// the outbound connections the transport has started.
 	Sent      uint64
 	Delivered uint64
 	Dropped   uint64
+	Dials     uint64
 
 	wg sync.WaitGroup
 }
@@ -395,17 +405,20 @@ func (t *Transport) node(id transport.NodeID) *Node {
 // Any socket error, or a bad frame read, shuts the connection: the frames
 // still queued are reported undeliverable (the ones already written are
 // failed by the peer's reap or by the caller's timeout), and a dialed
-// connection leaves the reuse map so the next send redials. A frame that
+// connection leaves the reuse map so the next send redials. A connection
+// whose dial failed stays in the map as a tombstone until retryAt instead,
+// and sends to its address fail without dialing until then. A frame that
 // will not encode is reported undeliverable alone.
 type conn struct {
 	tr   *Transport
 	addr string // dial target; empty for an accepted connection
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []frame
-	closed bool
-	sock   net.Conn // nil until dialed (guarded by mu)
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []frame
+	closed  bool
+	sock    net.Conn // nil until dialed (guarded by mu)
+	retryAt sim.Time // set when the dial failed: the address is refused until then
 }
 
 func (t *Transport) newConn(addr string, sock net.Conn) *conn {
@@ -448,6 +461,27 @@ func (c *conn) shut() {
 	c.abandon(stranded)
 }
 
+// refuse shuts a connection whose dial failed and leaves it in the reuse
+// map as a tombstone that refuses its address for refuseWindow. The frames
+// queued while it dialed are reported undeliverable. A connection shut
+// while it dialed is not made a tombstone: shut has already forgotten it.
+func (c *conn) refuse() {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
+	c.closed = true
+	c.retryAt = c.tr.Now() + sim.Time(refuseWindow)
+	stranded := c.queue
+	c.queue = nil
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	if len(stranded) > 0 {
+		c.reject(stranded)
+	}
+}
+
 // abandon applies loss semantics, on the loop, to frames of a dead
 // connection, and forgets the connection there.
 func (c *conn) abandon(stranded []frame) {
@@ -479,6 +513,7 @@ func (c *conn) write() {
 	if c.addr != "" {
 		sock, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 		if err != nil {
+			c.refuse()
 			return
 		}
 		c.mu.Lock()
@@ -556,20 +591,25 @@ func (c *conn) read() {
 	}
 }
 
-// connTo returns (dialing if needed) the reusable connection to addr.
-// Loop-only.
+// connTo returns (dialing if needed) the reusable connection to addr, or
+// nil while addr is refused: its last dial failed less than refuseWindow
+// ago. Loop-only.
 func (t *Transport) connTo(addr string) *conn {
 	if c := t.conns[addr]; c != nil {
 		c.mu.Lock()
-		dead := c.closed
+		dead, retryAt := c.closed, c.retryAt
 		c.mu.Unlock()
 		if !dead {
 			return c
+		}
+		if retryAt != 0 && t.Now() < retryAt {
+			return nil
 		}
 		delete(t.conns, addr)
 	}
 	c := t.newConn(addr, nil)
 	t.conns[addr] = c
+	t.Dials++
 	t.wg.Add(1)
 	go c.write()
 	return c
@@ -591,7 +631,8 @@ func (t *Transport) frameUndeliverable(f frame) {
 
 // sendFrame routes a frame: local fast path for co-hosted destinations
 // (still asynchronous — enqueued back onto the loop, never run inline),
-// otherwise the reusable outbound connection. Loop-only.
+// otherwise the reusable outbound connection, or straight to loss
+// semantics while the destination's address is refused. Loop-only.
 func (t *Transport) sendFrame(f frame) {
 	t.Sent++
 	if src := t.node(f.From); src != nil && !src.up {
@@ -607,7 +648,12 @@ func (t *Transport) sendFrame(f frame) {
 		t.frameUndeliverable(f)
 		return
 	}
-	t.connTo(addr).enqueue(f)
+	c := t.connTo(addr)
+	if c == nil {
+		t.frameUndeliverable(f)
+		return
+	}
+	c.enqueue(f)
 }
 
 // ---- inbound ----

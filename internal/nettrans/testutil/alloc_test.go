@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mams/internal/namespace"
+	"mams/internal/race"
 )
 
 // window is how many operations the loops below keep in flight on the
@@ -111,6 +112,9 @@ func statCluster(tb testing.TB) (*Cluster, []string) {
 // block list, the reply stopped carrying the path, and the reply closure
 // lost its replied flag.
 func TestWireStatAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	if testing.Short() {
 		t.Skip("boots a wire-plane cluster")
 	}
@@ -140,6 +144,9 @@ func TestWireStatAllocBudget(t *testing.T) {
 // was 17-18 before block ids moved into the inode, commit waits became
 // values, per-batch slices were reused and replies lost their flag.
 func TestWireCreateAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	if testing.Short() {
 		t.Skip("boots a wire-plane cluster")
 	}

@@ -10,6 +10,7 @@ import (
 	"mams/internal/mams"
 	"mams/internal/namespace"
 	"mams/internal/nettrans"
+	"mams/internal/race"
 	"mams/internal/sim"
 	"mams/internal/transport"
 	"mams/internal/transport/transporttest"
@@ -110,6 +111,9 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 // the request and its path decoded, the reply closure and the boxed reply,
 // on the echo's.
 func TestCallAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	const budget = 11
 	a, caller := echoPair(t)
 	roundTrips(a, caller, 256, 64)
@@ -131,6 +135,9 @@ func TestCallAllocBudget(t *testing.T) {
 // timer and the caller's closure. The deadline heap and its one runtime
 // timer add nothing per timer.
 func TestAfterAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	const budget = 2
 	book := nettrans.NewAddrBook()
 	tr, nd := spawn(t, book, "a", nil)

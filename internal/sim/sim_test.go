@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"mams/internal/race"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -292,6 +294,9 @@ func TestRecycledEventDetachesOldHandle(t *testing.T) {
 // handle, which is a value (regression guard for the per-schedule event
 // and handle allocations and the Stop leak).
 func TestAfterStopAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	w := NewWorld()
 	fn := func() {}
 	// Warm up: populate the free list via compaction.

@@ -3,6 +3,7 @@ package simnet
 import (
 	"testing"
 
+	"mams/internal/race"
 	"mams/internal/sim"
 	"mams/internal/transport"
 )
@@ -29,6 +30,9 @@ func allocPair() (*sim.World, *Node, *counter) {
 // allocations: the delivery record and the kernel event are reused, and the
 // event needs no name built for it.
 func TestSendAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	w, a, cb := allocPair()
 	var msg any = "hello"
 	send := func() {
@@ -49,6 +53,9 @@ func TestSendAllocBudget(t *testing.T) {
 // the caller's callback and the callee's reply func. The pending entry, its
 // deadline, both deliveries and the reply slot are reused.
 func TestCallAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	const budget = 2
 	w, a, _ := allocPair()
 	var req any = "ping"
@@ -78,6 +85,9 @@ func TestCallAllocBudget(t *testing.T) {
 // handle, which is also the event's body, and the caller's closure — the
 // wire plane's budget.
 func TestAfterAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
 	const budget = 2
 	w, a, _ := allocPair()
 	fired := 0

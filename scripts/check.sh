@@ -27,18 +27,21 @@ go test -race -timeout 40m ./internal/experiments/... ./internal/sim/...
 # TCP (mams.NewLayout: none), and TestWireStatIsNotTimerBound, an unloaded stat far below the
 # millisecond a timer on the read path would cost. The transporttest lint
 # also asserts no protocol package (mams, coord, ssp, fsclient) imports
-# internal/simnet.
+# internal/simnet. The allocation budgets skip themselves in race builds
+# (internal/race): the detector allocates on its own.
 go test -race ./internal/nettrans/... ./internal/simnet/... ./internal/transport/...
 # Teardown, boot and failover are races by nature (Close against a loop
 # still running callbacks; metadata servers against the coord election; an
-# arriving Register against the registration window's cap timer), so their
+# arriving Register against the registration window's cap timer; a failed
+# dial's writer against the loop that reads its tombstone), so their
 # stress tests get three more rounds.
-go test -race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt|TestWireClusterFailover' ./internal/nettrans/...
+go test -race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt|TestWireClusterFailover|TestRefused' ./internal/nettrans/...
 # The allocation budgets three times over, so that one that holds only by
-# luck fails here: on the wire plane a Call, an After, a stat and a create;
-# on the simulator a kernel schedule and cancel (0), a send and its delivery
-# (0), a timed Call (2), an After (2), and a create and a stat through
-# fsclient on a simulated 1A2S cluster (11 and 7).
+# luck fails here: on the wire plane a Call, an After, a frame to a refused
+# address (0), a stat and a create; on the simulator a kernel schedule and
+# cancel (0), a send and its delivery (0), a timed Call (2), an After (2),
+# and a create and a stat through fsclient on a simulated 1A2S cluster (10
+# and 6).
 go test -count=3 -run 'AllocBudget' ./internal/nettrans/... ./internal/sim/... ./internal/simnet/... ./internal/cluster/...
 # Keeps the layer benchmark compiling and prints its allocs/op (budget 11,
 # pinned by TestCallAllocBudget) in every verify run.
