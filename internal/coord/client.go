@@ -262,26 +262,37 @@ func (c *Client) attempt(op Op, tries int, cb func(*Result, error)) {
 // its frozen session times out, and the node itself learns "expired" at its
 // next heartbeat).
 func (c *Client) ForceExpireNode(node transport.NodeID, cb func(err error)) {
-	c.forceExpireAttempt(node, 0, cb)
+	c.nodeAttempt(poisonRequest{Node: node}, 0, cb)
 }
 
-func (c *Client) forceExpireAttempt(node transport.NodeID, tries int, cb func(err error)) {
+// ReportRefused tells the ensemble leader that node's address refused a
+// call. It is a hint, not a verdict: the leader probes node itself and
+// ends node's sessions early only if its own probes are refused too
+// (Server.probeRefused); anything else leaves them to their time-out.
+func (c *Client) ReportRefused(node transport.NodeID, cb func(err error)) {
+	c.nodeAttempt(refusedReport{Node: node}, 0, cb)
+}
+
+// nodeAttempt sends a by-node request (poisonRequest, refusedReport) to
+// the leader, following redirects, until a leader has taken it or the
+// attempts run out.
+func (c *Client) nodeAttempt(req any, tries int, cb func(err error)) {
 	if tries >= maxAttempts {
 		cb(ErrNoQuorum)
 		return
 	}
 	target := c.cfg.Servers[c.leader]
-	c.host.Call(target, poisonRequest{Node: node}, requestTimeout,
+	c.host.Call(target, req, requestTimeout,
 		func(resp any, err error) {
 			if err != nil {
 				c.leader = (c.leader + 1) % len(c.cfg.Servers)
-				c.forceExpireAttempt(node, tries+1, cb)
+				c.nodeAttempt(req, tries+1, cb)
 				return
 			}
 			cr := resp.(clientResponse)
 			if cr.NotLeader {
 				c.adoptRedirect(cr.Redirect)
-				c.forceExpireAttempt(node, tries+1, cb)
+				c.nodeAttempt(req, tries+1, cb)
 				return
 			}
 			cb(nil)

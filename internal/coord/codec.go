@@ -18,6 +18,8 @@ const (
 	tagPoisonRequest
 	tagWatchEvent
 	tagOp
+	tagRefusedReport
+	tagLivenessProbe
 )
 
 func init() {
@@ -28,6 +30,8 @@ func init() {
 	wire.Register(readPoisonRequest)
 	wire.Register(readWatchEvent)
 	wire.Register(readOpPtr)
+	wire.Register(readRefusedReport)
+	wire.Register(readLivenessProbe)
 }
 
 func (*Op) WireTag() uint8 { return tagOp }
@@ -123,3 +127,17 @@ func (m WatchEvent) MarshalWire(w *wire.Writer) {
 func readWatchEvent(r *wire.Reader) WatchEvent {
 	return WatchEvent{Path: r.String(), Type: EventType(r.U8())}
 }
+
+func (refusedReport) WireTag() uint8 { return tagRefusedReport }
+
+func (m refusedReport) MarshalWire(w *wire.Writer) { w.String(string(m.Node)) }
+
+func readRefusedReport(r *wire.Reader) refusedReport {
+	return refusedReport{Node: transport.NodeID(r.String())}
+}
+
+func (livenessProbe) WireTag() uint8 { return tagLivenessProbe }
+
+func (livenessProbe) MarshalWire(*wire.Writer) {}
+
+func readLivenessProbe(*wire.Reader) livenessProbe { return livenessProbe{} }

@@ -40,6 +40,18 @@ type poisonRequest struct {
 	Node transport.NodeID
 }
 
+// refusedReport tells the leader that a call to Node was refused: its
+// address had no listener. The leader checks that itself (probeRefused).
+type refusedReport struct {
+	Node transport.NodeID
+}
+
+// livenessProbe is the leader's check of a reported node. No host handles
+// it, and a live host answers a request it does not know (with nil), so
+// only the transport's verdict on the call matters: an answer means a
+// process is there, transport.ErrRefused that none is.
+type livenessProbe struct{}
+
 // ServerConfig configures one ensemble member.
 type ServerConfig struct {
 	ID       transport.NodeID
@@ -65,6 +77,14 @@ const (
 	// the tick the shortest time-out implies, so a 5 s session scans every
 	// 250 ms and a 1.2 s one every 60 ms.
 	sessionTicks = 20
+	// refusedProbeGap spaces the leader's two probes of a reported node.
+	// It is longer than the wire plane's refusal window (50 ms), so two
+	// refusals come from two dials, the second made after the first probe
+	// was sent.
+	refusedProbeGap = 60 * sim.Millisecond
+	// refusedProbes is how many refused probes in a row prove a node's
+	// process gone.
+	refusedProbes = 2
 )
 
 // Server is one coordination-ensemble member: a Paxos replica plus the
@@ -79,6 +99,7 @@ type Server struct {
 	pending     map[uint64]func(any) // ReqID → RPC reply
 	lastHeard   map[uint64]sim.Time
 	poisoned    map[uint64]bool
+	probing     map[uint64]bool // sessions whose owner a probe sequence is checking
 	leaderGuess transport.NodeID
 	wasLeading  bool
 	lastLeadMsg sim.Time
@@ -88,6 +109,7 @@ type Server struct {
 	// Observability (nil-safe no-ops without a registry on the network).
 	obsWatchFires   *obs.Counter
 	obsSessExpiries *obs.Counter
+	obsRefExpiries  *obs.Counter
 	obsLockAcquired *obs.Counter
 	obsLockReleased *obs.Counter
 }
@@ -102,6 +124,7 @@ func NewServer(net transport.Transport, cfg ServerConfig, log *trace.Log) *Serve
 		pending:   map[uint64]func(any){},
 		lastHeard: map[uint64]sim.Time{},
 		poisoned:  map[uint64]bool{},
+		probing:   map[uint64]bool{},
 	}
 	h := fnv.New64a()
 	h.Write([]byte(cfg.ID))
@@ -112,6 +135,8 @@ func NewServer(net transport.Transport, cfg ServerConfig, log *trace.Log) *Serve
 		"Watch notifications delivered by this ensemble member while leading.", "node", me)
 	s.obsSessExpiries = reg.Counter("mams_coord_session_expiries_total",
 		"Client sessions expired by this ensemble member while leading.", "node", me)
+	s.obsRefExpiries = reg.Counter("mams_coord_refused_expiries_total",
+		"Client sessions this member ended while leading, before their time-out, because the owner's address refused two probes.", "node", me)
 	s.obsLockAcquired = reg.Counter("mams_coord_lock_acquired_total",
 		"Group lock znodes created (applied on this member).", "node", me)
 	s.obsLockReleased = reg.Counter("mams_coord_lock_released_total",
@@ -229,15 +254,67 @@ func (s *Server) checkSessions() {
 	}
 	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
 	for _, id := range expired {
-		if s.log != nil {
-			s.log.Emit(trace.KindCoord, string(s.cfg.ID), "session-expire",
-				"session", itoa(id), "client", string(s.sm.sessions[id].clientNode))
-		}
-		s.obsSessExpiries.Inc()
-		op := &Op{ReqID: s.nextInternalReq(), Kind: opExpireSession, Session: id}
-		s.replica.Propose(op)
-		delete(s.lastHeard, id) // avoid re-proposing every scan
+		s.proposeExpiry(id, "session-expire")
 	}
+}
+
+// proposeExpiry proposes the end of session id, traced as event. Leader
+// only.
+func (s *Server) proposeExpiry(id uint64, event string) {
+	if s.log != nil {
+		s.log.Emit(trace.KindCoord, string(s.cfg.ID), event,
+			"session", itoa(id), "client", string(s.sm.sessions[id].clientNode))
+	}
+	s.obsSessExpiries.Inc()
+	op := &Op{ReqID: s.nextInternalReq(), Kind: opExpireSession, Session: id}
+	s.replica.Propose(op)
+	delete(s.lastHeard, id) // avoid re-proposing every scan
+}
+
+// probeRefused checks a report that node's address refused a call (leader
+// only). The sessions node owns now, and that no probe sequence is already
+// checking, are probed as one: if node's address refuses refusedProbes
+// probes in a row, refusedProbeGap apart, the sessions are expired at once,
+// in session-id order, along the time-out's path. Any other outcome, an
+// answer or a probe time-out, leaves them to their time-out: silence is
+// never proof.
+func (s *Server) probeRefused(node transport.NodeID) {
+	var ids []uint64
+	for id, sess := range s.sm.sessions {
+		if sess.clientNode == node && !s.probing[id] {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		s.probing[id] = true
+	}
+	s.probe(node, ids, 0)
+}
+
+// probe sends one liveness probe to node, after refused refusals so far.
+func (s *Server) probe(node transport.NodeID, ids []uint64, refused int) {
+	s.node.Call(node, livenessProbe{}, requestTimeout, func(_ any, err error) {
+		if err == transport.ErrRefused && refused+1 < refusedProbes {
+			s.node.After(refusedProbeGap, "coord-refused-probe", func() { s.probe(node, ids, refused+1) })
+			return
+		}
+		for _, id := range ids {
+			delete(s.probing, id)
+		}
+		if err != transport.ErrRefused || !s.replica.Leading() {
+			return
+		}
+		for _, id := range ids {
+			if s.sm.sessions[id] != nil {
+				s.obsRefExpiries.Inc()
+				s.proposeExpiry(id, "session-expire-refused")
+			}
+		}
+	})
 }
 
 func (s *Server) nextInternalReq() uint64 {
@@ -315,6 +392,13 @@ func (s *Server) HandleRequest(from transport.NodeID, req any, reply func(any)) 
 			return
 		}
 		s.lastHeard[m.Session] = s.node.Now()
+		reply(clientResponse{})
+	case refusedReport:
+		if !s.replica.Leading() {
+			reply(clientResponse{NotLeader: true, Redirect: s.leaderGuess})
+			return
+		}
+		s.probeRefused(m.Node)
 		reply(clientResponse{})
 	case poisonRequest:
 		if !s.replica.Leading() {

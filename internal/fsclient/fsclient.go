@@ -76,6 +76,9 @@ type Client struct {
 	idSalt  uint64
 	probe   []int   // round-robin cursor per group for WhoIsActive
 	free    []*call // finished operations' state, for reuse: at most the peak in flight
+	// refused names, per group, a member whose address refused a call
+	// since the group's last WhoIsActive, which names it (mams.WhoIsActive).
+	refused []transport.NodeID
 	// mapRefreshes counts shard-map adoptions from StaleMap replies — the
 	// client-side cache-invalidation signal (no central lookups happen).
 	mapRefreshes uint64
@@ -89,7 +92,12 @@ func New(net transport.Transport, cfg Config) *Client {
 	if cfg.Partitioner != nil {
 		cfg.Partitioner = cfg.Partitioner.Clone()
 	}
-	c := &Client{cfg: cfg, actives: make([]transport.NodeID, len(cfg.Groups)), probe: make([]int, len(cfg.Groups))}
+	c := &Client{
+		cfg:     cfg,
+		actives: make([]transport.NodeID, len(cfg.Groups)),
+		probe:   make([]int, len(cfg.Groups)),
+		refused: make([]transport.NodeID, len(cfg.Groups)),
+	}
 	for _, ch := range cfg.ID {
 		c.idSalt = c.idSalt*131 + uint64(ch)
 	}
@@ -295,7 +303,9 @@ func (k *call) attempt() {
 	target := c.actives[k.group]
 	if target == "" {
 		c.probe[k.group]++
-		mams.ResolveActive(c.node, c.cfg.Groups, k.group, c.probe[k.group], k.onActive)
+		refused := c.refused[k.group]
+		c.refused[k.group] = ""
+		mams.ResolveActive(c.node, c.cfg.Groups, k.group, c.probe[k.group], refused, k.onActive)
 		return
 	}
 	if c.cfg.Partitioner != nil {
@@ -319,8 +329,12 @@ func (k *call) resolved(active transport.NodeID) {
 func (k *call) reply(resp any, err error) {
 	c := k.c
 	if err != nil {
-		// Timeout or dead server: drop the cached active and retry.
+		// Timeout or dead server: drop the cached active and retry. A
+		// refusal is passed on with the next WhoIsActive.
 		c.actives[k.group] = ""
+		if err == transport.ErrRefused {
+			c.refused[k.group] = k.target
+		}
 		k.backoff()
 		return
 	}

@@ -375,9 +375,9 @@ func readTxnAbort(r *wire.Reader) TxnAbort { return TxnAbort{TxnID: r.Uvarint()}
 
 func (WhoIsActive) WireTag() uint8 { return tagWhoIsActive }
 
-func (WhoIsActive) MarshalWire(*wire.Writer) {}
+func (m WhoIsActive) MarshalWire(w *wire.Writer) { w.String(string(m.Refused)) }
 
-func readWhoIsActive(*wire.Reader) WhoIsActive { return WhoIsActive{} }
+func readWhoIsActive(r *wire.Reader) WhoIsActive { return WhoIsActive{Refused: readNode(r)} }
 
 func (ActiveIs) WireTag() uint8 { return tagActiveIs }
 

@@ -34,6 +34,19 @@ func (s *Server) onDeposedByLockLoss() {
 	s.armWatches()
 }
 
+// reportRefused passes on a client's word that the active's address
+// refused its call. The member only forwards it: the coordination leader
+// probes the address itself and ends the active's session only on its own
+// proof (coord.Client.ReportRefused), so a wrong or stale report costs a
+// probe and nothing else. One report is in flight at a time.
+func (s *Server) reportRefused(active transport.NodeID) {
+	if s.reporting {
+		return
+	}
+	s.reporting = true
+	s.coordCli.ReportRefused(active, func(error) { s.reporting = false })
+}
+
 // maybeElect implements Algorithm 1's entry: standbys (or, with none left,
 // juniors) race for the distributed lock after a random delay — the
 // paper's "each standby generates a random number" realized as jitter, so

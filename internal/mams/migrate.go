@@ -648,7 +648,7 @@ func (mg *Migrator) callActive(group int, req any, attempt int, ok func(resp any
 			mg.callActive(group, req, attempt+1, ok, cb)
 		})
 	}
-	ResolveActive(mg.node, mg.layout.Groups, group, attempt, func(active transport.NodeID) {
+	ResolveActive(mg.node, mg.layout.Groups, group, attempt, "", func(active transport.NodeID) {
 		if active == "" {
 			again()
 			return
@@ -931,7 +931,7 @@ func (mg *Migrator) balanceOnce(next func()) {
 	}
 	for g := 0; g < groups; g++ {
 		g := g
-		ResolveActive(mg.node, mg.layout.Groups, g, 0, func(active transport.NodeID) {
+		ResolveActive(mg.node, mg.layout.Groups, g, 0, "", func(active transport.NodeID) {
 			if active == "" {
 				finish()
 				return

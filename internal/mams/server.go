@@ -18,8 +18,13 @@ import (
 
 // WhoIsActive asks any group member for the current active (used by
 // clients to reconnect after failover and by cross-group transaction
-// coordinators).
-type WhoIsActive struct{}
+// coordinators). Refused, when set, names a member whose address refused
+// the asker's last call: a member whose view still names it active reports
+// it to the coordination service, which checks the proof itself
+// (coord.Client.ReportRefused).
+type WhoIsActive struct {
+	Refused transport.NodeID
+}
 
 // ActiveIs answers WhoIsActive.
 type ActiveIs struct {
@@ -62,9 +67,12 @@ type Server struct {
 	bootRole Role
 
 	coordCli *coord.Client
-	pool     *ssp.PoolNode
-	sspc     *ssp.Client
-	blocks   *blockmap.Manager
+	// reporting is set while a refused-active report is on its way to the
+	// coordination service, so a burst of clients' reports sends one.
+	reporting bool
+	pool      *ssp.PoolNode
+	sspc      *ssp.Client
+	blocks    *blockmap.Manager
 
 	tree   *namespace.Tree
 	log    *journal.Log
@@ -347,6 +355,7 @@ func (s *Server) Restart() {
 	s.preparedTxns = map[uint64]*preparedTxn{}
 	s.sanityOn = false
 	s.cpu = transport.Lane{}
+	s.reporting = false
 	s.retryCache = map[uint64]OpReply{}
 	s.resetShardState()
 	s.blocks.Reset()
@@ -909,6 +918,9 @@ func (s *Server) HandleRequest(from transport.NodeID, req any, reply func(any)) 
 	case ClientOp:
 		s.handleClientOp(from, m, reply)
 	case WhoIsActive:
+		if m.Refused != "" && m.Refused != s.cfg.ID && m.Refused == transport.NodeID(s.view.Active) {
+			s.reportRefused(m.Refused)
+		}
 		reply(ActiveIs{Active: transport.NodeID(s.view.Active), Epoch: s.view.Epoch})
 	case AppendBatch:
 		s.onAppendBatch(from, m, reply)

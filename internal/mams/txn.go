@@ -179,7 +179,7 @@ func (s *Server) sendPrepare(txn *txnState, group int, recs []journal.Record, at
 		}
 		return
 	}
-	ResolveActive(s.node, s.cfg.Groups, group, attempt, func(active transport.NodeID) {
+	ResolveActive(s.node, s.cfg.Groups, group, attempt, "", func(active transport.NodeID) {
 		if active == "" {
 			s.node.After(300*sim.Millisecond, "mams-txn-retry", func() {
 				s.sendPrepare(txn, group, recs, attempt+1)
@@ -214,14 +214,19 @@ func (s *Server) sendPrepare(txn *txnState, group int, recs []journal.Record, at
 
 // ResolveActive asks one member of a group which node is its active, and
 // passes the answer to cb ("" when there is none). pick chooses the member,
-// round-robin: members[pick % len(members)].
-func ResolveActive(node transport.Node, groups [][]transport.NodeID, group, pick int, cb func(transport.NodeID)) {
+// round-robin: members[pick % len(members)], or the next one when that is
+// refused, a member whose address refused the caller's last call; the
+// question names refused so that the member can report it (WhoIsActive).
+func ResolveActive(node transport.Node, groups [][]transport.NodeID, group, pick int, refused transport.NodeID, cb func(transport.NodeID)) {
 	if group < 0 || group >= len(groups) || len(groups[group]) == 0 {
 		cb("")
 		return
 	}
 	members := groups[group]
-	node.Call(members[pick%len(members)], WhoIsActive{}, 300*sim.Millisecond, func(resp any, err error) {
+	if refused != "" && members[pick%len(members)] == refused {
+		pick++
+	}
+	node.Call(members[pick%len(members)], WhoIsActive{Refused: refused}, 300*sim.Millisecond, func(resp any, err error) {
 		if ai, ok := resp.(ActiveIs); ok && err == nil {
 			cb(ai.Active)
 			return
@@ -247,7 +252,7 @@ func (s *Server) maybeFinishTxn(txn *txnState) {
 			if !txn.prepared[g] {
 				continue
 			}
-			ResolveActive(s.node, s.cfg.Groups, g, 0, func(active transport.NodeID) {
+			ResolveActive(s.node, s.cfg.Groups, g, 0, "", func(active transport.NodeID) {
 				if active != "" {
 					s.node.Send(active, TxnAbort{TxnID: txn.id})
 				}

@@ -31,7 +31,11 @@
 // the next send redials. A dial that fails makes its address refused for
 // refuseWindow: until then every frame to it is undeliverable at once, on
 // the loop, without a connection or a goroutine, and the first send after
-// the window dials again. A frame that cannot be sent (its payload is not a
+// the window dials again. A dial the peer's host refused (ECONNREFUSED)
+// proves that nothing listens there, so requests to that address fail at
+// once with transport.ErrRefused, timed or not, for as long as its window
+// lasts; any other dial failure is silence, and its timed calls keep their
+// deadlines. A frame that cannot be sent (its payload is not a
 // registered message, or it is over maxFrame) is dropped on its own: its
 // caller fails and the connection carries on.
 //
@@ -39,7 +43,10 @@
 // destinations vanish silently; requests that provably cannot
 // complete (dial failure, write failure, dead or handler-less destination)
 // fail the pending call with transport.ErrTimeout — immediately even for
-// timeout == 0 calls, the same pending-leak guarantee the sim plane makes.
+// timeout == 0 calls, the same pending-leak guarantee the sim plane makes —
+// and requests to a refusing address with transport.ErrRefused. A pending
+// call is failed through the loop's queue, as a frame of the internal kind
+// frameFail, so failing one costs no closure.
 //
 // Timers: every After and every timed Call of the process's nodes waits in
 // one deadline heap owned by the loop, and one runtime timer is set for the
@@ -67,6 +74,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"mams/internal/obs"
@@ -93,6 +101,10 @@ const (
 	// wire form of simnet's reapDropped and is what keeps zero-timeout
 	// calls from leaking.
 	frameReap
+	// frameFail never crosses the wire (the decoder refuses any kind past
+	// frameReap): it is queued on the loop to fail the local pending call
+	// ID of node To with the error in Payload.
+	frameFail
 )
 
 // frame is the unit of exchange. From/To are node ids, not addresses; ID
@@ -144,6 +156,7 @@ const (
 	dialTimeout = 2 * time.Second
 	// refuseWindow is how long an address whose dial failed stays refused:
 	// a dead peer costs one dial per window, not one per frame sent to it.
+	// Two refusals seen more than a window apart came from two dials.
 	refuseWindow = 50 * time.Millisecond
 )
 
@@ -342,6 +355,14 @@ func (t *Transport) run() {
 // callback dialed, or the listener accepted, after the walk would have a
 // reader nothing ever unblocks. A connection still dialing has no reader
 // yet; its reader finds liveShut when it starts.
+//
+// closed is set before the listener closes, and nothing else ever closes
+// the listener: there is no way to stop listening and keep serving. So
+// once a dial to this transport's address is refused, its loop starts no
+// further input (a callback already running may finish), and coord takes
+// two refusals spaced past refuseWindow as proof that the process behind
+// the address is gone (DESIGN §11). A method that closed only the listener
+// would break that proof.
 func (t *Transport) Close() {
 	t.mu.Lock()
 	if t.closed.Load() {
@@ -407,8 +428,9 @@ func (t *Transport) node(id transport.NodeID) *Node {
 // failed by the peer's reap or by the caller's timeout), and a dialed
 // connection leaves the reuse map so the next send redials. A connection
 // whose dial failed stays in the map as a tombstone until retryAt instead,
-// and sends to its address fail without dialing until then. A frame that
-// will not encode is reported undeliverable alone.
+// and sends to its address fail without dialing until then; with ErrRefused
+// when the peer's host refused the dial. A frame that will not encode is
+// reported undeliverable alone.
 type conn struct {
 	tr   *Transport
 	addr string // dial target; empty for an accepted connection
@@ -419,6 +441,7 @@ type conn struct {
 	closed  bool
 	sock    net.Conn // nil until dialed (guarded by mu)
 	retryAt sim.Time // set when the dial failed: the address is refused until then
+	refused bool     // the dial failed with ECONNREFUSED: nothing listens at addr
 }
 
 func (t *Transport) newConn(addr string, sock net.Conn) *conn {
@@ -427,12 +450,13 @@ func (t *Transport) newConn(addr string, sock net.Conn) *conn {
 	return c
 }
 
-// enqueue hands a frame to the writer.
+// enqueue hands a frame to the writer. Loop-only.
 func (c *conn) enqueue(f frame) {
 	c.mu.Lock()
 	if c.closed {
+		err := c.lossErr()
 		c.mu.Unlock()
-		c.tr.post(func() { c.tr.frameUndeliverable(f) })
+		c.tr.frameUndeliverable(f, err)
 		return
 	}
 	c.queue = append(c.queue, f)
@@ -461,11 +485,21 @@ func (c *conn) shut() {
 	c.abandon(stranded)
 }
 
+// lossErr is what a request that cannot go out on c fails with: ErrRefused
+// when c's dial was refused, ErrTimeout otherwise. Caller holds c.mu.
+func (c *conn) lossErr() error {
+	if c.refused {
+		return transport.ErrRefused
+	}
+	return transport.ErrTimeout
+}
+
 // refuse shuts a connection whose dial failed and leaves it in the reuse
-// map as a tombstone that refuses its address for refuseWindow. The frames
-// queued while it dialed are reported undeliverable. A connection shut
-// while it dialed is not made a tombstone: shut has already forgotten it.
-func (c *conn) refuse() {
+// map as a tombstone that refuses its address for refuseWindow; refused
+// says the peer's host refused the dial. The frames queued while it dialed
+// are reported undeliverable. A connection shut while it dialed is not made
+// a tombstone: shut has already forgotten it.
+func (c *conn) refuse(refused bool) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -473,12 +507,14 @@ func (c *conn) refuse() {
 	}
 	c.closed = true
 	c.retryAt = c.tr.Now() + sim.Time(refuseWindow)
+	c.refused = refused
 	stranded := c.queue
 	c.queue = nil
 	c.cond.Broadcast()
+	err := c.lossErr()
 	c.mu.Unlock()
 	if len(stranded) > 0 {
-		c.reject(stranded)
+		c.reject(stranded, err)
 	}
 }
 
@@ -490,15 +526,15 @@ func (c *conn) abandon(stranded []frame) {
 			delete(c.tr.conns, c.addr)
 		}
 	})
-	c.reject(stranded)
+	c.reject(stranded, transport.ErrTimeout)
 }
 
 // reject applies loss semantics, on the loop, to frames that will not
-// reach their destination.
-func (c *conn) reject(fs []frame) {
+// reach their destination; requests among them fail with err.
+func (c *conn) reject(fs []frame, err error) {
 	c.tr.post(func() {
 		for _, f := range fs {
-			c.tr.frameUndeliverable(f)
+			c.tr.frameUndeliverable(f, err)
 		}
 	})
 }
@@ -513,7 +549,7 @@ func (c *conn) write() {
 	if c.addr != "" {
 		sock, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 		if err != nil {
-			c.refuse()
+			c.refuse(errors.Is(err, syscall.ECONNREFUSED))
 			return
 		}
 		c.mu.Lock()
@@ -552,7 +588,7 @@ func (c *conn) write() {
 			}
 		}
 		if bad != nil {
-			c.reject(bad)
+			c.reject(bad, transport.ErrTimeout)
 		}
 		if err := enc.flush(c.sock); err != nil {
 			// The socket may have taken any prefix of the batch.
@@ -593,39 +629,39 @@ func (c *conn) read() {
 
 // connTo returns (dialing if needed) the reusable connection to addr, or
 // nil while addr is refused: its last dial failed less than refuseWindow
-// ago. Loop-only.
-func (t *Transport) connTo(addr string) *conn {
+// ago, and err is what a request to it fails with. Loop-only.
+func (t *Transport) connTo(addr string) (c *conn, err error) {
 	if c := t.conns[addr]; c != nil {
 		c.mu.Lock()
-		dead, retryAt := c.closed, c.retryAt
+		dead, retryAt, err := c.closed, c.retryAt, c.lossErr()
 		c.mu.Unlock()
 		if !dead {
-			return c
+			return c, nil
 		}
 		if retryAt != 0 && t.Now() < retryAt {
-			return nil
+			return nil, err
 		}
 		delete(t.conns, addr)
 	}
-	c := t.newConn(addr, nil)
+	c = t.newConn(addr, nil)
 	t.conns[addr] = c
 	t.Dials++
 	t.wg.Add(1)
 	go c.write()
-	return c
+	return c, nil
 }
 
 // frameUndeliverable applies loss semantics to a frame that provably did
-// not reach its destination: requests fail the caller's pending entry,
-// responses and reaps fail the callee-side nothing (the caller times out),
-// oneways vanish. Loop-only.
-func (t *Transport) frameUndeliverable(f frame) {
+// not reach its destination: requests fail the caller's pending entry with
+// err (see failPending), responses and reaps fail the callee-side nothing
+// (the caller times out), oneways vanish. Loop-only.
+func (t *Transport) frameUndeliverable(f frame, err error) {
 	t.Dropped++
 	if f.Kind != frameRequest {
 		return
 	}
 	if src := t.node(f.From); src != nil {
-		src.failPending(f.ID)
+		src.failPending(f.ID, err)
 	}
 }
 
@@ -636,7 +672,7 @@ func (t *Transport) frameUndeliverable(f frame) {
 func (t *Transport) sendFrame(f frame) {
 	t.Sent++
 	if src := t.node(f.From); src != nil && !src.up {
-		t.frameUndeliverable(f)
+		t.frameUndeliverable(f, transport.ErrTimeout)
 		return
 	}
 	if local := t.node(f.To); local != nil {
@@ -645,12 +681,12 @@ func (t *Transport) sendFrame(f frame) {
 	}
 	addr, ok := t.book.Lookup(f.To)
 	if !ok {
-		t.frameUndeliverable(f)
+		t.frameUndeliverable(f, transport.ErrTimeout)
 		return
 	}
-	c := t.connTo(addr)
+	c, err := t.connTo(addr)
 	if c == nil {
-		t.frameUndeliverable(f)
+		t.frameUndeliverable(f, err)
 		return
 	}
 	c.enqueue(f)
@@ -679,6 +715,9 @@ func (t *Transport) accept() {
 func (t *Transport) dispatch(f frame, via *conn) {
 	dst := t.node(f.To)
 	if dst == nil || !dst.up {
+		if f.Kind == frameFail {
+			return // counted when its request was found undeliverable
+		}
 		t.Dropped++
 		// Requests get a reap so the caller learns immediately; responses
 		// and reaps for a dead or unknown node just vanish (the pending
@@ -703,7 +742,7 @@ func (t *Transport) dispatch(f frame, via *conn) {
 		}
 		t.Delivered++
 		rh.HandleRequest(f.From, f.Payload, t.replyFunc(dst, &f, via))
-	case frameResponse, frameReap:
+	case frameResponse, frameReap, frameFail:
 		pc, ok := dst.pending[f.ID]
 		if !ok {
 			return // late response after timeout or crash
@@ -713,13 +752,16 @@ func (t *Transport) dispatch(f frame, via *conn) {
 			pc.deadline.Stop()
 		}
 		cb := t.release(pc)
-		if f.Kind == frameReap {
+		switch f.Kind {
+		case frameReap:
 			t.Dropped++
 			cb(nil, transport.ErrTimeout)
-			return
+		case frameFail:
+			cb(nil, f.Payload.(error))
+		default:
+			t.Delivered++
+			cb(f.Payload, nil)
 		}
-		t.Delivered++
-		cb(f.Payload, nil)
 	}
 }
 

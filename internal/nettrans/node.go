@@ -132,8 +132,9 @@ func (nd *Node) Send(to transport.NodeID, msg any) {
 
 // Call issues an RPC. cb runs exactly once on the loop: with the response;
 // with transport.ErrTimeout after the deadline (or, for zero-timeout calls,
-// as soon as the request is provably undeliverable); or never if this node
-// crashes first.
+// as soon as the request is provably undeliverable); with
+// transport.ErrRefused as soon as the destination's address refuses its
+// connection, timed or not; or never if this node crashes first.
 func (nd *Node) Call(to transport.NodeID, req any, timeout sim.Time, cb func(resp any, err error)) {
 	if !nd.up {
 		return
@@ -149,21 +150,22 @@ func (nd *Node) Call(to transport.NodeID, req any, timeout sim.Time, cb func(res
 	nd.tr.sendFrame(frame{Kind: frameRequest, ID: id, From: nd.id, To: to, Payload: req})
 }
 
-// failPending fails a provably-lost call that has no timeout timer armed
-// (timer-armed calls keep their deadline semantics). Loop-only; the
-// callback itself is re-posted so it never runs inside the failing send.
-func (nd *Node) failPending(id uint64) {
+// failPending fails a provably-lost call with err: at once if it has no
+// deadline or if err is transport.ErrRefused, which proves the request was
+// never received; a timed call lost any other way keeps its deadline
+// semantics. Loop-only. The failure is queued as a frameFail, so the
+// callback never runs inside the failing send, costs no closure, and is
+// dropped with the pending entry if the node crashes first; the deadline
+// leaves the heap now, so it cannot overtake the failure in the queue.
+func (nd *Node) failPending(id uint64, err error) {
 	pc, ok := nd.pending[id]
-	if !ok || pc.timed {
+	if !ok || pc.timed && err != transport.ErrRefused {
 		return
 	}
-	delete(nd.pending, id)
-	gen, cb := nd.gen, nd.tr.release(pc)
-	nd.tr.post(func() {
-		if nd.up && nd.gen == gen {
-			cb(nil, transport.ErrTimeout)
-		}
-	})
+	if pc.timed {
+		pc.deadline.Stop()
+	}
+	nd.tr.deliver(frame{Kind: frameFail, ID: id, To: nd.id, Payload: err}, nil)
 }
 
 // After schedules fn on the loop after wall-clock d; it silently does not

@@ -117,12 +117,13 @@ func TestRefusedAddressDialsOncePerWindow(t *testing.T) {
 	}
 }
 
-// TestRefusedCallFailsAsItsTimeoutSays: inside the window a zero-timeout
-// Call fails with ErrTimeout at once, and a timed one at its deadline,
-// neither of them dialing.
+// TestRefusedCallFailsAsItsTimeoutSays: inside the window of a refused
+// dial, a Call fails with ErrRefused at once, whether it has a time-out or
+// not (the refusal proves that nothing listens there), and neither call
+// dials.
 func TestRefusedCallFailsAsItsTimeoutSays(t *testing.T) {
 	a, caller, addr := deadPeer(t)
-	const timeout = 100 * sim.Millisecond
+	const timeout = 10 * sim.Second
 	type outcome struct {
 		err error
 		at  sim.Time
@@ -136,14 +137,50 @@ func TestRefusedCallFailsAsItsTimeoutSays(t *testing.T) {
 		caller.Call("dead", refuseMsg, timeout, func(_ any, err error) { tm <- outcome{err, a.Now()} })
 		caller.Call("dead", refuseMsg, 0, func(_ any, err error) { u <- outcome{err, a.Now()} })
 	})
-	u := <-untimed
-	if u.err != transport.ErrTimeout {
-		t.Errorf("zero-timeout call: err = %v, want ErrTimeout", u.err)
+	for name, ch := range map[string]chan outcome{"zero-timeout": untimed, "timed": timed} {
+		o := <-ch
+		if o.err != transport.ErrRefused {
+			t.Errorf("%s call: err = %v, want ErrRefused", name, o.err)
+		}
+		if o.at-issued >= timeout/2 {
+			t.Errorf("%s call failed after %v, not at once", name, o.at-issued)
+		}
 	}
-	select {
-	case o := <-timed:
-		t.Fatalf("the timed call failed (%v) before the zero-timeout one", o.err)
-	default:
+	var after uint64
+	a.Do(func() { after = a.Dials })
+	if after != dials {
+		t.Errorf("the refused calls dialed %d times", after-dials)
+	}
+}
+
+// TestUnreachableCallKeepsItsDeadline: a dial that fails other than by a
+// refusal (here an address no dial can reach: its port is out of range)
+// proves nothing about the peer. Its window still holds frames back from
+// dialing, but a timed Call fails with ErrTimeout at its deadline, and a
+// zero-timeout one with ErrTimeout at once, as before.
+func TestUnreachableCallKeepsItsDeadline(t *testing.T) {
+	book := NewAddrBook()
+	book.Set("nowhere", "127.0.0.1:99999")
+	a, err := New(Config{Addr: "127.0.0.1:0", Book: book})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Close)
+	caller := a.Listen("caller", echoHandler{})
+	const timeout = 150 * sim.Millisecond
+	type outcome struct {
+		err error
+		at  sim.Time
+	}
+	untimed, timed := make(chan outcome, 1), make(chan outcome, 1)
+	var issued sim.Time
+	a.Do(func() {
+		issued = a.Now()
+		caller.Call("nowhere", refuseMsg, timeout, func(_ any, err error) { timed <- outcome{err, a.Now()} })
+		caller.Call("nowhere", refuseMsg, 0, func(_ any, err error) { untimed <- outcome{err, a.Now()} })
+	})
+	if u := <-untimed; u.err != transport.ErrTimeout {
+		t.Errorf("zero-timeout call: err = %v, want ErrTimeout", u.err)
 	}
 	o := <-timed
 	if o.err != transport.ErrTimeout {
@@ -152,10 +189,16 @@ func TestRefusedCallFailsAsItsTimeoutSays(t *testing.T) {
 	if o.at-issued < timeout {
 		t.Errorf("timed call failed after %v, before its %v deadline", o.at-issued, timeout)
 	}
-	var after uint64
-	a.Do(func() { after = a.Dials })
-	if after != dials {
-		t.Errorf("the refused calls dialed %d times", after-dials)
+	var refused, tomb bool
+	a.Do(func() {
+		if c := a.conns["127.0.0.1:99999"]; c != nil {
+			c.mu.Lock()
+			tomb, refused = c.retryAt != 0, c.refused
+			c.mu.Unlock()
+		}
+	})
+	if tomb && refused {
+		t.Error("a dial that failed without a refusal marked its address refused")
 	}
 }
 
@@ -190,12 +233,11 @@ func TestRefusedAddressRedialsAfterWindow(t *testing.T) {
 }
 
 // TestRefusedCallAllocBudget pins what a frame to a refused address costs
-// the transport: nothing. A timed Call there takes a reused pending entry,
-// waits out its deadline in the heap and fails; a one-way message is
-// counted and dropped. Neither makes a connection, a goroutine or a
-// closure. (A zero-timeout Call fails through its posted callback, as an
-// undeliverable one always has.) The tombstone's retry instant is moved an
-// hour out, so the window outlasts the measurement.
+// the transport: nothing. A timed Call there takes a reused pending entry
+// and fails with ErrRefused through a frame queued on the loop; a one-way
+// message is counted and dropped. Neither makes a connection, a goroutine
+// or a closure. The tombstone's retry instant is moved an hour out, so the
+// window outlasts the measurement.
 func TestRefusedCallAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -213,8 +255,8 @@ func TestRefusedCallAllocBudget(t *testing.T) {
 	var done chan struct{}
 	failed := 0
 	cb := func(_ any, err error) {
-		if err != transport.ErrTimeout {
-			t.Errorf("refused call: err = %v, want ErrTimeout", err)
+		if err != transport.ErrRefused {
+			t.Errorf("refused call: err = %v, want ErrRefused", err)
 		}
 		if failed++; failed == perRun {
 			close(done)

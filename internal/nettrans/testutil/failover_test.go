@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mams/internal/namespace"
 	"mams/internal/transport/transporttest"
 )
 
@@ -14,8 +15,11 @@ import (
 // coordination ensemble, every process on its own TCP listener on
 // loopback. It drives the namespace through fsclient, kills the active's
 // process (listener, connections, loop — everything), and asserts that
-// failover completes and that no acknowledged operation is lost — the
-// paper's core reliability claim, exercised over a real network stack.
+// failover completes on proof of death (the killed address refuses, so a
+// survivor takes over within half the session time-out and exactly one
+// session ends on refused probes) and that no acknowledged operation is
+// lost — the paper's core reliability claim, exercised over a real network
+// stack.
 func TestWireClusterFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wire-plane failover takes several wall-clock seconds")
@@ -80,9 +84,43 @@ func TestWireClusterFailover(t *testing.T) {
 
 	// Let some acks accumulate, then kill the active process outright.
 	time.Sleep(500 * time.Millisecond)
-	before := c.Active()
-	if killed := c.KillActive(); killed < 0 {
+	killAt := time.Now()
+	before := c.KillActive()
+	if before < 0 {
 		t.Fatal("no active to kill")
+	}
+
+	// The writer's create in flight at the kill waits out its time-out, so
+	// an open loop of stats, one every 5 ms from the kill on, is what finds
+	// the dead address refused, as new ops do under the benchmark's open
+	// loop. A survivor must take over on that proof, well before the 1.2 s
+	// session time-out would end the dead active's session.
+	tookOver, statsDone := make(chan time.Duration, 1), make(chan struct{})
+	go func() {
+		defer close(statsDone)
+		for len(tookOver) == 0 {
+			c.ClientProc.Tr.Do(func() { c.Client.Stat("/dir/seed", func(*namespace.Info, error) {}) })
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
+	go func() {
+		for time.Since(killAt) < 5*time.Second {
+			if now := c.Active(); now >= 0 && now != before {
+				tookOver <- time.Since(killAt)
+				return
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		tookOver <- 0
+	}()
+	<-statsDone
+	takeover := <-tookOver
+	if takeover == 0 {
+		t.Fatal("no survivor became active within 5 s of the kill")
+	}
+	t.Logf("a survivor reported active %v after the kill", takeover)
+	if limit := time.Duration(coordSessionTimeout) / 2; takeover > limit {
+		t.Errorf("a survivor reported active %v after the kill, want within %v (half the session time-out)", takeover, limit)
 	}
 
 	if !c.AwaitStable(30 * time.Second) {
@@ -91,6 +129,11 @@ func TestWireClusterFailover(t *testing.T) {
 	after := c.Active()
 	if after == before || after < 0 {
 		t.Fatalf("active did not move: before=%d after=%d", before, after)
+	}
+
+	// Exactly one session, the dead active's, ended on proof of death.
+	if n := c.RefusedExpiries(); n != 1 {
+		t.Errorf("coord leaders ended %v sessions on refused probes, want 1", n)
 	}
 
 	// Writes must work against the new active.

@@ -20,6 +20,7 @@ import (
 	"mams/internal/mams"
 	"mams/internal/namespace"
 	"mams/internal/nettrans"
+	"mams/internal/obs"
 	"mams/internal/partition"
 	"mams/internal/rng"
 	"mams/internal/sim"
@@ -115,10 +116,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c.ClientProc = clientProc
 
-	// Phase 2: coordination ensemble, one server per process.
+	// Phase 2: coordination ensemble, one server per process. Each keeps
+	// its metrics (sessions expired, locks handed over) in a registry of
+	// its own, read on its loop (RefusedExpiries).
 	for i, p := range c.Coord {
 		i, p := i, p
 		var srv *coord.Server
+		p.Tr.SetObs(obs.NewRegistry(), nil)
 		p.Tr.Do(func() {
 			srv = coord.NewServer(p.Tr, coord.ServerConfig{
 				ID: p.ID, Ensemble: coordIDs, Bootstrap: i == 0,
@@ -255,6 +259,19 @@ func (c *Cluster) Active() int {
 		}
 	}
 	return -1
+}
+
+// RefusedExpiries sums, over the coordination servers, the sessions a
+// leader ended before their time-out because their owner's address refused
+// its probes (mams_coord_refused_expiries_total).
+func (c *Cluster) RefusedExpiries() float64 {
+	var n float64
+	for _, p := range c.Coord {
+		p.Tr.Do(func() {
+			n += p.Tr.Obs().Counter("mams_coord_refused_expiries_total", "", "node", string(p.ID)).Value()
+		})
+	}
+	return n
 }
 
 // KillActive closes the active member's transport — listener, connections,

@@ -384,6 +384,7 @@ type Client struct {
 	fetches    *obs.Counter
 	fetchBytes *obs.Counter
 	timeouts   *obs.Counter
+	refusals   *obs.Counter
 	storeLat   *obs.Histogram
 }
 
@@ -409,6 +410,8 @@ func NewClient(host transport.Node, pools []transport.NodeID, local *PoolNode, r
 			"Logical bytes read from the pool by this host.", "node", me),
 		timeouts: reg.Counter("mams_ssp_rpc_timeouts_total",
 			"Pool RPCs abandoned on timeout by this host.", "node", me),
+		refusals: reg.Counter("mams_ssp_rpc_refused_total",
+			"Pool RPCs failed at once because the pool node's address refused the connection.", "node", me),
 		storeLat: reg.Histogram("mams_ssp_store_seconds",
 			"End-to-end pool store latency (all replicas acknowledged).",
 			obs.ExpBuckets(0.001, 10, 5), "node", me),
@@ -503,9 +506,7 @@ type putRound struct {
 // finish records one replica's outcome and reports the Put once every
 // replica has answered.
 func (r *putRound) finish(err error) {
-	if err == transport.ErrTimeout {
-		r.c.timeouts.Inc()
-	}
+	r.c.countErr(err)
 	if err != nil && r.firstErr == nil {
 		r.firstErr = err
 	}
@@ -515,6 +516,17 @@ func (r *putRound) finish(err error) {
 			r.c.storeLat.Observe((r.c.host.Now() - r.started).Seconds())
 		}
 		r.cb(r.firstErr)
+	}
+}
+
+// countErr counts a failed pool RPC under what failed it: a time-out, or a
+// refused connection (which fails at once, not at the deadline).
+func (c *Client) countErr(err error) {
+	switch err {
+	case transport.ErrTimeout:
+		c.timeouts.Inc()
+	case transport.ErrRefused:
+		c.refusals.Inc()
 	}
 }
 
@@ -558,9 +570,7 @@ func (c *Client) getRemote(key Key, idx int, cb func(data []byte, size int64, er
 	// in seconds instead of stalling for an image-sized transfer timeout.
 	c.host.Call(target, hasReq{Key: key}, 2*sim.Second, func(resp any, err error) {
 		if err != nil {
-			if err == transport.ErrTimeout {
-				c.timeouts.Inc()
-			}
+			c.countErr(err)
 			c.getRemote(key, idx+1, cb)
 			return
 		}
@@ -578,9 +588,7 @@ func (c *Client) getRemote(key Key, idx int, cb func(data []byte, size int64, er
 		}
 		c.host.Call(target, fetchReq{Key: key}, fetchTimeout, func(resp any, err error) {
 			if err != nil {
-				if err == transport.ErrTimeout {
-					c.timeouts.Inc()
-				}
+				c.countErr(err)
 				c.getRemote(key, idx+1, cb)
 				return
 			}

@@ -22,9 +22,19 @@
 //     code needs no locks.
 //   - Call invokes its callback exactly once — with the response, with
 //     ErrTimeout after the timeout (or when the request/response is
-//     provably lost, even with timeout 0), or never-leaking on teardown.
+//     provably lost, even with timeout 0), with ErrRefused at once when the
+//     request provably never reached a listening process, or never-leaking
+//     on teardown.
 //   - Send is fire-and-forget; sends to dead or unknown peers are dropped
-//     silently (detected only by Call timeouts), mirroring UDP-ish loss.
+//     silently (detected only by Call timeouts, or by ErrRefused where the
+//     peer's host refuses the connection), mirroring UDP-ish loss.
+//
+// ErrRefused is the one failure that proves something: the destination's
+// address refused the connection, so no process was listening there and
+// the request was never received. Only the real plane reports it (a dial
+// answered with ECONNREFUSED); the simulator's crashed nodes stay silent,
+// so no seeded run ever sees it. Every other failure — a time-out, an
+// unreachable host, a dropped connection — is silence and proves nothing.
 //   - After schedules a callback on the same serialized executor; the
 //     returned Timer can be stopped and queried.
 //
@@ -49,6 +59,13 @@ type NodeID string
 // arrived in time (or the request was provably dropped). Implementations
 // must return this exact value: protocol code compares by identity.
 var ErrTimeout = errors.New("transport: rpc timeout")
+
+// ErrRefused is the error a Call callback receives, at once and whatever
+// its timeout, when the request provably never reached a listening
+// process: the destination's address refused the connection. Protocol code
+// may treat it as proof that no process serves that address now; it must
+// never treat ErrTimeout so. Implementations must return this exact value.
+var ErrRefused = errors.New("transport: connection refused")
 
 // ErrNodeDown is returned by operations attempted from a crashed node.
 var ErrNodeDown = errors.New("transport: node down")
@@ -120,7 +137,9 @@ type Node interface {
 	// Call delivers req to the peer's RequestHandler and invokes cb exactly
 	// once with the response or an error. timeout == 0 means no deadline,
 	// but the callback still fires with ErrTimeout if the request or
-	// response is provably lost (peer dead, connection refused).
+	// response is provably lost (peer dead, connection broken). A request
+	// whose destination refused the connection fails at once with
+	// ErrRefused, timed or not.
 	Call(to NodeID, req any, timeout sim.Time, cb func(resp any, err error))
 	// PendingCalls reports the number of Calls awaiting a callback —
 	// a leak diagnostic.
