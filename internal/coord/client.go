@@ -224,37 +224,45 @@ func (c *Client) adoptRedirect(leader transport.NodeID) {
 // request retries a logical op (stable ReqID) until a result arrives or
 // attempts are exhausted.
 func (c *Client) request(op Op, cb func(*Result, error)) {
-	c.attempt(op, 0, cb)
+	c.toLeader(clientRequest{Op: op}, 0, func(cr clientResponse, err error) {
+		if err != nil {
+			cb(nil, err)
+			return
+		}
+		resErr := decodeErr(cr.Res.Err)
+		if resErr == ErrSessionExpired && op.Session != 0 && op.Session == c.session {
+			c.expire()
+		} else {
+			c.touch()
+		}
+		res := cr.Res
+		cb(&res, resErr)
+	})
 }
 
-func (c *Client) attempt(op Op, tries int, cb func(*Result, error)) {
+// toLeader sends req to the guessed leader until a leader answers it or
+// the attempts run out (ErrNoQuorum): a failed call moves the guess on to
+// the next member, and a NotLeader answer follows its redirect.
+func (c *Client) toLeader(req any, tries int, done func(clientResponse, error)) {
 	if tries >= maxAttempts {
-		cb(nil, ErrNoQuorum)
+		done(clientResponse{}, ErrNoQuorum)
 		return
 	}
 	target := c.cfg.Servers[c.leader]
-	c.host.Call(target, clientRequest{Op: op}, requestTimeout,
-		func(resp any, err error) {
-			if err != nil {
-				c.leader = (c.leader + 1) % len(c.cfg.Servers)
-				c.attempt(op, tries+1, cb)
-				return
-			}
-			cr := resp.(clientResponse)
-			if cr.NotLeader {
-				c.adoptRedirect(cr.Redirect)
-				c.attempt(op, tries+1, cb)
-				return
-			}
-			resErr := decodeErr(cr.Res.Err)
-			if resErr == ErrSessionExpired && op.Session != 0 && op.Session == c.session {
-				c.expire()
-			} else {
-				c.touch()
-			}
-			res := cr.Res
-			cb(&res, resErr)
-		})
+	c.host.Call(target, req, requestTimeout, func(resp any, err error) {
+		if err != nil {
+			c.leader = (c.leader + 1) % len(c.cfg.Servers)
+			c.toLeader(req, tries+1, done)
+			return
+		}
+		cr := resp.(clientResponse)
+		if cr.NotLeader {
+			c.adoptRedirect(cr.Redirect)
+			c.toLeader(req, tries+1, done)
+			return
+		}
+		done(cr, nil)
+	})
 }
 
 // ForceExpireNode tells the ensemble to invalidate every session owned by
@@ -262,7 +270,7 @@ func (c *Client) attempt(op Op, tries int, cb func(*Result, error)) {
 // its frozen session times out, and the node itself learns "expired" at its
 // next heartbeat).
 func (c *Client) ForceExpireNode(node transport.NodeID, cb func(err error)) {
-	c.nodeAttempt(poisonRequest{Node: node}, 0, cb)
+	c.toLeader(poisonRequest{Node: node}, 0, func(_ clientResponse, err error) { cb(err) })
 }
 
 // ReportRefused tells the ensemble leader that node's address refused a
@@ -270,33 +278,7 @@ func (c *Client) ForceExpireNode(node transport.NodeID, cb func(err error)) {
 // ends node's sessions early only if its own probes are refused too
 // (Server.probeRefused); anything else leaves them to their time-out.
 func (c *Client) ReportRefused(node transport.NodeID, cb func(err error)) {
-	c.nodeAttempt(refusedReport{Node: node}, 0, cb)
-}
-
-// nodeAttempt sends a by-node request (poisonRequest, refusedReport) to
-// the leader, following redirects, until a leader has taken it or the
-// attempts run out.
-func (c *Client) nodeAttempt(req any, tries int, cb func(err error)) {
-	if tries >= maxAttempts {
-		cb(ErrNoQuorum)
-		return
-	}
-	target := c.cfg.Servers[c.leader]
-	c.host.Call(target, req, requestTimeout,
-		func(resp any, err error) {
-			if err != nil {
-				c.leader = (c.leader + 1) % len(c.cfg.Servers)
-				c.nodeAttempt(req, tries+1, cb)
-				return
-			}
-			cr := resp.(clientResponse)
-			if cr.NotLeader {
-				c.adoptRedirect(cr.Redirect)
-				c.nodeAttempt(req, tries+1, cb)
-				return
-			}
-			cb(nil)
-		})
+	c.toLeader(refusedReport{Node: node}, 0, func(_ clientResponse, err error) { cb(err) })
 }
 
 // sessOp builds an op bound to the current session.

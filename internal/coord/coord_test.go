@@ -2,6 +2,7 @@ package coord
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 
 	"mams/internal/sim"
@@ -325,7 +326,7 @@ func TestEnsembleLeaderFailover(t *testing.T) {
 }
 
 func pathN(i int) string {
-	return "/probe-" + string(rune('a'+i%26)) + itoa(uint64(i))
+	return "/probe-" + string(rune('a'+i%26)) + strconv.Itoa(i)
 }
 
 func TestSequentialCreateViaClient(t *testing.T) {

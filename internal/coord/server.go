@@ -3,6 +3,7 @@ package coord
 import (
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mams/internal/obs"
@@ -263,7 +264,7 @@ func (s *Server) checkSessions() {
 func (s *Server) proposeExpiry(id uint64, event string) {
 	if s.log != nil {
 		s.log.Emit(trace.KindCoord, string(s.cfg.ID), event,
-			"session", itoa(id), "client", string(s.sm.sessions[id].clientNode))
+			"session", strconv.FormatUint(id, 10), "client", string(s.sm.sessions[id].clientNode))
 	}
 	s.obsSessExpiries.Inc()
 	op := &Op{ReqID: s.nextInternalReq(), Kind: opExpireSession, Session: id}
@@ -440,18 +441,4 @@ func (s *Server) HandleRequest(from transport.NodeID, req any, reply func(any)) 
 	default:
 		reply(clientResponse{Res: Result{Err: "coord: bad request"}})
 	}
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -403,7 +404,7 @@ func TestSMPropertyRandomOps(t *testing.T) {
 				if len(sessions) == 0 {
 					continue
 				}
-				op := mkop(opCreate, "/n"+itoa(uint64(i)))
+				op := mkop(opCreate, "/n"+strconv.Itoa(i))
 				op.Session = sessions[next(len(sessions))]
 				op.Ephemeral = next(2) == 0
 				res, _ := sm.apply(op)

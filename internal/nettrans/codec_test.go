@@ -449,9 +449,9 @@ type unregistered struct{ N int }
 
 // TestBadOutboundFrameFailsOnlyItsCall sends a good call, a call over
 // maxFrame, a call whose payload has no codec, and another good call on one
-// connection. The two bad frames are cut out of the batch and their
-// (zero-timeout) calls fail at once with ErrTimeout; the good calls on
-// either side of them succeed, and the connection stays up: no redial.
+// connection. The two bad frames are cut out of the batch and their calls
+// fail with ErrTimeout at their short deadline; the good calls on either
+// side of them succeed, and the connection stays up: no redial.
 func TestBadOutboundFrameFailsOnlyItsCall(t *testing.T) {
 	a, b, caller := pair(t)
 	good := mams.ClientOp{ReqID: 1, Kind: mams.OpStat, Path: "/d/f"}
@@ -470,22 +470,26 @@ func TestBadOutboundFrameFailsOnlyItsCall(t *testing.T) {
 	type outcome struct {
 		resp any
 		err  error
+		at   sim.Time
 	}
+	const short = 100 * sim.Millisecond
 	reqs := []any{good, huge, unregistered{N: 1}, good}
-	timeouts := []sim.Time{5 * sim.Second, 0, 0, 5 * sim.Second}
+	timeouts := []sim.Time{5 * sim.Second, short, short, 5 * sim.Second}
 	done := make([]chan outcome, len(reqs))
+	var issued sim.Time
 	a.Do(func() {
+		issued = a.Now()
 		for i, req := range reqs {
 			ch := make(chan outcome, 1)
 			done[i] = ch
-			caller.Call("echo", req, timeouts[i], func(resp any, err error) { ch <- outcome{resp, err} })
+			caller.Call("echo", req, timeouts[i], func(resp any, err error) { ch <- outcome{resp, err, a.Now()} })
 		}
 	})
 	for i, ch := range done {
 		o := <-ch
-		bad := timeouts[i] == 0
-		if bad && o.err != transport.ErrTimeout {
-			t.Errorf("call %d (%T): err = %v, want ErrTimeout", i, reqs[i], o.err)
+		bad := timeouts[i] == short
+		if bad && (o.err != transport.ErrTimeout || o.at-issued < short) {
+			t.Errorf("call %d (%T): err = %v after %v, want ErrTimeout at its %v deadline", i, reqs[i], o.err, o.at-issued, short)
 		}
 		if !bad && (o.err != nil || o.resp != any(good)) {
 			t.Errorf("call %d: resp=%v err=%v", i, o.resp, o.err)

@@ -33,22 +33,21 @@
 // the loop, without a connection or a goroutine, and the first send after
 // the window dials again. A dial the peer's host refused (ECONNREFUSED)
 // proves that nothing listens there, so requests to that address fail at
-// once with transport.ErrRefused, timed or not, for as long as its window
-// lasts; any other dial failure is silence, and its timed calls keep their
-// deadlines. A frame that cannot be sent (its payload is not a
-// registered message, or it is over maxFrame) is dropped on its own: its
-// caller fails and the connection carries on.
+// once with transport.ErrRefused for as long as its window lasts; any
+// other dial failure is silence, and its calls keep their deadlines. A
+// frame that cannot be sent (its payload is not a registered message, or
+// it is over maxFrame) is dropped on its own, and the connection carries
+// on.
 //
-// Loss semantics mirror simnet: one-way messages to unknown or down
-// destinations vanish silently; requests that provably cannot
-// complete (dial failure, write failure, dead or handler-less destination)
-// fail the pending call with transport.ErrTimeout — immediately even for
-// timeout == 0 calls, the same pending-leak guarantee the sim plane makes —
-// and requests to a refusing address with transport.ErrRefused. A pending
-// call is failed through the loop's queue, as a frame of the internal kind
-// frameFail, so failing one costs no closure.
+// Loss semantics mirror simnet: a frame that cannot reach its destination
+// (a failed dial or write, an unknown, down or handler-less destination) is
+// counted in Dropped and vanishes, and a request among them fails at its
+// caller's deadline with transport.ErrTimeout. The one exception is a
+// request to a refusing address, which fails at once with
+// transport.ErrRefused, through the loop's queue as a frame of the internal
+// kind frameFail, so failing it costs no closure.
 //
-// Timers: every After and every timed Call of the process's nodes waits in
+// Timers: every After and every Call of the process's nodes waits in
 // one deadline heap owned by the loop, and one runtime timer is set for the
 // heap's earliest deadline; when it goes off, the loop runs everything due.
 // A Call's deadline is part of its pending entry, so timing a call costs no
@@ -96,19 +95,14 @@ const (
 	frameOneway frameKind = iota
 	frameRequest
 	frameResponse
-	// frameReap tells the caller that its request id will never be
-	// answered (destination down, unknown, or not serving RPCs). It is the
-	// wire form of simnet's reapDropped and is what keeps zero-timeout
-	// calls from leaking.
-	frameReap
 	// frameFail never crosses the wire (the decoder refuses any kind past
-	// frameReap): it is queued on the loop to fail the local pending call
-	// ID of node To with the error in Payload.
+	// frameResponse): it is queued on the loop to fail the local pending
+	// call ID of node To with transport.ErrRefused.
 	frameFail
 )
 
 // frame is the unit of exchange. From/To are node ids, not addresses; ID
-// matches responses (and reaps) to pending calls.
+// matches responses to pending calls.
 type frame struct {
 	Kind    frameKind
 	ID      uint64
@@ -190,14 +184,14 @@ type Transport struct {
 	reg      *obs.Registry
 	tracer   *obs.Tracer
 	// freeCalls holds pending entries no call owns any more: out of their
-	// node's pending map and, if timed, out of the deadline heap. It holds
-	// at most as many as were ever outstanding at once.
+	// node's pending map and out of the deadline heap. It holds at most as
+	// many as were ever outstanding at once.
 	freeCalls []*netPending
 	// freeReplies holds reply slots whose request has been answered.
 	freeReplies []*replySlot
 
-	// Every After and timed Call of every hosted node waits in one
-	// deadline heap, and one runtime timer (rt, made on first use) is set
+	// Every After and Call of every hosted node waits in one deadline
+	// heap, and one runtime timer (rt, made on first use) is set
 	// for the earliest deadline it holds: wakeAt, while wakeSet. Loop-owned.
 	timers   timerHeap
 	timerSeq uint64
@@ -420,17 +414,17 @@ func (t *Transport) node(id transport.NodeID) *Node {
 // conn is one TCP connection, dialed or accepted. Its writer goroutine is
 // the only one that writes to the socket and its reader goroutine the only
 // one that reads from it. Everything sent over the connection — requests
-// and one-way messages on a dialed one, responses and reaps on either
-// kind — goes through enqueue.
+// and one-way messages on a dialed one, responses on either kind — goes
+// through enqueue.
 //
 // Any socket error, or a bad frame read, shuts the connection: the frames
-// still queued are reported undeliverable (the ones already written are
-// failed by the peer's reap or by the caller's timeout), and a dialed
-// connection leaves the reuse map so the next send redials. A connection
-// whose dial failed stays in the map as a tombstone until retryAt instead,
-// and sends to its address fail without dialing until then; with ErrRefused
-// when the peer's host refused the dial. A frame that will not encode is
-// reported undeliverable alone.
+// still queued, and those already written, are lost (their calls fail at
+// their deadlines), and a dialed connection leaves the reuse map so the
+// next send redials. A connection whose dial failed stays in the map as a
+// tombstone until retryAt instead, and sends to its address are dropped
+// without dialing until then; their calls fail with ErrRefused when the
+// peer's host refused the dial. A frame that will not encode is dropped
+// alone.
 type conn struct {
 	tr   *Transport
 	addr string // dial target; empty for an accepted connection
@@ -454,9 +448,9 @@ func (t *Transport) newConn(addr string, sock net.Conn) *conn {
 func (c *conn) enqueue(f frame) {
 	c.mu.Lock()
 	if c.closed {
-		err := c.lossErr()
+		refused := c.refused
 		c.mu.Unlock()
-		c.tr.frameUndeliverable(f, err)
+		c.tr.frameUndeliverable(f, refused)
 		return
 	}
 	c.queue = append(c.queue, f)
@@ -465,8 +459,8 @@ func (c *conn) enqueue(f frame) {
 }
 
 // shut marks the connection dead, closes its socket (which trips the reader
-// out of Read and the writer out of its wait), reports the queued frames
-// undeliverable and removes a dialed connection from the reuse map.
+// out of Read and the writer out of its wait), drops the queued frames and
+// removes a dialed connection from the reuse map.
 // Idempotent; safe from any goroutine.
 func (c *conn) shut() {
 	c.mu.Lock()
@@ -475,30 +469,22 @@ func (c *conn) shut() {
 		return
 	}
 	c.closed = true
-	stranded := c.queue
+	lost := len(c.queue)
 	c.queue = nil
 	if c.sock != nil {
 		c.sock.Close()
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	c.abandon(stranded)
-}
-
-// lossErr is what a request that cannot go out on c fails with: ErrRefused
-// when c's dial was refused, ErrTimeout otherwise. Caller holds c.mu.
-func (c *conn) lossErr() error {
-	if c.refused {
-		return transport.ErrRefused
-	}
-	return transport.ErrTimeout
+	c.abandon(lost)
 }
 
 // refuse shuts a connection whose dial failed and leaves it in the reuse
 // map as a tombstone that refuses its address for refuseWindow; refused
 // says the peer's host refused the dial. The frames queued while it dialed
-// are reported undeliverable. A connection shut while it dialed is not made
-// a tombstone: shut has already forgotten it.
+// are dropped, and when refused the calls among them fail with ErrRefused.
+// A connection shut while it dialed is not made a tombstone: shut has
+// already forgotten it.
 func (c *conn) refuse(refused bool) {
 	c.mu.Lock()
 	if c.closed {
@@ -511,38 +497,31 @@ func (c *conn) refuse(refused bool) {
 	stranded := c.queue
 	c.queue = nil
 	c.cond.Broadcast()
-	err := c.lossErr()
 	c.mu.Unlock()
 	if len(stranded) > 0 {
-		c.reject(stranded, err)
+		c.tr.post(func() {
+			for _, f := range stranded {
+				c.tr.frameUndeliverable(f, refused)
+			}
+		})
 	}
 }
 
-// abandon applies loss semantics, on the loop, to frames of a dead
-// connection, and forgets the connection there.
-func (c *conn) abandon(stranded []frame) {
+// abandon forgets a dead connection on the loop and counts its lost frames
+// as Dropped there.
+func (c *conn) abandon(lost int) {
 	c.tr.post(func() {
 		if c.addr != "" && c.tr.conns[c.addr] == c {
 			delete(c.tr.conns, c.addr)
 		}
-	})
-	c.reject(stranded, transport.ErrTimeout)
-}
-
-// reject applies loss semantics, on the loop, to frames that will not
-// reach their destination; requests among them fail with err.
-func (c *conn) reject(fs []frame, err error) {
-	c.tr.post(func() {
-		for _, f := range fs {
-			c.tr.frameUndeliverable(f, err)
-		}
+		c.tr.Dropped += uint64(lost)
 	})
 }
 
 // write runs in its own goroutine: dial if the connection has no socket
 // yet, then drain the queue. Each wake-up takes the whole queue, encodes it
 // into one buffer and issues one Write; a frame that will not encode is
-// rejected on its own.
+// dropped on its own.
 func (c *conn) write() {
 	defer c.tr.wg.Done()
 	defer c.shut()
@@ -560,8 +539,8 @@ func (c *conn) write() {
 		}
 		c.sock = sock
 		c.mu.Unlock()
-		// Responses and reaps come back on this same connection; read them
-		// like any inbound stream.
+		// Responses come back on this same connection; read them like any
+		// inbound stream.
 		c.tr.wg.Add(1)
 		go c.read()
 	}
@@ -578,17 +557,14 @@ func (c *conn) write() {
 		}
 		batch, c.queue = c.queue, batch[:0]
 		c.mu.Unlock()
-		sent := batch[:0]
-		var bad []frame
-		for _, f := range batch {
-			if enc.encode(&f) == nil {
-				sent = append(sent, f)
-			} else {
-				bad = append(bad, f)
+		sent := 0
+		for i := range batch {
+			if enc.encode(&batch[i]) == nil {
+				sent++
 			}
 		}
-		if bad != nil {
-			c.reject(bad, transport.ErrTimeout)
+		if bad := len(batch) - sent; bad > 0 {
+			c.tr.post(func() { c.tr.Dropped += uint64(bad) })
 		}
 		if err := enc.flush(c.sock); err != nil {
 			// The socket may have taken any prefix of the batch.
@@ -629,17 +605,17 @@ func (c *conn) read() {
 
 // connTo returns (dialing if needed) the reusable connection to addr, or
 // nil while addr is refused: its last dial failed less than refuseWindow
-// ago, and err is what a request to it fails with. Loop-only.
-func (t *Transport) connTo(addr string) (c *conn, err error) {
+// ago, and refused says the peer's host refused it. Loop-only.
+func (t *Transport) connTo(addr string) (c *conn, refused bool) {
 	if c := t.conns[addr]; c != nil {
 		c.mu.Lock()
-		dead, retryAt, err := c.closed, c.retryAt, c.lossErr()
+		dead, retryAt, refused := c.closed, c.retryAt, c.refused
 		c.mu.Unlock()
 		if !dead {
-			return c, nil
+			return c, false
 		}
 		if retryAt != 0 && t.Now() < retryAt {
-			return nil, err
+			return nil, refused
 		}
 		delete(t.conns, addr)
 	}
@@ -648,20 +624,20 @@ func (t *Transport) connTo(addr string) (c *conn, err error) {
 	t.Dials++
 	t.wg.Add(1)
 	go c.write()
-	return c, nil
+	return c, false
 }
 
-// frameUndeliverable applies loss semantics to a frame that provably did
-// not reach its destination: requests fail the caller's pending entry with
-// err (see failPending), responses and reaps fail the callee-side nothing
-// (the caller times out), oneways vanish. Loop-only.
-func (t *Transport) frameUndeliverable(f frame, err error) {
+// frameUndeliverable drops a frame that did not reach its destination and
+// counts it. A request whose destination refused the connection fails its
+// call with ErrRefused (see failRefused); any other lost request fails at
+// its deadline. Loop-only.
+func (t *Transport) frameUndeliverable(f frame, refused bool) {
 	t.Dropped++
-	if f.Kind != frameRequest {
+	if !refused || f.Kind != frameRequest {
 		return
 	}
 	if src := t.node(f.From); src != nil {
-		src.failPending(f.ID, err)
+		src.failRefused(f.ID)
 	}
 }
 
@@ -672,7 +648,7 @@ func (t *Transport) frameUndeliverable(f frame, err error) {
 func (t *Transport) sendFrame(f frame) {
 	t.Sent++
 	if src := t.node(f.From); src != nil && !src.up {
-		t.frameUndeliverable(f, transport.ErrTimeout)
+		t.Dropped++
 		return
 	}
 	if local := t.node(f.To); local != nil {
@@ -681,12 +657,12 @@ func (t *Transport) sendFrame(f frame) {
 	}
 	addr, ok := t.book.Lookup(f.To)
 	if !ok {
-		t.frameUndeliverable(f, transport.ErrTimeout)
+		t.Dropped++
 		return
 	}
-	c, err := t.connTo(addr)
+	c, refused := t.connTo(addr)
 	if c == nil {
-		t.frameUndeliverable(f, err)
+		t.frameUndeliverable(f, refused)
 		return
 	}
 	c.enqueue(f)
@@ -715,15 +691,11 @@ func (t *Transport) accept() {
 func (t *Transport) dispatch(f frame, via *conn) {
 	dst := t.node(f.To)
 	if dst == nil || !dst.up {
-		if f.Kind == frameFail {
-			return // counted when its request was found undeliverable
-		}
-		t.Dropped++
-		// Requests get a reap so the caller learns immediately; responses
-		// and reaps for a dead or unknown node just vanish (the pending
-		// entry died with the node, or times out on a remote caller).
-		if f.Kind == frameRequest {
-			t.reapBack(f, via)
+		// A frame for a down or unknown node vanishes: a request's caller
+		// times out, and a response's or failure's pending entry died with
+		// the node (a frameFail was counted when its request was refused).
+		if f.Kind != frameFail {
+			t.Dropped++
 		}
 		return
 	}
@@ -736,47 +708,33 @@ func (t *Transport) dispatch(f frame, via *conn) {
 	case frameRequest:
 		rh, ok := dst.handler.(transport.RequestHandler)
 		if !ok {
-			t.Dropped++
-			t.reapBack(f, via)
+			t.Dropped++ // the node serves no RPCs; the caller times out
 			return
 		}
 		t.Delivered++
 		rh.HandleRequest(f.From, f.Payload, t.replyFunc(dst, &f, via))
-	case frameResponse, frameReap, frameFail:
+	case frameResponse, frameFail:
 		pc, ok := dst.pending[f.ID]
 		if !ok {
 			return // late response after timeout or crash
 		}
 		delete(dst.pending, f.ID)
-		if pc.timed {
-			pc.deadline.Stop()
-		}
+		pc.deadline.Stop()
 		cb := t.release(pc)
-		switch f.Kind {
-		case frameReap:
-			t.Dropped++
-			cb(nil, transport.ErrTimeout)
-		case frameFail:
-			cb(nil, f.Payload.(error))
-		default:
-			t.Delivered++
-			cb(f.Payload, nil)
+		if f.Kind == frameFail {
+			cb(nil, transport.ErrRefused)
+			return
 		}
+		t.Delivered++
+		cb(f.Payload, nil)
 	}
 }
 
-// reapBack tells the caller its request will never complete (the wire form
-// of simnet's reapDropped). Loop-only.
-func (t *Transport) reapBack(f frame, via *conn) {
-	t.answer(frame{Kind: frameReap, ID: f.ID, From: f.To, To: f.From}, via)
-}
-
-// answer routes a response or reap frame back to the caller: through the
-// writer of the connection it arrived on when there is one — so answers
-// leave in the order the handler gave them — and through normal routing for
-// local fast-path traffic. If that connection has died the caller's pending
-// call times out (or, for zero-timeout calls, fails when the caller's own
-// writer notices the broken connection). Loop-only.
+// answer routes a response back to the caller: through the writer of the
+// connection it arrived on when there is one — so answers leave in the
+// order the handler gave them — and through normal routing for local
+// fast-path traffic. If that connection has died the caller's pending call
+// times out. Loop-only.
 func (t *Transport) answer(f frame, via *conn) {
 	if via == nil {
 		t.sendFrame(f)
@@ -949,7 +907,7 @@ func (d *frameDecoder) decode(body []byte) (frame, error) {
 	if err := r.Finish(); err != nil {
 		return frame{}, fmt.Errorf("nettrans: decode frame: %w", err)
 	}
-	if f.Kind > frameReap {
+	if f.Kind > frameResponse {
 		return frame{}, fmt.Errorf("nettrans: unknown frame kind %d", f.Kind)
 	}
 	return f, nil

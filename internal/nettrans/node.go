@@ -2,6 +2,7 @@ package nettrans
 
 import (
 	"container/heap"
+	"fmt"
 	"time"
 
 	"mams/internal/obs"
@@ -9,14 +10,13 @@ import (
 	"mams/internal/transport"
 )
 
-// netPending is one outstanding Call. A timed call's deadline lives inside
-// it, and entries are reused (Transport.freeCalls), so a warm Call allocates
-// none whether or not it has a timeout.
+// netPending is one outstanding Call. The call's deadline lives inside it,
+// and entries are reused (Transport.freeCalls), so a warm Call allocates
+// none.
 type netPending struct {
 	cb       func(resp any, err error)
 	id       uint64
-	timed    bool
-	deadline timer // in the heap while timed and outstanding
+	deadline timer // in the heap while the call is outstanding
 }
 
 // acquire returns a pending entry for call id, reusing a released one when
@@ -29,7 +29,7 @@ func (t *Transport) acquire(id uint64, cb func(resp any, err error)) *netPending
 		pc = &netPending{deadline: timer{index: -1}}
 		pc.deadline.call = pc
 	}
-	pc.cb, pc.id, pc.timed = cb, id, false
+	pc.cb, pc.id = cb, id
 	return pc
 }
 
@@ -104,9 +104,6 @@ func (nd *Node) ID() transport.NodeID { return nd.id }
 // Transport returns the owning transport. Safe from any goroutine.
 func (nd *Node) Transport() *Transport { return nd.tr }
 
-// SetHandler installs (or replaces) the message handler.
-func (nd *Node) SetHandler(h transport.Handler) { nd.handler = h }
-
 // Up reports whether the node is accepting traffic.
 func (nd *Node) Up() bool { return nd.up }
 
@@ -119,9 +116,6 @@ func (nd *Node) LocalNow() sim.Time { return nd.tr.Now() }
 // Obs returns the transport's metrics registry (possibly nil).
 func (nd *Node) Obs() *obs.Registry { return nd.tr.reg }
 
-// Tracer returns the transport's span tracer (possibly nil).
-func (nd *Node) Tracer() *obs.Tracer { return nd.tr.tracer }
-
 // PendingCalls reports outstanding RPCs awaiting a callback.
 func (nd *Node) PendingCalls() int { return len(nd.pending) }
 
@@ -131,41 +125,37 @@ func (nd *Node) Send(to transport.NodeID, msg any) {
 }
 
 // Call issues an RPC. cb runs exactly once on the loop: with the response;
-// with transport.ErrTimeout after the deadline (or, for zero-timeout calls,
-// as soon as the request is provably undeliverable); with
-// transport.ErrRefused as soon as the destination's address refuses its
-// connection, timed or not; or never if this node crashes first.
+// with transport.ErrRefused as soon as the destination's address refuses
+// its connection; with transport.ErrTimeout at the deadline; or never if
+// this node crashes first. timeout must be positive.
 func (nd *Node) Call(to transport.NodeID, req any, timeout sim.Time, cb func(resp any, err error)) {
+	if timeout <= 0 {
+		panic(fmt.Sprintf("nettrans: Call to %q with timeout %v: every call needs a deadline", to, timeout))
+	}
 	if !nd.up {
 		return
 	}
 	nd.tr.nextCall++
 	id := nd.tr.nextCall
 	pc := nd.tr.acquire(id, cb)
-	if timeout > 0 {
-		pc.timed = true
-		nd.arm(&pc.deadline, timeout)
-	}
+	nd.arm(&pc.deadline, timeout)
 	nd.pending[id] = pc
 	nd.tr.sendFrame(frame{Kind: frameRequest, ID: id, From: nd.id, To: to, Payload: req})
 }
 
-// failPending fails a provably-lost call with err: at once if it has no
-// deadline or if err is transport.ErrRefused, which proves the request was
-// never received; a timed call lost any other way keeps its deadline
-// semantics. Loop-only. The failure is queued as a frameFail, so the
-// callback never runs inside the failing send, costs no closure, and is
-// dropped with the pending entry if the node crashes first; the deadline
-// leaves the heap now, so it cannot overtake the failure in the queue.
-func (nd *Node) failPending(id uint64, err error) {
+// failRefused fails call id with transport.ErrRefused: its request was
+// refused by the destination's address, so it was never received.
+// Loop-only. The failure is queued as a frameFail, so the callback never
+// runs inside the failing send, costs no closure, and is dropped with the
+// pending entry if the node crashes first; the deadline leaves the heap
+// now, so it cannot overtake the failure in the queue.
+func (nd *Node) failRefused(id uint64) {
 	pc, ok := nd.pending[id]
-	if !ok || pc.timed && err != transport.ErrRefused {
+	if !ok {
 		return
 	}
-	if pc.timed {
-		pc.deadline.Stop()
-	}
-	nd.tr.deliver(frame{Kind: frameFail, ID: id, To: nd.id, Payload: err}, nil)
+	pc.deadline.Stop()
+	nd.tr.deliver(frame{Kind: frameFail, ID: id, To: nd.id}, nil)
 }
 
 // After schedules fn on the loop after wall-clock d; it silently does not
@@ -178,7 +168,7 @@ func (nd *Node) After(d sim.Time, name string, fn func()) transport.Timer {
 }
 
 // Crash stops the node: timers die, pending RPC callbacks are dropped, and
-// arriving frames are reaped at dispatch. The listener stays up — other
+// arriving frames are dropped at dispatch. The listener stays up — other
 // nodes on the transport keep running (a crashed role inside a live
 // process).
 func (nd *Node) Crash() {
@@ -204,7 +194,7 @@ func (nd *Node) Restart() {
 // ---- timers ----
 
 // timer is one entry in the transport's deadline heap: an After callback
-// or a timed Call's deadline. It is in the heap, and Pending, from arming
+// or a Call's deadline. It is in the heap, and Pending, from arming
 // until it fires or is stopped.
 type timer struct {
 	nd    *Node

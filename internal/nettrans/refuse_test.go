@@ -118,9 +118,8 @@ func TestRefusedAddressDialsOncePerWindow(t *testing.T) {
 }
 
 // TestRefusedCallFailsAsItsTimeoutSays: inside the window of a refused
-// dial, a Call fails with ErrRefused at once, whether it has a time-out or
-// not (the refusal proves that nothing listens there), and neither call
-// dials.
+// dial, a Call fails with ErrRefused at once, long before its time-out
+// (the refusal proves that nothing listens there), and does not dial.
 func TestRefusedCallFailsAsItsTimeoutSays(t *testing.T) {
 	a, caller, addr := deadPeer(t)
 	const timeout = 10 * sim.Second
@@ -128,36 +127,32 @@ func TestRefusedCallFailsAsItsTimeoutSays(t *testing.T) {
 		err error
 		at  sim.Time
 	}
-	var untimed, timed chan outcome
+	var done chan outcome
 	var issued sim.Time
 	var dials uint64
 	inWindow(t, a, caller, addr, func() {
-		u, tm := make(chan outcome, 1), make(chan outcome, 1)
-		untimed, timed, issued, dials = u, tm, a.Now(), a.Dials
-		caller.Call("dead", refuseMsg, timeout, func(_ any, err error) { tm <- outcome{err, a.Now()} })
-		caller.Call("dead", refuseMsg, 0, func(_ any, err error) { u <- outcome{err, a.Now()} })
+		ch := make(chan outcome, 1)
+		done, issued, dials = ch, a.Now(), a.Dials
+		caller.Call("dead", refuseMsg, timeout, func(_ any, err error) { ch <- outcome{err, a.Now()} })
 	})
-	for name, ch := range map[string]chan outcome{"zero-timeout": untimed, "timed": timed} {
-		o := <-ch
-		if o.err != transport.ErrRefused {
-			t.Errorf("%s call: err = %v, want ErrRefused", name, o.err)
-		}
-		if o.at-issued >= timeout/2 {
-			t.Errorf("%s call failed after %v, not at once", name, o.at-issued)
-		}
+	o := <-done
+	if o.err != transport.ErrRefused {
+		t.Errorf("err = %v, want ErrRefused", o.err)
+	}
+	if o.at-issued >= timeout/2 {
+		t.Errorf("the call failed after %v, not at once", o.at-issued)
 	}
 	var after uint64
 	a.Do(func() { after = a.Dials })
 	if after != dials {
-		t.Errorf("the refused calls dialed %d times", after-dials)
+		t.Errorf("the refused call dialed %d times", after-dials)
 	}
 }
 
 // TestUnreachableCallKeepsItsDeadline: a dial that fails other than by a
 // refusal (here an address no dial can reach: its port is out of range)
 // proves nothing about the peer. Its window still holds frames back from
-// dialing, but a timed Call fails with ErrTimeout at its deadline, and a
-// zero-timeout one with ErrTimeout at once, as before.
+// dialing, but a Call fails with ErrTimeout at its deadline.
 func TestUnreachableCallKeepsItsDeadline(t *testing.T) {
 	book := NewAddrBook()
 	book.Set("nowhere", "127.0.0.1:99999")
@@ -172,22 +167,18 @@ func TestUnreachableCallKeepsItsDeadline(t *testing.T) {
 		err error
 		at  sim.Time
 	}
-	untimed, timed := make(chan outcome, 1), make(chan outcome, 1)
+	done := make(chan outcome, 1)
 	var issued sim.Time
 	a.Do(func() {
 		issued = a.Now()
-		caller.Call("nowhere", refuseMsg, timeout, func(_ any, err error) { timed <- outcome{err, a.Now()} })
-		caller.Call("nowhere", refuseMsg, 0, func(_ any, err error) { untimed <- outcome{err, a.Now()} })
+		caller.Call("nowhere", refuseMsg, timeout, func(_ any, err error) { done <- outcome{err, a.Now()} })
 	})
-	if u := <-untimed; u.err != transport.ErrTimeout {
-		t.Errorf("zero-timeout call: err = %v, want ErrTimeout", u.err)
-	}
-	o := <-timed
+	o := <-done
 	if o.err != transport.ErrTimeout {
-		t.Errorf("timed call: err = %v, want ErrTimeout", o.err)
+		t.Errorf("err = %v, want ErrTimeout", o.err)
 	}
 	if o.at-issued < timeout {
-		t.Errorf("timed call failed after %v, before its %v deadline", o.at-issued, timeout)
+		t.Errorf("the call failed after %v, before its %v deadline", o.at-issued, timeout)
 	}
 	var refused, tomb bool
 	a.Do(func() {

@@ -73,10 +73,9 @@ func TestLocalNowContinuousAcrossSkewChanges(t *testing.T) {
 	}
 }
 
-// flapCallHarness runs one a→b RPC whose reply is delayed into a flapping
-// b→a link, and returns how often (and how) the callback fired.
-func flapCallHarness(t *testing.T, timeout sim.Time) (calls int, errs int, cbAt sim.Time) {
-	t.Helper()
+// A reply dropped by a flap cut must surface exactly one timeout error, at
+// the call's deadline: not zero (leaked pending entry) and not two.
+func TestFlapDropsInflightReplyTimeoutOnce(t *testing.T) {
 	w, n := newNet(sim.Millisecond)
 	a, _ := addRec(n, "a")
 	_, rb := addRec(n, "b")
@@ -84,8 +83,10 @@ func flapCallHarness(t *testing.T, timeout sim.Time) (calls int, errs int, cbAt 
 	// Reply direction flaps: first cut within [75,125]ms lasting [1.5,2.5]s,
 	// so a reply sent at ~501ms is always dropped at delivery time.
 	stop := n.Flap("b", "a", 100*sim.Millisecond, 2*sim.Second)
+	calls, errs := 0, 0
+	var cbAt sim.Time
 	w.After(200*sim.Millisecond, "call", func() {
-		a.Call("b", "ping", timeout, func(resp any, err error) {
+		a.Call("b", "ping", 3*sim.Second, func(resp any, err error) {
 			calls++
 			if err != nil {
 				errs++
@@ -99,30 +100,11 @@ func flapCallHarness(t *testing.T, timeout sim.Time) (calls int, errs int, cbAt 
 	if got := a.PendingCalls(); got != 0 {
 		t.Fatalf("leaked %d pending calls", got)
 	}
-	return calls, errs, cbAt
-}
-
-// A reply dropped by a flap cut must surface exactly one timeout error —
-// not zero (leaked pending entry) and not two (drop reap plus timer).
-func TestFlapDropsInflightReplyTimeoutOnce(t *testing.T) {
-	calls, errs, cbAt := flapCallHarness(t, 3*sim.Second)
 	if calls != 1 || errs != 1 {
 		t.Fatalf("callback fired %d times (%d errors), want exactly one error", calls, errs)
 	}
 	if cbAt != 3200*sim.Millisecond {
 		t.Fatalf("timeout fired at %v, want 3.2s (armed at 200ms)", cbAt)
-	}
-}
-
-// Zero-timeout calls have no timer; the delivery-time drop must reap the
-// pending entry promptly and exactly once.
-func TestFlapDropsInflightReplyZeroTimeoutReaped(t *testing.T) {
-	calls, errs, cbAt := flapCallHarness(t, 0)
-	if calls != 1 || errs != 1 {
-		t.Fatalf("callback fired %d times (%d errors), want exactly one error", calls, errs)
-	}
-	if cbAt >= sim.Second {
-		t.Fatalf("zero-timeout call reaped at %v, want at the ~502ms reply drop", cbAt)
 	}
 }
 

@@ -67,17 +67,16 @@ type envelope struct {
 
 // pendingCall is one outstanding Call. Entries are reused
 // (Network.freeCalls): one leaves its node's pending map and is released
-// when its call is answered, times out or is reaped. A crashed node's
-// entries are dropped with its map and left to the GC, so their deadlines,
-// which still surface as events, find the entry as the crash left it.
+// when its call is answered or times out. A crashed node's entries are
+// dropped with its map and left to the GC, so their deadlines, which still
+// surface as events, find the entry as the crash left it.
 type pendingCall struct {
 	nd    *Node
 	id    uint64
 	to    transport.NodeID
 	gen   uint64 // nd.gen at the call
 	cb    func(resp any, err error)
-	timed bool
-	timer sim.Timer // the deadline, while timed
+	timer sim.Timer // the deadline
 }
 
 // Fire is the call's deadline: it fails the call with ErrTimeout if the
@@ -122,7 +121,7 @@ type delivery struct {
 	n        *Network
 	src, dst *Node
 	lc       *linkCounters
-	from, to transport.NodeID
+	from     transport.NodeID
 	env      envelope
 }
 
@@ -135,7 +134,6 @@ func (d *delivery) Fire() {
 	if !n.deliverable(m.src, m.dst) {
 		n.Dropped++
 		m.lc.droppedInc()
-		n.reapDropped(m.src, m.to, m.env)
 		return
 	}
 	n.Delivered++
@@ -300,8 +298,7 @@ func (n *Network) World() *sim.World { return n.world }
 // Node looks up a registered node, or nil.
 func (n *Network) Node(id transport.NodeID) *Node { return n.nodes[id] }
 
-// AddNode registers a new process. The handler may be nil initially and set
-// later with SetHandler.
+// AddNode registers a new process. A nil handler drops every message.
 func (n *Network) AddNode(id transport.NodeID, h transport.Handler) *Node {
 	if _, dup := n.nodes[id]; dup {
 		panic(fmt.Sprintf("simnet: duplicate node %q", id))
@@ -350,26 +347,9 @@ func (n *Network) deliverable(src, dst *Node) bool {
 	return true
 }
 
-// reapDropped tells the caller of a dropped RPC envelope that its call will
-// never complete. With a timeout armed the pending entry reports through the
-// timer as before; without one (timeout == 0) the entry would otherwise
-// outlive the drop forever — the caller's pending map entry and callback
-// closure leaking for the node's lifetime.
-func (n *Network) reapDropped(src *Node, to transport.NodeID, env envelope) {
-	switch env.kind {
-	case envRequest:
-		if src != nil {
-			src.failPending(env.id)
-		}
-	case envResponse:
-		if dst := n.nodes[to]; dst != nil {
-			dst.failPending(env.id)
-		}
-	}
-}
-
 // send schedules delivery of env from src to dst subject to faults at both
-// send and delivery time.
+// send and delivery time. A dropped message is silence: a lost request or
+// response surfaces as its caller's deadline.
 func (n *Network) send(src *Node, to transport.NodeID, env envelope) {
 	n.Sent++
 	fromID := transport.NodeID("")
@@ -378,23 +358,10 @@ func (n *Network) send(src *Node, to transport.NodeID, env envelope) {
 	}
 	lc := n.link(fromID, to)
 	lc.sentInc()
-	if src != nil && (!src.up || src.unplugged) {
-		n.Dropped++
-		lc.droppedInc()
-		n.reapDropped(src, to, env)
-		return
-	}
 	dst := n.nodes[to]
-	if dst == nil {
+	if src != nil && (!src.up || src.unplugged) || dst == nil || n.loss > 0 && n.rng.Bool(n.loss) {
 		n.Dropped++
 		lc.droppedInc()
-		n.reapDropped(src, to, env)
-		return
-	}
-	if n.loss > 0 && n.rng.Bool(n.loss) {
-		n.Dropped++
-		lc.droppedInc()
-		n.reapDropped(src, to, env)
 		return
 	}
 	delay := n.latency.draw(n.rng)
@@ -408,7 +375,7 @@ func (n *Network) send(src *Node, to transport.NodeID, env envelope) {
 	}
 	n.lastArrival[link] = arrival
 	d := reuse(&n.freeDeliveries)
-	*d = delivery{n: n, src: src, dst: dst, lc: lc, from: fromID, to: to, env: env}
+	*d = delivery{n: n, src: src, dst: dst, lc: lc, from: fromID, env: env}
 	n.world.AfterFor(delay, string(to), "deliver", d)
 }
 
@@ -467,17 +434,11 @@ func (nd *Node) Now() sim.Time { return nd.net.world.Now() }
 // Obs returns the owning network's metrics registry (nil-safe to use).
 func (nd *Node) Obs() *obs.Registry { return nd.net.reg }
 
-// Tracer returns the owning network's span tracer (nil-safe to use).
-func (nd *Node) Tracer() *obs.Tracer { return nd.net.tracer }
-
 // Up reports whether the process is running.
 func (nd *Node) Up() bool { return nd.up }
 
 // Unplugged reports whether the NIC is disconnected.
 func (nd *Node) Unplugged() bool { return nd.unplugged }
-
-// SetHandler installs (or replaces) the message handler.
-func (nd *Node) SetHandler(h transport.Handler) { nd.handler = h }
 
 // Send delivers a one-way message (subject to faults and latency).
 func (nd *Node) Send(to transport.NodeID, msg any) {
@@ -488,29 +449,13 @@ func (nd *Node) Send(to transport.NodeID, msg any) {
 // (diagnostics and leak tests).
 func (nd *Node) PendingCalls() int { return len(nd.pending) }
 
-// failPending reports a dropped request or response to a pending call that
-// has no timeout timer. Timer-armed calls keep their original semantics
-// (the timeout fires later); zero-timeout calls would otherwise leak their
-// pending entry — and never learn of the drop — for the node's lifetime.
-func (nd *Node) failPending(id uint64) {
-	pc, ok := nd.pending[id]
-	if !ok || pc.timed {
-		return
-	}
-	delete(nd.pending, id)
-	gen, cb := nd.gen, nd.net.release(pc)
-	nd.net.world.AfterFor(0, string(nd.id), "rpc-drop", sim.Func(func() {
-		if nd.up && nd.gen == gen {
-			cb(nil, transport.ErrTimeout)
-		}
-	}))
-}
-
-// Call issues an RPC. cb runs exactly once: with the response; with
-// ErrTimeout after the deadline (or, for zero-timeout calls, as soon as the
-// request or its response is provably dropped); or never if this node
-// crashes first.
+// Call issues an RPC. cb runs exactly once: with the response, or with
+// ErrTimeout at the deadline; never if this node crashes first. timeout
+// must be positive.
 func (nd *Node) Call(to transport.NodeID, req any, timeout sim.Time, cb func(resp any, err error)) {
+	if timeout <= 0 {
+		panic(fmt.Sprintf("simnet: Call to %q with timeout %v: every call needs a deadline", to, timeout))
+	}
 	if !nd.up {
 		// Local process is dead; nothing can run a callback meaningfully.
 		return
@@ -519,12 +464,9 @@ func (nd *Node) Call(to transport.NodeID, req any, timeout sim.Time, cb func(res
 	id := nd.nextCall
 	pc := reuse(&nd.net.freeCalls)
 	*pc = pendingCall{nd: nd, id: id, to: to, gen: nd.gen, cb: cb}
-	if timeout > 0 {
-		// The deadline is measured on the node's local clock: a skewed-fast
-		// node gives up on RPCs early relative to true time (gray.go).
-		pc.timed = true
-		pc.timer = nd.net.world.AfterFor(nd.stretchTimeout(timeout), string(nd.id), "rpc-timeout", pc)
-	}
+	// The deadline is measured on the node's local clock: a skewed-fast
+	// node gives up on RPCs early relative to true time (gray.go).
+	pc.timer = nd.net.world.AfterFor(nd.stretchTimeout(timeout), string(nd.id), "rpc-timeout", pc)
 	nd.pending[id] = pc
 	nd.net.send(nd, to, envelope{kind: envRequest, id: id, payload: req})
 }
@@ -540,12 +482,7 @@ func (nd *Node) deliver(from transport.NodeID, env envelope) {
 	case envRequest:
 		rh, ok := nd.handler.(transport.RequestHandler)
 		if !ok {
-			// Node does not serve RPCs; the request times out at the caller.
-			// A zero-timeout caller has no timer to fire, so reap its entry.
-			if src := nd.net.nodes[from]; src != nil {
-				src.failPending(env.id)
-			}
-			return
+			return // node does not serve RPCs; the request times out at the caller
 		}
 		rh.HandleRequest(from, env.payload, nd.net.replyFunc(nd, from, env.id))
 	case envResponse:

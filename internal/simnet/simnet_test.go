@@ -390,109 +390,44 @@ func TestReplyAfterServerCrashDropped(t *testing.T) {
 	}
 }
 
-// nonServer handles one-way messages but not RPCs.
-type nonServer struct{}
-
-func (nonServer) HandleMessage(from transport.NodeID, msg any) {}
-
-func TestZeroTimeoutCallReapedOnDrop(t *testing.T) {
+// TestLostCallFailsAtDeadline: however a request or its response is lost,
+// the caller hears nothing until its deadline, and then exactly one
+// ErrTimeout.
+func TestLostCallFailsAtDeadline(t *testing.T) {
 	cases := []struct {
 		name string
+		to   transport.NodeID
 		prep func(n *Network, a, b *Node)
 	}{
-		{"dest unplugged at send", func(n *Network, a, b *Node) { b.Unplug() }},
-		{"dest crashed at send", func(n *Network, a, b *Node) { b.Crash() }},
-		{"dest unknown", func(n *Network, a, b *Node) {}}, // call targets "ghost"
-		{"link cut at delivery", func(n *Network, a, b *Node) { n.Cut(a.ID(), b.ID()) }},
-		{"full loss", func(n *Network, a, b *Node) { n.SetLoss(1.0) }},
-		{"dest not a server", func(n *Network, a, b *Node) {
-			n.Node("b").SetHandler(nonServer{})
-		}},
+		{"dest crashed at send", "b", func(n *Network, a, b *Node) { b.Crash() }},
+		{"dest unplugged at send", "b", func(n *Network, a, b *Node) { b.Unplug() }},
+		{"dest unknown", "ghost", func(*Network, *Node, *Node) {}},
+		{"dest not a server", "plain", func(*Network, *Node, *Node) {}},
+		{"link cut at delivery", "b", func(n *Network, a, b *Node) { n.Cut(a.ID(), b.ID()) }},
+		{"full loss", "b", func(n *Network, a, b *Node) { n.SetLoss(1.0) }},
+		{"reply lost", "b", func(n *Network, a, b *Node) { n.Cut(b.ID(), a.ID()) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w, n := newNet(sim.Millisecond)
 			a, _ := addRec(n, "a")
 			b, _ := addRec(n, "b")
+			n.AddNode("plain", plainHandler{})
 			tc.prep(n, a, b)
-			to := transport.NodeID("b")
-			if tc.name == "dest unknown" {
-				to = "ghost"
-			}
-			gotErr := error(nil)
-			called := 0
-			a.Call(to, "ping", 0, func(resp any, err error) {
-				called++
-				gotErr = err
+			var errs []error
+			var at sim.Time
+			a.Call(tc.to, "ping", 10*sim.Millisecond, func(resp any, err error) {
+				errs = append(errs, err)
+				at = w.Now()
 			})
 			w.Run()
+			if len(errs) != 1 || errs[0] != transport.ErrTimeout || at != 10*sim.Millisecond {
+				t.Fatalf("callback got %v at %v, want one ErrTimeout at 10ms", errs, at)
+			}
 			if a.PendingCalls() != 0 {
 				t.Fatalf("pending calls leaked: %d", a.PendingCalls())
 			}
-			if called != 1 || gotErr != transport.ErrTimeout {
-				t.Fatalf("callback: called=%d err=%v, want 1×transport.ErrTimeout", called, gotErr)
-			}
 		})
-	}
-}
-
-func TestZeroTimeoutResponseDropReaped(t *testing.T) {
-	// The request arrives, but the response is dropped because the caller
-	// unplugs before it comes back. The caller's pending entry must still be
-	// reaped (the drop is observed at response-send/delivery time).
-	w, n := newNet(sim.Millisecond)
-	a, _ := addRec(n, "a")
-	_, rb := addRec(n, "b")
-	rb.delayReply = 5 * sim.Millisecond
-	fired := false
-	a.Call("b", "ping", 0, func(resp any, err error) { fired = true })
-	w.After(2*sim.Millisecond, "unplug-a", func() { a.Unplug() })
-	w.Run()
-	if a.PendingCalls() != 0 {
-		t.Fatalf("pending calls leaked: %d", a.PendingCalls())
-	}
-	_ = fired // callback may or may not run depending on reachability semantics
-}
-
-func TestZeroTimeoutCallSucceedsNormally(t *testing.T) {
-	w, n := newNet(sim.Millisecond)
-	a, _ := addRec(n, "a")
-	addRec(n, "b")
-	var got any
-	a.Call("b", "ping", 0, func(resp any, err error) {
-		if err != nil {
-			t.Fatalf("unexpected err %v", err)
-		}
-		got = resp
-	})
-	w.Run()
-	if got != "ping" || a.PendingCalls() != 0 {
-		t.Fatalf("got=%v pending=%d", got, a.PendingCalls())
-	}
-}
-
-func TestTimeoutCallUnchangedByReaping(t *testing.T) {
-	// A timer-armed call to a dead destination must report exactly one
-	// timeout at the deadline, not earlier via the drop-reap path.
-	w, n := newNet(sim.Millisecond)
-	a, _ := addRec(n, "a")
-	b, _ := addRec(n, "b")
-	b.Crash()
-	var at sim.Time
-	calls := 0
-	a.Call("b", "ping", 10*sim.Millisecond, func(resp any, err error) {
-		calls++
-		at = w.Now()
-		if err != transport.ErrTimeout {
-			t.Fatalf("err = %v", err)
-		}
-	})
-	w.Run()
-	if calls != 1 || at != 10*sim.Millisecond {
-		t.Fatalf("calls=%d at=%v, want timeout exactly at 10ms", calls, at)
-	}
-	if a.PendingCalls() != 0 {
-		t.Fatalf("pending calls leaked: %d", a.PendingCalls())
 	}
 }
 

@@ -20,14 +20,18 @@
 //   - Handlers run one at a time per transport: a handler never races
 //     another handler or timer callback on the same transport. Protocol
 //     code needs no locks.
-//   - Call invokes its callback exactly once — with the response, with
-//     ErrTimeout after the timeout (or when the request/response is
-//     provably lost, even with timeout 0), with ErrRefused at once when the
-//     request provably never reached a listening process, or never-leaking
-//     on teardown.
+//   - Every Call has a deadline: its timeout must be positive, and a Call
+//     with timeout <= 0 panics (a wiring bug, like a duplicate Listen).
+//     The callback runs exactly once — with the response, with ErrRefused
+//     at once when the request provably never reached a listening process,
+//     or with ErrTimeout at its deadline — and never if the caller crashes
+//     first. A request or response that is lost any other way is silence:
+//     the deadline answers it.
 //   - Send is fire-and-forget; sends to dead or unknown peers are dropped
 //     silently (detected only by Call timeouts, or by ErrRefused where the
 //     peer's host refuses the connection), mirroring UDP-ish loss.
+//   - After schedules a callback on the same serialized executor; the
+//     returned Timer can be stopped and queried.
 //
 // ErrRefused is the one failure that proves something: the destination's
 // address refused the connection, so no process was listening there and
@@ -35,8 +39,6 @@
 // answered with ECONNREFUSED); the simulator's crashed nodes stay silent,
 // so no seeded run ever sees it. Every other failure — a time-out, an
 // unreachable host, a dropped connection — is silence and proves nothing.
-//   - After schedules a callback on the same serialized executor; the
-//     returned Timer can be stopped and queried.
 //
 // Durations and instants use sim.Time (int64 nanoseconds, mirroring
 // time.Duration) on both planes so protocol constants read identically;
@@ -56,8 +58,8 @@ import (
 type NodeID string
 
 // ErrTimeout is the error a Call callback receives when no response
-// arrived in time (or the request was provably dropped). Implementations
-// must return this exact value: protocol code compares by identity.
+// arrived by its deadline. Implementations must return this exact value:
+// protocol code compares by identity.
 var ErrTimeout = errors.New("transport: rpc timeout")
 
 // ErrRefused is the error a Call callback receives, at once and whatever
@@ -66,9 +68,6 @@ var ErrTimeout = errors.New("transport: rpc timeout")
 // may treat it as proof that no process serves that address now; it must
 // never treat ErrTimeout so. Implementations must return this exact value.
 var ErrRefused = errors.New("transport: connection refused")
-
-// ErrNodeDown is returned by operations attempted from a crashed node.
-var ErrNodeDown = errors.New("transport: node down")
 
 // Handler receives one-way messages.
 type Handler interface {
@@ -128,18 +127,13 @@ func (l *Lane) Add(now, cost sim.Time) sim.Time {
 // timer callbacks); Call callbacks likewise run serialized.
 type Node interface {
 	ID() NodeID
-	// SetHandler swaps the message handler (used by composite hosts that
-	// demultiplex to several protocol clients).
-	SetHandler(h Handler)
 
 	// Send delivers msg to the peer's Handler, fire-and-forget.
 	Send(to NodeID, msg any)
 	// Call delivers req to the peer's RequestHandler and invokes cb exactly
-	// once with the response or an error. timeout == 0 means no deadline,
-	// but the callback still fires with ErrTimeout if the request or
-	// response is provably lost (peer dead, connection broken). A request
-	// whose destination refused the connection fails at once with
-	// ErrRefused, timed or not.
+	// once: with the response, with ErrRefused at once if the destination
+	// refused the connection, or with ErrTimeout when timeout has passed.
+	// timeout must be positive; Call panics otherwise.
 	Call(to NodeID, req any, timeout sim.Time, cb func(resp any, err error))
 	// PendingCalls reports the number of Calls awaiting a callback —
 	// a leak diagnostic.
@@ -163,10 +157,8 @@ type Node interface {
 	Crash()
 	Restart()
 
-	// Obs and Tracer expose the observability attachments of the owning
-	// transport; either may be nil.
+	// Obs exposes the owning transport's metrics registry; it may be nil.
 	Obs() *obs.Registry
-	Tracer() *obs.Tracer
 }
 
 // Transport creates nodes. A transport instance corresponds to one failure

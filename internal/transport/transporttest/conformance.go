@@ -154,33 +154,65 @@ func RunConformance(t *testing.T, mk func(t *testing.T) Plane) {
 		}
 	})
 
-	t.Run("ZeroTimeoutPendingLeak", func(t *testing.T) {
-		// A Call with timeout == 0 has no deadline, but a provably lost
-		// request (dead destination, unknown destination, non-RPC handler)
-		// must still fail the callback and clear the pending entry — the
-		// regression the sim plane fixed in reapDropped.
+	t.Run("CallNeedsADeadline", func(t *testing.T) {
+		// A Call without a positive timeout is a wiring bug: it panics in
+		// the caller and leaves nothing pending.
+		p := mk(t)
+		defer p.Close()
+		a := p.Listen("a", nil)
+		p.Listen("b", echoHandler{})
+		for _, timeout := range []sim.Time{0, -1} {
+			panicked, ran := false, false
+			p.Do(a, func() {
+				defer func() { panicked = recover() != nil }()
+				a.Call("b", Ping{N: 2}, timeout, func(any, error) { ran = true })
+			})
+			if !panicked {
+				t.Errorf("Call with timeout %v did not panic", timeout)
+			}
+			p.Step(20 * sim.Millisecond) // room for a stray callback
+			p.Do(a, func() {
+				if ran {
+					t.Errorf("Call with timeout %v ran its callback", timeout)
+				}
+				if n := a.PendingCalls(); n != 0 {
+					t.Errorf("Call with timeout %v: PendingCalls = %d, want 0", timeout, n)
+				}
+			})
+		}
+	})
+
+	t.Run("TimedCallToDownDestination", func(t *testing.T) {
+		// A request to a crashed node, an unknown id or a node that serves
+		// no RPCs is lost in silence: its call fails once, with ErrTimeout,
+		// at its deadline and not before.
+		const timeout = 40 * sim.Millisecond
 		p := mk(t)
 		defer p.Close()
 		a := p.Listen("a", nil)
 		dead := p.Listen("dead", echoHandler{})
 		p.Listen("oneway", &onewayOnlyHandler{})
 		p.Do(dead, func() { dead.Crash() })
-		for _, to := range []transport.NodeID{"dead", "oneway", "never-existed"} {
-			to := to
-			var calls int
-			var gotErr error
+		for _, to := range []transport.NodeID{"dead", "never-existed", "oneway"} {
+			var errs []error
+			var issued, failed sim.Time
 			p.Do(a, func() {
-				a.Call(to, Ping{N: 2}, 0, func(resp any, err error) {
-					calls++
-					gotErr = err
+				issued = a.Now()
+				a.Call(to, Ping{N: 2}, timeout, func(resp any, err error) {
+					errs = append(errs, err)
+					failed = a.Now()
 				})
 			})
-			if !waitUntil(p, a, 5*sim.Second, func() bool { return calls > 0 }) {
-				t.Fatalf("Call(%q, timeout=0): callback never fired (pending leak)", to)
+			if !waitUntil(p, a, 5*sim.Second, func() bool { return len(errs) > 0 }) {
+				t.Fatalf("Call(%q): callback never fired", to)
 			}
+			p.Step(20 * sim.Millisecond) // room for a second callback
 			p.Do(a, func() {
-				if gotErr != transport.ErrTimeout {
-					t.Errorf("Call(%q): err = %v, want transport.ErrTimeout", to, gotErr)
+				if len(errs) != 1 || errs[0] != transport.ErrTimeout {
+					t.Errorf("Call(%q): callback got %v, want one ErrTimeout", to, errs)
+				}
+				if failed-issued < timeout {
+					t.Errorf("Call(%q) failed after %v, before its %v deadline", to, failed-issued, timeout)
 				}
 				if n := a.PendingCalls(); n != 0 {
 					t.Errorf("Call(%q): PendingCalls = %d, want 0", to, n)
@@ -219,7 +251,7 @@ func RunConformance(t *testing.T, mk func(t *testing.T) Plane) {
 		})
 		// Restart the peer; the link must work again (connection reuse must
 		// not pin a dead path).
-		p.Do(b, func() { b.Restart(); b.SetHandler(echoHandler{}) })
+		p.Do(b, b.Restart)
 		var resp any
 		p.Do(a, func() {
 			a.Call("b", Ping{N: 6}, sim.Second, func(r any, err error) {

@@ -35,8 +35,10 @@ go test -race ./internal/nettrans/... ./internal/simnet/... ./internal/transport
 # arriving Register against the registration window's cap timer; a failed
 # dial's writer against the loop that reads its tombstone; the coord
 # leader's probes of a reported address against that address coming back or
-# going silent), so their stress tests get three more rounds.
-go test -race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt|TestWireClusterFailover|TestRefused|TestUnreachable|TestSilentOwner|TestAnsweredProbe' ./internal/nettrans/... ./internal/coord
+# going silent), so their stress tests get three more rounds. So does the
+# transport conformance suite, which holds wall-clock deadlines on the wire
+# (a call to a down node fails at its deadline, never before it).
+go test -race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt|TestWireClusterFailover|TestRefused|TestUnreachable|TestSilentOwner|TestAnsweredProbe|TestConformance' ./internal/nettrans/... ./internal/coord
 # The allocation budgets three times over, so that one that holds only by
 # luck fails here: on the wire plane a Call, an After, a frame to a refused
 # address (0), a stat and a create; on the simulator a kernel schedule and
