@@ -149,7 +149,7 @@ func main() {
 		fmt.Printf("metrics written to %s\n", *metricsOut)
 	}
 	if *spansOut != "" {
-		if err := writeSpans(*spansOut, env.Spans.Spans(), env.Sampler); err != nil {
+		if err := writeSpans(*spansOut, env.Trace.Spans(), env.Sampler); err != nil {
 			fmt.Fprintf(os.Stderr, "spans-out: %v\n", err)
 			os.Exit(1)
 		}

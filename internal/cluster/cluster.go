@@ -23,7 +23,6 @@ type Env struct {
 	Trace *trace.Log
 	RNG   *rng.RNG
 	Obs   *obs.Registry
-	Spans *obs.Tracer
 
 	// Sampler is the time-series telemetry pipeline (nil until
 	// StartTelemetry).
@@ -35,13 +34,12 @@ type Env struct {
 func NewEnv(seed uint64) *Env {
 	w := sim.NewWorld()
 	w.SetStepLimit(500_000_000)
-	tr := trace.New(w)
+	tr := trace.New(w.Now)
 	r := rng.New(seed)
 	net := simnet.New(w, r, simnet.LatencyModel{Base: 200 * sim.Microsecond, Spread: 0.25}, tr)
 	reg := obs.NewRegistry()
-	spans := obs.NewTracer(w)
-	net.SetObs(reg, spans)
-	return &Env{World: w, Net: net, Trace: tr, RNG: r, Obs: reg, Spans: spans}
+	net.SetObs(reg)
+	return &Env{World: w, Net: net, Trace: tr, RNG: r, Obs: reg}
 }
 
 // StartTelemetry starts the periodic sampler scraping this environment's

@@ -317,7 +317,7 @@ func TestSeededRunsDumpIdentically(t *testing.T) {
 		if err := obs.WritePrometheusSeries(&sb, env.Sampler); err != nil {
 			t.Fatalf("series export: %v", err)
 		}
-		if err := obs.WriteChromeTraceWithMetrics(&cb, env.Spans.Spans(), env.Sampler); err != nil {
+		if err := obs.WriteChromeTraceWithMetrics(&cb, env.Trace.Spans(), env.Sampler); err != nil {
 			t.Fatalf("chrome trace export: %v", err)
 		}
 		return env.Trace.Dump(), pb.String(), sb.String(), cb.String()

@@ -111,7 +111,7 @@ func TestMAMSMatchesGolden(t *testing.T) {
 			h.Write([]byte(env.Trace.Dump()))
 			got += fmt.Sprintf(" trace=%016x", h.Sum64())
 			var spans bytes.Buffer
-			if err := obs.WriteChromeTrace(&spans, env.Spans.Spans()); err != nil {
+			if err := obs.WriteChromeTrace(&spans, env.Trace.Spans()); err != nil {
 				t.Fatal(err)
 			}
 			h = fnv.New64a()

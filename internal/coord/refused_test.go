@@ -69,7 +69,7 @@ func newWireCoord(t *testing.T, ownerAddr string) *wireCoord {
 	}
 	t.Cleanup(w.srvTr.Close)
 	book.Set("coord0", w.srvTr.Addr())
-	w.srvTr.SetObs(obs.NewRegistry(), nil)
+	w.srvTr.SetObs(obs.NewRegistry())
 	w.srvTr.Do(func() {
 		w.srv = NewServer(w.srvTr, ServerConfig{ID: "coord0", Ensemble: []transport.NodeID{"coord0"}, Bootstrap: true}, nil)
 		w.srv.Start()

@@ -31,10 +31,9 @@ type Figure7Result struct {
 
 // Figure7 reproduces "The proportion of failover time at each stage in
 // MAMS": active election, active-standby switching and client reconnection,
-// excluding the (default 5 s) session timeout. Stage boundaries are derived
-// from the causal protocol spans (obs.Tracer), which begin and end in the
-// same callbacks that emit the legacy election/failover trace events — the
-// numbers are identical to event mining (see TestFigure7SpansMatchEvents).
+// excluding the (default 5 s) session timeout. Stage boundaries are the
+// election and failover events of the run's trace log; the same log's span
+// edges give the first trial's span tree for the Chrome trace.
 func Figure7(opts Options) Figure7Result {
 	opts.Defaults()
 	res := Figure7Result{}
@@ -62,7 +61,7 @@ func Figure7(opts Options) Figure7Result {
 		if mttr == 0 || col == nil {
 			return
 		}
-		tr := stagesFromSpans(env.Spans, faultAt)
+		tr := stagesFromTrace(env.Trace, faultAt)
 		// First client success after the switch completes.
 		if tr.switchDone > 0 {
 			for _, r := range col.Results {
@@ -84,7 +83,7 @@ func Figure7(opts Options) Figure7Result {
 		}
 		ft.Total = ft.Election + ft.Switching + ft.Reconnection
 		trials[trial], ok[trial] = ft, true
-		regs[trial], spans[trial] = env.Obs, env.Spans.Spans()
+		regs[trial], spans[trial] = env.Obs, env.Trace.Spans()
 	})
 	for trial := 0; trial < opts.Trials; trial++ {
 		if !ok[trial] {
@@ -131,25 +130,9 @@ type failoverStamps struct {
 	firstSuccess  sim.Time
 }
 
-// stagesFromSpans reads the failover stage boundaries from the causal span
-// tree: the first election begun after the fault, its winning end, and the
-// enclosing failover span's completion.
-func stagesFromSpans(spans *obs.Tracer, faultAt sim.Time) failoverStamps {
-	var out failoverStamps
-	if sp, found := spans.EarliestStart("election", faultAt); found {
-		out.electionStart = sp.Start
-	}
-	if sp, found := spans.EarliestEnd("election", faultAt, "outcome", "won"); found {
-		out.electionWon = sp.End
-	}
-	if sp, found := spans.EarliestEnd("failover", faultAt, "outcome", "switch-done"); found {
-		out.switchDone = sp.End
-	}
-	return out
-}
-
-// stagesFromTrace mines the same boundaries from the legacy trace events.
-// Kept as the independent cross-check for the span-derived numbers.
+// stagesFromTrace reads the failover stage boundaries from the trace: the
+// first election started after the fault, the first won, and the first
+// switch completed.
 func stagesFromTrace(tr *trace.Log, faultAt sim.Time) failoverStamps {
 	var out failoverStamps
 	for _, e := range tr.Events() {

@@ -58,7 +58,7 @@ func TestCDFRow(t *testing.T) {
 
 func TestStagesFromTrace(t *testing.T) {
 	w := sim.NewWorld()
-	tr := trace.New(w)
+	tr := trace.New(w.Now)
 	w.At(sim.Second, "noise", func() { tr.Emit(trace.KindElection, "n", "election-start") })
 	w.At(10*sim.Second, "e1", func() { tr.Emit(trace.KindElection, "n", "election-start") })
 	w.At(10*sim.Second+50*sim.Millisecond, "e2", func() { tr.Emit(trace.KindElection, "n", "election-won") })

@@ -26,7 +26,7 @@ func newRig(t *testing.T) *rig {
 	s := obs.NewSampler(w, reg, obs.SamplerConfig{})
 	s.Start()
 	r := &rig{w: w, reg: reg, s: s, nodes: []string{"n0", "n1", "n2", "n3"}}
-	r.d = NewDetector(w, s, reg, trace.New(w), r.nodes)
+	r.d = NewDetector(w, s, reg, trace.New(w.Now), r.nodes)
 	r.d.Start()
 	return r
 }

@@ -62,8 +62,8 @@ func (s *Server) maybeElect() {
 	s.emit(trace.KindElection, "election-start", "role", s.role.String())
 	s.obsElectStarted.Inc()
 	me := string(s.cfg.ID)
-	s.failoverSpan = s.spans.Begin("failover", me, 0, "role", s.role.String())
-	s.electionSpan = s.spans.Begin("election", me, s.failoverSpan, "role", s.role.String())
+	s.failoverSpan = s.tr.Begin("failover", me, 0, "role", s.role.String())
+	s.electionSpan = s.tr.Begin("election", me, s.failoverSpan, "role", s.role.String())
 	s.node.After(s.electionJitter(), "mams-election-jitter", s.tryAcquireLock)
 }
 
@@ -121,7 +121,7 @@ func (s *Server) tryAcquireLock() {
 		s.emit(trace.KindElection, "election-won", "waited",
 			fmt.Sprint((s.node.Now() - s.electing).Milliseconds()))
 		s.obsElectWon.Inc()
-		s.spans.End(s.electionSpan, "outcome", "won")
+		s.tr.End(s.electionSpan, "outcome", "won")
 		s.electionSpan = 0
 		s.runUpgrade()
 	})
@@ -136,10 +136,10 @@ func (s *Server) runUpgrade() {
 	s.regWindowDone = nil
 	s.emit(trace.KindFailover, "upgrade-start", "sn", fmt.Sprint(s.effectiveSN()))
 	// Step 1: visit the global view and check our own state.
-	s.stageSpan = s.spans.Begin("stage-view-check", string(s.cfg.ID), s.failoverSpan)
+	s.stageSpan = s.tr.Begin("stage-view-check", string(s.cfg.ID), s.failoverSpan)
 	s.refreshView(func() {
 		me := string(s.cfg.ID)
-		s.spans.End(s.stageSpan, "role", s.view.States[me].String())
+		s.tr.End(s.stageSpan, "role", s.view.States[me].String())
 		s.stageSpan = 0
 		if s.view.States[me] == RoleJunior && len(s.view.Standbys()) > 0 {
 			// A hot standby exists; a junior must stop upgrading and give
@@ -152,9 +152,9 @@ func (s *Server) runUpgrade() {
 			// Junior takeover (no standbys left): recover what the pool
 			// has before serving — "it ensures the continuity of metadata
 			// service even if no standbys are in the global view".
-			s.stageSpan = s.spans.Begin("stage-junior-catchup", me, s.failoverSpan)
+			s.stageSpan = s.tr.Begin("stage-junior-catchup", me, s.failoverSpan)
 			s.catchupAttempt(0, func() {
-				s.spans.End(s.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
+				s.tr.End(s.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
 				s.stageSpan = 0
 				s.commitCachedAndFlip()
 			})
@@ -252,14 +252,14 @@ func (s *Server) maybeEndRegistration() {
 func (s *Server) commitCachedAndFlip() {
 	me := string(s.cfg.ID)
 	// Step 2: apply cached (prepared but uncommitted) journals.
-	s.stageSpan = s.spans.Begin("stage-commit-cached", me, s.failoverSpan)
+	s.stageSpan = s.tr.Begin("stage-commit-cached", me, s.failoverSpan)
 	transport.Charge(s.node, s.cfg.Params.SwitchCommitCost, "mams-switch-commit", func() {
 		s.commitAllQueued()
 		s.emit(trace.KindFailover, "cached-committed", "sn", fmt.Sprint(s.log.LastSN()))
-		s.spans.End(s.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
+		s.tr.End(s.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
 		// Step 3: modify the global view (previous active is refused by
 		// all nodes from this moment).
-		s.stageSpan = s.spans.Begin("stage-view-flip", me, s.failoverSpan)
+		s.stageSpan = s.tr.Begin("stage-view-flip", me, s.failoverSpan)
 		s.casView(func(v *View) bool {
 			prev := v.Active
 			v.Epoch++
@@ -280,29 +280,29 @@ func (s *Server) commitCachedAndFlip() {
 			}
 			epoch := s.view.Epoch
 			s.emit(trace.KindFailover, "view-flipped", "epoch", fmt.Sprint(epoch))
-			s.spans.End(s.stageSpan, "epoch", fmt.Sprint(epoch))
+			s.tr.End(s.stageSpan, "epoch", fmt.Sprint(epoch))
 			// Step 4: re-flush the last cached journals to the replica
 			// group; receivers deduplicate by sn.
-			s.stageSpan = s.spans.Begin("stage-reflush", me, s.failoverSpan)
+			s.stageSpan = s.tr.Begin("stage-reflush", me, s.failoverSpan)
 			transport.Charge(s.node, s.cfg.Params.SwitchStateCost, "mams-switch-state", func() {
 				s.reflushTail(epoch)
-				s.spans.End(s.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
+				s.tr.End(s.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
 				// Step 5: collect registrations (Register handler runs
 				// concurrently); step 6 once every live peer registered.
-				s.stageSpan = s.spans.Begin("stage-registration", me, s.failoverSpan)
+				s.stageSpan = s.tr.Begin("stage-registration", me, s.failoverSpan)
 				s.awaitRegistrations(func(outcome string) {
-					s.spans.End(s.stageSpan, "outcome", outcome)
+					s.tr.End(s.stageSpan, "outcome", outcome)
 					// Step 6: switch to active duty and drain the buffer.
 					// The shardmap znode is re-read first so a standing
 					// migration freeze (and any flip we slept through)
 					// binds this active before it serves a single op.
-					s.stageSpan = s.spans.Begin("stage-become-active", me, s.failoverSpan)
+					s.stageSpan = s.tr.Begin("stage-become-active", me, s.failoverSpan)
 					s.refreshShardMap(func() {
 						s.becomeActiveNow(epoch)
-						s.spans.End(s.stageSpan)
+						s.tr.End(s.stageSpan)
 						s.stageSpan = 0
 						s.emit(trace.KindFailover, "switch-done", "epoch", fmt.Sprint(epoch))
-						s.spans.End(s.failoverSpan, "outcome", "switch-done", "epoch", fmt.Sprint(epoch))
+						s.tr.End(s.failoverSpan, "outcome", "switch-done", "epoch", fmt.Sprint(epoch))
 						s.failoverSpan = 0
 					})
 				})

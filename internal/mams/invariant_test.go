@@ -13,8 +13,8 @@ import (
 // journalEvents counts KindJournal events with the given label per node.
 func journalEvents(env *cluster.Env, what string) map[string]int {
 	out := map[string]int{}
-	for _, e := range env.Trace.ByKind(trace.KindJournal) {
-		if e.What == what {
+	for _, e := range env.Trace.Events() {
+		if e.Kind == trace.KindJournal && e.What == what {
 			out[e.Node]++
 		}
 	}

@@ -87,10 +87,9 @@ type pipeWorld struct {
 	targets func() []transport.NodeID
 	// ack answers a client mutation's wait on batch sn: with nil once the
 	// batch commits (or seals, under AsyncAck), or with the tenure's error.
-	ack   func(op opAck, sn uint64, err error)
-	emit  func(kind trace.Kind, what string, args ...string)
-	obs   commitObs
-	spans *obs.Tracer
+	ack func(op opAck, sn uint64, err error)
+	tr  *trace.Log // the server's log; nil records nothing
+	obs commitObs
 }
 
 // commitObs are the seal and commit instruments. A server registers them
@@ -187,6 +186,11 @@ func newCommitPipeline(w pipeWorld, params Params, epoch uint64) *commitPipeline
 		p.ackCost = params.CommitAckCost
 	}
 	return p
+}
+
+// emit records a point event of this server's.
+func (p *commitPipeline) emit(kind trace.Kind, what string, args ...string) {
+	p.tr.Emit(kind, string(p.node.ID()), what, args...)
 }
 
 // dispatchCost is an op's service time on the dispatch thread.
@@ -342,8 +346,8 @@ func (p *commitPipeline) sealBatch() {
 	}
 
 	rs := &replState{batch: batch, targets: targets, needed: slices.Compact(slices.Clone(targets)), sealedAt: now}
-	if p.spans != nil { // the args are formatted only for a tracer that records them
-		rs.span = p.spans.Begin("journal-2pc", string(p.node.ID()), 0,
+	if p.tr.Wants(trace.KindJournal) { // per batch: formatted only for a log that keeps it
+		rs.span = p.tr.Begin("journal-2pc", string(p.node.ID()), 0,
 			"sn", fmt.Sprint(batch.SN), "standbys", fmt.Sprint(len(targets)))
 	}
 	p.pending[batch.SN] = rs
@@ -421,7 +425,9 @@ func (p *commitPipeline) putToPool(rs *replState, enc []byte) {
 		if p.pending[sn] != rs {
 			return // already committed via standby acks
 		}
-		p.emit(trace.KindJournal, "ssp-put-ok", "sn", fmt.Sprint(sn))
+		if p.tr.Wants(trace.KindJournal) {
+			p.emit(trace.KindJournal, "ssp-put-ok", "sn", fmt.Sprint(sn))
+		}
 		rs.sspDone = true
 		rs.sspPending = false
 		p.tryAdvanceCommit()
@@ -488,7 +494,7 @@ func (p *commitPipeline) tryAdvanceCommit() {
 		p.obs.committed.Inc()
 		now := p.node.Now()
 		p.obs.sealToCommit.Observe((now - rs.sealedAt).Seconds())
-		p.spans.End(rs.span, "outcome", "committed")
+		p.tr.End(rs.span, "outcome", "committed")
 		advanced = true
 		if n := len(p.waiters[next]); n > 0 {
 			// Group commit charges the dispatch thread for processing the
@@ -625,7 +631,7 @@ func (p *commitPipeline) dirty() bool {
 func (p *commitPipeline) abandon(outcome string, err error) {
 	p.closed = true
 	for _, rs := range p.pending {
-		p.spans.End(rs.span, "outcome", outcome)
+		p.tr.End(rs.span, "outcome", outcome)
 	}
 	if err == nil {
 		return

@@ -9,7 +9,6 @@ import (
 	"mams/internal/journal"
 	"mams/internal/namespace"
 	"mams/internal/sim"
-	"mams/internal/trace"
 	"mams/internal/transport"
 	"mams/internal/transport/transporttest"
 )
@@ -96,8 +95,7 @@ func newRig(t testing.TB, params Params, n int, instant bool) *rig {
 		},
 		targets: func() []transport.NodeID { return ids },
 		// A client ack's reply gets the wait's error.
-		ack:  func(op opAck, _ uint64, err error) { op.reply(err) },
-		emit: func(trace.Kind, string, ...string) {},
+		ack: func(op opAck, _ uint64, err error) { op.reply(err) },
 	}, params, 1)
 	return r
 }

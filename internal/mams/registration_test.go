@@ -33,7 +33,7 @@ func awaitNewActive(t *testing.T, env *cluster.Env, c *cluster.MAMSCluster, old 
 // started at or after from.
 func registrationStage(t *testing.T, env *cluster.Env, node string, from sim.Time) obs.Span {
 	t.Helper()
-	for _, sp := range env.Spans.Spans() {
+	for _, sp := range env.Trace.Spans() {
 		if sp.Name == "stage-registration" && sp.Node == node && sp.Start >= from && sp.Done {
 			return sp
 		}

@@ -190,7 +190,7 @@ func (s *Server) onRenewStart(m RenewStart) {
 	s.renewActive = m.From
 	s.emit(trace.KindRenew, "renewing", "from", string(m.From),
 		"mysn", fmt.Sprint(s.log.LastSN()), "activesn", fmt.Sprint(m.ActiveSN))
-	s.renewSpan = s.spans.Begin("renew", string(s.cfg.ID), 0,
+	s.renewSpan = s.tr.Begin("renew", string(s.cfg.ID), 0,
 		"from", string(m.From), "mysn", fmt.Sprint(s.log.LastSN()), "activesn", fmt.Sprint(m.ActiveSN))
 	gap := m.ActiveSN - s.log.LastSN()
 	if m.ActiveSN < s.log.LastSN() {
@@ -207,23 +207,23 @@ func (s *Server) onRenewStart(m RenewStart) {
 func (s *Server) fetchRenewImage(imageSN uint64) {
 	key := ssp.Key{Group: s.group, Kind: ssp.KindImage, Seq: imageSN}
 	s.emit(trace.KindRenew, "image-fetch", "sn", fmt.Sprint(imageSN))
-	s.renewFetchSpan = s.spans.Begin("renew-image-fetch", string(s.cfg.ID), s.renewSpan,
+	s.renewFetchSpan = s.tr.Begin("renew-image-fetch", string(s.cfg.ID), s.renewSpan,
 		"sn", fmt.Sprint(imageSN))
 	s.sspc.Get(key, func(data []byte, size int64, err error) {
 		if !s.renewing || s.role != RoleJunior {
-			s.spans.End(s.renewFetchSpan, "outcome", "stale")
+			s.tr.End(s.renewFetchSpan, "outcome", "stale")
 			s.renewFetchSpan = 0
 			return
 		}
 		if err != nil {
-			s.spans.End(s.renewFetchSpan, "outcome", "error")
+			s.tr.End(s.renewFetchSpan, "outcome", "error")
 			s.renewFetchSpan = 0
 			s.pullRenewJournal() // journal-only fallback
 			return
 		}
 		tree, lerr := namespace.LoadImage(data)
 		if lerr != nil {
-			s.spans.End(s.renewFetchSpan, "outcome", "decode-error")
+			s.tr.End(s.renewFetchSpan, "outcome", "decode-error")
 			s.renewFetchSpan = 0
 			s.pullRenewJournal()
 			return
@@ -231,7 +231,7 @@ func (s *Server) fetchRenewImage(imageSN uint64) {
 		s.tree = tree
 		s.log.ResetTo(imageSN, s.view.Epoch)
 		s.emit(trace.KindRenew, "image-loaded", "sn", fmt.Sprint(imageSN))
-		s.spans.End(s.renewFetchSpan, "outcome", "loaded", "bytes", fmt.Sprint(size))
+		s.tr.End(s.renewFetchSpan, "outcome", "loaded", "bytes", fmt.Sprint(size))
 		s.renewFetchSpan = 0
 		s.pullRenewJournal()
 	})
@@ -245,7 +245,7 @@ func (s *Server) pullRenewJournal() {
 		return
 	}
 	if s.renewCatchupSpan == 0 && s.renewSpan != 0 {
-		s.renewCatchupSpan = s.spans.Begin("renew-catchup", string(s.cfg.ID), s.renewSpan,
+		s.renewCatchupSpan = s.tr.Begin("renew-catchup", string(s.cfg.ID), s.renewSpan,
 			"fromsn", fmt.Sprint(s.log.LastSN()))
 	}
 	req := RenewJournalReq{From: s.cfg.ID, FromSN: s.log.LastSN()}

@@ -141,7 +141,6 @@ type Server struct {
 
 	// Observability. All instruments are nil-safe no-ops when the network
 	// carries no registry, so unit tests need no setup.
-	spans            *obs.Tracer
 	obsReflushed     *obs.Counter
 	obsDups          *obs.Counter
 	obsBuffered      *obs.Gauge
@@ -197,7 +196,6 @@ func NewServer(net transport.Transport, cfg Config, tr *trace.Log, rnd func() fl
 	}
 	s.node = net.Listen(cfg.ID, s)
 	reg, me := net.Obs(), string(cfg.ID)
-	s.spans = net.Tracer()
 	s.commitObs.sealed = reg.Counter("mams_journal_batches_sealed_total",
 		"Journal batches sealed and sent for replication by an active.", "node", me)
 	s.commitObs.committed = reg.Counter("mams_journal_batches_committed_total",
@@ -286,9 +284,7 @@ func (s *Server) imageBytes() int64 {
 }
 
 func (s *Server) emit(kind trace.Kind, what string, args ...string) {
-	if s.tr != nil {
-		s.tr.Emit(kind, string(s.cfg.ID), what, args...)
-	}
+	s.tr.Emit(kind, string(s.cfg.ID), what, args...)
 }
 
 // emitAppend reports a journal append for the invariant monitor
@@ -484,9 +480,8 @@ func (s *Server) becomeActiveNow(epoch uint64) {
 		fence:   s.demoteMember,
 		targets: s.replTargets,
 		ack:     s.answerOp,
-		emit:    s.emit,
+		tr:      s.tr,
 		obs:     s.commitObs,
-		spans:   s.spans,
 	}, s.cfg.Params, epoch)
 	// Classify the members that registered during the upgrade (Fig. 4
 	// step 5) before the buffered ops run: a drained op that seals a batch
@@ -702,18 +697,18 @@ func (s *Server) hardResetToJunior() {
 // endRenewSpans closes the junior-side renewing spans (root plus any open
 // image-fetch/catch-up child) when the session ends for any reason.
 func (s *Server) endRenewSpans(outcome string) {
-	s.spans.End(s.renewFetchSpan, "outcome", outcome)
-	s.spans.End(s.renewCatchupSpan, "outcome", outcome)
-	s.spans.End(s.renewSpan, "outcome", outcome)
+	s.tr.End(s.renewFetchSpan, "outcome", outcome)
+	s.tr.End(s.renewCatchupSpan, "outcome", outcome)
+	s.tr.End(s.renewSpan, "outcome", outcome)
 	s.renewFetchSpan, s.renewCatchupSpan, s.renewSpan = 0, 0, 0
 }
 
 // endElectionSpans closes the failover/election/stage spans when an election
 // or upgrade terminates without this node becoming active.
 func (s *Server) endElectionSpans(outcome string) {
-	s.spans.End(s.stageSpan, "outcome", outcome)
-	s.spans.End(s.electionSpan, "outcome", outcome)
-	s.spans.End(s.failoverSpan, "outcome", outcome)
+	s.tr.End(s.stageSpan, "outcome", outcome)
+	s.tr.End(s.electionSpan, "outcome", outcome)
+	s.tr.End(s.failoverSpan, "outcome", outcome)
 	s.stageSpan, s.electionSpan, s.failoverSpan = 0, 0, 0
 }
 

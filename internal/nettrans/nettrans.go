@@ -182,7 +182,6 @@ type Transport struct {
 	conns    map[string]*conn // dialed, keyed by address
 	nextCall uint64
 	reg      *obs.Registry
-	tracer   *obs.Tracer
 	// freeCalls holds pending entries no call owns any more: out of their
 	// node's pending map and out of the deadline heap. It holds at most as
 	// many as were ever outstanding at once.
@@ -245,17 +244,14 @@ func New(cfg Config) (*Transport, error) {
 // Addr returns the bound listen address.
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
 
-// SetObs attaches a metrics registry and span tracer (both optional). Call
-// before serving traffic; the attachments are read from the loop only.
-func (t *Transport) SetObs(reg *obs.Registry, tracer *obs.Tracer) {
-	t.Do(func() { t.reg, t.tracer = reg, tracer })
+// SetObs attaches a metrics registry (optional). Call before serving
+// traffic; the registry is read from the loop only.
+func (t *Transport) SetObs(reg *obs.Registry) {
+	t.Do(func() { t.reg = reg })
 }
 
 // Obs returns the attached metrics registry (possibly nil).
 func (t *Transport) Obs() *obs.Registry { return t.reg }
-
-// Tracer returns the attached span tracer (possibly nil).
-func (t *Transport) Tracer() *obs.Tracer { return t.tracer }
 
 // input is one entry of the loop's queue: a callback (fn), or a frame that
 // arrived, with the connection it came in on (nil for the local fast path).

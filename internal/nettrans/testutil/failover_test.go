@@ -2,11 +2,15 @@ package testutil
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mams/internal/namespace"
+	"mams/internal/obs"
+	"mams/internal/trace"
 	"mams/internal/transport/transporttest"
 )
 
@@ -19,7 +23,8 @@ import (
 // survivor takes over within half the session time-out and exactly one
 // session ends on refused probes) and that no acknowledged operation is
 // lost — the paper's core reliability claim, exercised over a real network
-// stack.
+// stack. The survivor's own trace log must tell its takeover in Fig. 4's
+// order (checkTakeoverLog).
 func TestWireClusterFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wire-plane failover takes several wall-clock seconds")
@@ -131,6 +136,13 @@ func TestWireClusterFailover(t *testing.T) {
 		t.Fatalf("active did not move: before=%d after=%d", before, after)
 	}
 
+	var events []trace.Event
+	var spans []obs.Span
+	c.MDS[after].Tr.Do(func() {
+		events, spans = slices.Clone(c.Logs[after].Events()), c.Logs[after].Spans()
+	})
+	checkTakeoverLog(t, events, spans)
+
 	// Exactly one session, the dead active's, ended on proof of death.
 	if n := c.RefusedExpiries(); n != 1 {
 		t.Errorf("coord leaders ended %v sessions on refused probes, want 1", n)
@@ -159,4 +171,55 @@ func TestWireClusterFailover(t *testing.T) {
 		}
 	}
 	t.Logf("audited %d acked creates, %d lost (active %d -> %d)", len(audit), lost, before, after)
+}
+
+// checkTakeoverLog holds a new active's log to the failover it ran: the
+// moments Fig. 7 splits a failover at come in order (election, then the
+// switch's steps), and a failover span that ended switch-done encloses the
+// six stage spans of Fig. 4's upgrade, in order and without overlap.
+func checkTakeoverLog(t *testing.T, events []trace.Event, spans []obs.Span) {
+	t.Helper()
+	last := map[string]trace.Event{}
+	for _, e := range events {
+		if e.Kind == trace.KindElection || e.Kind == trace.KindFailover {
+			last[e.What] = e
+		}
+	}
+	moments := []string{"election-start", "election-won", "cached-committed", "view-flipped", "switch-done"}
+	for i, m := range moments {
+		e, ok := last[m]
+		if !ok {
+			t.Errorf("the survivor's log has no %s", m)
+		} else if i > 0 && e.At < last[moments[i-1]].At {
+			t.Errorf("%s at %v comes before %s at %v", m, e.At, moments[i-1], last[moments[i-1]].At)
+		}
+	}
+
+	var failover obs.Span
+	for _, sp := range spans {
+		if sp.Name == "failover" && sp.Arg("outcome") == "switch-done" {
+			failover = sp
+		}
+	}
+	if failover.ID == 0 {
+		t.Fatal("the survivor's log has no failover span that ended switch-done")
+	}
+	var stages []string
+	from := failover.Start
+	for _, sp := range spans {
+		if sp.Parent != failover.ID || !strings.HasPrefix(sp.Name, "stage-") {
+			continue
+		}
+		stages = append(stages, sp.Name)
+		if !sp.Done || sp.Start < from || sp.End > failover.End {
+			t.Errorf("%s [%v, %v] is not inside failover [%v, %v] after the stage before it",
+				sp.Name, sp.Start, sp.End, failover.Start, failover.End)
+		}
+		from = sp.End
+	}
+	want := []string{"stage-view-check", "stage-commit-cached", "stage-view-flip",
+		"stage-reflush", "stage-registration", "stage-become-active"}
+	if !slices.Equal(stages, want) {
+		t.Errorf("failover stages = %v, want %v", stages, want)
+	}
 }

@@ -24,6 +24,7 @@ import (
 	"mams/internal/partition"
 	"mams/internal/rng"
 	"mams/internal/sim"
+	"mams/internal/trace"
 	"mams/internal/transport"
 )
 
@@ -59,10 +60,13 @@ type Proc struct {
 type Cluster struct {
 	Book *nettrans.AddrBook
 
-	Coord      []Proc
-	CoordSrvs  []*coord.Server
-	MDS        []Proc
-	Servers    []*mams.Server
+	Coord     []Proc
+	CoordSrvs []*coord.Server
+	MDS       []Proc
+	Servers   []*mams.Server
+	// Logs holds each metadata server's trace log, on its process's clock.
+	// A log is written on its process's event loop: read it through Do.
+	Logs       []*trace.Log
 	ClientProc Proc
 	Client     *fsclient.Client
 
@@ -74,7 +78,11 @@ type Cluster struct {
 // complete before any cross-process traffic), then coordination servers,
 // then metadata servers, then the client. Server construction runs on each
 // process's event loop via Do — node state is loop-owned on the real plane.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
+func NewCluster(cfg ClusterConfig) (*Cluster, error) { return newCluster(cfg, true) }
+
+// newCluster is NewCluster; without logs, each metadata server is given a
+// nil log, as cmd/mamsd gives its one.
+func newCluster(cfg ClusterConfig, logs bool) (*Cluster, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -122,7 +130,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for i, p := range c.Coord {
 		i, p := i, p
 		var srv *coord.Server
-		p.Tr.SetObs(obs.NewRegistry(), nil)
+		p.Tr.SetObs(obs.NewRegistry())
 		p.Tr.Do(func() {
 			srv = coord.NewServer(p.Tr, coord.ServerConfig{
 				ID: p.ID, Ensemble: coordIDs, Bootstrap: i == 0,
@@ -141,19 +149,28 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("testutil: no coord leader among %d servers after 5s", coordServers)
 	}
 
-	// Phase 3: metadata servers (member 0 boots active, the rest standby).
+	// Phase 3: metadata servers (member 0 boots active, the rest standby),
+	// each recording into a log of its own. The log keeps protocol moments
+	// (elections, failover stages, role changes), not per-batch journal
+	// records, so it grows with failovers, not with ops.
 	layout := mams.NewLayout(coordIDs, c.GroupIDs)
 	layout.CoordHeartbeat, layout.CoordSessionTimeout = coordHeartbeat, coordSessionTimeout
 	c.Part = layout.Partitioner
 	seedRNG := rng.New(cfg.Seed)
 	for _, p := range c.MDS {
 		rnd := seedRNG.Split(string(p.ID)).Float64
+		var log *trace.Log
+		if logs {
+			log = trace.New(p.Tr.Now)
+			log.DispatchOnly(trace.KindJournal)
+		}
 		var srv *mams.Server
 		p.Tr.Do(func() {
-			srv = mams.NewServer(p.Tr, mams.Config{ID: p.ID, Layout: layout}, nil, rnd)
+			srv = mams.NewServer(p.Tr, mams.Config{ID: p.ID, Layout: layout}, log, rnd)
 			srv.Start()
 		})
 		c.Servers = append(c.Servers, srv)
+		c.Logs = append(c.Logs, log)
 	}
 
 	// Phase 4: the client process.

@@ -1,4 +1,4 @@
-package obs
+package obs_test
 
 import (
 	"bytes"
@@ -9,15 +9,17 @@ import (
 	"strings"
 	"testing"
 
+	"mams/internal/obs"
 	"mams/internal/sim"
+	"mams/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenRegistry builds a fixed registry exercising every instrument kind,
 // label sets, escaping, and float formatting.
-func goldenRegistry() *Registry {
-	r := NewRegistry()
+func goldenRegistry() *obs.Registry {
+	r := obs.NewRegistry()
 	r.Counter("mams_journal_batches_sealed_total", "Journal batches sealed by an active.", "node", "mds-g0-0").Add(42)
 	r.Counter("mams_journal_batches_sealed_total", "Journal batches sealed by an active.", "node", "mds-g0-1").Add(7)
 	r.Counter("mams_net_messages_sent_total", "Messages sent per link.", "src", "a", "dst", "b").Add(1234)
@@ -32,11 +34,12 @@ func goldenRegistry() *Registry {
 	return r
 }
 
-// goldenSpans builds a fixed span tree: failover root, election + stage
-// children, one open span that must be skipped by the exporter.
-func goldenSpans() []Span {
+// goldenSpans builds a fixed span tree through trace.Log: failover root,
+// election + stage children, one open span that must be skipped by the
+// exporter.
+func goldenSpans() []obs.Span {
 	w := sim.NewWorld()
-	tr := NewTracer(w)
+	tr := trace.New(w.Now)
 	run := func(d sim.Time) { w.After(d, "t", func() {}); w.Run() }
 
 	run(5 * sim.Second)
@@ -76,7 +79,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 func TestGoldenPrometheus(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, goldenRegistry()); err != nil {
+	if err := obs.WritePrometheus(&buf, goldenRegistry()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -88,7 +91,7 @@ func TestGoldenPrometheus(t *testing.T) {
 		"mams_ssp_store_seconds_count{node=\"mds-g0-0\"} 5",
 		`mams_net_messages_sent_total{dst="b",src="a"} 1234`,
 		// Every exposition self-describes its producer.
-		`mams_build_info{version="` + Version + `"} 1`,
+		`mams_build_info{version="` + obs.Version + `"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
@@ -99,7 +102,7 @@ func TestGoldenPrometheus(t *testing.T) {
 
 func TestGoldenChromeTrace(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, goldenSpans()); err != nil {
+	if err := obs.WriteChromeTrace(&buf, goldenSpans()); err != nil {
 		t.Fatal(err)
 	}
 	// The output must be valid JSON with the expected envelope.
@@ -136,7 +139,7 @@ func TestGoldenChromeTrace(t *testing.T) {
 // timestamped dump carries the same explicit millisecond stamp.
 func TestPrometheusExplicitTimestamps(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheusAt(&buf, goldenRegistry(), 1500*sim.Millisecond); err != nil {
+	if err := obs.WritePrometheusAt(&buf, goldenRegistry(), 1500*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
@@ -152,13 +155,13 @@ func TestPrometheusExplicitTimestamps(t *testing.T) {
 // goldenSampler drives a fixed workload through a started sampler on a
 // seeded world: three scrapes at 500 ms cadence with the counter advancing
 // between them.
-func goldenSampler() *Sampler {
+func goldenSampler() *obs.Sampler {
 	w := sim.NewWorld()
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	c := r.Counter("mams_ops_done_total", "ops", "node", "a")
 	g := r.Gauge("mams_depth", "depth", "node", "a")
 	h := r.Histogram("mams_op_seconds", "op latency", []float64{0.001, 0.01, 0.1}, "node", "a")
-	s := NewSampler(w, r, SamplerConfig{Every: 500 * sim.Millisecond, Capacity: 8})
+	s := obs.NewSampler(w, r, obs.SamplerConfig{Every: 500 * sim.Millisecond, Capacity: 8})
 	s.Start()
 	for i := 1; i <= 3; i++ {
 		i := i
@@ -175,7 +178,7 @@ func goldenSampler() *Sampler {
 func TestGoldenPrometheusSeries(t *testing.T) {
 	s := goldenSampler()
 	var buf bytes.Buffer
-	if err := WritePrometheusSeries(&buf, s); err != nil {
+	if err := obs.WritePrometheusSeries(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -190,7 +193,7 @@ func TestGoldenPrometheusSeries(t *testing.T) {
 		"# TYPE mams_scrapes_total counter",
 		"mams_scrapes_total 2 1500",
 		"# TYPE mams_scrape_series gauge",
-		`mams_build_info{version="` + Version + `"} 1 500`,
+		`mams_build_info{version="` + obs.Version + `"} 1 500`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
@@ -202,7 +205,7 @@ func TestGoldenPrometheusSeries(t *testing.T) {
 func TestChromeTraceWithMetricsCounters(t *testing.T) {
 	s := goldenSampler()
 	var buf bytes.Buffer
-	if err := WriteChromeTraceWithMetrics(&buf, goldenSpans(), s); err != nil {
+	if err := obs.WriteChromeTraceWithMetrics(&buf, goldenSpans(), s); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -249,19 +252,19 @@ func TestChromeTraceWithMetricsCounters(t *testing.T) {
 // TestPrometheusDeterministic guards the export ordering: two registries
 // populated in different orders must render byte-identically.
 func TestPrometheusDeterministic(t *testing.T) {
-	a := NewRegistry()
+	a := obs.NewRegistry()
 	a.Counter("mams_b_total", "b", "node", "n2").Inc()
 	a.Counter("mams_a_total", "a").Inc()
 	a.Counter("mams_b_total", "b", "node", "n1").Inc()
-	b := NewRegistry()
+	b := obs.NewRegistry()
 	b.Counter("mams_a_total", "a").Inc()
 	b.Counter("mams_b_total", "b", "node", "n1").Inc()
 	b.Counter("mams_b_total", "b", "node", "n2").Inc()
 	var ba, bb bytes.Buffer
-	if err := WritePrometheus(&ba, a); err != nil {
+	if err := obs.WritePrometheus(&ba, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePrometheus(&bb, b); err != nil {
+	if err := obs.WritePrometheus(&bb, b); err != nil {
 		t.Fatal(err)
 	}
 	if ba.String() != bb.String() {

@@ -1,7 +1,8 @@
 // Package obs is the system-side observability layer: a metrics registry
 // (counters, gauges, fixed-bucket histograms) cheap enough for the
-// single-threaded simulation hot path, causal protocol spans layered on
-// the trace log, and exporters for the two formats the tooling world
+// single-threaded simulation hot path, the causal protocol span that
+// trace.Log folds its span edges into, and exporters for the two formats the
+// tooling world
 // already speaks — Prometheus text exposition and Chrome trace-event JSON
 // (loadable in Perfetto).
 //

@@ -231,7 +231,6 @@ type Network struct {
 	// registry counters so the send hot path pays one map lookup, same as
 	// the FIFO clamp above.
 	reg       *obs.Registry
-	tracer    *obs.Tracer
 	linkStats map[[2]transport.NodeID]*linkCounters
 }
 
@@ -240,13 +239,12 @@ type linkCounters struct {
 	sent, dropped, timeouts *obs.Counter
 }
 
-// SetObs attaches a metrics registry and span tracer to the network. Both
-// may be nil. Components hosted on this network (mams servers, the ssp
-// client, the coordination ensemble) discover them via Obs and Tracer at
-// construction time, so one call here wires the whole deployment.
-func (n *Network) SetObs(reg *obs.Registry, tracer *obs.Tracer) {
+// SetObs attaches a metrics registry to the network; it may be nil.
+// Components hosted on this network (mams servers, the ssp client, the
+// coordination ensemble) discover it via Obs at construction time, so one
+// call here wires the whole deployment.
+func (n *Network) SetObs(reg *obs.Registry) {
 	n.reg = reg
-	n.tracer = tracer
 	if reg != nil && n.linkStats == nil {
 		n.linkStats = make(map[[2]transport.NodeID]*linkCounters)
 	}
@@ -255,10 +253,6 @@ func (n *Network) SetObs(reg *obs.Registry, tracer *obs.Tracer) {
 // Obs returns the attached metrics registry (nil when observability is off;
 // all registry methods are nil-safe).
 func (n *Network) Obs() *obs.Registry { return n.reg }
-
-// Tracer returns the attached span tracer (nil when observability is off;
-// all tracer methods are nil-safe).
-func (n *Network) Tracer() *obs.Tracer { return n.tracer }
 
 // link returns the cached counters for a directed (src, dst) pair, or nil
 // when no registry is attached.

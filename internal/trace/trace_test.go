@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestEmitRecordsTimeAndArgs(t *testing.T) {
 	w := sim.NewWorld()
-	l := New(w)
+	l := New(w.Now)
 	w.At(3*sim.Second, "emit", func() {
 		l.Emit(KindState, "node1", "become-active", "epoch", "2")
 	})
@@ -28,7 +29,7 @@ func TestEmitRecordsTimeAndArgs(t *testing.T) {
 }
 
 func TestEmitOddArgsIgnoresTail(t *testing.T) {
-	l := New(sim.NewWorld())
+	l := New(sim.NewWorld().Now)
 	l.Emit(KindFault, "n", "x", "key") // dangling key
 	if len(l.Events()[0].Args) != 0 {
 		t.Fatalf("args = %v", l.Events()[0].Args)
@@ -38,39 +39,15 @@ func TestEmitOddArgsIgnoresTail(t *testing.T) {
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Emit(KindFault, "n", "x") // must not panic
-}
-
-func TestFilterAndByKind(t *testing.T) {
-	l := New(sim.NewWorld())
-	l.Emit(KindState, "a", "x")
-	l.Emit(KindFault, "b", "y")
-	l.Emit(KindState, "c", "z")
-	if got := len(l.ByKind(KindState)); got != 2 {
-		t.Fatalf("ByKind = %d", got)
-	}
-	got := l.Filter(func(e Event) bool { return e.Node == "b" })
-	if len(got) != 1 || got[0].What != "y" {
-		t.Fatalf("Filter = %+v", got)
-	}
-}
-
-func TestFirstRespectsTimeBound(t *testing.T) {
-	w := sim.NewWorld()
-	l := New(w)
-	w.At(sim.Second, "e1", func() { l.Emit(KindElection, "a", "election-start") })
-	w.At(5*sim.Second, "e2", func() { l.Emit(KindElection, "b", "election-start") })
-	w.Run()
-	e := l.First(KindElection, "election-start", 2*sim.Second)
-	if e == nil || e.Node != "b" {
-		t.Fatalf("First = %+v", e)
-	}
-	if l.First(KindElection, "election-start", 10*sim.Second) != nil {
-		t.Fatal("First past the end should be nil")
+	id := l.Begin("failover", "n", 0)
+	l.End(id, "outcome", "won")
+	if id != 0 || l.Events() != nil || l.Spans() != nil || l.Wants(KindState) {
+		t.Fatalf("nil log must be inert: id=%d", id)
 	}
 }
 
 func TestSubscribeSeesFutureEvents(t *testing.T) {
-	l := New(sim.NewWorld())
+	l := New(sim.NewWorld().Now)
 	var seen []Event
 	l.Subscribe(func(e Event) { seen = append(seen, e) })
 	l.Emit(KindClient, "c", "reconnected")
@@ -80,7 +57,7 @@ func TestSubscribeSeesFutureEvents(t *testing.T) {
 }
 
 func TestDumpAndString(t *testing.T) {
-	l := New(sim.NewWorld())
+	l := New(sim.NewWorld().Now)
 	l.Emit(KindRenew, "j1", "image-loaded", "sn", "42")
 	out := l.Dump()
 	for _, want := range []string{"renew", "j1", "image-loaded", "sn=42"} {
@@ -88,13 +65,13 @@ func TestDumpAndString(t *testing.T) {
 			t.Fatalf("dump missing %q: %s", want, out)
 		}
 	}
-	if l.Len() != 1 {
-		t.Fatalf("Len = %d", l.Len())
+	if len(l.Events()) != 1 {
+		t.Fatalf("events = %d", len(l.Events()))
 	}
 }
 
 func TestDispatchOnlyStillReachesSubscribers(t *testing.T) {
-	l := New(sim.NewWorld())
+	l := New(sim.NewWorld().Now)
 	l.DispatchOnly(KindJournal)
 	var seen []Event
 	l.Subscribe(func(e Event) { seen = append(seen, e) })
@@ -107,30 +84,99 @@ func TestDispatchOnlyStillReachesSubscribers(t *testing.T) {
 		t.Fatalf("seen = %+v", seen)
 	}
 	// Only the retained kind lands in the log itself.
-	if l.Len() != 1 || l.Events()[0].Kind != KindState {
-		t.Fatalf("retained events = %+v", l.Events())
-	}
-	// And the query API agrees: First never finds a dispatch-only event.
-	if l.First(KindJournal, "append", 0) != nil {
-		t.Fatal("First found a dispatch-only event")
-	}
-	if l.First(KindState, "become-active", 0) == nil {
-		t.Fatal("First missed the retained event")
+	if evs := l.Events(); len(evs) != 1 || evs[0].Kind != KindState {
+		t.Fatalf("retained events = %+v", evs)
 	}
 }
 
-func TestFirstPastLastEvent(t *testing.T) {
-	w := sim.NewWorld()
-	l := New(w)
-	w.At(sim.Second, "e", func() { l.Emit(KindFailover, "a", "switch-done") })
-	w.Run()
-	// A bound strictly past the final event's timestamp matches nothing.
-	if got := l.First(KindFailover, "switch-done", sim.Second+1); got != nil {
-		t.Fatalf("First past the last event = %+v, want nil", got)
+func TestWantsFollowsRetentionAndSubscribers(t *testing.T) {
+	l := New(sim.NewWorld().Now)
+	l.DispatchOnly(KindJournal)
+	if l.Wants(KindJournal) || !l.Wants(KindState) {
+		t.Fatal("a dispatch-only kind with no subscriber is wanted by nobody; a retained kind is")
 	}
-	// The bound is inclusive: exactly the last event's time still matches.
-	if l.First(KindFailover, "switch-done", sim.Second) == nil {
-		t.Fatal("First at the last event's exact time should match")
+	l.Subscribe(func(Event) {})
+	if !l.Wants(KindJournal) {
+		t.Fatal("a subscriber wants every kind")
+	}
+}
+
+func TestSpanLifecycle(t *testing.T) {
+	w := sim.NewWorld()
+	l := New(w.Now)
+	run := func(d sim.Time) { w.After(d, "t", func() {}); w.Run() }
+
+	root := l.Begin("failover", "n1", 0, "epoch", "2")
+	run(10 * sim.Millisecond)
+	el := l.Begin("election", "n1", root)
+	run(5 * sim.Millisecond)
+	l.End(el, "outcome", "won")
+	run(20 * sim.Millisecond)
+	l.End(root, "outcome", "switch-done")
+
+	spans := l.Spans()
+	if len(spans) != 2 || spans[0].ID != root || spans[1].ID != el {
+		t.Fatalf("spans = %+v", spans)
+	}
+	if spans[0].Parent != 0 || spans[1].Parent != root {
+		t.Fatalf("parent links lost in the fold: %+v", spans)
+	}
+	if spans[0].Arg("epoch") != "2" || spans[0].Arg("outcome") != "switch-done" {
+		t.Fatalf("root args = %v (begin and end args must merge)", spans[0].Args)
+	}
+	if d := spans[1].Duration(); d != 5*sim.Millisecond {
+		t.Fatalf("election duration = %v", d)
+	}
+	if d := spans[0].Duration(); d != 35*sim.Millisecond {
+		t.Fatalf("failover duration = %v", d)
+	}
+	// The edges sit in the one stream, in order; an end edge names its span.
+	var kinds []Kind
+	for _, e := range l.Events() {
+		kinds = append(kinds, e.Kind)
+	}
+	if want := []Kind{KindBegin, KindBegin, KindEnd, KindEnd}; !slices.Equal(kinds, want) {
+		t.Fatalf("edge kinds = %v, want %v", kinds, want)
+	}
+	if end := l.Events()[3]; end.Span != root || end.What != "failover" || end.Node != "n1" {
+		t.Fatalf("end edge = %+v", end)
+	}
+}
+
+func TestSpanOpenAndDoubleEnd(t *testing.T) {
+	l := New(sim.NewWorld().Now)
+	open := l.Begin("renew", "n2", 0)
+	closed := l.Begin("renew-catchup", "n2", open)
+	l.End(closed)
+	l.End(closed, "outcome", "again") // already closed
+	l.End(0)                          // no span
+	l.End(999)                        // never begun
+	if n := len(l.Events()); n != 3 {
+		t.Fatalf("events = %d, want 3 edges (two begins, one end)", n)
+	}
+	spans := l.Spans()
+	if spans[0].Done || spans[0].Duration() != 0 {
+		t.Fatalf("an open span folds to Done == false: %+v", spans[0])
+	}
+	if !spans[1].Done || spans[1].Arg("outcome") != "" {
+		t.Fatalf("a second End must not touch a closed span: %+v", spans[1])
+	}
+}
+
+func TestSpanEdgesStayOutOfDumpAndSubscribers(t *testing.T) {
+	l := New(sim.NewWorld().Now)
+	seen := 0
+	l.Subscribe(func(Event) { seen++ })
+	l.Emit(KindElection, "a", "election-start")
+	l.End(l.Begin("election", "a", 0), "outcome", "won")
+	l.Emit(KindElection, "a", "election-won")
+	if seen != 2 {
+		t.Fatalf("subscriber saw %d events, want the 2 point events", seen)
+	}
+	want := "      0.0000s election  a              election-start\n" +
+		"      0.0000s election  a              election-won\n"
+	if got := l.Dump(); got != want {
+		t.Fatalf("dump = %q, want %q", got, want)
 	}
 }
 

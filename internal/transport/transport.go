@@ -169,5 +169,4 @@ type Transport interface {
 	// Registering a duplicate id panics (it is always a wiring bug).
 	Listen(id NodeID, h Handler) Node
 	Obs() *obs.Registry
-	Tracer() *obs.Tracer
 }

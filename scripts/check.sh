@@ -74,7 +74,10 @@ go test -race -timeout 40m ./internal/mams/...
 # and commit under each seal policy, instant acks): keeps it compiling and
 # prints its allocs/op in every verify run.
 go test -run '^$' -bench PipelineCreate -benchtime 200x ./internal/mams
-go test -race ./internal/obs/...
+# The trace log is written on a wire process's event loop and read through
+# Do (TestWireClusterFailover, TestWireLogBoundedByFailovers); race-test the
+# package beside the exporters that read its spans.
+go test -race ./internal/obs/... ./internal/trace/...
 # The health detector rides inside every parallel detect cell (one World
 # per worker goroutine); race-test the package directly too.
 go test -race ./internal/health/...
@@ -99,6 +102,9 @@ grep -q '^mams_failover' "$obsdir/m.prom"
 grep -q '^# TYPE mams_net_messages_sent_total counter$' "$obsdir/m.prom"
 head -c 15 "$obsdir/s.json" | grep -q '^{"traceEvents":'
 grep -q '"name":"failover"' "$obsdir/s.json"
+# The failover's children: a Chrome trace that lost the stage spans fails.
+grep -q '"name":"election"' "$obsdir/s.json"
+grep -q '"name":"stage-view-flip"' "$obsdir/s.json"
 # With -health the sampler runs, so the series dump must carry timestamped
 # samples (including the detector's own state gauge) and the Chrome trace
 # must gain the metrics counter tracks (ph "C", pid 2).
