@@ -187,10 +187,3 @@ func (m *Manager) Known() int { return len(m.locations) }
 
 // FullReports returns how many full reports have been merged.
 func (m *Manager) FullReports() int { return m.fullReports }
-
-// Reset drops all location state (a cold restart).
-func (m *Manager) Reset() {
-	m.locations = map[uint64][]transport.NodeID{}
-	m.virtualReported = 0
-	m.fullReports = 0
-}

@@ -134,15 +134,6 @@ func TestManagerDedupsLocations(t *testing.T) {
 	}
 }
 
-func TestManagerReset(t *testing.T) {
-	m := NewManager()
-	m.ApplyFull(FullReport{From: "dn1", Blocks: []uint64{1, 2}, VirtualBlocks: 9})
-	m.Reset()
-	if m.Known() != 0 || m.FullReports() != 0 || m.virtualReported != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestDataServerDedupsStoredBlocks(t *testing.T) {
 	w, net := newWorld()
 	active := &mdsStub{mgr: NewManager()}

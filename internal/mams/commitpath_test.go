@@ -7,6 +7,7 @@ import (
 	"mams/internal/cluster"
 	"mams/internal/mams"
 	"mams/internal/sim"
+	"mams/internal/trace"
 )
 
 // TestSealBatchSSPRetryBackstop exercises the pool-write retry loop in the
@@ -134,6 +135,41 @@ func TestReflushIdempotencePipelined(t *testing.T) {
 		if appendsAfter[id] != appendsBefore[id] {
 			t.Fatalf("standby %s applied %d duplicate batches",
 				id, appendsAfter[id]-appendsBefore[id])
+		}
+	}
+}
+
+// TestDispatchOnlyJournalKeepsNoBatchSpans runs batches on a log that only
+// dispatches KindJournal, to one subscriber: the subscriber sees the
+// per-batch appends, and the log holds no journal-2pc span, since span
+// edges are never dispatched and so nothing could read them.
+func TestDispatchOnlyJournalKeepsNoBatchSpans(t *testing.T) {
+	env := cluster.NewEnv(23)
+	env.Trace.DispatchOnly(trace.KindJournal)
+	appends := 0
+	env.Trace.Subscribe(func(e trace.Event) {
+		if e.Kind == trace.KindJournal && e.What == "append" {
+			appends++
+		}
+	})
+	p := mams.DefaultParams()
+	p.TraceAppends = true
+	c := cluster.BuildMAMS(env, cluster.MAMSSpec{Groups: 1, BackupsPerGroup: 2, Params: p})
+	if !c.AwaitStable(30 * sim.Second) {
+		t.Fatal("cluster never stabilized")
+	}
+	cli := c.NewClient(nil)
+	for i := 0; i < 20; i++ {
+		if err := doOp(t, env, func(done func(error)) { cli.Create(fmt.Sprintf("/f%d", i), 1, done) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if appends < 20 {
+		t.Fatalf("the subscriber saw %d appends for 20 committed creates", appends)
+	}
+	for _, sp := range env.Trace.Spans() {
+		if sp.Name == "journal-2pc" {
+			t.Fatalf("a dispatch-only journal log retained span %+v", sp)
 		}
 	}
 }

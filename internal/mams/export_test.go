@@ -38,11 +38,20 @@ func (s *Server) PendingReplForTest() int {
 // UpgradeForTest runs the Fig. 4 upgrade on this server as if it had just
 // won the group lock.
 func (s *Server) UpgradeForTest() {
-	s.runUpgrade()
+	s.runUpgrade(&election{})
 }
 
 // HeldRegistrationsForTest reports how many Register messages the server
 // holds for classification when it turns active.
 func (s *Server) HeldRegistrationsForTest() int {
-	return len(s.upgradeRegs)
+	if s.elect == nil {
+		return 0
+	}
+	return len(s.elect.regs)
+}
+
+// PreparedTxnsForTest reports how many cross-group transactions this server
+// has prepared as a participant.
+func (s *Server) PreparedTxnsForTest() int {
+	return len(s.preparedTxns)
 }

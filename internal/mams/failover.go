@@ -6,6 +6,7 @@ import (
 	"mams/internal/coord"
 	"mams/internal/journal"
 	"mams/internal/namespace"
+	"mams/internal/obs"
 	"mams/internal/sim"
 	"mams/internal/ssp"
 	"mams/internal/trace"
@@ -47,24 +48,49 @@ func (s *Server) reportRefused(active transport.NodeID) {
 	s.coordCli.ReportRefused(active, func(error) { s.reporting = false })
 }
 
+// election is one run of Algorithm 1 and, once it wins the lock, the Fig. 4
+// upgrade: from the trigger until the node loses, yields, aborts or serves.
+type election struct {
+	start         sim.Time                      // when the trigger fired
+	regs          map[transport.NodeID]Register // held (step 5); nil until the lock is won
+	regWindowDone func()                        // ends an open registration window before its cap
+	queue         []queuedOp                    // client ops buffered by the upgrade (step 3)
+
+	failoverSpan, electionSpan, stageSpan obs.SpanID
+}
+
+// upgrading reports whether this node runs the Fig. 4 upgrade.
+func (s *Server) upgrading() bool { return s.elect != nil && s.elect.regs != nil }
+
+// endSpans closes the election's open spans. Nil-safe.
+func (e *election) endSpans(tr *trace.Log, outcome string) {
+	if e != nil {
+		tr.End(e.stageSpan, "outcome", outcome)
+		tr.End(e.electionSpan, "outcome", outcome)
+		tr.End(e.failoverSpan, "outcome", outcome)
+		e.stageSpan, e.electionSpan, e.failoverSpan = 0, 0, 0
+	}
+}
+
 // maybeElect implements Algorithm 1's entry: standbys (or, with none left,
 // juniors) race for the distributed lock after a random delay — the
 // paper's "each standby generates a random number" realized as jitter, so
 // the largest effective number grabs the lock first.
 func (s *Server) maybeElect() {
-	if s.electing != 0 || s.upgrading || s.role == RoleActive {
+	if s.elect != nil || s.role == RoleActive {
 		return
 	}
 	if s.role != RoleStandby && s.role != RoleJunior {
 		return
 	}
-	s.electing = s.node.Now()
+	e := &election{start: s.node.Now()}
+	s.elect = e
 	s.emit(trace.KindElection, "election-start", "role", s.role.String())
 	s.obsElectStarted.Inc()
 	me := string(s.cfg.ID)
-	s.failoverSpan = s.tr.Begin("failover", me, 0, "role", s.role.String())
-	s.electionSpan = s.tr.Begin("election", me, s.failoverSpan, "role", s.role.String())
-	s.node.After(s.electionJitter(), "mams-election-jitter", s.tryAcquireLock)
+	e.failoverSpan = s.tr.Begin("failover", me, 0, "role", s.role.String())
+	e.electionSpan = s.tr.Begin("election", me, e.failoverSpan, "role", s.role.String())
+	s.node.After(s.electionJitter(), "mams-election-jitter", func() { s.tryAcquireLock(e) })
 }
 
 // electionJitterMin and electionJitterMax bound Algorithm 1's random-number
@@ -90,89 +116,88 @@ func (s *Server) electionJitter() sim.Time {
 	return base
 }
 
-func (s *Server) tryAcquireLock() {
-	if s.role == RoleActive || s.upgrading {
-		s.electing = 0
-		s.endElectionSpans("abandoned")
+// dropElection ends election e short of the lock. An upgrade that runs goes
+// on: only a chain that outlived a Restart retried on a live node meets one.
+func (s *Server) dropElection(e *election, outcome string) {
+	if !s.upgrading() {
+		s.elect = nil
+	}
+	e.endSpans(s.tr, outcome)
+}
+
+func (s *Server) tryAcquireLock(e *election) {
+	if s.role == RoleActive || s.upgrading() {
+		s.dropElection(e, "abandoned")
 		return
 	}
 	// A junior yields while any standby remains (Algorithm 1 branch).
 	if s.role == RoleJunior && len(s.view.Standbys()) > 0 {
-		s.electing = 0
-		s.endElectionSpans("yielded")
+		s.dropElection(e, "yielded")
 		s.coordCli.Exists(lockPath(s.group), true, func(bool, error) {})
 		return
 	}
 	s.coordCli.CreateEphemeral(lockPath(s.group), []byte(s.cfg.ID), func(_ string, err error) {
 		if err == coord.ErrNodeExists {
 			// Lost the race: events will notify others to stop competing.
-			s.electing = 0
 			s.emit(trace.KindElection, "election-lost")
 			s.obsElectLost.Inc()
-			s.endElectionSpans("lost")
+			s.dropElection(e, "lost")
 			s.coordCli.Exists(lockPath(s.group), true, func(bool, error) {})
 			return
 		}
 		if err != nil {
 			// Coordination hiccup; retry shortly.
-			s.node.After(100*sim.Millisecond, "mams-lock-retry", s.tryAcquireLock)
+			s.node.After(100*sim.Millisecond, "mams-lock-retry", func() { s.tryAcquireLock(e) })
 			return
 		}
 		s.emit(trace.KindElection, "election-won", "waited",
-			fmt.Sprint((s.node.Now() - s.electing).Milliseconds()))
+			fmt.Sprint((s.node.Now() - e.start).Milliseconds()))
 		s.obsElectWon.Inc()
-		s.tr.End(s.electionSpan, "outcome", "won")
-		s.electionSpan = 0
-		s.runUpgrade()
+		s.tr.End(e.electionSpan, "outcome", "won")
+		s.runUpgrade(e)
 	})
 }
 
 // runUpgrade executes the six-step upgrade procedure of Fig. 4 on the
-// elected node.
-func (s *Server) runUpgrade() {
-	s.upgrading = true
-	s.electing = 0
-	s.upgradeRegs = map[transport.NodeID]Register{}
-	s.regWindowDone = nil
+// node that won election e.
+func (s *Server) runUpgrade(e *election) {
+	s.elect = e
+	e.regs = map[transport.NodeID]Register{}
 	s.emit(trace.KindFailover, "upgrade-start", "sn", fmt.Sprint(s.effectiveSN()))
 	// Step 1: visit the global view and check our own state.
-	s.stageSpan = s.tr.Begin("stage-view-check", string(s.cfg.ID), s.failoverSpan)
+	e.stageSpan = s.tr.Begin("stage-view-check", string(s.cfg.ID), e.failoverSpan)
 	s.refreshView(func() {
 		me := string(s.cfg.ID)
-		s.tr.End(s.stageSpan, "role", s.view.States[me].String())
-		s.stageSpan = 0
+		s.tr.End(e.stageSpan, "role", s.view.States[me].String())
 		if s.view.States[me] == RoleJunior && len(s.view.Standbys()) > 0 {
 			// A hot standby exists; a junior must stop upgrading and give
 			// up the lock so re-election picks the standby.
 			s.emit(trace.KindFailover, "upgrade-abort-junior")
-			s.abortUpgrade()
+			s.abortUpgrade(e)
 			return
 		}
 		if s.role == RoleJunior || s.view.States[me] == RoleJunior {
 			// Junior takeover (no standbys left): recover what the pool
 			// has before serving — "it ensures the continuity of metadata
 			// service even if no standbys are in the global view".
-			s.stageSpan = s.tr.Begin("stage-junior-catchup", me, s.failoverSpan)
+			e.stageSpan = s.tr.Begin("stage-junior-catchup", me, e.failoverSpan)
 			s.catchupAttempt(0, func() {
-				s.tr.End(s.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
-				s.stageSpan = 0
-				s.commitCachedAndFlip()
+				s.tr.End(e.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
+				s.commitCachedAndFlip(e)
 			})
 			return
 		}
-		s.commitCachedAndFlip()
+		s.commitCachedAndFlip(e)
 	})
 }
 
-func (s *Server) abortUpgrade() {
-	s.upgrading = false
-	s.upgradeRegs = nil
-	s.regWindowDone = nil
-	s.endElectionSpans("aborted")
-	for _, qo := range s.upgradeQueue {
+// abortUpgrade drops upgrade e, refusing the ops it buffered, and the lock.
+func (s *Server) abortUpgrade(e *election) {
+	s.elect = nil
+	e.endSpans(s.tr, "aborted")
+	for _, qo := range e.queue {
 		qo.reply(OpReply{NotActive: true})
 	}
-	s.upgradeQueue = nil
 	s.obsBuffered.Set(0)
 	s.coordCli.Delete(lockPath(s.group), -1, func(error) {
 		s.coordCli.Exists(lockPath(s.group), true, func(bool, error) {})
@@ -191,36 +216,36 @@ const registrationWait = 120 * sim.Millisecond
 // only as a cap: a member that never registers (a partitioned standby), or
 // that registers off our position and never acks the re-flush's last
 // batch, costs the whole cap.
-func (s *Server) awaitRegistrations(done func(outcome string)) {
-	if s.allRegistered() {
+func (s *Server) awaitRegistrations(e *election, done func(outcome string)) {
+	if s.allRegistered(e.regs) {
 		done("all-registered")
 		return
 	}
 	var capTimer transport.Timer
-	s.regWindowDone = func() {
-		s.regWindowDone = nil
+	e.regWindowDone = func() {
+		e.regWindowDone = nil
 		capTimer.Stop()
 		done("all-registered")
 	}
 	capTimer = s.node.After(registrationWait, "mams-registration-wait", func() {
-		s.regWindowDone = nil
+		e.regWindowDone = nil
 		done("cap")
 	})
 }
 
-// allRegistered reports whether every live peer has registered during this
-// upgrade at a position it will keep until classified. A member registered
+// allRegistered reports whether every live peer has registered in regs at a
+// position it will keep until classified. A member registered
 // off our position but not below the step-4 re-flush's range may still be
 // applying it, and its ack refreshes the position (noteReflushAck); one
 // further behind cannot be repaired by it and is final.
-func (s *Server) allRegistered() bool {
+func (s *Server) allRegistered(regs map[transport.NodeID]Register) bool {
 	last := s.log.LastSN()
 	from := reflushFrom(last)
 	for _, m := range s.members {
 		if m == s.cfg.ID || s.view.RoleOf(string(m)) == RoleDown {
 			continue
 		}
-		if r, ok := s.upgradeRegs[m]; !ok || (r.LastSN != last && r.LastSN >= from) {
+		if r, ok := regs[m]; !ok || (r.LastSN != last && r.LastSN >= from) {
 			return false
 		}
 	}
@@ -232,9 +257,9 @@ func (s *Server) allRegistered() bool {
 // registered a batch behind (or ahead, holding a dead active's unconfirmed
 // prepare that the re-flush supersedes) registers as the standby it is now.
 func (s *Server) noteReflushAck(m AppendAck) {
-	if r, ok := s.upgradeRegs[m.From]; ok && m.SN == s.log.LastSN() {
+	if r, ok := s.elect.regs[m.From]; ok && m.SN == s.log.LastSN() {
 		r.LastSN = m.LastSN
-		s.upgradeRegs[m.From] = r
+		s.elect.regs[m.From] = r
 		s.maybeEndRegistration()
 	}
 }
@@ -242,24 +267,24 @@ func (s *Server) noteReflushAck(m AppendAck) {
 // maybeEndRegistration ends an open registration window once every live
 // peer has registered.
 func (s *Server) maybeEndRegistration() {
-	if s.regWindowDone != nil && s.allRegistered() {
-		s.regWindowDone()
+	if e := s.elect; e.regWindowDone != nil && s.allRegistered(e.regs) {
+		e.regWindowDone()
 	}
 }
 
-// commitCachedAndFlip performs steps 2-6: commit cached journals, flip the
-// global view, re-flush the journal tail, wait for registrations, serve.
-func (s *Server) commitCachedAndFlip() {
+// commitCachedAndFlip performs upgrade e's steps 2-6: commit cached journals,
+// flip the global view, re-flush the journal tail, wait for registrations, serve.
+func (s *Server) commitCachedAndFlip(e *election) {
 	me := string(s.cfg.ID)
 	// Step 2: apply cached (prepared but uncommitted) journals.
-	s.stageSpan = s.tr.Begin("stage-commit-cached", me, s.failoverSpan)
+	e.stageSpan = s.tr.Begin("stage-commit-cached", me, e.failoverSpan)
 	transport.Charge(s.node, s.cfg.Params.SwitchCommitCost, "mams-switch-commit", func() {
 		s.commitAllQueued()
 		s.emit(trace.KindFailover, "cached-committed", "sn", fmt.Sprint(s.log.LastSN()))
-		s.tr.End(s.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
+		s.tr.End(e.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
 		// Step 3: modify the global view (previous active is refused by
 		// all nodes from this moment).
-		s.stageSpan = s.tr.Begin("stage-view-flip", me, s.failoverSpan)
+		e.stageSpan = s.tr.Begin("stage-view-flip", me, e.failoverSpan)
 		s.casView(func(v *View) bool {
 			prev := v.Active
 			v.Epoch++
@@ -275,35 +300,33 @@ func (s *Server) commitCachedAndFlip() {
 		}, func(err error) {
 			if err != nil {
 				s.emit(trace.KindFailover, "view-flip-failed", "err", err.Error())
-				s.abortUpgrade()
+				s.abortUpgrade(e)
 				return
 			}
 			epoch := s.view.Epoch
 			s.emit(trace.KindFailover, "view-flipped", "epoch", fmt.Sprint(epoch))
-			s.tr.End(s.stageSpan, "epoch", fmt.Sprint(epoch))
+			s.tr.End(e.stageSpan, "epoch", fmt.Sprint(epoch))
 			// Step 4: re-flush the last cached journals to the replica
 			// group; receivers deduplicate by sn.
-			s.stageSpan = s.tr.Begin("stage-reflush", me, s.failoverSpan)
+			e.stageSpan = s.tr.Begin("stage-reflush", me, e.failoverSpan)
 			transport.Charge(s.node, s.cfg.Params.SwitchStateCost, "mams-switch-state", func() {
 				s.reflushTail(epoch)
-				s.tr.End(s.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
+				s.tr.End(e.stageSpan, "sn", fmt.Sprint(s.log.LastSN()))
 				// Step 5: collect registrations (Register handler runs
 				// concurrently); step 6 once every live peer registered.
-				s.stageSpan = s.tr.Begin("stage-registration", me, s.failoverSpan)
-				s.awaitRegistrations(func(outcome string) {
-					s.tr.End(s.stageSpan, "outcome", outcome)
+				e.stageSpan = s.tr.Begin("stage-registration", me, e.failoverSpan)
+				s.awaitRegistrations(e, func(outcome string) {
+					s.tr.End(e.stageSpan, "outcome", outcome)
 					// Step 6: switch to active duty and drain the buffer.
 					// The shardmap znode is re-read first so a standing
 					// migration freeze (and any flip we slept through)
 					// binds this active before it serves a single op.
-					s.stageSpan = s.tr.Begin("stage-become-active", me, s.failoverSpan)
+					e.stageSpan = s.tr.Begin("stage-become-active", me, e.failoverSpan)
 					s.refreshShardMap(func() {
 						s.becomeActiveNow(epoch)
-						s.tr.End(s.stageSpan)
-						s.stageSpan = 0
+						s.tr.End(e.stageSpan)
 						s.emit(trace.KindFailover, "switch-done", "epoch", fmt.Sprint(epoch))
-						s.tr.End(s.failoverSpan, "outcome", "switch-done", "epoch", fmt.Sprint(epoch))
-						s.failoverSpan = 0
+						s.tr.End(e.failoverSpan, "outcome", "switch-done", "epoch", fmt.Sprint(epoch))
 					})
 				})
 			})

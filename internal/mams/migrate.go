@@ -183,14 +183,6 @@ func (s *Server) registerShardObs(reg *obs.Registry, me string) {
 		"Slot-homed operations executed (the balancer's load signal).", "node", me)
 }
 
-// resetShardState clears per-tenure sharding state (restart path).
-func (s *Server) resetShardState() {
-	s.migRec = nil
-	s.freezeBarrier = 0
-	s.freezeBarrierOK = false
-	s.slotOps = nil
-}
-
 // armShardWatch installs the shardmap watch and adopts the current state.
 // The GetData watch also fires on later creation when the znode does not
 // exist yet, so the static-hashing baseline arms exactly one watch and

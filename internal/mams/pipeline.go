@@ -346,7 +346,7 @@ func (p *commitPipeline) sealBatch() {
 	}
 
 	rs := &replState{batch: batch, targets: targets, needed: slices.Compact(slices.Clone(targets)), sealedAt: now}
-	if p.tr.Wants(trace.KindJournal) { // per batch: formatted only for a log that keeps it
+	if p.tr.Keeps(trace.KindJournal) { // per batch: formatted only for a log that keeps it
 		rs.span = p.tr.Begin("journal-2pc", string(p.node.ID()), 0,
 			"sn", fmt.Sprint(batch.SN), "standbys", fmt.Sprint(len(targets)))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mams/internal/namespace"
+	"mams/internal/obs"
 	"mams/internal/sim"
 	"mams/internal/ssp"
 	"mams/internal/trace"
@@ -180,17 +181,33 @@ func (s *Server) onRenewProgress(m RenewProgress) {
 
 // ---- junior side ----
 
+// renewal is this junior's side of one renewing session, from RenewStart
+// until the junior is promoted, loses the active, resets or restarts.
+type renewal struct {
+	active                       transport.NodeID // the active renewing us
+	span, fetchSpan, catchupSpan obs.SpanID       // the session and its open stages
+}
+
+// endRenew ends this junior's renewing session, if one runs, and its spans.
+func (s *Server) endRenew(outcome string) {
+	if r := s.renew; r != nil {
+		s.renew = nil
+		s.tr.End(r.fetchSpan, "outcome", outcome)
+		s.tr.End(r.catchupSpan, "outcome", outcome)
+		s.tr.End(r.span, "outcome", outcome)
+	}
+}
+
 // onRenewStart begins catching up: image first when the gap is large, then
 // the journal tail, pulled from the SSP/active in chunks.
 func (s *Server) onRenewStart(m RenewStart) {
-	if s.role != RoleJunior || s.renewing {
+	if s.role != RoleJunior || s.renew != nil {
 		return
 	}
-	s.renewing = true
-	s.renewActive = m.From
+	s.renew = &renewal{active: m.From}
 	s.emit(trace.KindRenew, "renewing", "from", string(m.From),
 		"mysn", fmt.Sprint(s.log.LastSN()), "activesn", fmt.Sprint(m.ActiveSN))
-	s.renewSpan = s.tr.Begin("renew", string(s.cfg.ID), 0,
+	s.renew.span = s.tr.Begin("renew", string(s.cfg.ID), 0,
 		"from", string(m.From), "mysn", fmt.Sprint(s.log.LastSN()), "activesn", fmt.Sprint(m.ActiveSN))
 	gap := m.ActiveSN - s.log.LastSN()
 	if m.ActiveSN < s.log.LastSN() {
@@ -207,32 +224,30 @@ func (s *Server) onRenewStart(m RenewStart) {
 func (s *Server) fetchRenewImage(imageSN uint64) {
 	key := ssp.Key{Group: s.group, Kind: ssp.KindImage, Seq: imageSN}
 	s.emit(trace.KindRenew, "image-fetch", "sn", fmt.Sprint(imageSN))
-	s.renewFetchSpan = s.tr.Begin("renew-image-fetch", string(s.cfg.ID), s.renewSpan,
+	s.renew.fetchSpan = s.tr.Begin("renew-image-fetch", string(s.cfg.ID), s.renew.span,
 		"sn", fmt.Sprint(imageSN))
 	s.sspc.Get(key, func(data []byte, size int64, err error) {
-		if !s.renewing || s.role != RoleJunior {
-			s.tr.End(s.renewFetchSpan, "outcome", "stale")
-			s.renewFetchSpan = 0
+		if s.renew == nil || s.role != RoleJunior {
+			if s.renew != nil {
+				s.tr.End(s.renew.fetchSpan, "outcome", "stale")
+			}
 			return
 		}
 		if err != nil {
-			s.tr.End(s.renewFetchSpan, "outcome", "error")
-			s.renewFetchSpan = 0
+			s.tr.End(s.renew.fetchSpan, "outcome", "error")
 			s.pullRenewJournal() // journal-only fallback
 			return
 		}
 		tree, lerr := namespace.LoadImage(data)
 		if lerr != nil {
-			s.tr.End(s.renewFetchSpan, "outcome", "decode-error")
-			s.renewFetchSpan = 0
+			s.tr.End(s.renew.fetchSpan, "outcome", "decode-error")
 			s.pullRenewJournal()
 			return
 		}
 		s.tree = tree
 		s.log.ResetTo(imageSN, s.view.Epoch)
 		s.emit(trace.KindRenew, "image-loaded", "sn", fmt.Sprint(imageSN))
-		s.tr.End(s.renewFetchSpan, "outcome", "loaded", "bytes", fmt.Sprint(size))
-		s.renewFetchSpan = 0
+		s.tr.End(s.renew.fetchSpan, "outcome", "loaded", "bytes", fmt.Sprint(size))
 		s.pullRenewJournal()
 	})
 }
@@ -241,29 +256,28 @@ func (s *Server) fetchRenewImage(imageSN uint64) {
 // its checkpoint position after every chunk, so an interrupted recovery
 // resumes "from other replicas in the last position".
 func (s *Server) pullRenewJournal() {
-	if !s.renewing || s.role != RoleJunior {
+	sess := s.renew
+	if sess == nil || s.role != RoleJunior {
 		return
 	}
-	if s.renewCatchupSpan == 0 && s.renewSpan != 0 {
-		s.renewCatchupSpan = s.tr.Begin("renew-catchup", string(s.cfg.ID), s.renewSpan,
+	if sess.catchupSpan == 0 && sess.span != 0 {
+		sess.catchupSpan = s.tr.Begin("renew-catchup", string(s.cfg.ID), sess.span,
 			"fromsn", fmt.Sprint(s.log.LastSN()))
 	}
 	req := RenewJournalReq{From: s.cfg.ID, FromSN: s.log.LastSN()}
-	s.node.Call(s.renewActive, req, 5*sim.Second, func(resp any, err error) {
-		if !s.renewing || s.role != RoleJunior {
+	s.node.Call(sess.active, req, 5*sim.Second, func(resp any, err error) {
+		if s.renew == nil || s.role != RoleJunior {
 			return
 		}
 		if err != nil {
 			// Active unreachable (possibly failed over); retry later —
 			// the new active will start a fresh session.
-			s.renewing = false
-			s.endRenewSpans("active-unreachable")
+			s.endRenew("active-unreachable")
 			return
 		}
 		r, ok := resp.(RenewJournalResp)
 		if !ok {
-			s.renewing = false
-			s.endRenewSpans("bad-response")
+			s.endRenew("bad-response")
 			return
 		}
 		if r.NeedImage && r.ImageSN > s.log.LastSN() {
@@ -273,18 +287,14 @@ func (s *Server) pullRenewJournal() {
 		if len(r.Batches) == 0 {
 			// Caught up (or the active has nothing newer): report and
 			// wait for promotion or another round.
-			s.node.Send(s.renewActive, RenewProgress{From: s.cfg.ID, SN: s.log.LastSN()})
-			s.node.After(500*sim.Millisecond, "mams-renew-repull", func() {
-				if s.renewing && s.role == RoleJunior {
-					s.pullRenewJournal()
-				}
-			})
+			s.node.Send(s.renew.active, RenewProgress{From: s.cfg.ID, SN: s.log.LastSN()})
+			s.node.After(500*sim.Millisecond, "mams-renew-repull", s.pullRenewJournal)
 			return
 		}
 		// Apply the chunk with modeled CPU cost, then continue.
 		cost := sim.Time(len(r.Batches)) * s.cfg.Params.RenewBatchApply
 		transport.Charge(s.node, cost, "mams-renew-apply", func() {
-			if !s.renewing || s.role != RoleJunior {
+			if s.renew == nil || s.role != RoleJunior {
 				return
 			}
 			for _, b := range r.Batches {
@@ -296,11 +306,10 @@ func (s *Server) pullRenewJournal() {
 					// life): start over from the pool.
 					s.emit(trace.KindRenew, "renew-apply-error", "err", err.Error())
 					s.hardResetToJunior()
-					s.renewing = false
 					return
 				}
 			}
-			s.node.Send(s.renewActive, RenewProgress{From: s.cfg.ID, SN: s.log.LastSN()})
+			s.node.Send(s.renew.active, RenewProgress{From: s.cfg.ID, SN: s.log.LastSN()})
 			s.pullRenewJournal()
 		})
 	})

@@ -53,40 +53,69 @@ type queuedOp struct {
 	reply func(any)
 }
 
-// Server is one CFS metadata server governed by the MAMS policy.
+// Server is one CFS metadata server governed by the MAMS policy. Its embedded
+// proc is what a crash forgets; every other field survives Restart.
 type Server struct {
-	cfg  Config
-	node transport.Node
+	cfg  Config         // fixed; its Partitioner (a clone) keeps the installed shard map
+	node transport.Node // the host's endpoint on either plane
 
 	// This server's place in cfg.Layout, worked out once from its ID: the
-	// group's name and index, its members (also its pool nodes), and the
-	// role it boots in (junior once restarted).
+	// group's name and index and its members (also its pool nodes).
 	group    string
 	groupIdx int
 	members  []transport.NodeID
-	bootRole Role
 
-	coordCli *coord.Client
-	// reporting is set while a refused-active report is on its way to the
-	// coordination service, so a burst of clients' reports sends one.
-	reporting bool
-	pool      *ssp.PoolNode
-	sspc      *ssp.Client
-	blocks    *blockmap.Manager
+	coordCli *coord.Client  // restarted with the process (a fresh session)
+	pool     *ssp.PoolNode  // the co-located pool node: its objects stand for disk
+	sspc     *ssp.Client    // stateless placement over the pool
+	tr       *trace.Log     // the host's recorder, one stream across incarnations
+	rnd      func() float64 // uniform [0,1) for election jitter
 
+	proc
+
+	txnSeq               uint64        // keeps transaction ids unique across incarnations
+	lastImageSN          uint64        // the newest checkpoint put in the pool, which outlives the process
+	lastImageSize        int64         // that checkpoint's modeled size
+	virtualOverheadBytes int64         // modeled image content, set by the harness for the run
+	freeDispatch         []*opDispatch // a recycle list: a record on it holds no op
+
+	// Instruments count across incarnations. All are nil-safe no-ops when
+	// the network carries no registry, so unit tests need no setup.
+	commitObs       commitObs
+	obsReflushed    *obs.Counter
+	obsDups         *obs.Counter
+	obsBuffered     *obs.Gauge
+	obsElectStarted *obs.Counter
+	obsElectWon     *obs.Counter
+	obsElectLost    *obs.Counter
+	obsStaleMap     *obs.Counter
+	obsFrozenRej    *obs.Counter
+	obsMigIn        *obs.Counter
+	obsPurged       *obs.Counter
+	obsSlotOps      *obs.Counter
+}
+
+// proc is a server process's memory, all that a crash loses: newProc builds
+// it at boot and at every Restart, making the paper's empty junior (§III.D).
+type proc struct {
 	tree   *namespace.Tree
 	log    *journal.Log
 	lastTx uint64 // highest transaction id in the log
+	blocks *blockmap.Manager
 
-	role      Role
-	upgrading bool
-	view      View
-	viewVer   int64
+	role     Role
+	bootRole Role // the role enterRole takes: junior once restarted
+	view     View
+	viewVer  int64
 
 	// pipe is the active tenure's commit path; nil unless active.
 	pipe        *commitPipeline
-	commitObs   commitObs
 	fenceLoopOn bool
+	sanityOn    bool
+	// reporting is set while a refused-active report is on its way to the
+	// coordination service, so a burst of clients' reports sends one.
+	reporting     bool
+	registerAcked bool
 
 	// Standby-side pipeline: prepared (uncommitted) batches in sn order.
 	// Depth is bounded by the active's in-flight window plus re-flush
@@ -94,25 +123,15 @@ type Server struct {
 	// committed (CommitThrough / CommitNotice) or during upgrade step 2.
 	pendingQueue []journal.Batch
 
-	// Election state.
-	electing     sim.Time // when the trigger fired (0 = not electing)
-	upgradeQueue []queuedOp
-	// Fig. 4 step 5: the Register messages received during this upgrade,
-	// classified once the node turns active, and (while the registration
-	// window is open) the call that ends it before its cap.
-	upgradeRegs   map[transport.NodeID]Register
-	regWindowDone func()
+	elect *election // nil unless an election or the upgrade after it runs
+	renew *renewal  // nil unless this junior is in a renewing session
 
-	// Renewing.
+	// Active side of the renewing protocol.
 	renewTarget   transport.NodeID // junior currently receiving live batches
 	renewSession  transport.NodeID // junior currently in a renewing session
-	renewActive   transport.NodeID // (junior side) the active renewing us
-	renewing      bool             // this server (as junior) is renewing
 	renewLastSeen map[transport.NodeID]uint64
 	renewScanOn   bool
 
-	// Distributed transactions.
-	txnSeq       uint64
 	preparedTxns map[uint64]*preparedTxn
 
 	// Sharded namespace & live migration (migrate.go). migRec mirrors the
@@ -125,39 +144,25 @@ type Server struct {
 	freezeBarrierOK bool
 	slotOps         []uint64
 
-	// Modeling.
-	cpu                  transport.Lane // the single op-dispatch thread
-	freeDispatch         []*opDispatch  // records no op is waiting in
-	virtualOverheadBytes int64
-	lastImageSN          uint64
-	lastImageSize        int64
-
-	registerAcked bool
-	sanityOn      bool
-
+	cpu        transport.Lane     // the single op-dispatch thread
 	retryCache map[uint64]OpReply // mutation replies by ReqID (finishOp)
-	tr         *trace.Log
-	rnd        func() float64 // uniform [0,1) for election jitter
+}
 
-	// Observability. All instruments are nil-safe no-ops when the network
-	// carries no registry, so unit tests need no setup.
-	obsReflushed     *obs.Counter
-	obsDups          *obs.Counter
-	obsBuffered      *obs.Gauge
-	obsElectStarted  *obs.Counter
-	obsElectWon      *obs.Counter
-	obsElectLost     *obs.Counter
-	obsStaleMap      *obs.Counter
-	obsFrozenRej     *obs.Counter
-	obsMigIn         *obs.Counter
-	obsPurged        *obs.Counter
-	obsSlotOps       *obs.Counter
-	failoverSpan     obs.SpanID
-	electionSpan     obs.SpanID
-	stageSpan        obs.SpanID
-	renewSpan        obs.SpanID
-	renewFetchSpan   obs.SpanID
-	renewCatchupSpan obs.SpanID
+// newProc builds a process's empty memory. A fresh boot has no role until it
+// enters its boot role; a restarted one is a junior from its first instant.
+func newProc(role, boot Role) proc {
+	return proc{
+		tree:          namespace.New(),
+		log:           journal.NewLog(),
+		blocks:        blockmap.NewManager(),
+		role:          role,
+		bootRole:      boot,
+		view:          NewView(),
+		viewVer:       -1,
+		renewLastSeen: map[transport.NodeID]uint64{},
+		preparedTxns:  map[uint64]*preparedTxn{},
+		retryCache:    map[uint64]OpReply{},
+	}
 }
 
 // NewServer builds a server and registers its process on the network.
@@ -179,20 +184,13 @@ func NewServer(net transport.Transport, cfg Config, tr *trace.Log, rnd func() fl
 		cfg.Partitioner = cfg.Partitioner.Clone()
 	}
 	s := &Server{
-		cfg:           cfg,
-		group:         fmt.Sprintf("g%d", g),
-		groupIdx:      g,
-		members:       cfg.Groups[g],
-		bootRole:      boot,
-		tree:          namespace.New(),
-		log:           journal.NewLog(),
-		view:          NewView(),
-		viewVer:       -1,
-		renewLastSeen: map[transport.NodeID]uint64{},
-		preparedTxns:  map[uint64]*preparedTxn{},
-		retryCache:    map[uint64]OpReply{},
-		tr:            tr,
-		rnd:           rnd,
+		cfg:      cfg,
+		group:    fmt.Sprintf("g%d", g),
+		groupIdx: g,
+		members:  cfg.Groups[g],
+		tr:       tr,
+		rnd:      rnd,
+		proc:     newProc(RoleDown, boot),
 	}
 	s.node = net.Listen(cfg.ID, s)
 	reg, me := net.Obs(), string(cfg.ID)
@@ -226,7 +224,6 @@ func NewServer(net transport.Transport, cfg Config, tr *trace.Log, rnd func() fl
 	s.registerShardObs(reg, me)
 	s.pool = ssp.NewPoolNode(s.node, cfg.SSPParams)
 	s.sspc = s.newPoolClient()
-	s.blocks = blockmap.NewManager()
 	s.coordCli = coord.NewClient(s.node, coord.ClientConfig{
 		Servers:        cfg.Coord,
 		SessionTimeout: cfg.CoordSessionTimeout,
@@ -255,7 +252,7 @@ func (s *Server) newPoolClient() *ssp.Client {
 	return c
 }
 
-// Node exposes the simulated process (fault injection).
+// Node exposes this server's node on either plane (fault injection).
 func (s *Server) Node() transport.Node { return s.node }
 
 // Role returns the server's current role.
@@ -315,46 +312,21 @@ func (s *Server) Start() {
 	})
 }
 
-// Shutdown crashes the process (the harness restarts it via Restart).
+// Shutdown crashes the process: its timers and pending calls die with it.
 func (s *Server) Shutdown() {
 	s.node.Crash()
 }
 
 // Restart brings a crashed server back as a junior with empty state — the
-// paper's "server which restarts after a failure".
+// paper's "server which restarts after a failure": proc is dropped whole.
 func (s *Server) Restart() {
 	s.node.Restart()
 	if s.pipe != nil {
 		s.pipe.abandon("abandoned-restart", nil)
-		s.pipe = nil
 	}
-	s.endRenewSpans("restart")
-	s.endElectionSpans("restart")
-	s.tree = namespace.New()
-	s.log = journal.NewLog()
-	s.lastTx = 0
-	s.role = RoleJunior
-	s.bootRole = RoleJunior
-	s.upgrading = false
-	s.view = NewView()
-	s.viewVer = -1
-	s.pendingQueue = nil
-	s.fenceLoopOn = false
-	s.electing = 0
-	s.upgradeQueue = nil
-	s.renewTarget = ""
-	s.renewSession = ""
-	s.renewActive = ""
-	s.renewing = false
-	s.renewLastSeen = map[transport.NodeID]uint64{}
-	s.renewScanOn = false
-	s.preparedTxns = map[uint64]*preparedTxn{}
-	s.sanityOn = false
-	s.cpu = transport.Lane{}
-	s.reporting = false
-	s.retryCache = map[uint64]OpReply{}
-	s.resetShardState()
-	s.blocks.Reset()
+	s.endRenew("restart")
+	s.elect.endSpans(s.tr, "restart")
+	s.proc = newProc(RoleJunior, RoleJunior)
 	s.coordCli.Restart(func(err error) {
 		if err != nil {
 			s.node.After(sim.Second, "mams-restart-coord", func() { s.Restart() })
@@ -406,7 +378,7 @@ func (s *Server) armSanityLoop() {
 	jitter := sim.Time(float64(2*sim.Second) * s.rnd())
 	var loop func()
 	loop = func() {
-		if s.role != RoleActive && !s.upgrading {
+		if s.role != RoleActive && !s.upgrading() {
 			s.armLockAliveWatches()
 			s.reconcileRoleWithView()
 		} else if s.pipe != nil {
@@ -466,10 +438,14 @@ func (s *Server) bootstrapAsActive() {
 	})
 }
 
-// becomeActiveNow finalizes active duty at the given epoch.
+// becomeActiveNow finalizes active duty at the given epoch, ending any upgrade.
 func (s *Server) becomeActiveNow(epoch uint64) {
+	var up election
+	if s.elect != nil {
+		up = *s.elect
+	}
+	s.elect = nil
 	s.role = RoleActive
-	s.upgrading = false
 	s.pipe = newCommitPipeline(pipeWorld{
 		node:    s.node,
 		tree:    s.tree,
@@ -486,10 +462,8 @@ func (s *Server) becomeActiveNow(epoch uint64) {
 	// Classify the members that registered during the upgrade (Fig. 4
 	// step 5) before the buffered ops run: a drained op that seals a batch
 	// would leave every standby's registered sn behind ours.
-	regs := s.upgradeRegs
-	s.upgradeRegs = nil
 	for _, m := range s.members {
-		if r, ok := regs[m]; ok {
+		if r, ok := up.regs[m]; ok {
 			s.onRegister(r)
 		}
 	}
@@ -506,10 +480,8 @@ func (s *Server) becomeActiveNow(epoch uint64) {
 	s.purgeForeignFiles()
 	s.noteFreezeIfActive()
 	// Serve anything buffered during the upgrade.
-	q := s.upgradeQueue
-	s.upgradeQueue = nil
 	s.obsBuffered.Set(0)
-	for _, qo := range q {
+	for _, qo := range up.queue {
 		s.handleClientOp(qo.from, qo.op, qo.reply)
 	}
 }
@@ -617,7 +589,7 @@ func (s *Server) adoptView(v View, ver int64) {
 
 	me := string(s.cfg.ID)
 	switch {
-	case v.Active == me && s.role != RoleActive && !s.upgrading:
+	case v.Active == me && s.role != RoleActive && !s.upgrading():
 		// The view says we are active but we are not: this only happens
 		// for the bootstrap active; elections set the role explicitly.
 	case v.Active != me && s.role == RoleActive:
@@ -628,7 +600,7 @@ func (s *Server) adoptView(v View, ver int64) {
 		s.pendingQueue = nil
 		s.emit(trace.KindState, "demoted-junior", "epoch", fmt.Sprint(v.Epoch))
 	case v.States[me] == RoleStandby && s.role == RoleJunior &&
-		!s.renewing && v.Active != "" && v.Active != me:
+		s.renew == nil && v.Active != "" && v.Active != me:
 		// The view believes we are a standby but we demoted locally (a
 		// reordered watch push, or a takeover view that arrived after our
 		// registration). The renew scan only heals view-juniors, so this
@@ -652,7 +624,7 @@ func (s *Server) adoptView(v View, ver int64) {
 // handles the push-delivered case).
 func (s *Server) reconcileRoleWithView() {
 	me := string(s.cfg.ID)
-	if s.role == RoleJunior && !s.renewing &&
+	if s.role == RoleJunior && s.renew == nil &&
 		s.view.States[me] == RoleStandby && s.view.Active != "" && s.view.Active != me {
 		s.sendRegister(transport.NodeID(s.view.Active), 0)
 	}
@@ -662,7 +634,7 @@ func (s *Server) reconcileRoleWithView() {
 // the active's liveness node.
 func (s *Server) armLockAliveWatches() {
 	s.coordCli.Exists(lockPath(s.group), true, func(exists bool, err error) {
-		if err == nil && !exists && s.role != RoleActive && !s.upgrading {
+		if err == nil && !exists && s.role != RoleActive && !s.upgrading() {
 			s.onLockGone()
 		}
 	})
@@ -685,31 +657,12 @@ func (s *Server) effectiveSN() uint64 {
 // directly degraded to the junior state").
 func (s *Server) hardResetToJunior() {
 	s.emit(trace.KindState, "hard-reset-junior", "sn", fmt.Sprint(s.log.LastSN()))
-	s.endRenewSpans("hard-reset")
+	s.endRenew("hard-reset")
 	s.tree = namespace.New()
 	s.log = journal.NewLog()
 	s.lastTx = 0
 	s.pendingQueue = nil
-	s.renewing = false
 	s.role = RoleJunior
-}
-
-// endRenewSpans closes the junior-side renewing spans (root plus any open
-// image-fetch/catch-up child) when the session ends for any reason.
-func (s *Server) endRenewSpans(outcome string) {
-	s.tr.End(s.renewFetchSpan, "outcome", outcome)
-	s.tr.End(s.renewCatchupSpan, "outcome", outcome)
-	s.tr.End(s.renewSpan, "outcome", outcome)
-	s.renewFetchSpan, s.renewCatchupSpan, s.renewSpan = 0, 0, 0
-}
-
-// endElectionSpans closes the failover/election/stage spans when an election
-// or upgrade terminates without this node becoming active.
-func (s *Server) endElectionSpans(outcome string) {
-	s.tr.End(s.stageSpan, "outcome", outcome)
-	s.tr.End(s.electionSpan, "outcome", outcome)
-	s.tr.End(s.failoverSpan, "outcome", outcome)
-	s.stageSpan, s.electionSpan, s.failoverSpan = 0, 0, 0
 }
 
 // invalidateReplTargets tells an active's pipeline that its replication
@@ -762,7 +715,7 @@ func (s *Server) stepDown(v View) {
 // RegisterAck arrives (the active may still be mid-upgrade when the first
 // attempt lands).
 func (s *Server) sendRegister(to transport.NodeID, attempt int) {
-	if attempt > 20 || s.role == RoleActive || s.upgrading {
+	if attempt > 20 || s.role == RoleActive || s.upgrading() {
 		return
 	}
 	if string(to) != s.view.Active {
@@ -810,14 +763,13 @@ func (s *Server) onCoordEvent(ev coord.WatchEvent) {
 // ephemerals (lock, alive) are gone and peers have moved on.
 func (s *Server) onSessionExpired() {
 	s.emit(trace.KindState, "session-expired")
-	s.endRenewSpans("session-expired")
-	s.endElectionSpans("session-expired")
+	s.endRenew("session-expired")
+	s.elect.endSpans(s.tr, "session-expired") // the election itself runs on
 	if s.pipe != nil {
 		s.leaveActive("session-expired", fmt.Errorf("mams: session expired"))
 	}
 	s.role = RoleJunior
 	s.pendingQueue = nil
-	s.renewing = false
 	s.coordCli.Restart(func(err error) {
 		if err != nil {
 			s.node.After(sim.Second, "mams-session-retry", s.onSessionExpired)
@@ -880,7 +832,7 @@ func (s *Server) HandleMessage(from transport.NodeID, msg any) {
 	case AppendAck:
 		if s.pipe != nil {
 			s.pipe.onAppendAck(m)
-		} else if s.upgrading {
+		} else if s.upgrading() {
 			s.noteReflushAck(m)
 		}
 	case CommitNotice:
@@ -949,10 +901,10 @@ func (s *Server) HandleRequest(from transport.NodeID, req any, reply func(any)) 
 // ---- client operations on the active ----
 
 func (s *Server) handleClientOp(from transport.NodeID, op ClientOp, reply func(any)) {
-	if s.upgrading {
+	if s.upgrading() {
 		// Fig. 4 step 3: accept and buffer, commit after the upgrade.
-		s.upgradeQueue = append(s.upgradeQueue, queuedOp{from: from, op: op, reply: reply})
-		s.obsBuffered.Set(float64(len(s.upgradeQueue)))
+		s.elect.queue = append(s.elect.queue, queuedOp{from: from, op: op, reply: reply})
+		s.obsBuffered.Set(float64(len(s.elect.queue)))
 		return
 	}
 	if s.role != RoleActive {
@@ -1275,7 +1227,7 @@ type CommitNotice struct {
 }
 
 func (s *Server) onAppendBatch(from transport.NodeID, m AppendBatch, reply func(any)) {
-	if s.role != RoleStandby && !(s.role == RoleJunior && s.renewing) {
+	if s.role != RoleStandby && !(s.role == RoleJunior && s.renew != nil) {
 		reply(AppendAck{From: s.cfg.ID, SN: m.Batch.SN, OK: false, LastSN: s.log.LastSN()})
 		return
 	}
@@ -1395,7 +1347,7 @@ func (s *Server) applyBatch(b journal.Batch) error {
 }
 
 func (s *Server) onCommitNotice(m CommitNotice) {
-	if s.role == RoleStandby || (s.role == RoleJunior && s.renewing) {
+	if s.role == RoleStandby || (s.role == RoleJunior && s.renew != nil) {
 		s.applyCommitted(m.Through)
 	}
 }
@@ -1420,8 +1372,7 @@ func (s *Server) onDemote(m Demote) {
 func (s *Server) onPromote(m Promote) {
 	if s.role == RoleJunior {
 		s.role = RoleStandby
-		s.renewing = false
-		s.endRenewSpans("promoted")
+		s.endRenew("promoted")
 		if m.LastTx > s.lastTx {
 			s.lastTx = m.LastTx
 		}
@@ -1432,9 +1383,9 @@ func (s *Server) onPromote(m Promote) {
 // onRegister: the (new) active classifies a member by its journal position
 // (Fig. 4 step 5).
 func (s *Server) onRegister(m Register) {
-	if s.upgrading {
+	if s.upgrading() {
 		// Held until this node turns active (becomeActiveNow).
-		s.upgradeRegs[m.From] = m
+		s.elect.regs[m.From] = m
 		s.maybeEndRegistration()
 		return
 	}
@@ -1464,7 +1415,7 @@ func (s *Server) onRegister(m Register) {
 
 func (s *Server) onRegisterAck(m RegisterAck) {
 	s.registerAcked = true
-	if s.role == RoleActive || s.upgrading {
+	if s.role == RoleActive || s.upgrading() {
 		return
 	}
 	switch m.Role {

@@ -82,9 +82,9 @@ type Log struct {
 func New(now func() sim.Time) *Log { return &Log{now: now, open: map[obs.SpanID]int{}} }
 
 // DispatchOnly marks a kind as delivered to subscribers but not retained in
-// the log. High-volume instrumentation (per-batch journal appends under
-// Params.TraceAppends) would otherwise dominate the log's memory on long
-// loaded runs whose consumers are purely subscription-based monitors.
+// the log, so per-batch records (KindJournal on a loaded run) do not fill it
+// when only subscribing monitors read them. Keeps then reports false for the
+// kind, and the per-batch spans guarded by it are not recorded either.
 func (l *Log) DispatchOnly(k Kind) {
 	if l.dispatchOnly == nil {
 		l.dispatchOnly = map[Kind]bool{}
@@ -98,6 +98,10 @@ func (l *Log) DispatchOnly(k Kind) {
 func (l *Log) Wants(k Kind) bool {
 	return l != nil && (!l.dispatchOnly[k] || len(l.subs) > 0)
 }
+
+// Keeps reports whether an event of kind k would be retained. Span edges are
+// retained and never dispatched, so a per-batch span asks Keeps, not Wants.
+func (l *Log) Keeps(k Kind) bool { return l != nil && !l.dispatchOnly[k] }
 
 // Emit appends an event at the current time. Args are optional alternating
 // key/value string pairs. Nil-safe.

@@ -108,6 +108,16 @@ func TestWantsFollowsRetentionAndSubscribers(t *testing.T) {
 	}
 }
 
+func TestKeepsIgnoresSubscribers(t *testing.T) {
+	var nilLog *Log
+	l := New(sim.NewWorld().Now)
+	l.DispatchOnly(KindJournal)
+	l.Subscribe(func(Event) {})
+	if nilLog.Keeps(KindState) || l.Keeps(KindJournal) || !l.Keeps(KindState) {
+		t.Fatal("Keeps must follow retention alone: a subscriber sees no span edge")
+	}
+}
+
 func TestSpanLifecycle(t *testing.T) {
 	w := sim.NewWorld()
 	l := New(w.Now)

@@ -14,10 +14,15 @@ if ! test -z "$unformatted"; then
   exit 1
 fi
 go test ./...
+# Each race step runs under scripts/maxrss, which prints its peak RSS (the
+# largest of `go test`, the compiler and the test binaries it waited for):
+# the race detector multiplies a test's memory, and a step near the host's
+# RAM shows here before it is OOM-killed.
+race() { go run ./scripts/maxrss go test -race "$@"; }
 # The race build runs ~10x slower; the experiments suite needs more than the
 # default 10m test timeout on small machines. This covers the tvl sweep
 # (TestTvlSpeedups, TestTvlDeterministicAcrossParallelism) under race.
-go test -race -timeout 40m ./internal/experiments/... ./internal/sim/...
+race -timeout 40m ./internal/experiments/... ./internal/sim/...
 # The real transport is all goroutines (event loop, connection readers and
 # writers, wall-clock timers): its conformance run, the wire-plane cluster
 # failover test, and the sim-plane side of the shared suite always run under
@@ -29,7 +34,7 @@ go test -race -timeout 40m ./internal/experiments/... ./internal/sim/...
 # also asserts no protocol package (mams, coord, ssp, fsclient) imports
 # internal/simnet. The allocation budgets skip themselves in race builds
 # (internal/race): the detector allocates on its own.
-go test -race ./internal/nettrans/... ./internal/simnet/... ./internal/transport/...
+race ./internal/nettrans/... ./internal/simnet/... ./internal/transport/...
 # Teardown, boot and failover are races by nature (Close against a loop
 # still running callbacks; metadata servers against the coord election; an
 # arriving Register against the registration window's cap timer; a failed
@@ -38,7 +43,7 @@ go test -race ./internal/nettrans/... ./internal/simnet/... ./internal/transport
 # going silent), so their stress tests get three more rounds. So does the
 # transport conformance suite, which holds wall-clock deadlines on the wire
 # (a call to a down node fails at its deadline, never before it).
-go test -race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt|TestWireClusterFailover|TestRefused|TestUnreachable|TestSilentOwner|TestAnsweredProbe|TestConformance' ./internal/nettrans/... ./internal/coord
+race -count=3 -run 'TestCloseUnderTraffic|TestClusterBootIsPrompt|TestWireClusterFailover|TestRefused|TestUnreachable|TestSilentOwner|TestAnsweredProbe|TestConformance' ./internal/nettrans/... ./internal/coord
 # The allocation budgets three times over, so that one that holds only by
 # luck fails here: on the wire plane a Call, an After, a frame to a refused
 # address (0), a stat and a create; on the simulator a kernel schedule and
@@ -69,7 +74,7 @@ go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 20s ./internal/nettrans
 # images); this searches beyond it: no panic, and an accepted image is a
 # consistent tree whose own saved image reloads to the same digest.
 go test -run '^$' -fuzz '^FuzzLoadImage$' -fuzztime 20s ./internal/namespace
-go test -race -timeout 40m ./internal/mams/...
+race -timeout 40m ./internal/mams/...
 # The commit pipeline's layer benchmark (one create through dispatch, seal
 # and commit under each seal policy, instant acks): keeps it compiling and
 # prints its allocs/op in every verify run.
@@ -77,18 +82,18 @@ go test -run '^$' -bench PipelineCreate -benchtime 200x ./internal/mams
 # The trace log is written on a wire process's event loop and read through
 # Do (TestWireClusterFailover, TestWireLogBoundedByFailovers); race-test the
 # package beside the exporters that read its spans.
-go test -race ./internal/obs/... ./internal/trace/...
+race ./internal/obs/... ./internal/trace/...
 # The health detector rides inside every parallel detect cell (one World
 # per worker goroutine); race-test the package directly too.
-go test -race ./internal/health/...
+race ./internal/health/...
 # Shard-map hashing is on every request's hot path and must stay
 # allocation-free; the race run also covers Install/Clone publication.
-go test -race ./internal/partition/...
+race ./internal/partition/...
 # The explorer fans schedules out across workers; its fixture replays
 # (internal/check/testdata/*.artifact) re-trigger each gray-failure bug's
 # schedule and must stay violation-free — pre-fix versions of those tests
 # asserting the violations live in git history.
-go test -race -timeout 20m ./internal/check/...
+race -timeout 20m ./internal/check/...
 # Exporter smoke run: one failover must produce a non-empty Prometheus dump
 # and a valid (json-decodable) Chrome trace. The byte-level golden checks
 # live in internal/obs (export_test.go) and internal/cluster
